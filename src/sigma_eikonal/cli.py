@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -39,7 +40,8 @@ from .geometry import GeometryError, GraphHypersurface, load_shape, \
 from .innerball import InnerBallError, normal_map_injectivity, \
     uniform_condition_report
 from .projection import ProjectionError
-from .singular import DetectionError, detect_gradjump, detect_multiproj
+from .singular import DEFAULT_THETA_DEG, DetectionError, detect_gradjump, \
+    detect_multiproj
 
 PASS, FAIL, USAGE = 0, 1, 2
 DEFAULT_H = 1.0 / 64
@@ -180,7 +182,8 @@ def cmd_singular(args, cfg):
         mask = detect_multiproj(measured, grid, tau_multi=cfg.tau_multi)
     else:
         fld = distance_field(measured, grid)
-        theta = cfg.theta_deg if cfg.theta_deg is not None else 30.0
+        theta = (cfg.theta_deg if cfg.theta_deg is not None
+                 else DEFAULT_THETA_DEG)
         mask = detect_gradjump(fld, theta_deg=theta)
     for key, val in mask.summary().items():
         _say(cfg, f"{key}={val}")
@@ -230,6 +233,7 @@ def cmd_verify(args, cfg):
     except Exception as exc:
         print(f"experiment={name}", file=sys.stderr)
         print(f"failed_stage={type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return FAIL
     text = format_verdict(report)
     if not cfg.quiet:

@@ -25,12 +25,9 @@ from .geometry import (
     Box,
     ConvexPolytope,
     Ellipse,
-    GeometryError,
     GraphHypersurface,
     OffsetBody,
     SampledSurface,
-    _offset_boundary_distance_2d,
-    _point_segment_distance,
 )
 from .projection import project
 
@@ -214,22 +211,13 @@ def _bulk_boundary_distance(shape, points):
     """Vectorized exact boundary distance used by field evaluation."""
     if isinstance(shape, Box):
         shape = shape.as_polytope()
-    if isinstance(shape, ConvexPolytope):
-        if shape.dim == 2:
-            a, b = shape.edges()
-            d, _, _ = _point_segment_distance(points, a, b)
-            return d.min(axis=1)
-        return shape.boundary_distance(points)
-    if isinstance(shape, OffsetBody):
-        if shape.dim == 2:
-            return _offset_boundary_distance_2d(shape, points)
-        return shape.boundary_distance(points)
-    if isinstance(shape, (Ball, Ellipse, SampledSurface)):
-        return shape.boundary_distance(points)
     if isinstance(shape, GraphHypersurface):
         raise GridError("distance fields for graphs use a boundary sampling; "
                         "pass shape.boundary_sample(spacing)")
-    raise GridError(f"unsupported shape {type(shape).__name__}")
+    if not isinstance(shape, (ConvexPolytope, OffsetBody, Ball, Ellipse,
+                              SampledSurface)):
+        raise GridError(f"unsupported shape {type(shape).__name__}")
+    return shape.boundary_distance(points)
 
 
 def _evaluate_chunked(fn, points, chunk=65536):

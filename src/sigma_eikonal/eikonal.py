@@ -114,32 +114,22 @@ def fast_march(problem):
     n = grid.n_nodes
     dim = grid.dim
 
-    values = np.full(n, np.inf)
-    accepted = np.zeros(n, dtype=bool)
+    # plain lists: each neighbour read in the sweep is a list index, not a
+    # numpy scalar lookup
+    values = [math.inf] * n
+    accepted = [False] * n
 
     strides = [1] * dim
     for k in range(dim - 2, -1, -1):
         strides[k] = strides[k + 1] * dims[k + 1]
-
-    def flat(idx):
-        return sum(i * s for i, s in zip(idx, strides))
+    axes = list(zip(strides, dims))
 
     heap = []
     for idx, val in problem.seeds:
-        fi = flat(idx)
+        fi = sum(i * s for i, s in zip(idx, strides))
         if val < values[fi]:
             values[fi] = val
             heapq.heappush(heap, (val, fi))
-
-    # precomputed neighbor offsets with bounds handled via index math
-    coords = np.empty(dim, dtype=np.int64)
-
-    def unflatten(fi):
-        rem = fi
-        for k in range(dim):
-            coords[k] = rem // strides[k]
-            rem -= coords[k] * strides[k]
-        return coords
 
     last_accepted = -math.inf
     n_accepted = 0
@@ -152,28 +142,26 @@ def fast_march(problem):
         last_accepted = val
         accepted[fi] = True
         n_accepted += 1
-        c = unflatten(fi)
-        for k in range(dim):
+        c = [fi // s % d for s, d in axes]
+        for k, (sk, dk) in enumerate(axes):
             for step in (-1, 1):
                 ck = c[k] + step
-                if ck < 0 or ck >= dims[k]:
+                if ck < 0 or ck >= dk:
                     continue
-                nb = fi + step * strides[k]
+                nb = fi + step * sk
                 if accepted[nb]:
                     continue
                 # gather accepted axis values around the neighbor
                 avals = []
-                base = nb
-                ci = c.copy()
-                ci[k] = ck
-                for ax in range(dim):
+                for ax, (sa, da) in enumerate(axes):
+                    ca = ck if ax == k else c[ax]
                     best = math.inf
-                    if ci[ax] > 0:
-                        cand = base - strides[ax]
+                    if ca > 0:
+                        cand = nb - sa
                         if accepted[cand]:
                             best = values[cand]
-                    if ci[ax] < dims[ax] - 1:
-                        cand = base + strides[ax]
+                    if ca < da - 1:
+                        cand = nb + sa
                         if accepted[cand] and values[cand] < best:
                             best = values[cand]
                     if best < math.inf:
@@ -186,10 +174,10 @@ def fast_march(problem):
                     values[nb] = t
                     heapq.heappush(heap, (t, nb))
 
-    unreachable = int(np.count_nonzero(~accepted))
-    out = ScalarField(grid, values.reshape(dims), kind="eikonal_solution",
+    out = ScalarField(grid, np.array(values).reshape(dims),
+                      kind="eikonal_solution",
                       meta={"accepted": n_accepted,
-                            "unreachable": unreachable})
+                            "unreachable": n - n_accepted})
     return out
 
 

@@ -1048,7 +1048,6 @@ def _sample_offset_3d(body, spacing):
     sphere = _direction_net(3, n_cap)
     for vi, facets in vert_facets.items():
         v = verts[vi]
-        cone = np.array([facet_normals[f] for f in facets])
         sel = np.all(sphere @ (verts[list(set(
             int(j) for f in facets for j in hull.simplices[f]) - {vi})] - v).T
             <= 1e-12, axis=1)
@@ -1059,7 +1058,6 @@ def _sample_offset_3d(body, spacing):
         pts.append(v + eps * cap)
         nrm.append(-cap)
         wts.append(np.full(cap.shape[0], share))
-        del cone
     return np.vstack(pts), np.vstack(nrm), np.concatenate(wts)
 
 
@@ -1124,22 +1122,34 @@ def _offset_boundary_distance_2d(body, points):
     return best
 
 
-def _closest_point_triangles(p, tri_a, tri_b, tri_c):
-    """Exact closest points from one point to many triangles (3D)."""
+def _closest_point_triangles(points, tri_a, tri_b, tri_c):
+    """Exact closest points from points (n, 3) to triangles (m, 3).
+
+    Returns the feet, shape (n, m, 3).  Each (point, triangle) pair runs
+    Ericson's Voronoi-region tests in a fixed order with the same
+    arithmetic, so a pair's foot does not depend on the other pairs.
+    """
+    shape = (points.shape[0],) + tri_a.shape
+    p = points[:, None, :]
     ab = tri_b - tri_a
     ac = tri_c - tri_a
     ap = p - tri_a
-    d1 = np.einsum("md,md->m", ab, ap)
-    d2 = np.einsum("md,md->m", ac, ap)
+    d1 = np.einsum("nmd,md->nm", ap, ab)
+    d2 = np.einsum("nmd,md->nm", ap, ac)
     bp = p - tri_b
-    d3 = np.einsum("md,md->m", ab, bp)
-    d4 = np.einsum("md,md->m", ac, bp)
+    d3 = np.einsum("nmd,md->nm", bp, ab)
+    d4 = np.einsum("nmd,md->nm", bp, ac)
     cp = p - tri_c
-    d5 = np.einsum("md,md->m", ab, cp)
-    d6 = np.einsum("md,md->m", ac, cp)
+    d5 = np.einsum("nmd,md->nm", cp, ab)
+    d6 = np.einsum("nmd,md->nm", cp, ac)
+    tri_a = np.broadcast_to(tri_a, shape)
+    tri_b = np.broadcast_to(tri_b, shape)
+    tri_c = np.broadcast_to(tri_c, shape)
+    ab = np.broadcast_to(ab, shape)
+    ac = np.broadcast_to(ac, shape)
 
-    result = np.empty_like(tri_a)
-    done = np.zeros(tri_a.shape[0], dtype=bool)
+    result = np.empty(shape)
+    done = np.zeros(shape[:2], dtype=bool)
 
     mask = (d1 <= 0) & (d2 <= 0)
     result[mask] = tri_a[mask]
@@ -1185,16 +1195,23 @@ def _closest_point_triangles(p, tri_a, tri_b, tri_c):
     return result
 
 
+# point-triangle pairs per kernel call: keeps the (n, m, 3) temporaries at a
+# few MB whatever the facet count
+TRIANGLE_PAIRS_PER_BLOCK = 2 ** 14
+
+
 def _polytope_boundary_distance_3d(poly, points):
     hull = poly.hull()
     verts = hull.points
-    tri_a = verts[hull.simplices[:, 0]]
-    tri_b = verts[hull.simplices[:, 1]]
-    tri_c = verts[hull.simplices[:, 2]]
+    tri = (verts[hull.simplices[:, 0]], verts[hull.simplices[:, 1]],
+           verts[hull.simplices[:, 2]])
+    block = max(1, TRIANGLE_PAIRS_PER_BLOCK // tri[0].shape[0])
     out = np.empty(points.shape[0])
-    for i, p in enumerate(points):
-        feet = _closest_point_triangles(p, tri_a, tri_b, tri_c)
-        out[i] = np.min(np.linalg.norm(feet - p, axis=1))
+    for s in range(0, points.shape[0], block):
+        p = points[s:s + block]
+        feet = _closest_point_triangles(p, *tri)
+        out[s:s + block] = np.min(
+            np.linalg.norm(feet - p[:, None, :], axis=2), axis=1)
     return out
 
 

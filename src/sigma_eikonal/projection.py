@@ -290,7 +290,7 @@ def _project_triangles(poly, x, tau_multi):
     verts = hull.points
     tri = (verts[hull.simplices[:, 0]], verts[hull.simplices[:, 1]],
            verts[hull.simplices[:, 2]])
-    feet = _closest_point_triangles(x, *tri)
+    feet = _closest_point_triangles(x[None], *tri)[0]
     dist = np.linalg.norm(feet - x, axis=1)
     d_opt = float(dist.min())
     order = np.argsort(dist, kind="stable")
@@ -328,7 +328,7 @@ def _on_triangle_rim(p, a, b, c, tol_frac=1e-9):
 
 
 def _point_on_triangle(p, a, b, c, tol):
-    foot = _closest_point_triangles(p, a[None], b[None], c[None])[0]
+    foot = _closest_point_triangles(p[None], a[None], b[None], c[None])[0, 0]
     return np.linalg.norm(foot - p) <= tol
 
 

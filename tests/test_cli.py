@@ -6,6 +6,7 @@ import pytest
 
 from sigma_eikonal.cli import main
 from sigma_eikonal.distance import read_field
+from sigma_eikonal.experiments import EXPERIMENTS
 from sigma_eikonal.singular import SingularMask
 
 DISK = json.dumps({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0})
@@ -120,6 +121,20 @@ def test_verify_offset_identity(tmp_path, capsys):
     assert rc == 0
     verdict = (tmp_path / "verdict_offset_identity.txt").read_text()
     assert "passed=true" in verdict
+
+
+def test_verify_error_keeps_traceback(tmp_path, monkeypatch, capsys):
+    def boom(cfg):
+        raise RuntimeError("stage exploded")
+
+    monkeypatch.setitem(EXPERIMENTS, "offset_identity", boom)
+    rc = main(["verify", "offset_identity", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "experiment=offset_identity" in err
+    assert "failed_stage=RuntimeError: stage exploded" in err
+    assert "Traceback" in err
+    assert "in boom" in err
 
 
 def test_verify_unknown_name_exits_two():

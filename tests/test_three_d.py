@@ -1,0 +1,127 @@
+"""3D polytopes and offsets against oracles independent of the kernels.
+
+Each oracle is a closed form or a sampling that shares no code with the
+closest-point-on-triangle kernel: facet slacks inside a convex body, the
+box formula, a dense boundary sampling, and the Lipschitz bound of a
+distance function.
+"""
+
+import numpy as np
+from hypothesis import given, reject, settings, strategies as st
+
+from sigma_eikonal.distance import distance_field, grid_covering
+from sigma_eikonal.eikonal import fast_march, problem_from_shape
+from sigma_eikonal.geometry import (
+    Box,
+    GeometryError,
+    OffsetBody,
+    make_random_polytope,
+)
+
+from conftest import dense_boundary_distance
+
+FACETS, EPS = 32, 0.3
+PROPERTY = settings(max_examples=30, deadline=None)
+FIELD_PROPERTY = settings(max_examples=6, deadline=None)
+
+seeds = st.integers(0, 2 ** 16)
+coord = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def polytope(seed):
+    try:
+        return make_random_polytope(FACETS, seed, dim=3)
+    except GeometryError:
+        reject()
+
+
+def interior_point(poly, vertex, t, u):
+    """A convex combination of a vertex and a unit-ball point: inside,
+    because a tangent polytope contains the unit ball."""
+    u = np.asarray(u)
+    u = u / max(1.0, float(np.linalg.norm(u)))
+    return t * poly.vertices[vertex % len(poly.vertices)] + (1.0 - t) * u
+
+
+@PROPERTY
+@given(seed=seeds, vertex=st.integers(0, 10 ** 6), t=st.floats(0.0, 1.0),
+       u=st.tuples(coord, coord, coord))
+def test_interior_distance_is_smallest_facet_slack(seed, vertex, t, u):
+    poly = polytope(seed)
+    x = interior_point(poly, vertex, t, u)
+    slack = float(np.min(poly.offsets - poly.normals @ x))
+    d = poly.boundary_distance(x)[0]
+    assert abs(d - slack) <= 1e-12 * poly.diameter()
+
+
+@PROPERTY
+@given(seed=seeds, vertex=st.integers(0, 10 ** 6), t=st.floats(0.0, 1.0),
+       u=st.tuples(coord, coord, coord))
+def test_offset_identity_inside_the_base(seed, vertex, t, u):
+    poly = polytope(seed)
+    body = OffsetBody(poly, EPS)
+    x = interior_point(poly, vertex, t, u)
+    slack = float(np.min(poly.offsets - poly.normals @ x))
+    d = body.boundary_distance(x)[0]
+    assert abs(d - (slack + EPS)) <= 1e-12 * body.diameter()
+
+
+@FIELD_PROPERTY
+@given(seed=seeds)
+def test_distance_fields_are_1_lipschitz(seed):
+    poly = polytope(seed)
+    body = OffsetBody(poly, EPS)
+    grid = grid_covering(body, 0.4)
+    for shape in (poly, body):
+        assert distance_field(shape, grid).lipschitz_violation(slack=1e-12) \
+            == 0.0
+
+
+@FIELD_PROPERTY
+@given(seed=seeds)
+def test_march_reaches_every_node(seed):
+    poly = polytope(seed)
+    body = OffsetBody(poly, EPS)
+    grid = grid_covering(body, 0.6)
+    for shape in (poly, body):
+        u = fast_march(problem_from_shape(shape, grid))
+        assert u.meta == {"accepted": grid.n_nodes, "unreachable": 0}
+        assert np.all(np.isfinite(u.values))
+        assert u.values.min() >= 0.0
+
+
+@PROPERTY
+@given(pts=st.lists(st.tuples(*(st.floats(-3.0, 3.0),) * 3),
+                    min_size=1, max_size=50))
+def test_cube_polytope_matches_box_formula(pts):
+    box = Box((1.0, 1.0, 1.0))
+    pts = np.array(pts)
+    d = box.as_polytope().boundary_distance(pts)
+    assert np.abs(d - box.boundary_distance(pts)).max() <= 1e-12
+
+
+def test_cube_field_matches_box_formula():
+    """A grid field spans several kernel blocks; every node still agrees."""
+    box = Box((1.0, 1.0, 1.0))
+    grid = grid_covering(box, 0.1)
+    fld = distance_field(box.as_polytope(), grid)
+    ref = box.boundary_distance(grid.points()).reshape(grid.dims)
+    assert grid.n_nodes > 10_000
+    assert np.abs(fld.values - ref).max() <= 1e-12
+
+
+def test_exterior_distance_matches_dense_sampling():
+    """Outside, the exact distance is at most the distance to a dense
+    boundary sampling, and falls short of it by less than the spacing."""
+    rng = np.random.default_rng(3)
+    poly = make_random_polytope(FACETS, 1, dim=3)
+    body = OffsetBody(poly, EPS)
+    pts = rng.normal(size=(300, 3))
+    pts *= rng.uniform(1.5, 4.0, (300, 1)) * poly.diameter() \
+        / np.linalg.norm(pts, axis=1, keepdims=True)
+    spacing = 0.05
+    for shape in (poly, body):
+        d = shape.boundary_distance(pts)
+        gap = dense_boundary_distance(shape, pts, spacing) - d
+        assert gap.min() >= -1e-12
+        assert gap.max() <= spacing
