@@ -81,8 +81,10 @@ class SampledSurface:
         return self.points.shape[0]
 
     def tree(self):
+        # on a dense ordered chain, compacted node boxes make nearest
+        # queries about 8x slower (143 vs 17 us on a 165k-sample rough graph)
         if self._tree is None:
-            self._tree = cKDTree(self.points)
+            self._tree = cKDTree(self.points, compact_nodes=False)
         return self._tree
 
     def diameter(self):
@@ -96,22 +98,7 @@ class SampledSurface:
     def boundary_distance(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         d, _ = self.tree().query(points)
-        return d if d.shape[0] > 1 else d
-
-    def chain_length(self):
-        """Polygonal length of the sample chain (2D closed curves)."""
-        if self.dim != 2:
-            raise GeometryError("chain_length is a 2D curve notion")
-        p = self.points
-        q = np.roll(p, -1, axis=0) if self.closed else p[1:]
-        base = p if self.closed else p[:-1]
-        return float(np.linalg.norm(q - base, axis=1).sum())
-
-
-def _chain_gaps(points, closed):
-    q = np.roll(points, -1, axis=0) if closed else points[1:]
-    base = points if closed else points[:-1]
-    return np.linalg.norm(q - base, axis=1)
+        return d
 
 
 # ---------------------------------------------------------------------------

@@ -50,13 +50,15 @@ class InnerBallError(ValueError):
 
 
 def _distance_fn(shape):
-    """Boundary distance callable plus the sampling slack to subtract."""
+    """Vectorized boundary distance minus the sampling slack, and the
+    shape's diameter."""
     if isinstance(shape, SampledSurface):
         tree = shape.tree()
+        half = 0.5 * shape.spacing
 
         def fn(p):
-            d, _ = tree.query(np.atleast_2d(p))
-            return float(d[0]) - 0.5 * shape.spacing
+            d, _ = tree.query(p)
+            return d - half
 
         return fn, shape.diameter()
     if isinstance(shape, GraphHypersurface):
@@ -64,7 +66,7 @@ def _distance_fn(shape):
             "graphs need a sampled surface; pass shape.boundary_sample(...)")
 
     def fn(p):
-        return float(_bulk_boundary_distance(shape, np.atleast_2d(p))[0])
+        return _bulk_boundary_distance(shape, p)
 
     return fn, shape.diameter()
 
@@ -80,6 +82,52 @@ def _default_tau(shape, diam):
     return tau
 
 
+def _inner_ball_radii(shape, points, normals, r_max, tau_ball=None):
+    """Inner-ball radius at every (point, inner normal) row, by one
+    bisection batched over the rows.
+
+    Each row stops on its own when hi - lo falls to the tolerance, so every
+    radius is what a bisection of that row alone returns.
+    """
+    if r_max <= 0.0:
+        raise InnerBallError("r_max must be positive")
+    r_max = float(r_max)
+    dist, diam = _distance_fn(shape)
+    if tau_ball is None:
+        tau_ball = _default_tau(shape, diam)
+    on_tol = 0.5 * shape.spacing if isinstance(shape, SampledSurface) \
+        else 1e-9 * max(1.0, diam)
+    if np.any(dist(points) > on_tol):
+        raise InnerBallError("query point is not on the boundary")
+    contains = getattr(shape, "contains", None)
+
+    def fits(rows, r):
+        c = points[rows] + r[:, None] * normals[rows]
+        ok = dist(c) >= r - tau_ball
+        if contains is not None:
+            ok &= contains(c)
+        return ok
+
+    rows = np.arange(points.shape[0])
+    radii = np.full(rows.size, r_max)
+    rows = rows[~fits(rows, radii)]
+    lo = np.zeros(rows.size)
+    hi = np.full(rows.size, r_max)
+    stop = max(1e-12 * diam, 1e-3 * tau_ball)
+    for _ in range(BISECT_STEPS):
+        if not rows.size:
+            break
+        mid = 0.5 * (lo + hi)
+        ok = fits(rows, mid)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+        done = hi - lo <= stop
+        radii[rows[done]] = lo[done]
+        rows, lo, hi = rows[~done], lo[~done], hi[~done]
+    radii[rows] = lo
+    return radii
+
+
 def inner_ball_radius(shape, a, nu, r_max, tau_ball=None):
     """Largest inner tangent ball radius at boundary point a, capped at r_max.
 
@@ -91,35 +139,8 @@ def inner_ball_radius(shape, a, nu, r_max, tau_ball=None):
         raise InnerBallError("point and normal must be matching vectors")
     if abs(np.linalg.norm(nu) - 1.0) > 1e-9:
         raise InnerBallError("normal must be a unit vector")
-    if r_max <= 0.0:
-        raise InnerBallError("r_max must be positive")
-    dist, diam = _distance_fn(shape)
-    if tau_ball is None:
-        tau_ball = _default_tau(shape, diam)
-    on_tol = 0.5 * shape.spacing if isinstance(shape, SampledSurface) \
-        else 1e-9 * max(1.0, diam)
-    if dist(a) > on_tol:
-        raise InnerBallError("query point is not on the boundary")
-    contains = getattr(shape, "contains", None)
-
-    def fits(r):
-        c = a + r * nu
-        if contains is not None and not contains(c):
-            return False
-        return dist(c) >= r - tau_ball
-
-    if fits(r_max):
-        return float(r_max)
-    lo, hi = 0.0, float(r_max)
-    for _ in range(BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= max(1e-12 * diam, 1e-3 * tau_ball):
-            break
-    return float(lo)
+    return float(_inner_ball_radii(shape, a[None], nu[None], r_max,
+                                   tau_ball)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +193,8 @@ def inner_ball_profile(shape, spacing, r_max, tau_ball=None, measured=None):
         measured = shape
     if tau_ball is None:
         tau_ball = _default_tau(measured, measured.diameter())
-    radii = np.array([
-        inner_ball_radius(measured, surface.points[i], surface.normals[i],
-                          r_max, tau_ball=tau_ball)
-        for i in range(surface.points.shape[0])])
+    radii = _inner_ball_radii(measured, surface.points, surface.normals,
+                              r_max, tau_ball)
     return InnerBallProfile(points=surface.points, normals=surface.normals,
                             radii=radii, r_max=float(r_max),
                             tau_ball=float(tau_ball))

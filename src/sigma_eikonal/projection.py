@@ -133,10 +133,15 @@ class _Segment:
         clamp[t >= 1.0] = +1
         return dist, clamp
 
-    def feet_many(self, pts):
+    def query_feet(self, pts):
+        """The feet query() returns, for many points: a and b exactly at
+        the clamps.  vecdot runs the same dot as query's 1-D product."""
         L2 = float(self.d @ self.d)
-        t = np.clip((pts - self.a) @ self.d / L2, 0.0, 1.0)
-        return self.a + t[:, None] * self.d
+        t = np.vecdot(pts - self.a, self.d) / L2
+        feet = self.a + t[:, None] * self.d
+        feet[t <= 0.0] = self.a
+        feet[t >= 1.0] = self.b
+        return feet
 
 
 class _Arc:
@@ -180,17 +185,23 @@ class _Arc:
         clamp = np.where(on, 0, np.where(d0 <= d1, -1, +1)).astype(np.int8)
         return dist, clamp
 
-    def feet_many(self, pts):
+    def query_feet(self, pts):
+        """The feet query() returns, for many points: the radial foot on
+        the sector, the nearer end off it, e0 at the centre.  Norms are
+        square roots of vecdot, as in query's 1-D norms; the sector angle
+        is numpy's arctan2, as in query_many."""
         rel = pts - self.center
-        rho = np.linalg.norm(rel, axis=1)
+        rho = np.sqrt(np.vecdot(rel, rel))
         local = (np.arctan2(rel[:, 1], rel[:, 0]) - self.a0) % (2.0 * np.pi)
-        on = (local <= self.sweep) & (rho > 1e-300)
-        safe = np.where(rho > 1e-300, rho, 1.0)
-        radial = self.center + self.r * rel / safe[:, None]
-        d0 = np.linalg.norm(pts - self.e0, axis=1)
-        d1 = np.linalg.norm(pts - self.e1, axis=1)
-        ends = np.where((d0 <= d1)[:, None], self.e0, self.e1)
-        return np.where(on[:, None], radial, ends)
+        centre = rho <= 1e-300
+        radial = self.center + self.r * rel \
+            / np.where(centre, 1.0, rho)[:, None]
+        w0, w1 = pts - self.e0, pts - self.e1
+        near0 = np.sqrt(np.vecdot(w0, w0)) <= np.sqrt(np.vecdot(w1, w1))
+        ends = np.where(near0[:, None], self.e0, self.e1)
+        feet = np.where((local <= self.sweep)[:, None], radial, ends)
+        feet[centre] = self.e0
+        return feet
 
 
 def _polytope_cycle(poly):
@@ -255,7 +266,7 @@ def _cycle_nearest_feet(cycle, pts):
     for k, el in enumerate(cycle):
         sel = k_best == k
         if sel.any():
-            feet[sel] = el.feet_many(pts[sel])
+            feet[sel] = el.query_feet(pts[sel])
     return dist[np.arange(pts.shape[0]), k_best], feet
 
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .distance import GridSpec, ScalarField, _bulk_boundary_distance
 from .geometry import (
@@ -49,7 +48,6 @@ from .geometry import (
 )
 from .projection import (
     _cycle_query_many,
-    _dedupe,
     _max_pairwise,
     _offset_cycle,
     _polytope_cycle,
@@ -62,6 +60,7 @@ FOOT_MOVE_FACTOR = 0.5      # footjump bisects edges whose feet move more
                             # than this, in grid steps
 FOOT_BISECT_STEPS = 8       # halvings of each bisected edge
 FOOT_JUMP_FACTOR = 25.0     # confirmed foot gap, in sample spacings
+ROW_PAIRS_PER_BLOCK = 2 ** 16   # padded foot pairs resolved at once
 
 MASK_MAGIC = "singular_mask"
 
@@ -238,15 +237,9 @@ def _detect_cycle(cycle, diam, pts, dK, excluded, tau_multi, shape=None):
         nb_dist = np.where(clamp > 0, np.roll(dist, -1, axis=1),
                            np.roll(dist, +1, axis=1))
         kept = cand & ~((clamp != 0) & (nb_dist < dist - eq_tol))
-        multi = active & (kept.sum(axis=1) >= 2)
-        for i in np.nonzero(multi)[0]:
-            feet = []
-            for k in np.nonzero(kept[i])[0]:
-                _, foot, _ = cycle[k].query(sub[i])
-                feet.append(foot)
-            reps = _dedupe(np.array(feet), dd_tol)
-            if reps.shape[0] >= 2 and _max_pairwise(reps) > tau_multi:
-                flags[lo + i] = True
+        rows = np.flatnonzero(active & (kept.sum(axis=1) >= 2))
+        flags[lo + rows] = _resolve_rows(cycle, sub[rows], kept[rows],
+                                         dd_tol, tau_multi)
         if shape is not None:
             # a node sitting exactly on a base vertex ties along the whole
             # vertex arc of the offset boundary
@@ -258,6 +251,52 @@ def _detect_cycle(cycle, diam, pts, dK, excluded, tau_multi, shape=None):
                 if chord > tau_multi:
                     flags[lo:lo + sub.shape[0]][onc & active] = True
     return flags
+
+
+def _resolve_rows(cycle, x, kept, dd_tol, tau_multi):
+    """Whether each row's kept feet hold two representatives spread apart
+    by more than tau_multi.
+
+    Row i keeps the elements kept[i] in cycle order; their feet are
+    deduplicated first come first kept at dd_tol (projection._dedupe) and
+    their spread is projection._max_pairwise.  Rows are padded to their
+    kept count rounded up to a power of two, so one wide row does not
+    widen the rest, and resolved in blocks of about ROW_PAIRS_PER_BLOCK
+    foot pairs.
+    """
+    row, elem = np.nonzero(kept)            # row-major: cycle order per row
+    feet = np.empty((row.size, x.shape[1]))
+    by_elem = np.argsort(elem, kind="stable")
+    bounds = np.searchsorted(elem[by_elem], np.arange(len(cycle) + 1))
+    for k, el in enumerate(cycle):
+        pick = by_elem[bounds[k]:bounds[k + 1]]
+        if pick.size:
+            feet[pick] = el.query_feet(x[row[pick]])
+    count = kept.sum(axis=1)
+    first = np.cumsum(count) - count        # each row's first pair
+    width = 1 << np.ceil(np.log2(count)).astype(int)
+    out = np.zeros(x.shape[0], dtype=bool)
+    for w in np.unique(width):
+        group = np.flatnonzero(width == w)
+        step = max(1, ROW_PAIRS_PER_BLOCK // (w * w))
+        for b in range(0, group.size, step):
+            rows = group[b:b + step]
+            cnt = count[rows]
+            # each row's feet, compacted to its first cnt slots
+            valid = np.arange(w) < cnt[:, None]
+            pair = np.repeat(first[rows] - (np.cumsum(cnt) - cnt), cnt)
+            pad = np.zeros((rows.size, w, x.shape[1]))
+            pad[valid] = feet[pair + np.arange(pair.size)]
+            diff = pad[:, :, None, :] - pad[:, None, :, :]
+            near = np.sqrt(np.vecdot(diff, diff)) <= dd_tol
+            reps = valid.copy()
+            for j in range(1, w):
+                reps[:, j] &= ~(reps[:, :j] & near[:, j, :j]).any(axis=1)
+            both = reps[:, :, None] & reps[:, None, :]
+            spread = np.where(both, np.sqrt((diff ** 2).sum(axis=3)),
+                              0.0).max(axis=(1, 2))
+            out[rows] = (reps.sum(axis=1) >= 2) & (spread > tau_multi)
+    return out
 
 
 def _merge_run_labels(run_pts, link):
@@ -389,9 +428,7 @@ def detect_footjump(surface, grid, region=None):
     pts = grid.points()
     inside = region.reshape(-1)
     rows = np.flatnonzero(inside)
-    # on a dense ordered chain, compacted node boxes made nearest queries
-    # about 8x slower (143 vs 17 us on a 165k-sample rough graph)
-    tree = cKDTree(surface.points, compact_nodes=False)
+    tree = surface.tree()
     excluded = ~inside
     foot = np.zeros(pts.shape[0], dtype=np.intp)
     if rows.size:

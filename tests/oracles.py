@@ -1,9 +1,11 @@
 """Reference implementations kept as bit-for-bit oracles.
 
-These are the per-node loops that ``geometry._polytope_boundary_distance_3d``
-and ``eikonal.fast_march`` replaced.  The production code must return
-exactly the same arrays (``np.array_equal``), because it keeps the same
-arithmetic and the same acceptance order.
+These are the per-node loops that ``geometry._polytope_boundary_distance_3d``,
+``eikonal.fast_march``, the row resolution of ``singular._detect_cycle``
+and the inner-ball bisection replaced.  The production code must return
+exactly the same arrays (``np.array_equal``): the kernel and the march keep
+the same arithmetic and the same acceptance order, and the batched row
+resolution and bisection make the same decisions.
 """
 
 import heapq
@@ -11,8 +13,11 @@ import math
 
 import numpy as np
 
-from sigma_eikonal.distance import ScalarField
+from sigma_eikonal.distance import ScalarField, _bulk_boundary_distance
 from sigma_eikonal.eikonal import ACCEPT_SLACK, _solve_update
+from sigma_eikonal.geometry import GraphHypersurface, SampledSurface
+from sigma_eikonal.innerball import BISECT_STEPS, InnerBallError, _default_tau
+from sigma_eikonal.projection import _cycle_query_many, _dedupe, _max_pairwise
 
 
 def closest_point_triangles_one(p, tri_a, tri_b, tri_c):
@@ -172,3 +177,108 @@ def fast_march(problem):
     return ScalarField(grid, values.reshape(dims), kind="eikonal_solution",
                        meta={"accepted": n_accepted,
                              "unreachable": unreachable})
+
+
+def detect_cycle(cycle, diam, pts, dK, excluded, tau_multi, shape=None):
+    """Exact-shape multiproj flags, resolving candidate rows one by one."""
+    n = pts.shape[0]
+    flags = np.zeros(n, dtype=bool)
+    eq_tol = 1e-12 * max(1.0, diam)
+    dd_tol = 1e-9 * max(1.0, diam)
+    chunk = max(1, int(4_000_000 // max(len(cycle), 1)))
+    for lo in range(0, n, chunk):
+        sel = slice(lo, min(lo + chunk, n))
+        sub = pts[sel]
+        active = ~excluded[sel]
+        if not active.any():
+            continue
+        dist, clamp = _cycle_query_many(cycle, sub)
+        d_opt = dist.min(axis=1)
+        cand = dist <= (d_opt + tau_multi)[:, None]
+        nb_dist = np.where(clamp > 0, np.roll(dist, -1, axis=1),
+                           np.roll(dist, +1, axis=1))
+        kept = cand & ~((clamp != 0) & (nb_dist < dist - eq_tol))
+        multi = active & (kept.sum(axis=1) >= 2)
+        for i in np.nonzero(multi)[0]:
+            feet = []
+            for k in np.nonzero(kept[i])[0]:
+                _, foot, _ = cycle[k].query(sub[i])
+                feet.append(foot)
+            reps = _dedupe(np.array(feet), dd_tol)
+            if reps.shape[0] >= 2 and _max_pairwise(reps) > tau_multi:
+                flags[lo + i] = True
+        if shape is not None:
+            _, arcs = shape.elements()
+            for center, _, sweep in arcs:
+                onc = np.linalg.norm(sub - center, axis=1) <= eq_tol
+                chord = 2.0 * shape.epsilon * math.sin(
+                    min(0.5 * sweep, 0.5 * math.pi))
+                if chord > tau_multi:
+                    flags[lo:lo + sub.shape[0]][onc & active] = True
+    return flags
+
+
+def _scalar_distance_fn(shape):
+    """One-point boundary distance minus the sampling slack, and diameter."""
+    if isinstance(shape, SampledSurface):
+        tree = shape.tree()
+
+        def fn(p):
+            d, _ = tree.query(np.atleast_2d(p))
+            return float(d[0]) - 0.5 * shape.spacing
+
+        return fn, shape.diameter()
+    if isinstance(shape, GraphHypersurface):
+        raise InnerBallError(
+            "graphs need a sampled surface; pass shape.boundary_sample(...)")
+
+    def fn(p):
+        return float(_bulk_boundary_distance(shape, np.atleast_2d(p))[0])
+
+    return fn, shape.diameter()
+
+
+def inner_ball_radius(shape, a, nu, r_max, tau_ball=None):
+    """Inner-ball radius at one boundary point by scalar bisection."""
+    a = np.asarray(a, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    if r_max <= 0.0:
+        raise InnerBallError("r_max must be positive")
+    dist, diam = _scalar_distance_fn(shape)
+    if tau_ball is None:
+        tau_ball = _default_tau(shape, diam)
+    on_tol = 0.5 * shape.spacing if isinstance(shape, SampledSurface) \
+        else 1e-9 * max(1.0, diam)
+    if dist(a) > on_tol:
+        raise InnerBallError("query point is not on the boundary")
+    contains = getattr(shape, "contains", None)
+
+    def fits(r):
+        c = a + r * nu
+        if contains is not None and not contains(c):
+            return False
+        return dist(c) >= r - tau_ball
+
+    if fits(r_max):
+        return float(r_max)
+    lo, hi = 0.0, float(r_max)
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= max(1e-12 * diam, 1e-3 * tau_ball):
+            break
+    return float(lo)
+
+
+def inner_ball_radii(shape, surface, r_max, tau_ball=None, measured=None):
+    """Profile radii, one scalar bisection per sample of ``surface``."""
+    measured = shape if measured is None else measured
+    if tau_ball is None:
+        tau_ball = _default_tau(measured, measured.diameter())
+    return np.array([
+        inner_ball_radius(measured, surface.points[i], surface.normals[i],
+                          r_max, tau_ball=tau_ball)
+        for i in range(surface.points.shape[0])])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sigma_eikonal.distance import grid_covering
-from sigma_eikonal.geometry import Ball, Box, GraphHypersurface, OffsetBody
+from sigma_eikonal.geometry import GraphHypersurface, SampledSurface
 from sigma_eikonal.innerball import (
     InnerBallError,
     inner_ball_profile,
@@ -206,3 +206,18 @@ def test_equivalence_rejects_sub_resolution_ball(unit_disk):
     g = grid_covering(unit_disk, 1.0 / 32)
     with pytest.raises(InnerBallError):
         theorem_equivalence_check(unit_disk, g, r_free=1.0 / 32)
+
+
+def test_profile_rejects_a_probe_sample_off_the_measured_boundary(unit_disk):
+    surf = unit_disk.boundary_sample(0.1)
+    pts = surf.points.copy()
+    pts[3] += 0.01 * surf.normals[3]
+    moved = SampledSurface(pts, surf.normals, surf.weights, surf.source,
+                           surf.spacing)
+    with pytest.raises(InnerBallError, match="not on the boundary"):
+        inner_ball_profile(moved, 0.1, r_max=1.0, measured=unit_disk)
+
+
+def test_profile_rejects_nonpositive_r_max(unit_disk):
+    with pytest.raises(InnerBallError, match="r_max"):
+        inner_ball_profile(unit_disk, 0.1, r_max=0.0)

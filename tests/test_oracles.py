@@ -1,22 +1,32 @@
-"""Batched 3D kernel and list-based marching against their loop oracles.
+"""Batched kernels, marching, multiproj rows and inner-ball bisection
+against their loop oracles.
 
 The oracles in ``oracles.py`` are the per-node loops the production code
-replaced.  Both forms run the same arithmetic in the same order, so the
-arrays must be equal bit for bit, not merely close.
+replaced.  Both forms make the same decisions on the same arithmetic, so
+the arrays must be equal bit for bit, not merely close.
 """
 
 import numpy as np
 import pytest
 
-from sigma_eikonal.distance import distance_field, grid_covering
+from sigma_eikonal.distance import (
+    _bulk_boundary_distance,
+    distance_field,
+    grid_covering,
+)
 from sigma_eikonal.eikonal import EikonalProblem, fast_march, problem_from_shape
 from sigma_eikonal.geometry import (
     Ball,
+    Box,
+    Ellipse,
+    GraphHypersurface,
     OffsetBody,
     _closest_point_triangles,
     make_random_polytope,
 )
-from sigma_eikonal.projection import project
+from sigma_eikonal.innerball import inner_ball_profile, inner_ball_radius
+from sigma_eikonal.projection import _offset_cycle, _polytope_cycle, project
+from sigma_eikonal.singular import BAND_FACTOR, detect_multiproj
 
 import oracles
 
@@ -116,3 +126,132 @@ def test_two_corner_seeds_march_matches_loop():
     n = grid.dims
     seeds = [((0, 0, 0), 0.0), ((n[0] - 1, n[1] - 1, n[2] - 1), 0.0)]
     assert_same_march(EikonalProblem(grid, seeds))
+
+
+# ---------------------------------------------------------------------------
+# 2D multiproj row resolution
+# ---------------------------------------------------------------------------
+
+MASK_SEEDS = {8: 3, 16: 1, 32: 2, 64: 1, 128: 1}
+MASK_STEPS = (1.0 / 20, 1.0 / 32)
+
+
+def oracle_flags(shape, grid, tau_multi):
+    """detect_multiproj's flags with the rows resolved one by one."""
+    if isinstance(shape, Box):
+        shape = shape.as_polytope()
+    h = grid.spacing
+    pts = grid.points()
+    dK = _bulk_boundary_distance(shape, pts)
+    excluded = dK <= BAND_FACTOR * h
+    if isinstance(shape, OffsetBody):
+        cycle, extra = _offset_cycle(shape), {"shape": shape}
+    else:
+        cycle, extra = _polytope_cycle(shape), {}
+    flags = oracles.detect_cycle(cycle, shape.diameter(), pts, dK, excluded,
+                                 tau_multi, **extra)
+    return (flags & ~excluded).reshape(grid.dims)
+
+
+def assert_same_flags(shape, h, tau_multi=None):
+    grid = grid_covering(shape, h)
+    mask = detect_multiproj(shape, grid, tau_multi=tau_multi)
+    assert np.array_equal(mask.flags,
+                          oracle_flags(shape, grid, mask.params["tau_multi"]))
+    return mask
+
+
+@pytest.mark.parametrize("facets", sorted(MASK_SEEDS))
+def test_polytope_and_offset_masks_match_row_loop(facets):
+    poly = make_random_polytope(facets, MASK_SEEDS[facets])
+    for shape in (poly, OffsetBody(poly, 0.1), OffsetBody(poly, 0.3)):
+        for h in MASK_STEPS:
+            assert_same_flags(shape, h)
+
+
+def test_box_masks_match_row_loop_with_a_node_on_a_base_vertex():
+    box = Box((1.0, 1.0))
+    body = OffsetBody(box.as_polytope(), 0.5)
+    for h in MASK_STEPS:
+        assert_same_flags(box, h)
+        mask = assert_same_flags(body, h)
+        # the base corner (1, 1) is a grid node, flagged by the arc tie
+        idx = np.round((np.array([1.0, 1.0]) - mask.grid.origin) / h)
+        assert mask.flags[tuple(idx.astype(int))]
+
+
+def test_spread_equal_to_the_tie_window_is_not_a_flag():
+    """The centre of the square keeps four edge midpoints spread exactly
+    2 apart; a tie window of 2 must leave it unflagged, as the loop does."""
+    mask = assert_same_flags(Box((1.0, 1.0)), 0.25, tau_multi=2.0)
+    centre = np.round(-np.asarray(mask.grid.origin) / 0.25).astype(int)
+    assert not mask.flags[tuple(centre)]
+
+
+def test_batched_feet_match_scalar_query():
+    poly = make_random_polytope(16, 1)
+    rng = np.random.default_rng(0)
+    pts = np.vstack([rng.uniform(-3.0, 3.0, (500, 2)), poly.vertices])
+    for cycle in (_polytope_cycle(poly),
+                  _offset_cycle(OffsetBody(poly, 0.3))):
+        for el in cycle:
+            ref = np.array([el.query(p)[1] for p in pts])
+            assert np.array_equal(el.query_feet(pts), ref)
+
+
+# ---------------------------------------------------------------------------
+# inner-ball bisection
+# ---------------------------------------------------------------------------
+
+def assert_same_radii(shape, spacing, r_max, tau_ball=None, measured=None):
+    prof = inner_ball_profile(shape, spacing, r_max, tau_ball=tau_ball,
+                              measured=measured)
+    surface = shape if measured is not None else shape.boundary_sample(
+        spacing)
+    ref = oracles.inner_ball_radii(shape, surface, r_max, tau_ball=tau_ball,
+                                   measured=measured)
+    assert np.array_equal(prof.radii, ref)
+    return prof
+
+
+@pytest.mark.parametrize("shape", [
+    OffsetBody(make_random_polytope(16, 2), 0.3),
+    make_random_polytope(16, 2),
+    Ball((0.0, 0.0), 1.0),
+    Ellipse((1.0, 0.5)),
+    Box((1.0, 0.7)),
+], ids=["offset", "polytope", "ball", "ellipse", "box"])
+@pytest.mark.parametrize("tau_ball", [None, 1e-4], ids=["default", "tau"])
+def test_exact_shape_radii_match_scalar_bisection(shape, tau_ball):
+    prof = assert_same_radii(shape, 0.2, 1.2, tau_ball=tau_ball)
+    assert prof.min_radius < 1.2      # the bisection ran
+
+
+@pytest.mark.parametrize("tau_ball", [None, 0.25 / 32],
+                         ids=["default", "tau"])
+def test_sampled_radii_match_scalar_bisection(tau_ball):
+    graph = GraphHypersurface(0.5, 4, 3, window=(0.5, 1.5))
+    probe = graph.boundary_sample(1.0 / 32, pad=0.3)
+    fine = graph.boundary_sample(1.0 / 512, pad=0.3)
+    prof = assert_same_radii(probe, 1.0 / 32, 0.5, tau_ball=tau_ball,
+                             measured=fine)
+    assert prof.min_radius < 0.5
+
+
+def test_per_sample_stop_rule_matches_scalar_bisection():
+    """With the stop width 1e-3 * tau_ball equal to r_max / 2^20, rounding
+    puts hi - lo on either side of it after 20 halvings, so samples stop
+    at different steps; a shared stop would move some radii."""
+    r_max = 1.2
+    width = r_max * 2.0 ** -20
+    tau = width / 1e-3
+    while 1e-3 * tau != width:
+        tau = np.nextafter(tau, np.inf if 1e-3 * tau < width else -np.inf)
+    assert_same_radii(make_random_polytope(16, 2), 0.05, r_max, tau_ball=tau)
+
+
+def test_single_radius_matches_scalar_bisection(unit_square):
+    for y in (0.0, 0.3, -0.62, 0.999):
+        a, nu = np.array([1.0, y]), np.array([-1.0, 0.0])
+        assert inner_ball_radius(unit_square, a, nu, 2.0) == \
+            oracles.inner_ball_radius(unit_square, a, nu, 2.0)
