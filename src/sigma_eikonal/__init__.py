@@ -11,7 +11,6 @@ from .geometry import (
     SampledSurface,
     load_shape,
     make_random_polytope,
-    offset_body,
     save_shape,
     shape_from_spec,
 )
@@ -77,7 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Ball", "Box", "ConvexPolytope", "Ellipse", "GeometryError",
     "GraphHypersurface", "OffsetBody", "SampledSurface", "load_shape",
-    "make_random_polytope", "offset_body", "save_shape", "shape_from_spec",
+    "make_random_polytope", "save_shape", "shape_from_spec",
     "ProjectionError", "ProjectionResult", "default_tau_multi", "project",
     "GridError", "GridSpec", "ScalarField", "SingularPointError",
     "ZeroDistanceError", "distance_field", "field_to_csv",

@@ -327,8 +327,6 @@ def finite_difference_gradient(field, index):
 def gradient_field(field):
     """Componentwise np.gradient of the whole field (central inside)."""
     grads = np.gradient(field.values, field.grid.spacing)
-    if field.grid.dim == 2:
-        return np.stack(grads, axis=-1)
     return np.stack(grads, axis=-1)
 
 

@@ -198,13 +198,15 @@ class ConvexPolytope:
         except Exception as exc:  # qhull failures surface as shape errors
             raise GeometryError(f"vertex enumeration failed: {exc}") from exc
         pts = hsi.intersections
-        # dedupe near-identical intersection points
+        # dedupe near-identical intersection points, first come first kept;
+        # vecdot takes the same dot product as np.linalg.norm of one vector
         scale = max(1.0, float(np.abs(pts).max()))
-        keep = []
-        for p in pts:
-            if not any(np.linalg.norm(p - q) <= 1e-9 * scale for q in keep):
-                keep.append(p)
-        verts = np.array(keep)
+        diff = pts[:, None, :] - pts[None, :, :]
+        near = np.tril(np.sqrt(np.vecdot(diff, diff)) <= 1e-9 * scale, k=-1)
+        keep = np.ones(pts.shape[0], dtype=bool)
+        for i in np.flatnonzero(near.any(axis=1)):
+            keep[i] = not (near[i] & keep).any()
+        verts = pts[keep]
         if self.dim == 2:
             ref = verts.mean(axis=0)
             ang = np.arctan2(verts[:, 1] - ref[1], verts[:, 0] - ref[0])
@@ -443,11 +445,6 @@ class OffsetBody:
         return out
 
 
-def offset_body(base, epsilon):
-    """Construct the epsilon-expansion of a convex polytope."""
-    return OffsetBody(base, epsilon)
-
-
 # ---------------------------------------------------------------------------
 # primitives: ball, ellipse, box
 # ---------------------------------------------------------------------------
@@ -661,19 +658,29 @@ class Box:
     kind = "box"
 
     def __init__(self, extents):
-        extents = np.asarray(extents, dtype=float)
+        extents = np.array(extents, dtype=float)
         if extents.shape not in ((2,), (3,)):
             raise GeometryError("extents must be length 2 or 3")
         if np.any(extents <= 0):
             raise GeometryError("half-extents must be positive")
-        self.extents = extents
+        extents.flags.writeable = False
+        self._extents = extents
         self.dim = extents.shape[0]
+        self._polytope = None
+
+    @property
+    def extents(self):
+        """Half-extents, read-only so the cached polytope stays valid."""
+        return self._extents
 
     def as_polytope(self):
-        eye = np.eye(self.dim)
-        normals = np.vstack([eye, -eye])
-        offsets = np.concatenate([self.extents, self.extents])
-        return ConvexPolytope(normals, offsets)
+        """The box as a ConvexPolytope, built once (an LP and Qhull)."""
+        if self._polytope is None:
+            eye = np.eye(self.dim)
+            normals = np.vstack([eye, -eye])
+            offsets = np.concatenate([self.extents, self.extents])
+            self._polytope = ConvexPolytope(normals, offsets)
+        return self._polytope
 
     def diameter(self):
         return 2.0 * float(np.linalg.norm(self.extents))

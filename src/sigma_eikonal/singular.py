@@ -29,12 +29,14 @@ point.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import coo_matrix
 
 from .distance import GridSpec, ScalarField, _bulk_boundary_distance
 from .geometry import (
@@ -61,6 +63,7 @@ FOOT_MOVE_FACTOR = 0.5      # footjump bisects edges whose feet move more
 FOOT_BISECT_STEPS = 8       # halvings of each bisected edge
 FOOT_JUMP_FACTOR = 25.0     # confirmed foot gap, in sample spacings
 ROW_PAIRS_PER_BLOCK = 2 ** 16   # padded foot pairs resolved at once
+SAMPLED_ROWS_PER_CHUNK = 16384  # kd-tree candidate rows resolved at once
 
 MASK_MAGIC = "singular_mask"
 
@@ -183,6 +186,7 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
     pts = grid.points()
     dK = _bulk_boundary_distance(shape, pts)
     excluded = dK <= band_factor * h
+    params = {"tau_multi": float(tau_multi), "band_factor": float(band_factor)}
 
     if isinstance(shape, Ball):
         flags = _detect_ball(shape, pts)
@@ -194,7 +198,8 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
                               pts, dK, excluded, tau_multi,
                               shape=shape)
     elif isinstance(shape, SampledSurface):
-        flags = _detect_sampled(shape, pts, dK, excluded, tau_multi)
+        flags, counts = _detect_sampled(shape, pts, dK, excluded, tau_multi)
+        params.update(counts)
     elif isinstance(shape, (ConvexPolytope, OffsetBody)):
         flags = _detect_pointwise(shape, pts, excluded, tau_multi)
     else:
@@ -204,9 +209,7 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
     flags = flags.reshape(grid.dims) & ~excluded.reshape(grid.dims)
     return SingularMask(grid=grid, flags=flags,
                         excluded=excluded.reshape(grid.dims),
-                        detector="multiproj",
-                        params={"tau_multi": float(tau_multi),
-                                "band_factor": float(band_factor)})
+                        detector="multiproj", params=params)
 
 
 def _detect_ball(ball, pts):
@@ -253,16 +256,37 @@ def _detect_cycle(cycle, diam, pts, dK, excluded, tau_multi, shape=None):
     return flags
 
 
+def _padded_rows(count):
+    """Blocks of rows padded to a common width, for per-row pair work.
+
+    Row i owns the count[i] >= 1 consecutive entries of a flat array that
+    start at sum(count[:i]).  Rows are padded to their count rounded up to
+    a power of two, so one wide row does not widen the rest, and handed
+    out in blocks of about ROW_PAIRS_PER_BLOCK padded pairs.  Each block is
+    (rows, take, valid): take indexes the flat array for every slot,
+    repeating a row's last entry in its padding, and valid marks the real
+    slots.
+    """
+    first = np.cumsum(count) - count
+    width = 1 << np.ceil(np.log2(count)).astype(int)
+    for w in np.unique(width):
+        group = np.flatnonzero(width == w)
+        step = max(1, ROW_PAIRS_PER_BLOCK // (w * w))
+        for b in range(0, group.size, step):
+            rows = group[b:b + step]
+            cnt = count[rows][:, None]
+            slot = np.arange(w)
+            yield (rows, first[rows][:, None] + np.minimum(slot, cnt - 1),
+                   slot < cnt)
+
+
 def _resolve_rows(cycle, x, kept, dd_tol, tau_multi):
     """Whether each row's kept feet hold two representatives spread apart
     by more than tau_multi.
 
     Row i keeps the elements kept[i] in cycle order; their feet are
     deduplicated first come first kept at dd_tol (projection._dedupe) and
-    their spread is projection._max_pairwise.  Rows are padded to their
-    kept count rounded up to a power of two, so one wide row does not
-    widen the rest, and resolved in blocks of about ROW_PAIRS_PER_BLOCK
-    foot pairs.
+    their spread is projection._max_pairwise, over _padded_rows blocks.
     """
     row, elem = np.nonzero(kept)            # row-major: cycle order per row
     feet = np.empty((row.size, x.shape[1]))
@@ -272,55 +296,55 @@ def _resolve_rows(cycle, x, kept, dd_tol, tau_multi):
         pick = by_elem[bounds[k]:bounds[k + 1]]
         if pick.size:
             feet[pick] = el.query_feet(x[row[pick]])
-    count = kept.sum(axis=1)
-    first = np.cumsum(count) - count        # each row's first pair
-    width = 1 << np.ceil(np.log2(count)).astype(int)
     out = np.zeros(x.shape[0], dtype=bool)
-    for w in np.unique(width):
-        group = np.flatnonzero(width == w)
-        step = max(1, ROW_PAIRS_PER_BLOCK // (w * w))
-        for b in range(0, group.size, step):
-            rows = group[b:b + step]
-            cnt = count[rows]
-            # each row's feet, compacted to its first cnt slots
-            valid = np.arange(w) < cnt[:, None]
-            pair = np.repeat(first[rows] - (np.cumsum(cnt) - cnt), cnt)
-            pad = np.zeros((rows.size, w, x.shape[1]))
-            pad[valid] = feet[pair + np.arange(pair.size)]
-            diff = pad[:, :, None, :] - pad[:, None, :, :]
-            near = np.sqrt(np.vecdot(diff, diff)) <= dd_tol
-            reps = valid.copy()
-            for j in range(1, w):
-                reps[:, j] &= ~(reps[:, :j] & near[:, j, :j]).any(axis=1)
-            both = reps[:, :, None] & reps[:, None, :]
-            spread = np.where(both, np.sqrt((diff ** 2).sum(axis=3)),
-                              0.0).max(axis=(1, 2))
-            out[rows] = (reps.sum(axis=1) >= 2) & (spread > tau_multi)
+    for rows, take, valid in _padded_rows(kept.sum(axis=1)):
+        pad = feet[take]
+        diff = pad[:, :, None, :] - pad[:, None, :, :]
+        near = np.sqrt(np.vecdot(diff, diff)) <= dd_tol
+        reps = valid.copy()
+        for j in range(1, take.shape[1]):
+            reps[:, j] &= ~(reps[:, :j] & near[:, j, :j]).any(axis=1)
+        both = reps[:, :, None] & reps[:, None, :]
+        spread = np.where(both, np.sqrt((diff ** 2).sum(axis=3)),
+                          0.0).max(axis=(1, 2))
+        out[rows] = (reps.sum(axis=1) >= 2) & (spread > tau_multi)
     return out
 
 
-def _merge_run_labels(run_pts, link):
-    """Union-find over candidate runs, linking runs whose closest points
-    come within the linking distance."""
-    m = len(run_pts)
-    parent = list(range(m))
+def _concat_ranges(starts, lengths):
+    """The ranges starts[k], ..., starts[k] + lengths[k] - 1, concatenated."""
+    offset = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offset, lengths) + np.arange(int(lengths.sum()))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    lk2 = link * link
-    for i in range(m):
-        for j in range(i + 1, m):
-            if find(i) == find(j):
-                continue
-            d2 = ((run_pts[i][:, None, :] - run_pts[j][None, :, :]) ** 2
-                  ).sum(axis=2)
-            if d2.min() <= lk2:
-                parent[find(j)] = find(i)
-    return [find(i) for i in range(m)]
+def _flatten(lists):
+    """Row lengths and concatenated entries of a list of index lists."""
+    count = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    return count, np.fromiter(itertools.chain.from_iterable(lists),
+                              dtype=np.intp, count=int(count.sum()))
+
+
+def _box_diagonals(points, first):
+    """Bounding-box diagonal of each row of points; rows start at first.
+
+    vecdot takes the same dot product as np.linalg.norm of one vector.
+    """
+    box = np.maximum.reduceat(points, first) - np.minimum.reduceat(points,
+                                                                   first)
+    return np.sqrt(np.vecdot(box, box))
+
+
+def _keep_rows(keep, count, per_row, per_entry):
+    """Restrict a chunk of flat (CSR) rows to the rows where keep holds.
+
+    per_row arrays hold one value per row, per_entry arrays count[i]
+    consecutive values per row.  Both come back filtered, and uncopied
+    when every row is kept.
+    """
+    if keep.all():
+        return per_row, per_entry
+    sel = np.repeat(keep, count)
+    return [a[keep] for a in per_row], [a[sel] for a in per_entry]
 
 
 def _detect_sampled(surface, pts, dK, excluded, tau_multi):
@@ -332,55 +356,127 @@ def _detect_sampled(surface, pts, dK, excluded, tau_multi):
     the Euclidean gap by the linking distance); runs are then merged by
     closest approach.  Two or more surviving clusters with well separated
     representatives mean a genuinely multiple projection.
+
+    Rows are resolved in chunks of SAMPLED_ROWS_PER_CHUNK as flat (CSR)
+    candidate arrays: the rows with one run at once, and the rows with
+    several runs through one graph whose nodes are runs and whose edges
+    join runs of a row that come within the linking distance.  Returns the
+    flags and the counts of candidate rows (two or more candidates spread
+    over more than tau_multi) and of rows resolved through that graph.
     """
+    # imported on first use: scipy.sparse.csgraph adds about 1 MB of
+    # resident memory to every process that would import it with the package
+    from scipy.sparse.csgraph import connected_components
+
     tree = surface.tree()
-    n = pts.shape[0]
-    flags = np.zeros(n, dtype=bool)
-    active = np.nonzero(~excluded)[0]
-    if active.size == 0:
-        return flags
-    link = 3.0 * surface.spacing
-    gap = 3
+    samples = surface.points
+    flags = np.zeros(pts.shape[0], dtype=bool)
+    counts = {"candidate_rows": 0, "multi_run_rows": 0}
+    active = np.flatnonzero(~excluded)
+    lk2 = (3.0 * surface.spacing) ** 2
+    max_gap = 3
     guard = 0.5 * surface.diameter()
-    n_samp = surface.points.shape[0]
-    chunk = 16384
-    for lo in range(0, active.size, chunk):
-        rows = active[lo:lo + chunk]
-        idx_lists = tree.query_ball_point(pts[rows], dK[rows] + tau_multi)
-        for row, idx in zip(rows, idx_lists):
-            if len(idx) <= 1:
-                continue
-            idx = np.sort(np.asarray(idx))
-            cand = surface.points[idx]
-            span = np.linalg.norm(cand.max(axis=0) - cand.min(axis=0))
-            if span <= tau_multi:
-                continue  # spread cannot exceed the candidate bounding box
-            breaks = np.nonzero(np.diff(idx) > gap)[0]
-            runs = np.split(np.arange(idx.size), breaks + 1)
-            if surface.closed and len(runs) > 1 \
-                    and idx[0] + n_samp - idx[-1] <= gap:
-                runs[0] = np.concatenate([runs[-1], runs[0]])
-                runs.pop()
-            if len(runs) == 1:
-                if span > guard:
-                    flags[row] = True  # single wrap-around run: continuum tie
-                continue
-            labels = _merge_run_labels([cand[r] for r in runs], link)
-            groups = {}
-            for r, lab in zip(runs, labels):
-                groups.setdefault(lab, []).append(r)
-            if len(groups) == 1:
-                if span > guard:
-                    flags[row] = True
-                continue
-            cd = np.linalg.norm(cand - pts[row], axis=1)
-            reps = []
-            for members in groups.values():
-                pos = np.concatenate(members)
-                reps.append(cand[pos[np.argmin(cd[pos])]])
-            if _max_pairwise(np.array(reps)) > tau_multi:
-                flags[row] = True
-    return flags
+    n_samp = samples.shape[0]
+    for lo in range(0, active.size, SAMPLED_ROWS_PER_CHUNK):
+        rows = active[lo:lo + SAMPLED_ROWS_PER_CHUNK]
+        # the query lists and the candidate points die inside the helpers,
+        # before the run arrays below are built
+        count, idx = _flatten(tree.query_ball_point(
+            pts[rows], dK[rows] + tau_multi, return_sorted=True))
+        (rows, count), (idx,) = _keep_rows(count >= 2, count, (rows, count),
+                                           (idx,))
+        if rows.size == 0:
+            continue
+        first = np.cumsum(count) - count
+        span = _box_diagonals(samples[idx], first)
+        # the spread cannot exceed the candidate bounding box
+        (rows, count, span), (idx,) = _keep_rows(
+            span > tau_multi, count, (rows, count, span), (idx,))
+        counts["candidate_rows"] += int(rows.size)
+        if rows.size == 0:
+            continue
+        first = np.cumsum(count) - count
+        last = first + count - 1
+
+        # runs of chain-consecutive samples, numbered across the chunk
+        start = np.ones(idx.size, dtype=bool)
+        start[1:] = np.diff(idx) > max_gap
+        start[first] = True
+        run = np.cumsum(start) - 1
+        n_runs = np.add.reduceat(start, first)
+        tail = np.zeros(idx.size, dtype=bool)
+        if surface.closed:
+            # a run through the chain's end continues its first run
+            wrap = (n_runs > 1) & (idx[first] + n_samp - idx[last] <= max_gap)
+            relabel = np.arange(run[-1] + 1)
+            relabel[run[last[wrap]]] = run[first[wrap]]
+            tail = relabel[run] != run
+            run = relabel[run]
+            n_runs -= wrap
+        one = n_runs == 1
+        flags[rows[one]] = span[one] > guard
+
+        multi = ~one
+        counts["multi_run_rows"] += int(multi.sum())
+        if not multi.any():
+            continue
+        (rows, count, span), (idx, start, run, tail) = _keep_rows(
+            multi, count, (rows, count, span), (idx, start, run, tail))
+        cand = samples[idx]
+        row_of = np.repeat(np.arange(rows.size), count)
+        # link the runs of a row whose candidates come within the linking
+        # distance.  A candidate is paired only with the later chain
+        # segments of its row whose bounding box it comes that close to:
+        # rounding is monotone, so a box farther than that holds no pair
+        # within reach.  Pairs go in blocks of about ROW_PAIRS_PER_BLOCK.
+        seg = np.cumsum(start) - 1
+        seg_first = np.flatnonzero(start)
+        seg_len = np.diff(np.append(seg_first, cand.shape[0]))
+        seg_lo = np.minimum.reduceat(cand, seg_first)
+        seg_hi = np.maximum.reduceat(cand, seg_first)
+        n_later = seg[np.cumsum(count) - 1][row_of] - seg
+        i = np.repeat(np.arange(cand.shape[0]), n_later)
+        t = _concat_ranges(seg + 1, n_later)
+        apart = np.maximum(np.maximum(seg_lo[t] - cand[i],
+                                      cand[i] - seg_hi[t]), 0.0)
+        reach = (apart ** 2).sum(axis=1) <= lk2
+        i, t = i[reach], t[reach]
+        n_pairs = seg_len[t]
+        cut = np.flatnonzero(np.diff((np.cumsum(n_pairs) - n_pairs)
+                                     // ROW_PAIRS_PER_BLOCK)) + 1
+        heads, tails = [], []
+        for a, b in zip(np.r_[0, cut], np.r_[cut, i.size]):
+            ii = np.repeat(i[a:b], n_pairs[a:b])
+            jj = _concat_ranges(seg_first[t[a:b]], n_pairs[a:b])
+            diff = cand[ii] - cand[jj]
+            near = (diff ** 2).sum(axis=1) <= lk2
+            heads.append(run[ii[near]])
+            tails.append(run[jj[near]])
+        n_nodes = int(run.max()) + 1
+        graph = coo_matrix((np.ones(sum(map(len, heads))),
+                            (np.concatenate(heads), np.concatenate(tails))),
+                           shape=(n_nodes, n_nodes))
+        _, comp = connected_components(graph, directed=False)
+        comp = comp[run]
+
+        # each cluster's representative: its nearest candidate, the first
+        # one on ties in chain order, a wrapped run's chain tail first
+        cd = np.linalg.norm(cand - pts[rows[row_of]], axis=1)
+        order = np.arange(cand.shape[0]) - np.where(tail, count[row_of], 0)
+        order = np.lexsort((order, cd, comp))
+        is_rep = np.ones(order.size, dtype=bool)
+        is_rep[1:] = comp[order[1:]] != comp[order[:-1]]
+        reps = order[is_rep]
+        reps = reps[np.argsort(row_of[reps], kind="stable")]
+        n_reps = np.bincount(row_of[reps], minlength=rows.size)
+        flags[rows[n_reps == 1]] = span[n_reps == 1] > guard
+        for sub, take, _ in _padded_rows(n_reps):
+            pad = cand[reps[take]]
+            diff = pad[:, :, None, :] - pad[:, None, :, :]
+            spread = np.sqrt((diff ** 2).sum(axis=3)).max(axis=(1, 2))
+            several = n_reps[sub] >= 2
+            flags[rows[sub[several]]] = spread[several] > tau_multi
+    return flags, counts
 
 
 def _detect_pointwise(shape, pts, excluded, tau_multi):

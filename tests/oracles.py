@@ -2,7 +2,8 @@
 
 These are the per-node loops that ``geometry._polytope_boundary_distance_3d``,
 ``eikonal.fast_march``, the row resolution of ``singular._detect_cycle``
-and the inner-ball bisection replaced.  The production code must return
+and ``singular._detect_sampled``, the inner-ball bisection and the vertex
+dedupe of ``ConvexPolytope`` replaced.  The production code must return
 exactly the same arrays (``np.array_equal``): the kernel and the march keep
 the same arithmetic and the same acceptance order, and the batched row
 resolution and bisection make the same decisions.
@@ -12,6 +13,7 @@ import heapq
 import math
 
 import numpy as np
+from scipy.spatial import HalfspaceIntersection
 
 from sigma_eikonal.distance import ScalarField, _bulk_boundary_distance
 from sigma_eikonal.eikonal import ACCEPT_SLACK, _solve_update
@@ -79,6 +81,24 @@ def closest_point_triangles_one(p, tri_a, tri_b, tri_c):
     result[mask] = (tri_a[mask] + v[mask, None] * ab[mask]
                     + w[mask, None] * ac[mask])
     return result
+
+
+def polytope_vertices(poly):
+    """ConvexPolytope vertices, deduping the Qhull intersection points one
+    by one."""
+    halfspaces = np.hstack([poly.normals, -poly.offsets[:, None]])
+    pts = HalfspaceIntersection(halfspaces, poly.chebyshev_center).intersections
+    scale = max(1.0, float(np.abs(pts).max()))
+    keep = []
+    for p in pts:
+        if not any(np.linalg.norm(p - q) <= 1e-9 * scale for q in keep):
+            keep.append(p)
+    verts = np.array(keep)
+    if poly.dim == 2:
+        ref = verts.mean(axis=0)
+        ang = np.arctan2(verts[:, 1] - ref[1], verts[:, 0] - ref[0])
+        verts = verts[np.argsort(ang)]
+    return verts
 
 
 def polytope_boundary_distance_3d(poly, points):
@@ -215,6 +235,82 @@ def detect_cycle(cycle, diam, pts, dK, excluded, tau_multi, shape=None):
                     min(0.5 * sweep, 0.5 * math.pi))
                 if chord > tau_multi:
                     flags[lo:lo + sub.shape[0]][onc & active] = True
+    return flags
+
+
+def _merge_run_labels(run_pts, link):
+    """Union-find over candidate runs, linking runs whose closest points
+    come within the linking distance."""
+    m = len(run_pts)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    lk2 = link * link
+    for i in range(m):
+        for j in range(i + 1, m):
+            if find(i) == find(j):
+                continue
+            d2 = ((run_pts[i][:, None, :] - run_pts[j][None, :, :]) ** 2
+                  ).sum(axis=2)
+            if d2.min() <= lk2:
+                parent[find(j)] = find(i)
+    return [find(i) for i in range(m)]
+
+
+def detect_sampled(surface, pts, dK, excluded, tau_multi):
+    """Sampled-surface multiproj flags, resolving candidate rows one by one."""
+    tree = surface.tree()
+    n = pts.shape[0]
+    flags = np.zeros(n, dtype=bool)
+    active = np.nonzero(~excluded)[0]
+    if active.size == 0:
+        return flags
+    link = 3.0 * surface.spacing
+    gap = 3
+    guard = 0.5 * surface.diameter()
+    n_samp = surface.points.shape[0]
+    chunk = 16384
+    for lo in range(0, active.size, chunk):
+        rows = active[lo:lo + chunk]
+        idx_lists = tree.query_ball_point(pts[rows], dK[rows] + tau_multi)
+        for row, idx in zip(rows, idx_lists):
+            if len(idx) <= 1:
+                continue
+            idx = np.sort(np.asarray(idx))
+            cand = surface.points[idx]
+            span = np.linalg.norm(cand.max(axis=0) - cand.min(axis=0))
+            if span <= tau_multi:
+                continue  # spread cannot exceed the candidate bounding box
+            breaks = np.nonzero(np.diff(idx) > gap)[0]
+            runs = np.split(np.arange(idx.size), breaks + 1)
+            if surface.closed and len(runs) > 1 \
+                    and idx[0] + n_samp - idx[-1] <= gap:
+                runs[0] = np.concatenate([runs[-1], runs[0]])
+                runs.pop()
+            if len(runs) == 1:
+                if span > guard:
+                    flags[row] = True  # single wrap-around run: continuum tie
+                continue
+            labels = _merge_run_labels([cand[r] for r in runs], link)
+            groups = {}
+            for r, lab in zip(runs, labels):
+                groups.setdefault(lab, []).append(r)
+            if len(groups) == 1:
+                if span > guard:
+                    flags[row] = True
+                continue
+            cd = np.linalg.norm(cand - pts[row], axis=1)
+            reps = []
+            for members in groups.values():
+                pos = np.concatenate(members)
+                reps.append(cand[pos[np.argmin(cd[pos])]])
+            if _max_pairwise(np.array(reps)) > tau_multi:
+                flags[row] = True
     return flags
 
 

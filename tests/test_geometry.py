@@ -60,6 +60,20 @@ def test_box_extents_are_half_widths():
     assert b.diameter() == pytest.approx(2.0 * np.hypot(2.0, 3.0))
 
 
+def test_box_polytope_is_built_once_and_extents_are_read_only():
+    given = np.array([2.0, 3.0])
+    b = Box(given)
+    poly = b.as_polytope()
+    assert b.as_polytope() is poly
+    assert np.array_equal(poly.vertices[:, 0] ** 2, np.full(4, 4.0))
+    with pytest.raises(AttributeError):
+        b.extents = np.array([1.0, 1.0])
+    with pytest.raises(ValueError):
+        b.extents[0] = 1.0
+    given[0] = 5.0                  # the box keeps its own copy
+    assert b.extents[0] == 2.0
+
+
 def test_polytope_inradius_matches_dense_scan():
     for seed in (3, 7, 21):
         poly = make_random_polytope(12, seed=seed)

@@ -1,5 +1,5 @@
-"""Batched kernels, marching, multiproj rows and inner-ball bisection
-against their loop oracles.
+"""Batched kernels, marching, multiproj rows, inner-ball bisection and
+vertex dedupe against their loop oracles.
 
 The oracles in ``oracles.py`` are the per-node loops the production code
 replaced.  Both forms make the same decisions on the same arithmetic, so
@@ -9,7 +9,9 @@ the arrays must be equal bit for bit, not merely close.
 import numpy as np
 import pytest
 
+from sigma_eikonal import singular
 from sigma_eikonal.distance import (
+    GridSpec,
     _bulk_boundary_distance,
     distance_field,
     grid_covering,
@@ -18,9 +20,11 @@ from sigma_eikonal.eikonal import EikonalProblem, fast_march, problem_from_shape
 from sigma_eikonal.geometry import (
     Ball,
     Box,
+    ConvexPolytope,
     Ellipse,
     GraphHypersurface,
     OffsetBody,
+    SampledSurface,
     _closest_point_triangles,
     make_random_polytope,
 )
@@ -200,6 +204,129 @@ def test_batched_feet_match_scalar_query():
 
 
 # ---------------------------------------------------------------------------
+# sampled-surface multiproj rows
+# ---------------------------------------------------------------------------
+
+def assert_same_sampled_flags(shape, grid, tau_multi=None,
+                              band_factor=BAND_FACTOR):
+    """detect_multiproj's mask equals the row loop's on the same sampling."""
+    mask = detect_multiproj(shape, grid, tau_multi=tau_multi,
+                            band_factor=band_factor)
+    surface = shape if isinstance(shape, SampledSurface) \
+        else shape.boundary_sample(0.5 * grid.spacing)
+    pts = grid.points()
+    dK = _bulk_boundary_distance(surface, pts)
+    excluded = dK <= band_factor * grid.spacing
+    flags = oracles.detect_sampled(surface, pts, dK, excluded,
+                                   mask.params["tau_multi"])
+    assert np.array_equal(mask.flags,
+                          (flags & ~excluded).reshape(grid.dims))
+    return mask
+
+
+def rough_graph(terms):
+    return GraphHypersurface(0.5, 4, terms, window=(0.5, 1.5))
+
+
+@pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 64], ids=["h32", "h64"])
+@pytest.mark.parametrize("terms", [1, 2, 3, 4, 5])
+def test_rough_graph_sampled_masks_match_row_loop(terms, h):
+    graph = rough_graph(terms)
+    grid = grid_covering(graph, h, margin=0.1 + 4 * h)
+    surface = graph.boundary_sample(0.5 * h, pad=0.3)
+    assert not surface.closed
+    mask = assert_same_sampled_flags(surface, grid)
+    assert mask.params["multi_run_rows"] > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closed_offset_sampled_masks_match_row_loop(seed):
+    body = OffsetBody(make_random_polytope(16, seed), 0.3)
+    surface = body.boundary_sample(1.0 / 64)
+    assert surface.closed
+    mask = assert_same_sampled_flags(surface, grid_covering(body, 1.0 / 32))
+    assert mask.params["multi_run_rows"] > 0
+
+
+def test_sampled_disk_centre_is_one_wrapped_run():
+    disk = Ball((0.0, 0.0), 1.0)
+    grid = grid_covering(disk, 1.0 / 32)
+    mask = assert_same_sampled_flags(disk.boundary_sample(1.0 / 64), grid)
+    # every sample ties at the centre: one run through the chain's end,
+    # flagged because it spans more than half the diameter
+    centre = np.round(-np.asarray(grid.origin) / grid.spacing).astype(int)
+    assert mask.flags[tuple(centre)]
+
+
+@pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 20, 1.0 / 32])
+def test_square_and_ellipse_sampled_masks_match_row_loop(h):
+    square = Box((1.0, 1.0))
+    assert_same_sampled_flags(square.boundary_sample(0.5 * h),
+                              grid_covering(square, h))
+    ellipse = Ellipse((1.0, 0.5))           # sampled inside detect_multiproj
+    assert_same_sampled_flags(ellipse, grid_covering(ellipse, h))
+
+
+def test_3d_sampled_masks_match_row_loop():
+    ball = Ball((0.0, 0.0, 0.0), 1.0)
+    mask = assert_same_sampled_flags(ball.boundary_sample(0.25),
+                                     grid_covering(ball, 0.4))
+    assert mask.n_flags > 0
+
+
+def test_sampled_masks_match_row_loop_across_chunks(monkeypatch):
+    monkeypatch.setattr(singular, "SAMPLED_ROWS_PER_CHUNK", 500)
+    h = 1.0 / 32
+    graph = rough_graph(5)
+    assert_same_sampled_flags(graph.boundary_sample(0.5 * h, pad=0.3),
+                              grid_covering(graph, h, margin=0.1 + 4 * h))
+    body = OffsetBody(make_random_polytope(16, 1), 0.3)
+    assert_same_sampled_flags(body.boundary_sample(0.5 * h),
+                              grid_covering(body, h))
+
+
+def test_wrapped_run_breaks_distance_ties_with_its_chain_tail_first():
+    """A closed chain around the rectangle [-4, 4] x [-1, 1] that starts
+    and ends in the middle of its top side, sampled 1/8 apart: (-1/16, 1)
+    is its first sample and (1/16, 1) its last.  Both lie exactly as far
+    from the origin, in one run through the chain's end.  The row loop
+    lists that run's chain tail first and keeps the first of tied
+    candidates, so the top representative is (1/16, 1); its spread to the
+    bottom one, (1/32, -1), is sqrt(4 + 1/1024) < 2.001, and the origin is
+    not a flag.  Keeping (-1/16, 1) instead would spread sqrt(4 + 9/1024)
+    and flag it."""
+    step = 0.125
+    top_head = np.arange(-0.0625, -4.0, -step)
+    left = np.arange(1.0 - step, -1.0, -step)
+    bottom = np.arange(-4.0 + 0.03125, 4.0, step)
+    right = np.arange(-1.0 + step, 1.0, step)
+    top_tail = np.arange(4.0 - 0.0625, 0.0, -step)
+    pts = np.vstack([
+        np.column_stack([top_head, np.ones_like(top_head)]),
+        np.column_stack([np.full_like(left, -4.0), left]),
+        np.column_stack([bottom, -np.ones_like(bottom)]),
+        np.column_stack([np.full_like(right, 4.0), right]),
+        np.column_stack([top_tail, np.ones_like(top_tail)]),
+    ])
+    normals = np.tile([0.0, 1.0], (pts.shape[0], 1))   # not read here
+    chain = SampledSurface(pts, normals, np.full(pts.shape[0], step),
+                           source="rectangle chain", spacing=step)
+    grid = GridSpec(origin=(-0.5, -0.5), spacing=step, dims=(9, 9))
+    mask = assert_same_sampled_flags(chain, grid, tau_multi=2.001)
+    assert mask.params["multi_run_rows"] > 0
+    assert not mask.flags[4, 4]                 # the origin
+
+
+def test_grid_inside_the_band_has_no_sampled_flags():
+    surface = Ball((0.0, 0.0), 1.0).boundary_sample(0.005)
+    grid = GridSpec(origin=(0.965, -0.035), spacing=0.01, dims=(8, 8))
+    mask = assert_same_sampled_flags(surface, grid, band_factor=8.0)
+    assert mask.excluded.all() and mask.n_flags == 0
+    assert mask.params["candidate_rows"] == 0
+    assert mask.params["multi_run_rows"] == 0
+
+
+# ---------------------------------------------------------------------------
 # inner-ball bisection
 # ---------------------------------------------------------------------------
 
@@ -255,3 +382,29 @@ def test_single_radius_matches_scalar_bisection(unit_square):
         a, nu = np.array([1.0, y]), np.array([-1.0, 0.0])
         assert inner_ball_radius(unit_square, a, nu, 2.0) == \
             oracles.inner_ball_radius(unit_square, a, nu, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# polytope vertex dedupe
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("facets,seed,dim", [
+    (8, 3, 2), (16, 1, 2), (64, 2, 2), (128, 1, 2),
+    (12, 3, 3), (32, 1, 3), (32, 7, 3),
+])
+def test_random_polytope_vertices_match_loop(facets, seed, dim):
+    poly = make_random_polytope(facets, seed, dim=dim)
+    assert np.array_equal(poly.vertices, oracles.polytope_vertices(poly))
+
+
+def test_vertices_of_barely_cut_corners_match_loop():
+    """A facet that cuts a corner of the square or the cube by 1e-11 makes
+    Qhull return intersection points about 1e-11 apart there, which the
+    dedupe merges, keeping the first."""
+    for dim in (2, 3):
+        eye = np.eye(dim)
+        normals = np.vstack([eye, -eye, np.full(dim, 1.0 / np.sqrt(dim))])
+        offsets = np.r_[np.ones(2 * dim), np.sqrt(dim) - 1e-11]
+        poly = ConvexPolytope(normals, offsets)
+        assert poly.vertices.shape == (2 ** dim, dim)
+        assert np.array_equal(poly.vertices, oracles.polytope_vertices(poly))

@@ -244,6 +244,22 @@ def test_mask_round_trip(tmp_path, unit_square):
     assert back.params == m.params
 
 
+def test_sampled_mask_counts_survive_round_trip(tmp_path, unit_square):
+    g = grid_covering(unit_square, 1.0 / 32)
+    m = detect_multiproj(unit_square.boundary_sample(1.0 / 64), g)
+    # nodes near the diagonals reach two sides of the square
+    assert 0 < m.params["multi_run_rows"] <= m.params["candidate_rows"]
+    assert m.params["candidate_rows"] <= int((~m.excluded).sum())
+    path = tmp_path / "sampled.mask"
+    m.save(path)
+    back = SingularMask.load(path)
+    assert back.params == m.params
+    assert back.params["candidate_rows"] == m.params["candidate_rows"]
+    assert back.params["multi_run_rows"] == m.params["multi_run_rows"]
+    exact = detect_multiproj(unit_square, g)
+    assert set(exact.params) == {"tau_multi", "band_factor"}
+
+
 def test_masks_on_different_grids_are_rejected(unit_square):
     a = detect_multiproj(unit_square, grid_covering(unit_square, 1.0 / 32))
     b = detect_multiproj(unit_square, grid_covering(unit_square, 1.0 / 16))
