@@ -58,6 +58,8 @@ class SampledSurface:
         weights = np.asarray(weights, dtype=float)
         if points.ndim != 2 or points.shape[1] not in (2, 3):
             raise GeometryError("sample points must be (N, 2) or (N, 3)")
+        if not np.isfinite(points).all():
+            raise GeometryError("sample points must be finite")
         if normals.shape != points.shape:
             raise GeometryError("normals must match points shape")
         if weights.shape != (points.shape[0],):
@@ -378,9 +380,13 @@ class OffsetBody:
         pts = np.atleast_2d(points)
         if tol is None:
             tol = 1e-12 * max(1.0, self.diameter())
-        inside_base = self.base.contains(pts)
-        d = self.base.boundary_distance(pts)
-        ok = inside_base | (d <= self.epsilon + tol)
+        ok = self.base.contains(pts)
+        # the base distance is at least the largest facet violation, so only
+        # points within epsilon of the base's facet planes can be inside
+        violation = (pts @ self.base.normals.T
+                     - self.base.offsets).max(axis=1)
+        near = ~ok & (violation <= self.epsilon + 2.0 * tol)
+        ok[near] = self.base.boundary_distance(pts[near]) <= self.epsilon + tol
         return bool(ok[0]) if single else ok
 
     def elements(self):
@@ -864,7 +870,7 @@ def _check_on_surface(shape, surf):
     tol = ON_SURFACE_TOL_FACTOR * shape.diameter()
     d = shape.boundary_distance(surf.points)
     worst = float(np.max(d)) if len(surf) else 0.0
-    if worst > tol:
+    if not worst <= tol:    # also rejects NaN distances
         raise GeometryError(
             f"sampling left the boundary: worst offset {worst:.3e} > {tol:.3e}")
 
@@ -938,23 +944,18 @@ def _sample_offset_2d(body, spacing):
     return np.vstack(pts), np.vstack(nrm), np.concatenate(wts)
 
 
-def _triangle_frame(tri):
-    a, b, c = tri
-    u = b - a
-    v = c - a
-    n = np.cross(u, v)
-    return a, u, v, n
-
-
-def _sample_hull_3d(hull, spacing):
-    """Barycentric grids over hull triangles at roughly the target spacing."""
-    pts, nrm, wts = [], [], []
-    verts = hull.points
+def _sample_triangles(hull, spacing, push):
+    """Barycentric grids over hull triangles, pushed out along their
+    normals by push, at roughly the target spacing.  Returns the sample
+    lists (points, inner normals, weights) and the triangles' unit
+    normals."""
+    pts, nrm, wts, normals = [], [], [], []
     for simplex, eq in zip(hull.simplices, hull.equations):
-        tri = verts[simplex]
         normal = eq[:3] / np.linalg.norm(eq[:3])
-        a, u, v, cr = _triangle_frame(tri)
-        area = 0.5 * float(np.linalg.norm(cr))
+        normals.append(normal)
+        a, b, c = hull.points[simplex] + push * normal
+        u, v = b - a, c - a
+        area = 0.5 * float(np.linalg.norm(np.cross(u, v)))
         n = max(1, int(math.ceil(max(np.linalg.norm(u), np.linalg.norm(v))
                                  / spacing)))
         cell = []
@@ -969,6 +970,12 @@ def _sample_hull_3d(hull, spacing):
         pts.append(p)
         nrm.append(np.tile(-normal, (p.shape[0], 1)))
         wts.append(np.full(p.shape[0], area / p.shape[0]))
+    return pts, nrm, wts, normals
+
+
+def _sample_hull_3d(hull, spacing):
+    """Barycentric grids over hull triangles at roughly the target spacing."""
+    pts, nrm, wts, _ = _sample_triangles(hull, spacing, 0.0)
     return np.vstack(pts), np.vstack(nrm), np.concatenate(wts)
 
 
@@ -978,37 +985,19 @@ def _sample_offset_3d(body, spacing):
     eps = body.epsilon
     hull = base.hull()
     verts = hull.points
-    pts, nrm, wts = [], [], []
+    pts, nrm, wts, facet_normals = _sample_triangles(hull, spacing, eps)
 
-    facet_normals = []
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        normal = eq[:3] / np.linalg.norm(eq[:3])
-        facet_normals.append(normal)
-        tri = verts[simplex] + eps * normal
-        a, u, v, cr = _triangle_frame(tri)
-        area = 0.5 * float(np.linalg.norm(cr))
-        n = max(1, int(math.ceil(max(np.linalg.norm(u), np.linalg.norm(v))
-                                 / spacing)))
-        cell = []
-        for i in range(n):
-            for j in range(n - i):
-                cell.append(((i + 1.0 / 3.0) / n, (j + 1.0 / 3.0) / n))
-                if i + j < n - 1:
-                    cell.append(((i + 2.0 / 3.0) / n, (j + 2.0 / 3.0) / n))
-        cell = np.array(cell)
-        p = a + cell[:, :1] * u + cell[:, 1:] * v
-        pts.append(p)
-        nrm.append(np.tile(-normal, (p.shape[0], 1)))
-        wts.append(np.full(p.shape[0], area / p.shape[0]))
-
-    # edge strips between adjacent facets
+    # edge strips between adjacent facets; two hull triangles in one facet
+    # plane of the base meet at no angle, whatever acos reads from their
+    # rounded normals
+    plane = np.argmax(np.array(facet_normals) @ base.normals.T, axis=1)
     edge_map = {}
     for fi, simplex in enumerate(hull.simplices):
         for e in ((0, 1), (1, 2), (2, 0)):
             key = tuple(sorted((simplex[e[0]], simplex[e[1]])))
             edge_map.setdefault(key, []).append(fi)
     for (i0, i1), facets in edge_map.items():
-        if len(facets) != 2:
+        if len(facets) != 2 or plane[facets[0]] == plane[facets[1]]:
             continue
         n_a = facet_normals[facets[0]]
         n_b = facet_normals[facets[1]]

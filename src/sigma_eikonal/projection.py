@@ -8,6 +8,11 @@ the representatives' spread stays within tau_multi.  The default is
 1e-9 x diameter for exact shapes (true ties only) and 2 x sample spacing
 for sampled surfaces; grid detectors pass a grid-scaled value.
 
+Inside a 3D convex polytope the nearest set follows from the facet
+slacks in closed form (_slack_feet); the same feet pushed out by epsilon
+are the nearest set of an offset body, and outside a convex body the
+nearest point is unique.
+
 For exact 2D shapes the boundary is an ordered cycle of elements (polygon
 edges; offset bodies add vertex arcs).  Near-optimal feet are kept only
 when they are genuine local minima of the boundary distance profile: a foot
@@ -34,7 +39,6 @@ from .geometry import (
     Box,
     ConvexPolytope,
     Ellipse,
-    GeometryError,
     GraphHypersurface,
     OffsetBody,
     SampledSurface,
@@ -274,11 +278,36 @@ def _cycle_nearest_feet(cycle, pts):
 # exact shapes
 # ---------------------------------------------------------------------------
 
+def _slack_feet(poly, pts, tau_multi, epsilon=0.0):
+    """Nearest feet of points inside a convex polytope, from facet slacks.
+
+    Inside K = {n_k . x <= c_k}, with slacks s_k = c_k - n_k . x and
+    d = min s_k, keep each facet with s_k <= d + tau_multi whose plane foot
+    x + s_k n_k lies in K (within 1e-12 x max(1, diameter)); on the offset
+    by epsilon its foot is x + (s_k + epsilon) n_k.  A point outside K has
+    one nearest point, which slacks do not give, and keeps no foot here.
+    Returns (row, feet), row-major over pts.  Each (point, facet) dot is
+    its own vecdot, so a row's feet do not depend on the other rows.
+    """
+    n, c = poly.normals, poly.offsets
+    tol = 1e-12 * max(1.0, poly.diameter())
+    s = c - np.vecdot(pts[:, None, :], n)
+    d = s.min(axis=1)
+    row, k = np.nonzero((s <= (d + tau_multi)[:, None])
+                        & (d >= -tol)[:, None])
+    foot = pts[row] + s[row, k, None] * n[k]
+    ok = np.all(np.vecdot(foot[:, None, :], n) <= c + tol, axis=1)
+    row, k = row[ok], k[ok]
+    return row, pts[row] + (s[row, k] + epsilon)[:, None] * n[k]
+
+
 def project_polytope(poly, x, tau_multi=None):
     """Exact projection onto the boundary of a convex polytope.
 
-    2D uses the edge cycle with basin filtering; 3D projects onto the hull
-    triangles exactly.  Works for interior and exterior points alike.
+    2D uses the edge cycle with basin filtering.  3D takes the distance
+    from the hull triangles and the nearest set from the facet slacks
+    (_slack_feet) inside the body; outside it, the nearest point is unique
+    and is the nearest triangle's foot.
     """
     if isinstance(poly, Box):
         poly = poly.as_polytope()
@@ -293,64 +322,27 @@ def project_polytope(poly, x, tau_multi=None):
         d_opt, nearest = _cycle_project(_polytope_cycle(poly), x, tau_multi,
                                         poly.diameter())
         return ProjectionResult(d_opt, nearest, tau_multi)
-    return _project_triangles(poly, x, tau_multi)
-
-
-def _project_triangles(poly, x, tau_multi):
     hull = poly.hull()
-    verts = hull.points
-    tri = (verts[hull.simplices[:, 0]], verts[hull.simplices[:, 1]],
-           verts[hull.simplices[:, 2]])
+    tri = tuple(hull.points[hull.simplices[:, k]] for k in range(3))
     feet = _closest_point_triangles(x[None], *tri)[0]
     dist = np.linalg.norm(feet - x, axis=1)
-    d_opt = float(dist.min())
-    order = np.argsort(dist, kind="stable")
-    cand = order[dist[order] <= d_opt + tau_multi]
-    eq_tol = 1e-12 * max(1.0, poly.diameter())
-    keep = []
-    for k in cand:
-        foot = feet[k]
-        # a foot on a triangle rim is a path point when any strictly closer
-        # candidate face also contains it
-        on_rim = _on_triangle_rim(foot, tri[0][k], tri[1][k], tri[2][k])
-        if on_rim:
-            dominated = False
-            for j in keep:
-                if dist[j] < dist[k] - eq_tol and \
-                        _point_on_triangle(foot, tri[0][j], tri[1][j],
-                                           tri[2][j], eq_tol):
-                    dominated = True
-                    break
-            if dominated:
-                continue
-        keep.append(k)
-    nearest = _dedupe(feet[keep], 1e-9 * max(1.0, poly.diameter()))
-    return ProjectionResult(d_opt, nearest, tau_multi)
-
-
-def _on_triangle_rim(p, a, b, c, tol_frac=1e-9):
-    area2 = np.linalg.norm(np.cross(b - a, c - a))
-    scale = max(np.linalg.norm(b - a), np.linalg.norm(c - a), 1e-300)
-    for (u, v) in ((a, b), (b, c), (c, a)):
-        t = np.clip(((p - u) @ (v - u)) / max((v - u) @ (v - u), 1e-300), 0, 1)
-        if np.linalg.norm(p - (u + t * (v - u))) <= tol_frac * scale:
-            return True
-    return area2 <= tol_frac * scale * scale
-
-
-def _point_on_triangle(p, a, b, c, tol):
-    foot = _closest_point_triangles(p[None], a[None], b[None], c[None])[0, 0]
-    return np.linalg.norm(foot - p) <= tol
+    _, nearest = _slack_feet(poly, x[None], tau_multi)
+    if nearest.shape[0] == 0:
+        nearest = feet[np.argmin(dist)]
+    return ProjectionResult(dist.min(), nearest, tau_multi)
 
 
 def project_offset(body, x, tau_multi=None):
     """Exact projection onto the boundary of an offset body.
 
     2D enumerates the offset boundary directly (pushed edges plus vertex
-    arcs), which keeps the result independent of the base distance; 3D uses
-    the exact branch formulas around the base projection.  A query at a base
-    vertex sees the whole vertex arc at the same distance and is reported as
-    a continuum tie through the arc endpoints and midpoint.
+    arcs), which keeps the result independent of the base distance.  A
+    query at a base vertex sees the whole vertex arc at the same distance
+    and is reported as a continuum tie through the arc endpoints and
+    midpoint.  3D builds on the base projection: inside the base the feet
+    are the base's facet feet pushed out by epsilon along their normals,
+    one per active facet at a base edge or vertex; outside it the nearest
+    point is unique.
     """
     if not isinstance(body, OffsetBody):
         raise ProjectionError("project_offset requires an offset body")
@@ -376,20 +368,12 @@ def project_offset(body, x, tau_multi=None):
                                         diam)
         return ProjectionResult(d_opt, nearest, tau_multi)
 
-    # 3D: branch construction from the base projection
     base_res = project_polytope(body.base, x, tau_multi)
     eps = body.epsilon
     d_base = base_res.distance
-    if body.base.contains(x):
-        if d_base <= 1e-12 * body.diameter():
-            active = np.abs(body.base.normals @ x - body.base.offsets) \
-                <= 1e-9 * body.diameter()
-            dirs = body.base.normals[active]
-            nearest = x[None, :] + eps * dirs
-            return ProjectionResult(eps, nearest, tau_multi)
-        pushed = [q + eps * (q - x) / np.linalg.norm(q - x)
-                  for q in base_res.nearest]
-        return ProjectionResult(eps + d_base, np.array(pushed), tau_multi)
+    _, pushed = _slack_feet(body.base, x[None], tau_multi, eps)
+    if pushed.shape[0]:
+        return ProjectionResult(eps + d_base, pushed, tau_multi)
     u = x - base_res.nearest[0]
     u /= np.linalg.norm(u)
     foot = base_res.nearest[0] + eps * u

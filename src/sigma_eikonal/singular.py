@@ -50,10 +50,9 @@ from .geometry import (
 )
 from .projection import (
     _cycle_query_many,
-    _max_pairwise,
     _offset_cycle,
     _polytope_cycle,
-    project,
+    _slack_feet,
 )
 
 BAND_FACTOR = 2.0           # unclassified band around K, in grid steps
@@ -170,7 +169,10 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
     """Flag grid nodes whose nearest-point set on the boundary is multiple.
 
     tau_multi defaults to the grid step: near-ties below one node of
-    distance cannot be resolved and do not count as multiplicity.
+    distance cannot be resolved and do not count as multiplicity.  2D
+    polytopes and offsets resolve their element cycles; 3D ones take the
+    closed form over facet slacks, so no node outside a convex body is
+    flagged; sampled surfaces split kd-tree candidates into chain runs.
     """
     if not isinstance(grid, GridSpec):
         raise DetectionError("grid must be a GridSpec")
@@ -201,7 +203,7 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
         flags, counts = _detect_sampled(shape, pts, dK, excluded, tau_multi)
         params.update(counts)
     elif isinstance(shape, (ConvexPolytope, OffsetBody)):
-        flags = _detect_pointwise(shape, pts, excluded, tau_multi)
+        flags = _detect_slack(shape, pts, excluded, tau_multi)
     else:
         raise DetectionError(
             f"no multiplicity detector for {type(shape).__name__}")
@@ -470,21 +472,41 @@ def _detect_sampled(surface, pts, dK, excluded, tau_multi):
         reps = reps[np.argsort(row_of[reps], kind="stable")]
         n_reps = np.bincount(row_of[reps], minlength=rows.size)
         flags[rows[n_reps == 1]] = span[n_reps == 1] > guard
-        for sub, take, _ in _padded_rows(n_reps):
-            pad = cand[reps[take]]
-            diff = pad[:, :, None, :] - pad[:, None, :, :]
-            spread = np.sqrt((diff ** 2).sum(axis=3)).max(axis=(1, 2))
-            several = n_reps[sub] >= 2
-            flags[rows[sub[several]]] = spread[several] > tau_multi
+        several = n_reps >= 2
+        flags[rows[several]] = _row_spreads(cand[reps], n_reps)[several] \
+            > tau_multi
     return flags, counts
 
 
-def _detect_pointwise(shape, pts, excluded, tau_multi):
-    n = pts.shape[0]
-    flags = np.zeros(n, dtype=bool)
-    for i in np.nonzero(~excluded)[0]:
-        res = project(shape, pts[i], tau_multi=tau_multi)
-        flags[i] = not res.is_singleton
+def _row_spreads(points, count):
+    """projection._max_pairwise of each row of flat points, over
+    _padded_rows blocks (padding repeats a row's last point)."""
+    spread = np.empty(count.size)
+    for rows, take, _ in _padded_rows(count):
+        pad = points[take]
+        diff = pad[:, :, None, :] - pad[:, None, :, :]
+        spread[rows] = np.sqrt((diff ** 2).sum(axis=3)).max(axis=(1, 2))
+    return spread
+
+
+def _detect_slack(shape, pts, excluded, tau_multi):
+    """3D convex polytopes and offsets: a row is flagged when the spread of
+    its facet-slack feet (projection._slack_feet) exceeds tau_multi, which
+    is project(shape, x, tau_multi).is_singleton being False.  Points
+    outside the base keep no foot and are never flagged.
+    """
+    base, eps = (shape.base, shape.epsilon) if isinstance(shape, OffsetBody) \
+        else (shape, 0.0)
+    flags = np.zeros(pts.shape[0], dtype=bool)
+    active = np.flatnonzero(~excluded)
+    chunk = max(1, 4_000_000 // base.normals.shape[0])
+    for lo in range(0, active.size, chunk):
+        rows = active[lo:lo + chunk]
+        row, feet = _slack_feet(base, pts[rows], tau_multi, eps)
+        count = np.bincount(row, minlength=rows.size)
+        several = count >= 2
+        flags[rows[several]] = _row_spreads(
+            feet[np.repeat(several, count)], count[several]) > tau_multi
     return flags
 
 

@@ -1,4 +1,4 @@
-"""Reference implementations kept as bit-for-bit oracles.
+"""Reference implementations kept as bit-for-bit oracles, and one closed form.
 
 These are the per-node loops that ``geometry._polytope_boundary_distance_3d``,
 ``eikonal.fast_march``, the row resolution of ``singular._detect_cycle``
@@ -7,6 +7,10 @@ dedupe of ``ConvexPolytope`` replaced.  The production code must return
 exactly the same arrays (``np.array_equal``): the kernel and the march keep
 the same arithmetic and the same acceptance order, and the batched row
 resolution and bisection make the same decisions.
+
+``slack_flags`` is not a replaced loop: it decides the multiproj flags of
+a convex polytope or offset from its facet normals and offsets alone, with
+neither element cycles nor triangles.
 """
 
 import heapq
@@ -17,7 +21,7 @@ from scipy.spatial import HalfspaceIntersection
 
 from sigma_eikonal.distance import ScalarField, _bulk_boundary_distance
 from sigma_eikonal.eikonal import ACCEPT_SLACK, _solve_update
-from sigma_eikonal.geometry import GraphHypersurface, SampledSurface
+from sigma_eikonal.geometry import GraphHypersurface, OffsetBody, SampledSurface
 from sigma_eikonal.innerball import BISECT_STEPS, InnerBallError, _default_tau
 from sigma_eikonal.projection import _cycle_query_many, _dedupe, _max_pairwise
 
@@ -378,3 +382,30 @@ def inner_ball_radii(shape, surface, r_max, tau_ball=None, measured=None):
         inner_ball_radius(measured, surface.points[i], surface.normals[i],
                           r_max, tau_ball=tau_ball)
         for i in range(surface.points.shape[0])])
+
+
+def slack_flags(shape, pts, tau_multi):
+    """Multiproj flags of a convex polytope or offset body, node by node.
+
+    Inside K = {n_k . x <= c_k}, with slacks s_k = c_k - n_k . x and
+    d = min s_k, the nearest feet are x + s_k n_k for the facets with
+    s_k <= d + tau_multi whose foot lies in K, moved out to
+    x + (s_k + epsilon) n_k on an offset boundary.  A point outside K has a
+    single nearest point (Motzkin).  A node is flagged when its feet spread
+    over more than tau_multi.  No band is excluded.
+    """
+    base, eps = (shape.base, shape.epsilon) if isinstance(shape, OffsetBody) \
+        else (shape, 0.0)
+    normals, offsets = base.normals, base.offsets
+    tol = 1e-12 * max(1.0, base.diameter())
+    flags = np.zeros(pts.shape[0], dtype=bool)
+    for i, x in enumerate(pts):
+        s = offsets - normals @ x
+        d = s.min()
+        if d < -tol:
+            continue
+        feet = [x + (s[k] + eps) * normals[k]
+                for k in np.flatnonzero(s <= d + tau_multi)
+                if np.all(normals @ (x + s[k] * normals[k]) <= offsets + tol)]
+        flags[i] = _max_pairwise(np.array(feet)) > tau_multi
+    return flags

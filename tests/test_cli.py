@@ -7,6 +7,7 @@ import pytest
 from sigma_eikonal.cli import main
 from sigma_eikonal.distance import read_field
 from sigma_eikonal.experiments import EXPERIMENTS
+from sigma_eikonal.geometry import shape_from_spec
 from sigma_eikonal.singular import SingularMask
 
 DISK = json.dumps({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0})
@@ -94,6 +95,17 @@ def test_singular_gradjump_detector(tmp_path):
     assert rc == 0
     mask = SingularMask.load(tmp_path / "mask_gradjump.bin")
     assert mask.detector == "gradjump"
+
+
+def test_singular_3d_polytope_mask_has_no_flag_outside(tmp_path):
+    spec = {"kind": "random_polytope", "n_facets": 32, "seed": 1, "dim": 3}
+    rc = main(["singular", "--shape", json.dumps(spec), "--grid", "0.6",
+               "--detector", "multiproj", "--out", str(tmp_path), "--quiet"])
+    assert rc == 0
+    mask = SingularMask.load(tmp_path / "mask_multiproj.bin")
+    assert mask.grid.dim == 3
+    poly = shape_from_spec(spec)
+    assert not mask.flags.reshape(-1)[~poly.contains(mask.grid.points())].any()
 
 
 def test_eikonal_writes_solution_and_residuals(tmp_path, capsys):

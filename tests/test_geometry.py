@@ -113,6 +113,26 @@ def test_offset_membership_matches_base_distance(unit_square):
     assert np.array_equal(body.contains(pts), member)
 
 
+@pytest.mark.parametrize("facets, dim, spacing", [(128, 2, 0.01),
+                                                   (32, 3, 0.2)])
+def test_offset_membership_across_the_surface_matches_base_distance(
+        facets, dim, spacing):
+    """Points on both sides of the offset boundary: the facet-plane
+    prefilter leaves every decision of the full formula."""
+    poly = make_random_polytope(facets, 1, dim=dim)
+    body = OffsetBody(poly, 0.3)
+    surf = body.boundary_sample(spacing)
+    rng = np.random.default_rng(4)
+    pts = surf.points + rng.uniform(-0.05, 0.05, (len(surf), 1)) \
+        * surf.normals
+    pts = np.vstack([pts, surf.points, rng.uniform(-3.0, 3.0, (2000, dim))])
+    tol = 1e-12 * body.diameter()
+    full = poly.contains(pts) | (poly.boundary_distance(pts) <= 0.3 + tol)
+    inside = body.contains(pts)
+    assert np.array_equal(inside, full)
+    assert inside.any() and not inside.all()
+
+
 def test_offset_area_and_perimeter_match_steiner(unit_square):
     body = OffsetBody(unit_square, 0.5)
     assert body.area() == pytest.approx(STEINER_AREA, abs=1e-9)

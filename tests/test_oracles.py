@@ -204,6 +204,57 @@ def test_batched_feet_match_scalar_query():
 
 
 # ---------------------------------------------------------------------------
+# convex polytopes and offsets against the facet-slack closed form
+# ---------------------------------------------------------------------------
+
+def slack_mask(shape, h):
+    """detect_multiproj's mask, and the closed form's flags off its band."""
+    grid = grid_covering(shape, h)
+    mask = detect_multiproj(shape, grid)
+    flags = oracles.slack_flags(shape, grid.points(), h).reshape(grid.dims)
+    return mask, flags & ~mask.excluded
+
+
+def test_3d_masks_match_slack_closed_form(case):
+    poly, body, grid, _, _ = case
+    for shape in (poly, body):
+        mask = detect_multiproj(shape, grid)
+        flags = oracles.slack_flags(shape, grid.points(), H)
+        assert np.array_equal(mask.flags,
+                              flags.reshape(grid.dims) & ~mask.excluded)
+
+
+def test_3d_masks_on_a_finer_grid_match_slack_closed_form():
+    poly = make_random_polytope(12, 1, dim=3)
+    for shape in (poly, OffsetBody(poly, 0.3)):
+        mask, flags = slack_mask(shape, 0.25)
+        assert mask.n_flags > 0
+        assert np.array_equal(mask.flags, flags)
+
+
+@pytest.mark.parametrize("facets", sorted(MASK_SEEDS))
+def test_2d_masks_match_slack_closed_form(facets):
+    poly = make_random_polytope(facets, MASK_SEEDS[facets])
+    for shape in (poly, OffsetBody(poly, 0.1), OffsetBody(poly, 0.3)):
+        for h in MASK_STEPS:
+            mask, flags = slack_mask(shape, h)
+            assert np.array_equal(mask.flags, flags)
+
+
+def test_offset_square_differs_from_slack_closed_form_only_at_exact_ties():
+    """On the grid-aligned offset square the element cycle and the closed
+    form settle window-edge ties differently: every node where they differ
+    has two slacks exactly one tie window apart."""
+    body = OffsetBody(Box((1.0, 1.0)).as_polytope(), 0.5)
+    for h in MASK_STEPS:
+        mask, flags = slack_mask(body, h)
+        differ = (mask.flags != flags).reshape(-1)
+        for x in mask.grid.points()[differ]:
+            s = body.base.offsets - body.base.normals @ x
+            assert np.abs(s[:, None] - s[None, :] - h).min() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # sampled-surface multiproj rows
 # ---------------------------------------------------------------------------
 

@@ -9,7 +9,7 @@ from sigma_eikonal.distance import (
     distance_field,
     grid_covering,
 )
-from sigma_eikonal.geometry import Ball, Box
+from sigma_eikonal.geometry import Ball, Box, Ellipse
 from sigma_eikonal.singular import (
     DetectionError,
     SingularMask,
@@ -30,6 +30,18 @@ DIAGONAL_TUBE_FRACTION = 0.26249
 def dist_to_diagonals(pts):
     return np.minimum(np.abs(pts[:, 0] - pts[:, 1]),
                       np.abs(pts[:, 0] + pts[:, 1])) / np.sqrt(2.0)
+
+
+def test_ellipse_flags_lie_on_its_medial_segment():
+    """The singular set of the ellipse with semi-axes (1, 0.5) is the
+    major-axis segment |x| <= (a^2 - b^2) / a = 0.75."""
+    h = 1.0 / 32
+    ellipse = Ellipse((1.0, 0.5))
+    mask = detect_multiproj(ellipse, grid_covering(ellipse, h))
+    fp = mask.flagged_points()
+    assert fp.shape[0] >= 1
+    off = np.hypot(np.maximum(np.abs(fp[:, 0]) - 0.75, 0.0), fp[:, 1])
+    assert off.max() <= 0.5 * h
 
 
 def test_disk_flags_only_the_center(unit_disk):

@@ -3,10 +3,13 @@
 Each oracle is a closed form or a sampling that shares no code with the
 closest-point-on-triangle kernel: facet slacks inside a convex body, the
 box formula, a dense boundary sampling, and the Lipschitz bound of a
-distance function.
+distance function.  Singular-set flags are held to what the paper's
+premises imply for a convex body: none outside it (Motzkin), and inside
+the base every flag of the base is a flag of its offset.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from sigma_eikonal.distance import distance_field, grid_covering
@@ -15,14 +18,18 @@ from sigma_eikonal.geometry import (
     Box,
     GeometryError,
     OffsetBody,
+    SampledSurface,
     make_random_polytope,
 )
+from sigma_eikonal.projection import project
+from sigma_eikonal.singular import detect_multiproj
 
 from conftest import dense_boundary_distance
 
 FACETS, EPS = 32, 0.3
 PROPERTY = settings(max_examples=30, deadline=None)
 FIELD_PROPERTY = settings(max_examples=6, deadline=None)
+MASK_H = 0.3
 
 seeds = st.integers(0, 2 ** 16)
 coord = st.floats(-1.0, 1.0, allow_nan=False)
@@ -125,3 +132,78 @@ def test_exterior_distance_matches_dense_sampling():
         gap = dense_boundary_distance(shape, pts, spacing) - d
         assert gap.min() >= -1e-12
         assert gap.max() <= spacing
+
+
+@PROPERTY
+@given(seed=seeds, pts=st.lists(st.tuples(*(st.floats(-2.5, 2.5),) * 3),
+                                min_size=1, max_size=10))
+def test_projection_feet_lie_on_the_boundary_and_attain_the_distance(seed,
+                                                                    pts):
+    poly = polytope(seed)
+    for shape in (poly, OffsetBody(poly, EPS)):
+        tol = 1e-9 * shape.diameter()
+        for x in np.array(pts):
+            res = project(shape, x)
+            d = shape.boundary_distance(x)[0]
+            assert abs(res.distance - d) <= 1e-12 * shape.diameter()
+            assert np.abs(np.linalg.norm(res.nearest - x, axis=1) - d).max() \
+                <= tol
+            assert shape.boundary_distance(res.nearest).max() <= tol
+
+
+def masks(seed):
+    """Multiproj masks of a seeded polytope and its offset on one grid."""
+    poly = polytope(seed)
+    body = OffsetBody(poly, EPS)
+    grid = grid_covering(body, MASK_H)
+    return poly, body, grid, detect_multiproj(poly, grid), \
+        detect_multiproj(body, grid)
+
+
+@FIELD_PROPERTY
+@given(seed=seeds)
+def test_no_flag_outside_a_convex_body(seed):
+    poly, body, grid, base_mask, body_mask = masks(seed)
+    pts = grid.points()
+    for shape, mask in ((poly, base_mask), (body, body_mask)):
+        assert not mask.flags.reshape(-1)[~shape.contains(pts)].any()
+
+
+@FIELD_PROPERTY
+@given(seed=seeds)
+def test_base_flags_are_offset_flags_inside_the_base(seed):
+    poly, _, grid, base_mask, body_mask = masks(seed)
+    both = poly.contains(grid.points()).reshape(grid.dims) \
+        & ~base_mask.excluded & ~body_mask.excluded
+    assert not (base_mask.flags & both & ~body_mask.flags).any()
+
+
+@FIELD_PROPERTY
+@given(seed=seeds)
+def test_flags_are_exactly_the_non_singleton_projections(seed):
+    poly, body, grid, base_mask, body_mask = masks(seed)
+    pts = grid.points()
+    for shape, mask in ((poly, base_mask), (body, body_mask)):
+        flags = mask.flags.reshape(-1)
+        for i in np.flatnonzero(~mask.excluded.reshape(-1))[::7]:
+            res = project(shape, pts[i], tau_multi=MASK_H)
+            assert res.is_singleton != flags[i]
+
+
+def test_offset_samples_skip_edges_inside_one_facet_plane():
+    """Two hull triangles of one facet plane read an angle of about 1e-8
+    through acos but have a zero cross product; their edge gets no strip,
+    so no sample is NaN."""
+    body = OffsetBody(make_random_polytope(FACETS, 2, dim=3), EPS)
+    for spacing in (0.3, 0.1):
+        surf = body.boundary_sample(spacing)
+        assert np.isfinite(surf.points).all()
+        assert np.isfinite(surf.normals).all()
+
+
+def test_sampled_surface_rejects_non_finite_points():
+    pts = np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]])
+    nrm = np.array([[0.0, 0.0, -1.0]] * 2)
+    with pytest.raises(GeometryError):
+        SampledSurface(pts, nrm, np.ones(2), source="test", spacing=0.1)
+
