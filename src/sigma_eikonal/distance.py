@@ -264,8 +264,14 @@ def signed_distance_field(shape, grid, check_cover=True):
     _require_coverage(shape, grid, check_cover)
     pts = grid.points()
     vals = _evaluate_chunked(lambda p: _bulk_boundary_distance(shape, p), pts)
-    inside = shape.contains(pts)
-    signed = np.where(inside, vals, -vals)
+    return _signed_field(shape, grid, vals)
+
+
+def _signed_field(shape, grid, dist):
+    """The signed-distance field from node distances: positive inside."""
+    dist = dist.reshape(-1)
+    inside = shape.contains(grid.points())
+    signed = np.where(inside, dist, -dist)
     return ScalarField(grid, signed.reshape(grid.dims), kind="signed_distance")
 
 

@@ -16,17 +16,16 @@ import numpy as np
 from scipy import ndimage
 
 from .distance import (
-    distance_field,
+    ScalarField,
+    _signed_field,
     grid_covering,
     gradient_field,
-    signed_distance_field,
 )
 from .eikonal import residuals
 from .geometry import Ball, Box, GraphHypersurface, OffsetBody, \
     make_random_polytope
 from .innerball import inner_ball_profile, theorem_equivalence_check
-from .projection import _cycle_nearest_feet, _offset_cycle, \
-    _polytope_cycle, project
+from .projection import _cycle_nearest_feet, project
 from .singular import coverage_density, detect_footjump, detect_multiproj, \
     inclusion_violations
 
@@ -152,11 +151,7 @@ def _nearest_feet(shape, pts):
         rho = np.linalg.norm(rel, axis=1, keepdims=True)
         safe = np.where(rho > 0.0, rho, 1.0)
         return shape.center + shape.radius * rel / safe
-    if isinstance(shape, OffsetBody):
-        _, feet = _cycle_nearest_feet(_offset_cycle(shape), pts)
-        return feet
-    _, feet = _cycle_nearest_feet(_polytope_cycle(shape), pts)
-    return feet
+    return _cycle_nearest_feet(shape, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +177,9 @@ def run_lemma_gradient(config):
     ok = True
     for label, shape in shapes:
         grid = grid_covering(shape, h)
-        fld = distance_field(shape, grid)
         mask = detect_multiproj(shape, grid)
-        dK = fld.values
+        dK = mask.distance
+        fld = ScalarField(grid, dK, kind="distance")
         flag_dist = mask.distance_to_flags()
         eligible = (dK >= 10.0 * h) & (flag_dist >= 10.0 * h)
 
@@ -237,12 +232,11 @@ def run_offset_identity(config):
             off = OffsetBody(base, eps)
             grid = grid_covering(off, h)
             pts = grid.points()
-            f_base = distance_field(base, grid).values
-            f_off = distance_field(off, grid).values
-            inside = np.asarray(base.contains(pts)).reshape(grid.dims)
-            dev = float(np.abs(f_off - f_base - eps)[inside].max())
             m_base = detect_multiproj(base, grid)
             m_off = detect_multiproj(off, grid)
+            inside = np.asarray(base.contains(pts)).reshape(grid.dims)
+            dev = float(np.abs(m_off.distance - m_base.distance
+                               - eps)[inside].max())
             nviol, _ = inclusion_violations(m_base, m_off, radius=h)
             key = f"{label}_e{eps:g}"
             report[f"{key}_dev"] = dev
@@ -288,7 +282,7 @@ def run_typical_density(config):
     center_inside = rep.ball_center is not None \
         and bool(base.contains(rep.ball_center))
     ball_ok = rep.ball_radius >= 0.1 and center_inside
-    u = signed_distance_field(body, grid)
+    u = _signed_field(body, grid, mask.distance)
     rr = residuals(u, singular_mask=mask, margin=10.0 * h)
     resid_ok = (not rr.empty) and rr.max_abs <= 10.0 * h
 
@@ -426,7 +420,7 @@ def run_counterexample(config):
         surface = graph.boundary_sample(0.5 * h, pad=GRAPH_PAD)
         mask = detect_multiproj(surface, grid)
         pts = grid.points()
-        dk = surface.boundary_distance(pts)
+        dk = mask.distance.reshape(-1)
         central = (pts[:, 0] >= lo + quarter) & (pts[:, 0] <= hi - quarter)
         region = ((dk <= TUBE_R) & central).reshape(grid.dims)
         cov = coverage_density(mask, region, COVER_R).covered_fraction

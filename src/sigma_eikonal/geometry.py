@@ -254,9 +254,7 @@ class ConvexPolytope:
     def boundary_distance(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.dim == 2:
-            a, b = self.edges()
-            d, _, _ = _point_segment_distance(points, a, b)
-            return d.min(axis=1)
+            return _boundary_distance_2d(self, points)
         return _polytope_boundary_distance_3d(self, points)
 
     def perimeter(self):
@@ -398,7 +396,7 @@ class OffsetBody:
     def boundary_distance(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.dim == 2:
-            return _offset_boundary_distance_2d(self, points)
+            return _boundary_distance_2d(self, points)
         # 3D: exact via the base projection branches
         d_base = self.base.boundary_distance(points)
         inside = self.base.contains(points)
@@ -1048,10 +1046,16 @@ def _sample_offset_3d(body, spacing):
 # low-level distance kernels shared with the projection module
 # ---------------------------------------------------------------------------
 
-def _point_segment_distance(points, seg_a, seg_b):
-    """Distances and feet from points (n, 2|3) to segments (m, d).
+# (node, element) pairs per 2D kernel block: keeps the (n, E) temporaries
+# near a megabyte whatever the element count
+_ELEMENT_PAIRS_PER_BLOCK = 2 ** 16
 
-    Returns (dist (n, m), feet (n, m, d), t (n, m)).
+
+def _segment_distances(points, seg_a, seg_b):
+    """Distances and clamp codes from points (n, 2) to segments (m, 2).
+
+    Returns (dist (n, m), clamp (n, m)); clamp is -1 where the foot is the
+    segment start, +1 where it is the end and 0 between.
     """
     d = seg_b - seg_a
     L2 = np.einsum("md,md->m", d, d)
@@ -1062,47 +1066,77 @@ def _point_segment_distance(points, seg_a, seg_b):
     feet = seg_a[None, :, :] + t[..., None] * d[None, :, :]
     diff = points[:, None, :] - feet
     dist = np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
-    return dist, feet, t
+    clamp = (t == 1.0).astype(np.int8) - (t == 0.0)
+    return dist, clamp
 
 
-def _point_arc_distance(points, center, a0, sweep, radius):
-    """Distances and feet from points (n, 2) to one circular arc.
+def _arc_distances(points, center, a0, sweep, e0, e1, radius):
+    """Distances and clamp codes from points (n, 2) to CCW circular arcs.
 
-    The arc starts at angle a0 and sweeps CCW by ``sweep``.  Points at the
-    arc center are assigned the start-point foot; the caller is responsible
-    for treating that degenerate tie as non-singleton.
+    Arc k has centre center[k] and starts at angle a0[k], where its end
+    point is e0[k], and sweeps by sweep[k] to e1[k].  Off its sector, or at
+    its centre, a point's foot is the nearer end (-1 for e0, +1 for e1);
+    on it the radial foot (0).  Returns (dist (n, m), clamp (n, m)).
     """
-    rel = points - center
-    r = np.linalg.norm(rel, axis=1)
-    ang = np.arctan2(rel[:, 1], rel[:, 0])
-    local = (ang - a0) % (2.0 * np.pi)
-    on_arc = local <= sweep
-    safe_r = np.where(r <= 1e-300, 1.0, r)
-    foot_dir = rel / safe_r[:, None]
-    feet = center + radius * foot_dir
-    dist = np.abs(r - radius)
-    # off-sector points snap to the nearer endpoint
-    e0 = center + radius * np.array([math.cos(a0), math.sin(a0)])
-    e1 = center + radius * np.array([math.cos(a0 + sweep), math.sin(a0 + sweep)])
-    d0 = np.linalg.norm(points - e0, axis=1)
-    d1 = np.linalg.norm(points - e1, axis=1)
+    p = points[:, None, :]
+    rel = p - center
+    r = np.linalg.norm(rel, axis=2)
+    local = (np.arctan2(rel[..., 1], rel[..., 0]) - a0) % (2.0 * np.pi)
+    on_arc = (local <= sweep) & (r > 1e-300)
+    d0 = np.linalg.norm(p - e0, axis=2)
+    d1 = np.linalg.norm(p - e1, axis=2)
     nearer0 = d0 <= d1
-    end_feet = np.where(nearer0[:, None], e0[None, :], e1[None, :])
-    end_dist = np.where(nearer0, d0, d1)
-    use_arc = on_arc & (r > 1e-300)
-    dist = np.where(use_arc, dist, end_dist)
-    feet = np.where(use_arc[:, None], feet, end_feet)
-    return dist, feet
+    dist = np.where(on_arc, np.abs(r - radius), np.where(nearer0, d0, d1))
+    clamp = np.where(on_arc, 0, np.where(nearer0, -1, 1)).astype(np.int8)
+    return dist, clamp
 
 
-def _offset_boundary_distance_2d(body, points):
-    (seg_a, seg_b, _), arcs = body.elements()
-    d_seg, _, _ = _point_segment_distance(points, seg_a, seg_b)
-    best = d_seg.min(axis=1)
-    for center, a0, sweep in arcs:
-        d_arc, _ = _point_arc_distance(points, center, a0, sweep, body.epsilon)
-        best = np.minimum(best, d_arc)
-    return best
+def _element_distance_blocks(shape, points):
+    """The (node, element) distance matrix of a 2D polytope or offset
+    boundary, one block of nodes at a time.
+
+    Elements run in cycle order: edge i from vertex i to vertex i + 1 of a
+    polytope; arc i about base vertex i, then pushed edge i, of an offset.
+    Yields (rows, dist, clamp) over blocks of about _ELEMENT_PAIRS_PER_BLOCK
+    (node, element) pairs: rows slices points, dist (n, E) holds the
+    element distances and clamp (n, E) the element clamp codes.
+    """
+    offset = isinstance(shape, OffsetBody)
+    if offset:
+        (seg_a, seg_b, _), arcs = shape.elements()
+        eps = shape.epsilon
+        center = np.array([c for c, _, _ in arcs])
+        a0 = np.array([a for _, a, _ in arcs])
+        sweep = np.array([s for _, _, s in arcs])
+        e0 = center + eps * np.array([[math.cos(a), math.sin(a)]
+                                      for _, a, _ in arcs])
+        e1 = center + eps * np.array([[math.cos(a + s), math.sin(a + s)]
+                                      for _, a, s in arcs])
+    else:
+        seg_a, seg_b = shape.edges()
+    n_el = (1 + offset) * seg_a.shape[0]
+    block = max(1, _ELEMENT_PAIRS_PER_BLOCK // n_el)
+    for lo in range(0, points.shape[0], block):
+        rows = slice(lo, lo + block)
+        p = points[rows]
+        if offset:
+            dist = np.empty((p.shape[0], n_el))
+            clamp = np.empty((p.shape[0], n_el), dtype=np.int8)
+            dist[:, 0::2], clamp[:, 0::2] = _arc_distances(
+                p, center, a0, sweep, e0, e1, eps)
+            dist[:, 1::2], clamp[:, 1::2] = _segment_distances(p, seg_a,
+                                                               seg_b)
+        else:
+            dist, clamp = _segment_distances(p, seg_a, seg_b)
+        yield rows, dist, clamp
+
+
+def _boundary_distance_2d(shape, points):
+    """Row minimum of the element distance matrix, block by block."""
+    out = np.empty(points.shape[0])
+    for rows, dist, _ in _element_distance_blocks(shape, points):
+        out[rows] = dist.min(axis=1)
+    return out
 
 
 def _closest_point_triangles(points, tri_a, tri_b, tri_c):

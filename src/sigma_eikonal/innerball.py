@@ -383,13 +383,16 @@ def theorem_equivalence_check(shape, grid, r_free, rho_min=None,
     if spacing is None:
         spacing = 0.5 * h
     measured = surface if surface is not None else shape
+    dK = None
     if mask is None:
         mask = detect_multiproj(measured, grid)
+        dK = mask.distance
     elif not isinstance(mask, SingularMask):
         raise InnerBallError("mask must be a SingularMask")
 
     pts = grid.points()
-    dK = _bulk_boundary_distance(measured, pts).reshape(grid.dims)
+    if dK is None:
+        dK = _bulk_boundary_distance(measured, pts).reshape(grid.dims)
     member = inside if inside is not None \
         else getattr(shape, "contains", None)
     if member is None:

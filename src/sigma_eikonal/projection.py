@@ -43,6 +43,7 @@ from .geometry import (
     OffsetBody,
     SampledSurface,
     _closest_point_triangles,
+    _element_distance_blocks,
 )
 
 EXACT_TAU_FACTOR = 1e-9     # default tau_multi for exact shapes, times diameter
@@ -126,17 +127,6 @@ class _Segment:
         foot = self.a + t * self.d
         return float(np.linalg.norm(x - foot)), foot, 0
 
-    def query_many(self, pts):
-        L2 = float(self.d @ self.d)
-        t = (pts - self.a) @ self.d / L2
-        tc = np.clip(t, 0.0, 1.0)
-        feet = self.a + tc[:, None] * self.d
-        dist = np.linalg.norm(pts - feet, axis=1)
-        clamp = np.zeros(pts.shape[0], dtype=np.int8)
-        clamp[t <= 0.0] = -1
-        clamp[t >= 1.0] = +1
-        return dist, clamp
-
     def query_feet(self, pts):
         """The feet query() returns, for many points: a and b exactly at
         the clamps.  vecdot runs the same dot as query's 1-D product."""
@@ -178,22 +168,11 @@ class _Arc:
             return d0, self.e0.copy(), -1
         return d1, self.e1.copy(), +1
 
-    def query_many(self, pts):
-        rel = pts - self.center
-        rho = np.linalg.norm(rel, axis=1)
-        local = (np.arctan2(rel[:, 1], rel[:, 0]) - self.a0) % (2.0 * np.pi)
-        on = (local <= self.sweep) & (rho > 1e-300)
-        d0 = np.linalg.norm(pts - self.e0, axis=1)
-        d1 = np.linalg.norm(pts - self.e1, axis=1)
-        dist = np.where(on, np.abs(rho - self.r), np.minimum(d0, d1))
-        clamp = np.where(on, 0, np.where(d0 <= d1, -1, +1)).astype(np.int8)
-        return dist, clamp
-
     def query_feet(self, pts):
         """The feet query() returns, for many points: the radial foot on
         the sector, the nearer end off it, e0 at the centre.  Norms are
         square roots of vecdot, as in query's 1-D norms; the sector angle
-        is numpy's arctan2, as in query_many."""
+        is numpy's arctan2, as in geometry's arc kernel."""
         rel = pts - self.center
         rho = np.sqrt(np.vecdot(rel, rel))
         local = (np.arctan2(rel[:, 1], rel[:, 0]) - self.a0) % (2.0 * np.pi)
@@ -243,35 +222,29 @@ def _cycle_project(cycle, x, tau_multi, diam):
     return d_opt, nearest
 
 
-def _cycle_query_many(cycle, pts):
-    """Stacked per-element distances and clamp codes for many points.
-
-    Returns (dist (n, E), clamp (n, E)); used by grid detectors to find the
-    small subset of nodes that needs the full per-point resolution.
-    """
-    dist = np.empty((pts.shape[0], len(cycle)))
-    clamp = np.empty((pts.shape[0], len(cycle)), dtype=np.int8)
-    for k, el in enumerate(cycle):
-        dist[:, k], clamp[:, k] = el.query_many(pts)
-    return dist, clamp
+def _shape_cycle(shape):
+    """The element cycle of a 2D polytope or offset body."""
+    if isinstance(shape, OffsetBody):
+        return _offset_cycle(shape)
+    return _polytope_cycle(shape)
 
 
-def _cycle_nearest_feet(cycle, pts):
-    """Distance and one nearest boundary foot per point, vectorized.
+def _cycle_nearest_feet(shape, pts):
+    """One nearest boundary foot per point of a 2D polytope or offset.
 
     Intended for bulk gradient evaluation away from ties, where any single
-    global minimizer determines the gradient.
+    global minimizer determines the gradient.  The nearest element is the
+    row argmin of geometry's element distance matrix.
     """
-    dist = np.empty((pts.shape[0], len(cycle)))
-    for k, el in enumerate(cycle):
-        dist[:, k], _ = el.query_many(pts)
-    k_best = dist.argmin(axis=1)
+    k_best = np.empty(pts.shape[0], dtype=np.intp)
+    for rows, dist, _ in _element_distance_blocks(shape, pts):
+        k_best[rows] = dist.argmin(axis=1)
     feet = np.empty_like(pts)
-    for k, el in enumerate(cycle):
+    for k, el in enumerate(_shape_cycle(shape)):
         sel = k_best == k
         if sel.any():
             feet[sel] = el.query_feet(pts[sel])
-    return dist[np.arange(pts.shape[0]), k_best], feet
+    return feet
 
 
 # ---------------------------------------------------------------------------

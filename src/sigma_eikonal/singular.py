@@ -47,13 +47,9 @@ from .geometry import (
     GraphHypersurface,
     OffsetBody,
     SampledSurface,
+    _element_distance_blocks,
 )
-from .projection import (
-    _cycle_query_many,
-    _offset_cycle,
-    _polytope_cycle,
-    _slack_feet,
-)
+from .projection import _shape_cycle, _slack_feet
 
 BAND_FACTOR = 2.0           # unclassified band around K, in grid steps
 DEFAULT_THETA_DEG = 30.0    # gradient disagreement angle threshold
@@ -75,18 +71,27 @@ class DetectionError(ValueError):
 
 @dataclass
 class SingularMask:
-    """Boolean singular-set flags on a grid, plus the unclassified band."""
+    """Boolean singular-set flags on a grid, plus the unclassified band.
+
+    ``distance`` is the boundary distance at every node, shape grid.dims,
+    as detect_multiproj computed it for the band; it is None where the
+    detector measured a sampling in place of the shape, and on a loaded
+    mask (the file holds flags and band only).
+    """
 
     grid: GridSpec
     flags: np.ndarray
     excluded: np.ndarray
     detector: str
     params: dict = field(default_factory=dict)
+    distance: np.ndarray | None = None
 
     def __post_init__(self):
         dims = tuple(self.grid.dims)
         if self.flags.shape != dims or self.excluded.shape != dims:
             raise DetectionError("mask arrays must match the grid dims")
+        if self.distance is not None and self.distance.shape != dims:
+            raise DetectionError("mask distance must match the grid dims")
         if bool(np.any(self.flags & self.excluded)):
             raise DetectionError("flags inside the unclassified band")
 
@@ -170,9 +175,12 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
 
     tau_multi defaults to the grid step: near-ties below one node of
     distance cannot be resolved and do not count as multiplicity.  2D
-    polytopes and offsets resolve their element cycles; 3D ones take the
-    closed form over facet slacks, so no node outside a convex body is
+    polytopes and offsets resolve their element cycles, and take the
+    boundary distance from the same element distance matrix; 3D ones take
+    the closed form over facet slacks, so no node outside a convex body is
     flagged; sampled surfaces split kd-tree candidates into chain runs.
+    The mask carries the boundary distance as ``distance``, unless the
+    shape was replaced by a sampling (Ellipse, GraphHypersurface).
     """
     if not isinstance(grid, GridSpec):
         raise DetectionError("grid must be a GridSpec")
@@ -181,37 +189,38 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
         tau_multi = h
     if isinstance(shape, Box):
         shape = shape.as_polytope()
-    if isinstance(shape, (Ellipse, GraphHypersurface)):
+    swapped = isinstance(shape, (Ellipse, GraphHypersurface))
+    if swapped:
         # no exact element enumeration; detect against a fine sampling
         shape = shape.boundary_sample(0.5 * h)
 
     pts = grid.points()
-    dK = _bulk_boundary_distance(shape, pts)
-    excluded = dK <= band_factor * h
+    band = band_factor * h
     params = {"tau_multi": float(tau_multi), "band_factor": float(band_factor)}
 
-    if isinstance(shape, Ball):
-        flags = _detect_ball(shape, pts)
-    elif isinstance(shape, ConvexPolytope) and shape.dim == 2:
-        flags = _detect_cycle(_polytope_cycle(shape), shape.diameter(),
-                              pts, dK, excluded, tau_multi)
-    elif isinstance(shape, OffsetBody) and shape.dim == 2:
-        flags = _detect_cycle(_offset_cycle(shape), shape.diameter(),
-                              pts, dK, excluded, tau_multi,
-                              shape=shape)
-    elif isinstance(shape, SampledSurface):
-        flags, counts = _detect_sampled(shape, pts, dK, excluded, tau_multi)
-        params.update(counts)
-    elif isinstance(shape, (ConvexPolytope, OffsetBody)):
-        flags = _detect_slack(shape, pts, excluded, tau_multi)
+    if isinstance(shape, (ConvexPolytope, OffsetBody)) and shape.dim == 2:
+        flags, dK = _detect_cycle(shape, pts, band, tau_multi)
+        excluded = dK <= band
     else:
-        raise DetectionError(
-            f"no multiplicity detector for {type(shape).__name__}")
+        dK = _bulk_boundary_distance(shape, pts)
+        excluded = dK <= band
+        if isinstance(shape, Ball):
+            flags = _detect_ball(shape, pts)
+        elif isinstance(shape, SampledSurface):
+            flags, counts = _detect_sampled(shape, pts, dK, excluded,
+                                            tau_multi)
+            params.update(counts)
+        elif isinstance(shape, (ConvexPolytope, OffsetBody)):
+            flags = _detect_slack(shape, pts, excluded, tau_multi)
+        else:
+            raise DetectionError(
+                f"no multiplicity detector for {type(shape).__name__}")
 
     flags = flags.reshape(grid.dims) & ~excluded.reshape(grid.dims)
     return SingularMask(grid=grid, flags=flags,
                         excluded=excluded.reshape(grid.dims),
-                        detector="multiproj", params=params)
+                        detector="multiproj", params=params,
+                        distance=None if swapped else dK.reshape(grid.dims))
 
 
 def _detect_ball(ball, pts):
@@ -220,21 +229,28 @@ def _detect_ball(ball, pts):
     return rel <= 1e-9 * ball.diameter()
 
 
-def _detect_cycle(cycle, diam, pts, dK, excluded, tau_multi, shape=None):
-    """Exact-shape detection over an element cycle, vectorized prefilter."""
+def _detect_cycle(shape, pts, band, tau_multi):
+    """Exact 2D detection over the element cycle of a polytope or offset.
+
+    Each node block's element distance matrix gives the boundary distance
+    dK (its row minimum), the band (dK <= band) and the prefilter: the
+    elements within tau_multi of dK, less the feet clamped at a junction
+    past which the neighbour element keeps falling.  Rows keeping two or
+    more elements are resolved by _resolve_rows.  Returns (flags, dK).
+    """
+    cycle = _shape_cycle(shape)
+    diam = shape.diameter()
     n = pts.shape[0]
     flags = np.zeros(n, dtype=bool)
+    dK = np.empty(n)
     eq_tol = 1e-12 * max(1.0, diam)
     dd_tol = 1e-9 * max(1.0, diam)
-    chunk = max(1, int(4_000_000 // max(len(cycle), 1)))
-    for lo in range(0, n, chunk):
-        sel = slice(lo, min(lo + chunk, n))
-        sub = pts[sel]
-        active = ~excluded[sel]
-        if not active.any():
-            continue
-        dist, clamp = _cycle_query_many(cycle, sub)
+    ties = _vertex_ties(shape, tau_multi)
+    cand_rows, cand_kept = [], []
+    for sel, dist, clamp in _element_distance_blocks(shape, pts):
         d_opt = dist.min(axis=1)
+        dK[sel] = d_opt
+        active = d_opt > band
         cand = dist <= (d_opt + tau_multi)[:, None]
         # drop feet clamped at a junction when the neighbor element
         # continues downhill through it: those are path points of the
@@ -243,19 +259,29 @@ def _detect_cycle(cycle, diam, pts, dK, excluded, tau_multi, shape=None):
                            np.roll(dist, +1, axis=1))
         kept = cand & ~((clamp != 0) & (nb_dist < dist - eq_tol))
         rows = np.flatnonzero(active & (kept.sum(axis=1) >= 2))
-        flags[lo + rows] = _resolve_rows(cycle, sub[rows], kept[rows],
-                                         dd_tol, tau_multi)
-        if shape is not None:
+        cand_rows.append(sel.start + rows)
+        cand_kept.append(kept[rows])
+        if ties.size:
             # a node sitting exactly on a base vertex ties along the whole
             # vertex arc of the offset boundary
-            _, arcs = shape.elements()
-            for center, _, sweep in arcs:
-                onc = np.linalg.norm(sub - center, axis=1) <= eq_tol
-                chord = 2.0 * shape.epsilon * math.sin(
-                    min(0.5 * sweep, 0.5 * math.pi))
-                if chord > tau_multi:
-                    flags[lo:lo + sub.shape[0]][onc & active] = True
-    return flags
+            sub = pts[sel, None, :] - ties
+            onc = (np.linalg.norm(sub, axis=2) <= eq_tol).any(axis=1)
+            flags[sel] |= onc & active
+    rows = np.concatenate(cand_rows)
+    flags[rows] |= _resolve_rows(cycle, pts[rows], np.concatenate(cand_kept),
+                                 dd_tol, tau_multi)
+    return flags, dK
+
+
+def _vertex_ties(shape, tau_multi):
+    """Centres (k, 2) of the offset arcs whose chord exceeds tau_multi."""
+    if not isinstance(shape, OffsetBody):
+        return np.empty((0, 2))
+    _, arcs = shape.elements()
+    chord = [2.0 * shape.epsilon * math.sin(min(0.5 * sweep, 0.5 * math.pi))
+             for _, _, sweep in arcs]
+    return np.array([c for (c, _, _), w in zip(arcs, chord) if w > tau_multi]
+                    ).reshape(-1, 2)
 
 
 def _padded_rows(count):

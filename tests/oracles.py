@@ -3,7 +3,9 @@
 These are the per-node loops that ``geometry._polytope_boundary_distance_3d``,
 ``eikonal.fast_march``, the row resolution of ``singular._detect_cycle``
 and ``singular._detect_sampled``, the inner-ball bisection and the vertex
-dedupe of ``ConvexPolytope`` replaced.  The production code must return
+dedupe of ``ConvexPolytope`` replaced, and the per-element loops that
+``geometry._element_distance_blocks`` replaced: the 2D boundary distance
+with one arc at a time, and the element queries of ``_detect_cycle``.  The production code must return
 exactly the same arrays (``np.array_equal``): the kernel and the march keep
 the same arithmetic and the same acceptance order, and the batched row
 resolution and bisection make the same decisions.
@@ -23,7 +25,7 @@ from sigma_eikonal.distance import ScalarField, _bulk_boundary_distance
 from sigma_eikonal.eikonal import ACCEPT_SLACK, _solve_update
 from sigma_eikonal.geometry import GraphHypersurface, OffsetBody, SampledSurface
 from sigma_eikonal.innerball import BISECT_STEPS, InnerBallError, _default_tau
-from sigma_eikonal.projection import _cycle_query_many, _dedupe, _max_pairwise
+from sigma_eikonal.projection import _Segment, _dedupe, _max_pairwise
 
 
 def closest_point_triangles_one(p, tri_a, tri_b, tri_c):
@@ -203,6 +205,80 @@ def fast_march(problem):
                              "unreachable": unreachable})
 
 
+def point_segment_distance(points, seg_a, seg_b):
+    """Distances (n, m) from points (n, d) to segments (m, d)."""
+    d = seg_b - seg_a
+    L2 = np.einsum("md,md->m", d, d)
+    L2 = np.where(L2 <= 0.0, 1.0, L2)
+    w = points[:, None, :] - seg_a[None, :, :]
+    t = np.einsum("nmd,md->nm", w, d) / L2
+    t = np.clip(t, 0.0, 1.0)
+    feet = seg_a[None, :, :] + t[..., None] * d[None, :, :]
+    diff = points[:, None, :] - feet
+    return np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
+
+
+def point_arc_distance(points, center, a0, sweep, radius):
+    """Distances from points (n, 2) to one CCW circular arc; off the
+    sector, and at the centre, the distance to the nearer end point."""
+    rel = points - center
+    r = np.linalg.norm(rel, axis=1)
+    ang = np.arctan2(rel[:, 1], rel[:, 0])
+    local = (ang - a0) % (2.0 * np.pi)
+    on_arc = (local <= sweep) & (r > 1e-300)
+    e0 = center + radius * np.array([math.cos(a0), math.sin(a0)])
+    e1 = center + radius * np.array([math.cos(a0 + sweep),
+                                     math.sin(a0 + sweep)])
+    d0 = np.linalg.norm(points - e0, axis=1)
+    d1 = np.linalg.norm(points - e1, axis=1)
+    return np.where(on_arc, np.abs(r - radius), np.where(d0 <= d1, d0, d1))
+
+
+def boundary_distance_2d(shape, points):
+    """2D polytope or offset boundary distance: all segments in one matrix,
+    then one arc at a time."""
+    if isinstance(shape, OffsetBody):
+        (seg_a, seg_b, _), arcs = shape.elements()
+    else:
+        (seg_a, seg_b), arcs = shape.edges(), []
+    best = point_segment_distance(points, seg_a, seg_b).min(axis=1)
+    for center, a0, sweep in arcs:
+        best = np.minimum(best, point_arc_distance(points, center, a0, sweep,
+                                                   shape.epsilon))
+    return best
+
+
+def element_query_many(el, pts):
+    """Distances and clamp codes of many points on one cycle element."""
+    if isinstance(el, _Segment):
+        L2 = float(el.d @ el.d)
+        t = (pts - el.a) @ el.d / L2
+        feet = el.a + np.clip(t, 0.0, 1.0)[:, None] * el.d
+        clamp = np.zeros(pts.shape[0], dtype=np.int8)
+        clamp[t <= 0.0] = -1
+        clamp[t >= 1.0] = +1
+        return np.linalg.norm(pts - feet, axis=1), clamp
+    rel = pts - el.center
+    rho = np.linalg.norm(rel, axis=1)
+    local = (np.arctan2(rel[:, 1], rel[:, 0]) - el.a0) % (2.0 * np.pi)
+    on = (local <= el.sweep) & (rho > 1e-300)
+    d0 = np.linalg.norm(pts - el.e0, axis=1)
+    d1 = np.linalg.norm(pts - el.e1, axis=1)
+    dist = np.where(on, np.abs(rho - el.r), np.minimum(d0, d1))
+    clamp = np.where(on, 0, np.where(d0 <= d1, -1, +1)).astype(np.int8)
+    return dist, clamp
+
+
+def cycle_query_many(cycle, pts):
+    """Stacked per-element distances and clamp codes, one element at a
+    time: (dist (n, E), clamp (n, E))."""
+    dist = np.empty((pts.shape[0], len(cycle)))
+    clamp = np.empty((pts.shape[0], len(cycle)), dtype=np.int8)
+    for k, el in enumerate(cycle):
+        dist[:, k], clamp[:, k] = element_query_many(el, pts)
+    return dist, clamp
+
+
 def detect_cycle(cycle, diam, pts, dK, excluded, tau_multi, shape=None):
     """Exact-shape multiproj flags, resolving candidate rows one by one."""
     n = pts.shape[0]
@@ -216,7 +292,7 @@ def detect_cycle(cycle, diam, pts, dK, excluded, tau_multi, shape=None):
         active = ~excluded[sel]
         if not active.any():
             continue
-        dist, clamp = _cycle_query_many(cycle, sub)
+        dist, clamp = cycle_query_many(cycle, sub)
         d_opt = dist.min(axis=1)
         cand = dist <= (d_opt + tau_multi)[:, None]
         nb_dist = np.where(clamp > 0, np.roll(dist, -1, axis=1),

@@ -25,6 +25,7 @@ from sigma_eikonal.geometry import (
     GraphHypersurface,
     OffsetBody,
     SampledSurface,
+    _ELEMENT_PAIRS_PER_BLOCK,
     _closest_point_triangles,
     make_random_polytope,
 )
@@ -201,6 +202,53 @@ def test_batched_feet_match_scalar_query():
         for el in cycle:
             ref = np.array([el.query(p)[1] for p in pts])
             assert np.array_equal(el.query_feet(pts), ref)
+
+
+# ---------------------------------------------------------------------------
+# 2D boundary distance against the one-arc-at-a-time loop
+# ---------------------------------------------------------------------------
+
+def shapes_2d():
+    """The MASK_SEEDS polytopes with their 0.1 and 0.3 offsets, and the
+    square with its 0.5 offset."""
+    square = Box((1.0, 1.0)).as_polytope()
+    out = [("square", square), ("square_e0.5", OffsetBody(square, 0.5))]
+    for facets, seed in sorted(MASK_SEEDS.items()):
+        poly = make_random_polytope(facets, seed)
+        out.append((f"poly{facets}", poly))
+        out += [(f"poly{facets}_e{eps}", OffsetBody(poly, eps))
+                for eps in (0.1, 0.3)]
+    return out
+
+
+@pytest.mark.parametrize("label,shape", shapes_2d(),
+                         ids=[lbl for lbl, _ in shapes_2d()])
+def test_2d_boundary_distance_matches_arc_loop(label, shape):
+    base = shape.base if isinstance(shape, OffsetBody) else shape
+    rng = np.random.default_rng(len(label))
+    lo, hi = shape.bbox()
+    pts = [grid_covering(shape, h).points() for h in MASK_STEPS]
+    pts.append(rng.uniform(np.asarray(lo) - 1.0, np.asarray(hi) + 1.0,
+                           (2000, 2)))
+    pts.append(base.vertices)
+    if isinstance(shape, OffsetBody):
+        pts.append(np.array([c for c, _, _ in shape.elements()[1]]))
+    pts = np.vstack(pts)
+    assert np.array_equal(shape.boundary_distance(pts),
+                          oracles.boundary_distance_2d(shape, pts))
+
+
+def test_2d_boundary_distance_across_kernel_blocks():
+    body = OffsetBody(make_random_polytope(64, 1), 0.2)
+    grid = grid_covering(body, 1.0 / 64)
+    n_el = 2 * body.base.vertices.shape[0]
+    assert grid.n_nodes > 10 * (_ELEMENT_PAIRS_PER_BLOCK // n_el)
+    pts = grid.points()
+    ref = oracles.boundary_distance_2d(body, pts)
+    assert np.array_equal(body.boundary_distance(pts), ref)
+    assert np.array_equal(distance_field(body, grid).values.ravel(), ref)
+    mask = detect_multiproj(body, grid)
+    assert np.array_equal(mask.distance.ravel(), ref)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Multiplicity detection, mask algebra, and coverage statistics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,13 @@ from sigma_eikonal.distance import (
     distance_field,
     grid_covering,
 )
-from sigma_eikonal.geometry import Ball, Box, Ellipse
+from sigma_eikonal.geometry import (
+    Ball,
+    Box,
+    Ellipse,
+    OffsetBody,
+    make_random_polytope,
+)
 from sigma_eikonal.singular import (
     DetectionError,
     SingularMask,
@@ -270,6 +278,54 @@ def test_sampled_mask_counts_survive_round_trip(tmp_path, unit_square):
     assert back.params["multi_run_rows"] == m.params["multi_run_rows"]
     exact = detect_multiproj(unit_square, g)
     assert set(exact.params) == {"tau_multi", "band_factor"}
+
+
+# the file detect_multiproj(OffsetBody(make_random_polytope(16, 1), 0.3))
+# saves at h = 1/20: pins the mask file format, which holds no distance
+OFFSET16_MASK_SHA256 = \
+    "614f8f4ab103b939cf4f68deb9e296fd6d9a9781be564cf8393db43ad294d52b"
+
+
+@pytest.mark.parametrize("label", ["polytope", "offset", "box", "disk",
+                                   "sampled", "polytope3d"])
+def test_mask_distance_is_the_distance_field(label, unit_square):
+    h = 1.0 / 20
+    poly = make_random_polytope(16, 1)
+    shape = {
+        "polytope": poly,
+        "offset": OffsetBody(poly, 0.3),
+        "box": Box((1.0, 0.5)),
+        "disk": Ball((0.0, 0.0), 1.0),
+        "sampled": unit_square.boundary_sample(h / 2),
+        "polytope3d": make_random_polytope(12, 1, dim=3),
+    }[label]
+    if label == "polytope3d":
+        h = 0.25
+    grid = grid_covering(shape, h)
+    mask = detect_multiproj(shape, grid)
+    assert mask.distance.shape == grid.dims
+    assert np.array_equal(mask.distance, distance_field(shape, grid).values)
+    assert np.array_equal(mask.excluded,
+                          mask.distance <= mask.params["band_factor"] * h)
+
+
+def test_mask_distance_is_none_for_a_sampled_stand_in_and_on_load(tmp_path):
+    ellipse = Ellipse((1.0, 0.5))
+    assert detect_multiproj(ellipse,
+                            grid_covering(ellipse, 1.0 / 16)).distance is None
+    body = OffsetBody(make_random_polytope(16, 1), 0.3)
+    mask = detect_multiproj(body, grid_covering(body, 1.0 / 20))
+    path = tmp_path / "offset.mask"
+    mask.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() \
+        == OFFSET16_MASK_SHA256
+    back = SingularMask.load(path)
+    assert back.distance is None
+    assert np.array_equal(back.flags, mask.flags)
+    with pytest.raises(DetectionError):
+        SingularMask(grid=mask.grid, flags=mask.flags,
+                     excluded=mask.excluded, detector="multiproj",
+                     distance=mask.distance[:-1])
 
 
 def test_masks_on_different_grids_are_rejected(unit_square):
