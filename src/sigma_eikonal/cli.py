@@ -225,9 +225,6 @@ def cmd_innerball(args, cfg):
 
 def cmd_verify(args, cfg):
     name = args.experiment
-    if name not in EXPERIMENTS:
-        raise ExperimentError(
-            f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     try:
         report = EXPERIMENTS[name](cfg)
     except Exception as exc:

@@ -39,15 +39,13 @@ class EikonalError(ValueError):
 
 @dataclass
 class EikonalProblem:
-    """Grid, seed nodes with exact sub-grid values, and march direction."""
+    """Grid and seed nodes with exact sub-grid values; the march runs away
+    from the seeds."""
 
     grid: GridSpec
     seeds: list                      # [(index tuple, value), ...]
-    direction: str = "from_K"
 
     def __post_init__(self):
-        if self.direction != "from_K":
-            raise EikonalError("only marching away from the surface is supported")
         if not self.seeds:
             raise EikonalError("at least one seed node is required")
         band = self.grid.spacing * math.sqrt(self.grid.dim)

@@ -10,7 +10,7 @@ duplicating the setups.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy import ndimage
@@ -83,10 +83,6 @@ def parse_grid(text):
     return h, dims
 
 
-_CONFIG_KEYS = ("seed", "grid", "shape", "tau_multi", "theta_deg",
-                "rho_min", "r_free", "t_values", "out_dir", "quiet")
-
-
 @dataclass
 class ExperimentConfig:
     """Knobs shared by the experiment drivers and the command line.
@@ -124,7 +120,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        unknown = set(data) - set(_CONFIG_KEYS)
+        unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise ExperimentError(
                 f"unknown config keys: {sorted(unknown)}")
@@ -138,6 +134,9 @@ class ExperimentConfig:
     def load(cls, path):
         with open(path, "r", encoding="ascii") as fh:
             return cls.from_json(fh.read())
+
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def _unit_square():
@@ -460,14 +459,6 @@ EXPERIMENTS = {
     "equivalence": run_equivalence,
     "counterexample": run_counterexample,
 }
-
-
-def run_experiment(name, config=None):
-    if name not in EXPERIMENTS:
-        raise ExperimentError(
-            f"unknown experiment {name!r}; choose from "
-            f"{sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[name](config or ExperimentConfig())
 
 
 def format_verdict(report):

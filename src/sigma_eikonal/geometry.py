@@ -174,6 +174,8 @@ class ConvexPolytope:
         self._hull = None
         for arr in (self.normals, self.offsets, self.vertices):
             arr.flags.writeable = False
+        if self.dim == 2:
+            self._cycle = _Cycle(*self.edges())
 
     # -- construction helpers ------------------------------------------------
 
@@ -361,6 +363,7 @@ class OffsetBody:
         self.dim = base.dim
         if self.dim == 2:
             self._segments, self._arcs = _offset_elements_2d(base, epsilon)
+            self._cycle = _Cycle(*self._segments[:2], self._arcs, epsilon)
 
     def diameter(self):
         return self.base.diameter() + 2.0 * self.epsilon
@@ -1091,44 +1094,111 @@ def _arc_distances(points, center, a0, sweep, e0, e1, radius):
     return dist, clamp
 
 
+class _Cycle:
+    """The boundary elements of a 2D polytope or offset, as arrays.
+
+    Built once per shape.  In cycle order a polytope's element k is edge
+    k, from seg_a[k] to seg_b[k]; an offset's element 2i is the CCW arc of
+    the given radius about base vertex center[i], from angle a0[i] (end
+    point e0[i]) through sweep[i] (to e1[i]), and element 2i + 1 is pushed
+    edge i.  A polytope has no arcs.
+    """
+
+    __slots__ = ("seg_a", "seg_b", "center", "a0", "sweep", "e0", "e1",
+                 "radius", "size")
+
+    def __init__(self, seg_a, seg_b, arcs=(), radius=0.0):
+        self.seg_a, self.seg_b, self.radius = seg_a, seg_b, radius
+        self.center = np.array([c for c, _, _ in arcs]).reshape(-1, 2)
+        self.a0 = np.array([a for _, a, _ in arcs])
+        self.sweep = np.array([w for _, _, w in arcs])
+        self.e0 = self.center + radius * np.array(
+            [[math.cos(a), math.sin(a)] for _, a, _ in arcs]).reshape(-1, 2)
+        self.e1 = self.center + radius * np.array(
+            [[math.cos(a + w), math.sin(a + w)]
+             for _, a, w in arcs]).reshape(-1, 2)
+        self.size = seg_a.shape[0] + self.center.shape[0]
+
+
 def _element_distance_blocks(shape, points):
     """The (node, element) distance matrix of a 2D polytope or offset
     boundary, one block of nodes at a time.
 
-    Elements run in cycle order: edge i from vertex i to vertex i + 1 of a
-    polytope; arc i about base vertex i, then pushed edge i, of an offset.
-    Yields (rows, dist, clamp) over blocks of about _ELEMENT_PAIRS_PER_BLOCK
-    (node, element) pairs: rows slices points, dist (n, E) holds the
-    element distances and clamp (n, E) the element clamp codes.
+    Elements run in cycle order (_Cycle).  Yields (rows, dist, clamp) over
+    blocks of about _ELEMENT_PAIRS_PER_BLOCK (node, element) pairs: rows
+    slices points, dist (n, E) holds the element distances and clamp
+    (n, E) the element clamp codes.
     """
-    offset = isinstance(shape, OffsetBody)
-    if offset:
-        (seg_a, seg_b, _), arcs = shape.elements()
-        eps = shape.epsilon
-        center = np.array([c for c, _, _ in arcs])
-        a0 = np.array([a for _, a, _ in arcs])
-        sweep = np.array([s for _, _, s in arcs])
-        e0 = center + eps * np.array([[math.cos(a), math.sin(a)]
-                                      for _, a, _ in arcs])
-        e1 = center + eps * np.array([[math.cos(a + s), math.sin(a + s)]
-                                      for _, a, s in arcs])
-    else:
-        seg_a, seg_b = shape.edges()
-    n_el = (1 + offset) * seg_a.shape[0]
-    block = max(1, _ELEMENT_PAIRS_PER_BLOCK // n_el)
+    cyc = shape._cycle
+    block = max(1, _ELEMENT_PAIRS_PER_BLOCK // cyc.size)
     for lo in range(0, points.shape[0], block):
         rows = slice(lo, lo + block)
         p = points[rows]
-        if offset:
-            dist = np.empty((p.shape[0], n_el))
-            clamp = np.empty((p.shape[0], n_el), dtype=np.int8)
+        if cyc.radius:
+            dist = np.empty((p.shape[0], cyc.size))
+            clamp = np.empty((p.shape[0], cyc.size), dtype=np.int8)
             dist[:, 0::2], clamp[:, 0::2] = _arc_distances(
-                p, center, a0, sweep, e0, e1, eps)
-            dist[:, 1::2], clamp[:, 1::2] = _segment_distances(p, seg_a,
-                                                               seg_b)
+                p, cyc.center, cyc.a0, cyc.sweep, cyc.e0, cyc.e1, cyc.radius)
+            dist[:, 1::2], clamp[:, 1::2] = _segment_distances(p, cyc.seg_a,
+                                                               cyc.seg_b)
         else:
-            dist, clamp = _segment_distances(p, seg_a, seg_b)
+            dist, clamp = _segment_distances(p, cyc.seg_a, cyc.seg_b)
         yield rows, dist, clamp
+
+
+def _norm(v):
+    """Row norms as the square root of vecdot, the arithmetic of
+    np.linalg.norm on one vector."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _segment_query(p, a, b):
+    """_element_query on segments from a[i] to b[i]."""
+    d = b - a
+    t = np.vecdot(p - a, d) / np.vecdot(d, d)
+    foot = a + t[:, None] * d
+    lo, hi = t <= 0.0, t >= 1.0
+    foot[lo], foot[hi] = a[lo], b[hi]
+    return _norm(p - foot), foot, hi.view(np.int8) - lo.view(np.int8)
+
+
+def _element_query(shape, points, elem):
+    """Distance, foot and clamp code of point i on element elem[i] of a 2D
+    polytope or offset boundary (cycle order, _Cycle).
+
+    A segment's foot is its start (clamp -1) or end (+1) where the
+    projection parameter leaves (0, 1), else the foot between (0).  An
+    arc's foot is the radial one on its sector (0), else the nearer end,
+    e0 on a tie (-1 for e0, +1 for e1); at its centre every arc point is
+    equidistant and the foot is e0 at the radius (-1).  Dots are vecdot
+    and the sector angle is np.arctan2, so each row is the arithmetic of
+    one point on one element.  Returns (dist (n,), foot (n, 2), clamp
+    (n,) int8).
+    """
+    cyc = shape._cycle
+    if not cyc.radius:
+        return _segment_query(points, cyc.seg_a[elem], cyc.seg_b[elem])
+    arc, k = elem % 2 == 0, elem // 2
+    # every row on pushed edge k, then the arc rows written over it: on a
+    # few elements one scatter is cheaper than splitting the segment rows
+    dist, foot, clamp = _segment_query(points, cyc.seg_a[k], cyc.seg_b[k])
+    k, p = k[arc], points[arc]
+    c, e0, e1, r = cyc.center[k], cyc.e0[k], cyc.e1[k], cyc.radius
+    rel = p - c
+    rho = _norm(rel)
+    centre = rho <= 1e-300
+    local = (np.arctan2(rel[:, 1], rel[:, 0]) - cyc.a0[k]) % (2.0 * np.pi)
+    on = (local <= cyc.sweep[k]) & ~centre
+    d0, d1 = _norm(p - e0), _norm(p - e1)
+    near0 = (d0 <= d1) | centre
+    end_dist = np.where(near0, d0, d1)
+    end_dist[centre] = r
+    radial = c + r * rel / np.where(centre, 1.0, rho)[:, None]
+    dist[arc] = np.where(on, np.abs(rho - r), end_dist)
+    foot[arc] = np.where(on[:, None], radial,
+                         np.where(near0[:, None], e0, e1))
+    clamp[arc] = np.where(on, 0, np.where(near0, -1, 1))
+    return dist, foot, clamp
 
 
 def _boundary_distance_2d(shape, points):

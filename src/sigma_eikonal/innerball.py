@@ -161,10 +161,6 @@ class InnerBallProfile:
     def min_radius(self):
         return float(self.radii.min())
 
-    @property
-    def mean_radius(self):
-        return float(self.radii.mean())
-
     def to_csv(self, path):
         dim = self.points.shape[1]
         cols = ",".join(f"p{k}" for k in range(dim))

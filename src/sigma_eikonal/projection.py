@@ -14,12 +14,17 @@ are the nearest set of an offset body, and outside a convex body the
 nearest point is unique.
 
 For exact 2D shapes the boundary is an ordered cycle of elements (polygon
-edges; offset bodies add vertex arcs).  Near-optimal feet are kept only
-when they are genuine local minima of the boundary distance profile: a foot
-clamped to an element junction whose neighbor element continues downhill
-through that junction is a path point, not a separate nearest-point basin,
-and is discarded.  This keeps projections onto smooth convex stretches
-singleton at any tolerance while still resolving true equidistant sets.
+edges; offset bodies add vertex arcs), held as arrays by the shape and
+queried all at once by geometry._element_query, the one element kernel
+that the grid detector and the bulk feet also call.  Near-optimal feet are
+kept only when they are genuine local minima of the boundary distance
+profile (_nearest_elements, shared with the detector): a foot clamped to
+an element junction whose neighbor element continues downhill through
+that junction is a path point, not a separate nearest-point basin, and is
+discarded.  This keeps projections onto smooth convex stretches singleton
+at any tolerance while still resolving true equidistant sets.  A point on
+a base vertex of an offset needs no special case: the arc's two end
+points survive and their spread is the arc's chord.
 
 Sampled surfaces use a kd-tree query followed by connectivity clustering at
 3x the sample spacing, so spread measures genuine multi-projection rather
@@ -29,8 +34,6 @@ continuum tie and is reported as non-singleton.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -44,6 +47,7 @@ from .geometry import (
     SampledSurface,
     _closest_point_triangles,
     _element_distance_blocks,
+    _element_query,
 )
 
 EXACT_TAU_FACTOR = 1e-9     # default tau_multi for exact shapes, times diameter
@@ -109,124 +113,33 @@ def default_tau_multi(shape):
 # element cycles for exact 2D shapes
 # ---------------------------------------------------------------------------
 
-class _Segment:
-    __slots__ = ("a", "b", "d")
+def _nearest_elements(dist, clamp, tau_multi, eq_tol):
+    """Row minimum and kept elements of (row, element) distance and clamp
+    matrices in cycle order.
 
-    def __init__(self, a, b):
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        self.d = self.b - self.a
-
-    def query(self, x):
-        L2 = float(self.d @ self.d)
-        t = float((x - self.a) @ self.d) / L2
-        if t <= 0.0:
-            return float(np.linalg.norm(x - self.a)), self.a.copy(), -1
-        if t >= 1.0:
-            return float(np.linalg.norm(x - self.b)), self.b.copy(), +1
-        foot = self.a + t * self.d
-        return float(np.linalg.norm(x - foot)), foot, 0
-
-    def query_feet(self, pts):
-        """The feet query() returns, for many points: a and b exactly at
-        the clamps.  vecdot runs the same dot as query's 1-D product."""
-        L2 = float(self.d @ self.d)
-        t = np.vecdot(pts - self.a, self.d) / L2
-        feet = self.a + t[:, None] * self.d
-        feet[t <= 0.0] = self.a
-        feet[t >= 1.0] = self.b
-        return feet
+    A row keeps the elements within tau_multi of its minimum, less the
+    feet clamped at a junction past which the neighbour element keeps
+    falling by more than eq_tol: those are path points of the boundary
+    distance profile, not separate nearest-point basins.
+    """
+    d_opt = dist.min(axis=1)
+    cand = dist <= (d_opt + tau_multi)[:, None]
+    after = np.concatenate((dist[:, 1:], dist[:, :1]), axis=1)
+    before = np.concatenate((dist[:, -1:], dist[:, :-1]), axis=1)
+    nb_dist = np.where(clamp > 0, after, before)
+    return d_opt, cand & ~((clamp != 0) & (nb_dist < dist - eq_tol))
 
 
-class _Arc:
-    """CCW circular arc from angle a0 through sweep, radius r about center."""
-
-    __slots__ = ("center", "a0", "sweep", "r", "e0", "e1")
-
-    def __init__(self, center, a0, sweep, r):
-        self.center = np.asarray(center, dtype=float)
-        self.a0 = float(a0)
-        self.sweep = float(sweep)
-        self.r = float(r)
-        self.e0 = self.center + r * np.array([math.cos(a0), math.sin(a0)])
-        a1 = a0 + sweep
-        self.e1 = self.center + r * np.array([math.cos(a1), math.sin(a1)])
-
-    def query(self, x):
-        rel = x - self.center
-        rho = float(np.linalg.norm(rel))
-        if rho <= 1e-300:
-            # degenerate: every arc point is equidistant; caller special-cases
-            return self.r, self.e0.copy(), -1
-        local = (math.atan2(rel[1], rel[0]) - self.a0) % (2.0 * math.pi)
-        if local <= self.sweep:
-            foot = self.center + self.r * rel / rho
-            return abs(rho - self.r), foot, 0
-        d0 = float(np.linalg.norm(x - self.e0))
-        d1 = float(np.linalg.norm(x - self.e1))
-        if d0 <= d1:
-            return d0, self.e0.copy(), -1
-        return d1, self.e1.copy(), +1
-
-    def query_feet(self, pts):
-        """The feet query() returns, for many points: the radial foot on
-        the sector, the nearer end off it, e0 at the centre.  Norms are
-        square roots of vecdot, as in query's 1-D norms; the sector angle
-        is numpy's arctan2, as in geometry's arc kernel."""
-        rel = pts - self.center
-        rho = np.sqrt(np.vecdot(rel, rel))
-        local = (np.arctan2(rel[:, 1], rel[:, 0]) - self.a0) % (2.0 * np.pi)
-        centre = rho <= 1e-300
-        radial = self.center + self.r * rel \
-            / np.where(centre, 1.0, rho)[:, None]
-        w0, w1 = pts - self.e0, pts - self.e1
-        near0 = np.sqrt(np.vecdot(w0, w0)) <= np.sqrt(np.vecdot(w1, w1))
-        ends = np.where(near0[:, None], self.e0, self.e1)
-        feet = np.where((local <= self.sweep)[:, None], radial, ends)
-        feet[centre] = self.e0
-        return feet
-
-
-def _polytope_cycle(poly):
-    a, b = poly.edges()
-    return [_Segment(a[i], b[i]) for i in range(a.shape[0])]
-
-
-def _offset_cycle(body):
-    (seg_a, seg_b, _), arcs = body.elements()
-    cycle = []
-    for i in range(seg_a.shape[0]):
-        center, a0, sweep = arcs[i]
-        cycle.append(_Arc(center, a0, sweep, body.epsilon))
-        cycle.append(_Segment(seg_a[i], seg_b[i]))
-    return cycle
-
-
-def _cycle_project(cycle, x, tau_multi, diam):
-    """Shared nearest-set extraction over an ordered element cycle."""
-    n = len(cycle)
-    results = [el.query(x) for el in cycle]
-    d_opt = min(r[0] for r in results)
-    window = tau_multi
-    eq_tol = 1e-12 * max(1.0, diam)
-    cands = [k for k in range(n) if results[k][0] <= d_opt + window]
-    feet = []
-    for k in cands:
-        d, foot, clamp = results[k]
-        if clamp != 0:
-            nb = (k + 1) % n if clamp > 0 else (k - 1) % n
-            if results[nb][0] < d - eq_tol:
-                continue  # boundary distance keeps falling past the junction
-        feet.append(foot)
-    nearest = _dedupe(np.array(feet), 1e-9 * max(1.0, diam))
-    return d_opt, nearest
-
-
-def _shape_cycle(shape):
-    """The element cycle of a 2D polytope or offset body."""
-    if isinstance(shape, OffsetBody):
-        return _offset_cycle(shape)
-    return _polytope_cycle(shape)
+def _cycle_project(shape, x, tau_multi):
+    """Distance and deduplicated nearest feet of x on a 2D polytope or
+    offset: one query of x on every element, one row of the junction rule."""
+    diam = shape.diameter()
+    n_el = shape._cycle.size
+    dist, foot, clamp = _element_query(shape, np.broadcast_to(x, (n_el, 2)),
+                                       np.arange(n_el))
+    d_opt, kept = _nearest_elements(dist[None], clamp[None], tau_multi,
+                                    1e-12 * max(1.0, diam))
+    return d_opt[0], _dedupe(foot[kept[0]], 1e-9 * max(1.0, diam))
 
 
 def _cycle_nearest_feet(shape, pts):
@@ -239,12 +152,7 @@ def _cycle_nearest_feet(shape, pts):
     k_best = np.empty(pts.shape[0], dtype=np.intp)
     for rows, dist, _ in _element_distance_blocks(shape, pts):
         k_best[rows] = dist.argmin(axis=1)
-    feet = np.empty_like(pts)
-    for k, el in enumerate(_shape_cycle(shape)):
-        sel = k_best == k
-        if sel.any():
-            feet[sel] = el.query_feet(pts[sel])
-    return feet
+    return _element_query(shape, pts, k_best)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +200,8 @@ def project_polytope(poly, x, tau_multi=None):
     if tau_multi is None:
         tau_multi = default_tau_multi(poly)
     if poly.dim == 2:
-        d_opt, nearest = _cycle_project(_polytope_cycle(poly), x, tau_multi,
-                                        poly.diameter())
-        return ProjectionResult(d_opt, nearest, tau_multi)
+        return ProjectionResult(*_cycle_project(poly, x, tau_multi),
+                                tau_multi)
     hull = poly.hull()
     tri = tuple(hull.points[hull.simplices[:, k]] for k in range(3))
     feet = _closest_point_triangles(x[None], *tri)[0]
@@ -310,12 +217,12 @@ def project_offset(body, x, tau_multi=None):
 
     2D enumerates the offset boundary directly (pushed edges plus vertex
     arcs), which keeps the result independent of the base distance.  A
-    query at a base vertex sees the whole vertex arc at the same distance
-    and is reported as a continuum tie through the arc endpoints and
-    midpoint.  3D builds on the base projection: inside the base the feet
-    are the base's facet feet pushed out by epsilon along their normals,
-    one per active facet at a base edge or vertex; outside it the nearest
-    point is unique.
+    query at a base vertex sees the whole vertex arc at the same distance;
+    its nearest set holds the arc's two end points (the feet of the two
+    pushed edges there), so its spread is the arc's chord.  3D builds on
+    the base projection: inside the base the feet are the base's facet
+    feet pushed out by epsilon along their normals, one per active facet
+    at a base edge or vertex; outside it the nearest point is unique.
     """
     if not isinstance(body, OffsetBody):
         raise ProjectionError("project_offset requires an offset body")
@@ -326,21 +233,8 @@ def project_offset(body, x, tau_multi=None):
         tau_multi = default_tau_multi(body)
 
     if body.dim == 2:
-        diam = body.diameter()
-        _, arcs = body.elements()
-        eps = body.epsilon
-        for center, a0, sweep in arcs:
-            if np.linalg.norm(x - center) <= 1e-12 * diam:
-                angles = [a0, a0 + 0.5 * sweep, a0 + sweep]
-                tie = np.array([center + eps * np.array([math.cos(t),
-                                                         math.sin(t)])
-                                for t in angles])
-                chord = 2.0 * eps * math.sin(min(0.5 * sweep, 0.5 * math.pi))
-                return ProjectionResult(eps, tie, tau_multi, spread=chord)
-        d_opt, nearest = _cycle_project(_offset_cycle(body), x, tau_multi,
-                                        diam)
-        return ProjectionResult(d_opt, nearest, tau_multi)
-
+        return ProjectionResult(*_cycle_project(body, x, tau_multi),
+                                tau_multi)
     base_res = project_polytope(body.base, x, tau_multi)
     eps = body.epsilon
     d_base = base_res.distance

@@ -48,8 +48,9 @@ from .geometry import (
     OffsetBody,
     SampledSurface,
     _element_distance_blocks,
+    _element_query,
 )
-from .projection import _shape_cycle, _slack_feet
+from .projection import _nearest_elements, _slack_feet
 
 BAND_FACTOR = 2.0           # unclassified band around K, in grid steps
 DEFAULT_THETA_DEG = 30.0    # gradient disagreement angle threshold
@@ -109,10 +110,6 @@ class SingularMask:
             return np.full(self.flags.shape, np.inf)
         return ndimage.distance_transform_edt(
             ~self.flags, sampling=self.grid.spacing)
-
-    def dilate(self, radius):
-        """Nodes within the given distance of a flag."""
-        return self.distance_to_flags() <= radius
 
     def save(self, path):
         codes = np.full(self.flags.shape, CLEAR, dtype=np.uint8)
@@ -234,54 +231,25 @@ def _detect_cycle(shape, pts, band, tau_multi):
 
     Each node block's element distance matrix gives the boundary distance
     dK (its row minimum), the band (dK <= band) and the prefilter: the
-    elements within tau_multi of dK, less the feet clamped at a junction
-    past which the neighbour element keeps falling.  Rows keeping two or
+    elements projection._nearest_elements keeps.  Rows keeping two or
     more elements are resolved by _resolve_rows.  Returns (flags, dK).
     """
-    cycle = _shape_cycle(shape)
     diam = shape.diameter()
     n = pts.shape[0]
     flags = np.zeros(n, dtype=bool)
     dK = np.empty(n)
     eq_tol = 1e-12 * max(1.0, diam)
-    dd_tol = 1e-9 * max(1.0, diam)
-    ties = _vertex_ties(shape, tau_multi)
     cand_rows, cand_kept = [], []
     for sel, dist, clamp in _element_distance_blocks(shape, pts):
-        d_opt = dist.min(axis=1)
+        d_opt, kept = _nearest_elements(dist, clamp, tau_multi, eq_tol)
         dK[sel] = d_opt
-        active = d_opt > band
-        cand = dist <= (d_opt + tau_multi)[:, None]
-        # drop feet clamped at a junction when the neighbor element
-        # continues downhill through it: those are path points of the
-        # boundary distance profile, not separate nearest-point basins
-        nb_dist = np.where(clamp > 0, np.roll(dist, -1, axis=1),
-                           np.roll(dist, +1, axis=1))
-        kept = cand & ~((clamp != 0) & (nb_dist < dist - eq_tol))
-        rows = np.flatnonzero(active & (kept.sum(axis=1) >= 2))
+        rows = np.flatnonzero((d_opt > band) & (kept.sum(axis=1) >= 2))
         cand_rows.append(sel.start + rows)
         cand_kept.append(kept[rows])
-        if ties.size:
-            # a node sitting exactly on a base vertex ties along the whole
-            # vertex arc of the offset boundary
-            sub = pts[sel, None, :] - ties
-            onc = (np.linalg.norm(sub, axis=2) <= eq_tol).any(axis=1)
-            flags[sel] |= onc & active
     rows = np.concatenate(cand_rows)
-    flags[rows] |= _resolve_rows(cycle, pts[rows], np.concatenate(cand_kept),
-                                 dd_tol, tau_multi)
+    flags[rows] = _resolve_rows(shape, pts[rows], np.concatenate(cand_kept),
+                                1e-9 * max(1.0, diam), tau_multi)
     return flags, dK
-
-
-def _vertex_ties(shape, tau_multi):
-    """Centres (k, 2) of the offset arcs whose chord exceeds tau_multi."""
-    if not isinstance(shape, OffsetBody):
-        return np.empty((0, 2))
-    _, arcs = shape.elements()
-    chord = [2.0 * shape.epsilon * math.sin(min(0.5 * sweep, 0.5 * math.pi))
-             for _, _, sweep in arcs]
-    return np.array([c for (c, _, _), w in zip(arcs, chord) if w > tau_multi]
-                    ).reshape(-1, 2)
 
 
 def _padded_rows(count):
@@ -308,22 +276,17 @@ def _padded_rows(count):
                    slot < cnt)
 
 
-def _resolve_rows(cycle, x, kept, dd_tol, tau_multi):
+def _resolve_rows(shape, x, kept, dd_tol, tau_multi):
     """Whether each row's kept feet hold two representatives spread apart
     by more than tau_multi.
 
-    Row i keeps the elements kept[i] in cycle order; their feet are
+    Row i keeps the elements kept[i] of the shape's cycle, whose feet come
+    from one geometry._element_query call in cycle order; they are
     deduplicated first come first kept at dd_tol (projection._dedupe) and
     their spread is projection._max_pairwise, over _padded_rows blocks.
     """
     row, elem = np.nonzero(kept)            # row-major: cycle order per row
-    feet = np.empty((row.size, x.shape[1]))
-    by_elem = np.argsort(elem, kind="stable")
-    bounds = np.searchsorted(elem[by_elem], np.arange(len(cycle) + 1))
-    for k, el in enumerate(cycle):
-        pick = by_elem[bounds[k]:bounds[k + 1]]
-        if pick.size:
-            feet[pick] = el.query_feet(x[row[pick]])
+    feet = _element_query(shape, x[row], elem)[1]
     out = np.zeros(x.shape[0], dtype=bool)
     for rows, take, valid in _padded_rows(kept.sum(axis=1)):
         pad = feet[take]

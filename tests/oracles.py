@@ -4,11 +4,14 @@ These are the per-node loops that ``geometry._polytope_boundary_distance_3d``,
 ``eikonal.fast_march``, the row resolution of ``singular._detect_cycle``
 and ``singular._detect_sampled``, the inner-ball bisection and the vertex
 dedupe of ``ConvexPolytope`` replaced, and the per-element loops that
-``geometry._element_distance_blocks`` replaced: the 2D boundary distance
-with one arc at a time, and the element queries of ``_detect_cycle``.  The production code must return
-exactly the same arrays (``np.array_equal``): the kernel and the march keep
-the same arithmetic and the same acceptance order, and the batched row
-resolution and bisection make the same decisions.
+``geometry._element_distance_blocks`` and ``geometry._element_query``
+replaced: the 2D boundary distance with one arc at a time, the element
+queries of ``_detect_cycle``, and the scalar element objects (``Segment``,
+``Arc``) with the one-point projection over their cycle
+(``cycle_project``).  The production code must return exactly the same
+arrays (``np.array_equal``): the kernels and the march keep the same
+arithmetic and the same acceptance order, and the batched row resolution
+and bisection make the same decisions.
 
 ``slack_flags`` is not a replaced loop: it decides the multiproj flags of
 a convex polytope or offset from its facet normals and offsets alone, with
@@ -25,7 +28,7 @@ from sigma_eikonal.distance import ScalarField, _bulk_boundary_distance
 from sigma_eikonal.eikonal import ACCEPT_SLACK, _solve_update
 from sigma_eikonal.geometry import GraphHypersurface, OffsetBody, SampledSurface
 from sigma_eikonal.innerball import BISECT_STEPS, InnerBallError, _default_tau
-from sigma_eikonal.projection import _Segment, _dedupe, _max_pairwise
+from sigma_eikonal.projection import _dedupe, _max_pairwise
 
 
 def closest_point_triangles_one(p, tri_a, tri_b, tri_c):
@@ -248,9 +251,100 @@ def boundary_distance_2d(shape, points):
     return best
 
 
+class Segment:
+    """One polygon edge or pushed offset edge, queried one point at a time."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b):
+        self.a = np.asarray(a, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        self.d = self.b - self.a
+
+    def query(self, x):
+        """(distance, foot, clamp code) of one point."""
+        L2 = float(self.d @ self.d)
+        t = float((x - self.a) @ self.d) / L2
+        if t <= 0.0:
+            return float(np.linalg.norm(x - self.a)), self.a.copy(), -1
+        if t >= 1.0:
+            return float(np.linalg.norm(x - self.b)), self.b.copy(), +1
+        foot = self.a + t * self.d
+        return float(np.linalg.norm(x - foot)), foot, 0
+
+
+class Arc:
+    """CCW circular arc from angle a0 through sweep, radius r about center,
+    queried one point at a time."""
+
+    __slots__ = ("center", "a0", "sweep", "r", "e0", "e1")
+
+    def __init__(self, center, a0, sweep, r):
+        self.center = np.asarray(center, dtype=float)
+        self.a0 = float(a0)
+        self.sweep = float(sweep)
+        self.r = float(r)
+        self.e0 = self.center + r * np.array([math.cos(a0), math.sin(a0)])
+        a1 = a0 + sweep
+        self.e1 = self.center + r * np.array([math.cos(a1), math.sin(a1)])
+
+    def query(self, x):
+        """(distance, foot, clamp code) of one point; at the centre every
+        arc point is equidistant and the foot is e0."""
+        rel = x - self.center
+        rho = float(np.linalg.norm(rel))
+        if rho <= 1e-300:
+            return self.r, self.e0.copy(), -1
+        local = (math.atan2(rel[1], rel[0]) - self.a0) % (2.0 * math.pi)
+        if local <= self.sweep:
+            foot = self.center + self.r * rel / rho
+            return abs(rho - self.r), foot, 0
+        d0 = float(np.linalg.norm(x - self.e0))
+        d1 = float(np.linalg.norm(x - self.e1))
+        if d0 <= d1:
+            return d0, self.e0.copy(), -1
+        return d1, self.e1.copy(), +1
+
+
+def polytope_cycle(poly):
+    """The edge cycle of a 2D polytope, one Segment per edge."""
+    a, b = poly.edges()
+    return [Segment(a[i], b[i]) for i in range(a.shape[0])]
+
+
+def offset_cycle(body):
+    """The element cycle of a 2D offset: arc i, then pushed edge i."""
+    (seg_a, seg_b, _), arcs = body.elements()
+    cycle = []
+    for i in range(seg_a.shape[0]):
+        center, a0, sweep = arcs[i]
+        cycle.append(Arc(center, a0, sweep, body.epsilon))
+        cycle.append(Segment(seg_a[i], seg_b[i]))
+    return cycle
+
+
+def cycle_project(cycle, x, tau_multi, diam):
+    """Distance and deduplicated nearest feet of one point over an element
+    cycle, one element query at a time."""
+    n = len(cycle)
+    results = [el.query(x) for el in cycle]
+    d_opt = min(r[0] for r in results)
+    eq_tol = 1e-12 * max(1.0, diam)
+    cands = [k for k in range(n) if results[k][0] <= d_opt + tau_multi]
+    feet = []
+    for k in cands:
+        d, foot, clamp = results[k]
+        if clamp != 0:
+            nb = (k + 1) % n if clamp > 0 else (k - 1) % n
+            if results[nb][0] < d - eq_tol:
+                continue  # boundary distance keeps falling past the junction
+        feet.append(foot)
+    return d_opt, _dedupe(np.array(feet), 1e-9 * max(1.0, diam))
+
+
 def element_query_many(el, pts):
     """Distances and clamp codes of many points on one cycle element."""
-    if isinstance(el, _Segment):
+    if isinstance(el, Segment):
         L2 = float(el.d @ el.d)
         t = (pts - el.a) @ el.d / L2
         feet = el.a + np.clip(t, 0.0, 1.0)[:, None] * el.d

@@ -92,8 +92,6 @@ def test_problem_validation():
     with pytest.raises(EikonalError):
         EikonalProblem(g, [((2, 2), 1.0)])           # value above h*sqrt(2)
     with pytest.raises(EikonalError):
-        EikonalProblem(g, [((2, 2), 0.0)], direction="to_K")
-    with pytest.raises(EikonalError):
         EikonalProblem(g, [((2, 2, 2), 0.0)])        # wrong dimension
 
 

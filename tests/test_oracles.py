@@ -27,10 +27,11 @@ from sigma_eikonal.geometry import (
     SampledSurface,
     _ELEMENT_PAIRS_PER_BLOCK,
     _closest_point_triangles,
+    _element_query,
     make_random_polytope,
 )
 from sigma_eikonal.innerball import inner_ball_profile, inner_ball_radius
-from sigma_eikonal.projection import _offset_cycle, _polytope_cycle, project
+from sigma_eikonal.projection import _max_pairwise, project
 from sigma_eikonal.singular import BAND_FACTOR, detect_multiproj
 
 import oracles
@@ -141,6 +142,13 @@ MASK_SEEDS = {8: 3, 16: 1, 32: 2, 64: 1, 128: 1}
 MASK_STEPS = (1.0 / 20, 1.0 / 32)
 
 
+def oracle_cycle(shape):
+    """The scalar element cycle of a 2D polytope or offset."""
+    if isinstance(shape, OffsetBody):
+        return oracles.offset_cycle(shape)
+    return oracles.polytope_cycle(shape)
+
+
 def oracle_flags(shape, grid, tau_multi):
     """detect_multiproj's flags with the rows resolved one by one."""
     if isinstance(shape, Box):
@@ -149,12 +157,9 @@ def oracle_flags(shape, grid, tau_multi):
     pts = grid.points()
     dK = _bulk_boundary_distance(shape, pts)
     excluded = dK <= BAND_FACTOR * h
-    if isinstance(shape, OffsetBody):
-        cycle, extra = _offset_cycle(shape), {"shape": shape}
-    else:
-        cycle, extra = _polytope_cycle(shape), {}
-    flags = oracles.detect_cycle(cycle, shape.diameter(), pts, dK, excluded,
-                                 tau_multi, **extra)
+    extra = {"shape": shape} if isinstance(shape, OffsetBody) else {}
+    flags = oracles.detect_cycle(oracle_cycle(shape), shape.diameter(), pts,
+                                 dK, excluded, tau_multi, **extra)
     return (flags & ~excluded).reshape(grid.dims)
 
 
@@ -194,14 +199,84 @@ def test_spread_equal_to_the_tie_window_is_not_a_flag():
 
 
 def test_batched_feet_match_scalar_query():
+    """_element_query gives each element's scalar query (distance, foot and
+    clamp code), one element for all points and a random element per
+    point, with the base vertices (the arc centres) among the points."""
     poly = make_random_polytope(16, 1)
     rng = np.random.default_rng(0)
     pts = np.vstack([rng.uniform(-3.0, 3.0, (500, 2)), poly.vertices])
-    for cycle in (_polytope_cycle(poly),
-                  _offset_cycle(OffsetBody(poly, 0.3))):
-        for el in cycle:
-            ref = np.array([el.query(p)[1] for p in pts])
-            assert np.array_equal(el.query_feet(pts), ref)
+    for shape in (poly, OffsetBody(poly, 0.3)):
+        cycle = oracle_cycle(shape)
+        picks = [np.full(len(pts), k) for k in range(len(cycle))]
+        for elem in picks + [rng.integers(0, len(cycle), len(pts))]:
+            ref = zip(*[cycle[k].query(p) for k, p in zip(elem, pts)])
+            for got, want in zip(_element_query(shape, pts, elem), ref):
+                assert np.array_equal(got, want)
+
+
+def projection_shapes_2d():
+    """The MASK_SEEDS polytopes with their 0.1 offsets, the square and the
+    offset square."""
+    square = Box((1.0, 1.0)).as_polytope()
+    out = [("square", square), ("square_e0.5", OffsetBody(square, 0.5))]
+    for facets, seed in sorted(MASK_SEEDS.items()):
+        poly = make_random_polytope(facets, seed)
+        out += [(f"poly{facets}", poly),
+                (f"poly{facets}_e0.1", OffsetBody(poly, 0.1))]
+    return out
+
+
+@pytest.mark.parametrize("label,shape", projection_shapes_2d(),
+                         ids=[lbl for lbl, _ in projection_shapes_2d()])
+def test_2d_projection_matches_scalar_cycle(label, shape):
+    """project equals oracles.cycle_project bit for bit at every 2nd
+    flagged and every 20th node of the h = 1/20 grid, at random points and
+    at the base vertices, with the grid tie window and the default one.  At a base
+    vertex of an offset the nearest set is the vertex arc's two end
+    points, so the point is a tie exactly when the arc's chord exceeds the
+    window."""
+    h = MASK_STEPS[0]
+    grid = grid_covering(shape, h)
+    mask = detect_multiproj(shape, grid)
+    nodes = grid.points()
+    pick = np.union1d(np.flatnonzero(mask.flags)[::2],
+                      np.arange(0, grid.n_nodes, 20))
+    rng = np.random.default_rng(len(label))
+    lo, hi = shape.bbox()
+    base = shape.base if isinstance(shape, OffsetBody) else shape
+    pts = np.vstack([nodes[pick],
+                     rng.uniform(np.asarray(lo) - 0.5, np.asarray(hi) + 0.5,
+                                 (100, 2)),
+                     base.vertices])
+    cycle, diam = oracle_cycle(shape), shape.diameter()
+    for tau in (h, 1e-9 * diam):
+        for x in pts:
+            res = project(shape, x, tau_multi=tau)
+            d_ref, feet = oracles.cycle_project(cycle, x, tau, diam)
+            assert res.distance == d_ref
+            assert np.array_equal(res.nearest, feet)
+            assert res.spread == _max_pairwise(feet)
+    if isinstance(shape, OffsetBody):
+        for center, _, sweep in shape.elements()[1]:
+            chord = 2.0 * shape.epsilon * np.sin(0.5 * sweep)
+            for tau in (h, 1e-9 * diam):
+                res = project(shape, center, tau_multi=tau)
+                assert res.nearest.shape[0] == 2
+                assert res.is_singleton == (chord <= tau)
+
+
+@pytest.mark.parametrize("label,shape", projection_shapes_2d(),
+                         ids=[lbl for lbl, _ in projection_shapes_2d()])
+def test_2d_flags_are_exactly_the_non_singleton_projections(label, shape):
+    """At the grid's tie window, project is a singleton exactly where the
+    mask has no flag, on every 7th node off the band."""
+    grid = grid_covering(shape, MASK_STEPS[0])
+    mask = detect_multiproj(shape, grid)
+    tau = mask.params["tau_multi"]
+    pts, flags = grid.points(), mask.flags.reshape(-1)
+    for i in np.flatnonzero(~mask.excluded.reshape(-1))[::7]:
+        assert project(shape, pts[i], tau_multi=tau).is_singleton \
+            != flags[i]
 
 
 # ---------------------------------------------------------------------------
