@@ -20,15 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    Ball,
-    Box,
-    ConvexPolytope,
-    Ellipse,
-    GraphHypersurface,
-    OffsetBody,
-    SampledSurface,
-)
 from .projection import project
 
 MAX_TOTAL_NODES = 2 ** 27
@@ -189,9 +180,13 @@ class ScalarField:
         return max(0.0, worst)
 
     def interpolate(self, point):
-        """Multilinear interpolation at one point inside the grid."""
+        """Multilinear interpolation at one point inside the grid (to a
+        rounding slack of 1e-9 cells); a point outside raises GridError."""
         g = self.grid
         rel = [(point[k] - g.origin[k]) / g.spacing for k in range(g.dim)]
+        if not all(-1e-9 <= r <= g.dims[k] - 1 + 1e-9
+                   for k, r in enumerate(rel)):
+            raise GridError(f"point {tuple(point)} is outside the grid")
         base = [int(np.floor(r)) for r in rel]
         base = [min(max(b, 0), g.dims[k] - 2) for k, b in enumerate(base)]
         frac = [r - b for r, b in zip(rel, base)]
@@ -205,19 +200,6 @@ class ScalarField:
                 w *= frac[k] if bit else (1.0 - frac[k])
             out += w * self.values[tuple(idx)]
         return out
-
-
-def _bulk_boundary_distance(shape, points):
-    """Vectorized exact boundary distance used by field evaluation."""
-    if isinstance(shape, Box):
-        shape = shape.as_polytope()
-    if isinstance(shape, GraphHypersurface):
-        raise GridError("distance fields for graphs use a boundary sampling; "
-                        "pass shape.boundary_sample(spacing)")
-    if not isinstance(shape, (ConvexPolytope, OffsetBody, Ball, Ellipse,
-                              SampledSurface)):
-        raise GridError(f"unsupported shape {type(shape).__name__}")
-    return shape.boundary_distance(points)
 
 
 def _evaluate_chunked(fn, points, chunk=65536):
@@ -253,7 +235,7 @@ def distance_field(shape, grid, check_cover=True):
     """Distance to the shape boundary at every grid node."""
     _require_coverage(shape, grid, check_cover)
     pts = grid.points()
-    vals = _evaluate_chunked(lambda p: _bulk_boundary_distance(shape, p), pts)
+    vals = _evaluate_chunked(shape.boundary_distance, pts)
     return ScalarField(grid, vals.reshape(grid.dims), kind="distance")
 
 
@@ -263,7 +245,7 @@ def signed_distance_field(shape, grid, check_cover=True):
         raise GridError("signed distance is defined here for convex bodies only")
     _require_coverage(shape, grid, check_cover)
     pts = grid.points()
-    vals = _evaluate_chunked(lambda p: _bulk_boundary_distance(shape, p), pts)
+    vals = _evaluate_chunked(shape.boundary_distance, pts)
     return _signed_field(shape, grid, vals)
 
 

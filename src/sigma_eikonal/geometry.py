@@ -11,6 +11,7 @@ interface used by the field and detection modules:
     contains(points)    membership in the closed enclosed region
     boundary_distance(points)
                         Euclidean distance to the hypersurface, vectorized
+                        (a graph raises: measure its boundary_sample)
     boundary_sample(spacing)
                         SampledSurface with inner normals and weights
     to_spec()           JSON-serializable description, round-trips exactly
@@ -708,11 +709,9 @@ class Box:
         return bool(ok[0]) if single else ok
 
     def boundary_distance(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        q = np.abs(points) - self.extents
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-        inside = np.minimum(np.max(q, axis=1), 0.0)
-        return np.abs(outside + inside)
+        """The distance of the cached polytope, so a Box and its polytope
+        give the same fields, masks and radii bit for bit."""
+        return self.as_polytope().boundary_distance(points)
 
     def boundary_sample(self, spacing):
         return self.as_polytope().boundary_sample(spacing)
@@ -808,6 +807,10 @@ class GraphHypersurface:
         if self.dim == 2:
             return np.array([lo, -amp]), np.array([hi, amp])
         return np.array([lo, lo, -amp]), np.array([hi, hi, amp])
+
+    def boundary_distance(self, points):
+        raise GeometryError("graphs have no exact boundary distance; "
+                            "measure shape.boundary_sample(spacing) instead")
 
     def boundary_sample(self, spacing, pad=0.0):
         """Sample the graph over [window lo - pad, window hi + pad].

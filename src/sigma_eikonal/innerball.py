@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .distance import GridSpec, _bulk_boundary_distance
-from .geometry import GraphHypersurface, SampledSurface
+from .distance import GridSpec
+from .geometry import SampledSurface
 from .singular import SingularMask, detect_multiproj
 
 TAU_BALL_FACTOR = 1e-6      # default slack, times diameter
@@ -61,14 +61,7 @@ def _distance_fn(shape):
             return d - half
 
         return fn, shape.diameter()
-    if isinstance(shape, GraphHypersurface):
-        raise InnerBallError(
-            "graphs need a sampled surface; pass shape.boundary_sample(...)")
-
-    def fn(p):
-        return _bulk_boundary_distance(shape, p)
-
-    return fn, shape.diameter()
+    return shape.boundary_distance, shape.diameter()
 
 
 def _default_tau(shape, diam):
@@ -388,7 +381,7 @@ def theorem_equivalence_check(shape, grid, r_free, rho_min=None,
 
     pts = grid.points()
     if dK is None:
-        dK = _bulk_boundary_distance(measured, pts).reshape(grid.dims)
+        dK = measured.boundary_distance(pts).reshape(grid.dims)
     member = inside if inside is not None \
         else getattr(shape, "contains", None)
     if member is None:

@@ -26,16 +26,25 @@ at any tolerance while still resolving true equidistant sets.  A point on
 a base vertex of an offset needs no special case: the arc's two end
 points survive and their spread is the arc's chord.
 
-Sampled surfaces use a kd-tree query followed by connectivity clustering at
-3x the sample spacing, so spread measures genuine multi-projection rather
-than sampling density.  A single cluster wrapping a large fraction of the
-surface (for instance the whole circle, seen from its center) is a
-continuum tie and is reported as non-singleton.
+A sampled surface answers one point as one row of _sampled_rows, the
+resolver that singular.detect_multiproj runs over its grid rows: the
+kd-tree candidates within tau_multi of the optimum split into runs of
+chain-consecutive samples, runs that come within 3x the sample spacing
+are one cluster, and each cluster's nearest candidate represents it, so
+spread measures genuine multi-projection rather than sampling density.
+One cluster whose candidates span more than half the surface diameter
+(for instance the whole circle, seen from its center) is a continuum tie:
+its spread is the candidates' bounding-box diagonal.
+
+The feet of every family are resolved by one helper, _spreads: first come
+first kept deduplication and the largest distance between the
+representatives, over rows of flat feet.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
 from .geometry import (
     Ball,
@@ -55,6 +64,7 @@ SAMPLED_TAU_FACTOR = 2.0    # default tau_multi for sampled surfaces, times spac
 CLUSTER_LINK_FACTOR = 3.0   # sample connectivity linking scale, times spacing
 CONTINUUM_TIE_FACTOR = 0.5  # one wide cluster counts as a tie beyond this
                             # fraction of the sample-set diameter
+ROW_PAIRS_PER_BLOCK = 2 ** 16   # padded foot pairs resolved at once
 
 
 class ProjectionError(ValueError):
@@ -66,7 +76,8 @@ class ProjectionResult:
 
     ``nearest`` is a (k, dim) array of nearest-set representatives;
     ``spread`` is their maximum pairwise distance (or the tie extent for
-    continuum ties) and ``is_singleton`` is True exactly when
+    continuum ties: a ball's diameter, the bounding-box diagonal of a
+    sampled candidate set) and ``is_singleton`` is True exactly when
     spread <= tau_multi.
     """
 
@@ -75,7 +86,8 @@ class ProjectionResult:
     def __init__(self, distance, nearest, tau_multi, spread=None):
         nearest = np.atleast_2d(np.asarray(nearest, dtype=float))
         if spread is None:
-            spread = _max_pairwise(nearest)
+            k = nearest.shape[0]
+            spread = _spreads(nearest, np.array([k]))[1][0] if k > 1 else 0.0
         self.distance = float(distance)
         self.nearest = nearest
         self.spread = float(spread)
@@ -88,25 +100,106 @@ class ProjectionResult:
                 f"singleton={self.is_singleton})")
 
 
-def _max_pairwise(points):
-    if points.shape[0] < 2:
-        return 0.0
-    diff = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
-
-
-def _dedupe(points, tol):
-    keep = []
-    for p in points:
-        if not any(np.linalg.norm(p - q) <= tol for q in keep):
-            keep.append(p)
-    return np.array(keep)
-
-
 def default_tau_multi(shape):
     if isinstance(shape, SampledSurface):
         return SAMPLED_TAU_FACTOR * shape.spacing
     return EXACT_TAU_FACTOR * shape.diameter()
+
+
+# ---------------------------------------------------------------------------
+# rows of feet: representatives and spread
+# ---------------------------------------------------------------------------
+
+def _padded_rows(count):
+    """Blocks of rows padded to a common width, for per-row pair work.
+
+    Row i owns the count[i] >= 1 consecutive entries of a flat array that
+    start at sum(count[:i]).  Rows of one entry hold no pair and are left
+    out.  The others are padded to their count rounded up to a power of
+    two, so one wide row does not widen the rest, and handed out in blocks
+    of about ROW_PAIRS_PER_BLOCK padded pairs.  Each block is (rows, take,
+    cnt): take indexes the flat array for every slot, repeating a row's
+    last entry in its padding, and the real slots of row i are the first
+    cnt[i, 0].
+    """
+    if count.size == 1:         # one row needs no padding
+        if count[0] > 1:
+            yield slice(None), np.arange(count[0])[None], count[:, None]
+        return
+    first = np.cumsum(count) - count
+    width = 1 << np.ceil(np.log2(count)).astype(int)
+    for w in np.unique(width[count > 1]):
+        group = np.flatnonzero(width == w)
+        step = max(1, ROW_PAIRS_PER_BLOCK // (w * w))
+        for b in range(0, group.size, step):
+            rows = group[b:b + step]
+            cnt = count[rows][:, None]
+            yield (rows, first[rows][:, None] + np.minimum(np.arange(w),
+                                                           cnt - 1), cnt)
+
+
+def _spreads(points, count, tol=None):
+    """Representatives and spread of each row of flat points.
+
+    Row i owns count[i] >= 1 consecutive points (see _padded_rows).  With
+    tol, a point within tol of an earlier representative of its row is
+    dropped, first come first kept; without it every point represents.  A
+    row's spread is the largest distance between two of its
+    representatives, 0 for one.  Both read one matrix of pair distances,
+    the square root of the summed squared coordinate differences.  Returns
+    (keep, spread), keep selecting the representatives among the points: a
+    boolean mask, or a full slice when every point represents.
+    """
+    keep = slice(None)
+    spread = np.zeros(count.size)
+    for rows, take, cnt in _padded_rows(count):
+        pad = points[take]
+        diff = pad[:, :, None, :] - pad[:, None, :, :]
+        dist = np.sqrt((diff ** 2).sum(axis=3))
+        near = None if tol is None else dist <= tol
+        # a near pair off the diagonal (padding is one) needs the
+        # first-come pass, which never keeps a padding slot
+        if near is not None and np.count_nonzero(near) > take.size:
+            valid = np.arange(take.shape[1]) < cnt
+            reps = valid.copy()
+            for j in range(1, take.shape[1]):
+                reps[:, j] &= ~(reps[:, :j] & near[:, j, :j]).any(axis=1)
+            if isinstance(keep, slice):
+                keep = np.ones(points.shape[0], dtype=bool)
+            keep[take[valid]] = reps[valid]
+            dist = np.where(reps[:, :, None] & reps[:, None, :], dist, 0.0)
+        # padding repeats a row's last point, which adds no larger distance
+        spread[rows] = dist.max(axis=(1, 2))
+    return keep, spread
+
+
+def _box_diagonals(points, first):
+    """Bounding-box diagonal of each row of points; rows start at first.
+
+    vecdot takes the same dot product as np.linalg.norm of one vector.
+    """
+    box = np.maximum.reduceat(points, first) - np.minimum.reduceat(points,
+                                                                   first)
+    return np.sqrt(np.vecdot(box, box))
+
+
+def _keep_rows(keep, count, per_row, per_entry):
+    """Restrict flat (CSR) rows to the rows where keep holds.
+
+    per_row arrays hold one value per row, per_entry arrays count[i]
+    consecutive values per row.  Both come back filtered, and uncopied
+    when every row is kept.
+    """
+    if keep.all():
+        return per_row, per_entry
+    sel = np.repeat(keep, count)
+    return [a[keep] for a in per_row], [a[sel] for a in per_entry]
+
+
+def _concat_ranges(starts, lengths):
+    """The ranges starts[k], ..., starts[k] + lengths[k] - 1, concatenated."""
+    offset = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offset, lengths) + np.arange(int(lengths.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +217,24 @@ def _nearest_elements(dist, clamp, tau_multi, eq_tol):
     """
     d_opt = dist.min(axis=1)
     cand = dist <= (d_opt + tau_multi)[:, None]
-    after = np.concatenate((dist[:, 1:], dist[:, :1]), axis=1)
-    before = np.concatenate((dist[:, -1:], dist[:, :-1]), axis=1)
-    nb_dist = np.where(clamp > 0, after, before)
+    ring = np.concatenate((dist[:, -1:], dist, dist[:, :1]), axis=1)
+    nb_dist = np.where(clamp > 0, ring[:, 2:], ring[:, :-2])
     return d_opt, cand & ~((clamp != 0) & (nb_dist < dist - eq_tol))
 
 
 def _cycle_project(shape, x, tau_multi):
-    """Distance and deduplicated nearest feet of x on a 2D polytope or
-    offset: one query of x on every element, one row of the junction rule."""
+    """Projection of x on a 2D polytope or offset: one query of x on every
+    element, one row of the junction rule and of _spreads."""
     diam = shape.diameter()
     n_el = shape._cycle.size
-    dist, foot, clamp = _element_query(shape, np.broadcast_to(x, (n_el, 2)),
+    dist, foot, clamp = _element_query(shape, x[None][np.zeros(n_el, np.intp)],
                                        np.arange(n_el))
     d_opt, kept = _nearest_elements(dist[None], clamp[None], tau_multi,
                                     1e-12 * max(1.0, diam))
-    return d_opt[0], _dedupe(foot[kept[0]], 1e-9 * max(1.0, diam))
+    feet = foot[kept[0]]
+    keep, spread = _spreads(feet, np.array([feet.shape[0]]),
+                            1e-9 * max(1.0, diam))
+    return ProjectionResult(d_opt[0], feet[keep], tau_multi, spread[0])
 
 
 def _cycle_nearest_feet(shape, pts):
@@ -182,6 +277,17 @@ def _slack_feet(poly, pts, tau_multi, epsilon=0.0):
     return row, pts[row] + (s[row, k] + epsilon)[:, None] * n[k]
 
 
+def _nearest_triangle(poly, x):
+    """Boundary distance of x to a 3D polytope and the nearest foot on its
+    hull triangles."""
+    hull = poly.hull()
+    tri = tuple(hull.points[hull.simplices[:, k]] for k in range(3))
+    feet = _closest_point_triangles(x[None], *tri)[0]
+    dist = np.linalg.norm(feet - x, axis=1)
+    k = np.argmin(dist)
+    return dist[k], feet[k]
+
+
 def project_polytope(poly, x, tau_multi=None):
     """Exact projection onto the boundary of a convex polytope.
 
@@ -200,16 +306,11 @@ def project_polytope(poly, x, tau_multi=None):
     if tau_multi is None:
         tau_multi = default_tau_multi(poly)
     if poly.dim == 2:
-        return ProjectionResult(*_cycle_project(poly, x, tau_multi),
-                                tau_multi)
-    hull = poly.hull()
-    tri = tuple(hull.points[hull.simplices[:, k]] for k in range(3))
-    feet = _closest_point_triangles(x[None], *tri)[0]
-    dist = np.linalg.norm(feet - x, axis=1)
+        return _cycle_project(poly, x, tau_multi)
+    dist, foot = _nearest_triangle(poly, x)
     _, nearest = _slack_feet(poly, x[None], tau_multi)
-    if nearest.shape[0] == 0:
-        nearest = feet[np.argmin(dist)]
-    return ProjectionResult(dist.min(), nearest, tau_multi)
+    return ProjectionResult(dist, nearest if nearest.shape[0] else foot,
+                            tau_multi)
 
 
 def project_offset(body, x, tau_multi=None):
@@ -220,9 +321,10 @@ def project_offset(body, x, tau_multi=None):
     query at a base vertex sees the whole vertex arc at the same distance;
     its nearest set holds the arc's two end points (the feet of the two
     pushed edges there), so its spread is the arc's chord.  3D builds on
-    the base projection: inside the base the feet are the base's facet
-    feet pushed out by epsilon along their normals, one per active facet
-    at a base edge or vertex; outside it the nearest point is unique.
+    the base: inside it the feet are the base's facet slack feet pushed
+    out by epsilon along their normals, one per active facet at a base
+    edge or vertex; outside it the nearest point is unique, the nearest
+    base triangle foot pushed out by epsilon away from x.
     """
     if not isinstance(body, OffsetBody):
         raise ProjectionError("project_offset requires an offset body")
@@ -233,18 +335,15 @@ def project_offset(body, x, tau_multi=None):
         tau_multi = default_tau_multi(body)
 
     if body.dim == 2:
-        return ProjectionResult(*_cycle_project(body, x, tau_multi),
-                                tau_multi)
-    base_res = project_polytope(body.base, x, tau_multi)
+        return _cycle_project(body, x, tau_multi)
     eps = body.epsilon
-    d_base = base_res.distance
+    d_base, foot = _nearest_triangle(body.base, x)
     _, pushed = _slack_feet(body.base, x[None], tau_multi, eps)
     if pushed.shape[0]:
         return ProjectionResult(eps + d_base, pushed, tau_multi)
-    u = x - base_res.nearest[0]
+    u = x - foot
     u /= np.linalg.norm(u)
-    foot = base_res.nearest[0] + eps * u
-    return ProjectionResult(abs(d_base - eps), foot[None, :], tau_multi)
+    return ProjectionResult(abs(d_base - eps), foot + eps * u, tau_multi)
 
 
 def project_ball(ball, x, tau_multi=None):
@@ -303,31 +402,120 @@ def project_ellipse(ellipse, x, tau_multi=None):
 # sampled surfaces
 # ---------------------------------------------------------------------------
 
-def _link_clusters(points, link):
-    """Single-linkage clusters at the given linking distance (small sets)."""
-    n = points.shape[0]
-    parent = list(range(n))
+def _sampled_rows(surface, x, count, idx, span, every_rep=False):
+    """Nearest-set spread and representatives of rows of sampled candidates.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    Row i of x holds count[i] >= 1 candidate samples, ascending sample
+    indices idx in flat (CSR) rows, whose bounding box has diagonal
+    span[i].  The candidates split into runs of chain-consecutive samples
+    (consecutive samples sit within one spacing of each other along the
+    surface, so an index gap of at most CLUSTER_LINK_FACTOR bounds the
+    Euclidean gap by the linking distance CLUSTER_LINK_FACTOR x spacing),
+    and a run through the end of a closed chain continues its first run.
+    Runs of a row that come within the linking distance are one cluster,
+    through one graph over the runs of all rows; each cluster's
+    representative is its nearest candidate, the first one on ties in
+    chain order, a wrapped run's chain tail first.
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(points[i] - points[j]) <= link:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    A row of two or more clusters has the largest distance between its
+    representatives as spread.  A row of one cluster has spread 0, or its
+    span when that exceeds CONTINUUM_TIE_FACTOR x the surface diameter (a
+    continuum tie).  A row of one run is one cluster, so its spread needs
+    no representative, and the grid detector, whose rows are mostly of
+    one run, skips the candidate distances that would pick it.  Returns
+    (spread, multi, rep): multi marks the rows of two or more runs, and
+    rep indexes idx at the representatives of those rows, or of every row
+    with every_rep, row by row.
+    """
+    # imported on first use: scipy.sparse.csgraph adds about 1 MB of
+    # resident memory to every process that would import it with the package
+    from scipy.sparse.csgraph import connected_components
+
+    n_samp = surface.points.shape[0]
+    lk2 = (CLUSTER_LINK_FACTOR * surface.spacing) ** 2
+    max_gap = int(CLUSTER_LINK_FACTOR)
+    first = np.cumsum(count) - count
+    last = first + count - 1
+    spread = np.where(span > CONTINUUM_TIE_FACTOR * surface.diameter(),
+                      span, 0.0)
+
+    # runs of chain-consecutive samples, numbered across the rows
+    start = np.ones(idx.size, dtype=bool)
+    start[1:] = np.diff(idx) > max_gap
+    start[first] = True
+    run = np.cumsum(start) - 1
+    n_runs = np.add.reduceat(start, first)
+    tail = np.zeros(idx.size, dtype=bool)
+    if surface.closed:
+        # a run through the chain's end continues its first run
+        wrap = (n_runs > 1) & (idx[first] + n_samp - idx[last] <= max_gap)
+        relabel = np.arange(run[-1] + 1)
+        relabel[run[last[wrap]]] = run[first[wrap]]
+        tail = relabel[run] != run
+        run = relabel[run]
+        n_runs -= wrap
+    multi = n_runs > 1
+    resolve = multi | every_rep
+    if not resolve.any():
+        return spread, multi, np.empty(0, dtype=np.intp)
+    pos = np.arange(idx.size)
+    (rows, count), (pos, start, run, tail) = _keep_rows(
+        resolve, count, (np.arange(count.size), count),
+        (pos, start, run, tail))
+    cand = surface.points[idx[pos]]
+    row_of = np.repeat(np.arange(rows.size), count)
+    # link the runs of a row whose candidates come within the linking
+    # distance.  A candidate is paired only with the later chain
+    # segments of its row whose bounding box it comes that close to:
+    # rounding is monotone, so a box farther than that holds no pair
+    # within reach.  Pairs go in blocks of about ROW_PAIRS_PER_BLOCK.
+    seg = np.cumsum(start) - 1
+    seg_first = np.flatnonzero(start)
+    seg_len = np.diff(np.append(seg_first, cand.shape[0]))
+    seg_lo = np.minimum.reduceat(cand, seg_first)
+    seg_hi = np.maximum.reduceat(cand, seg_first)
+    n_later = seg[np.cumsum(count) - 1][row_of] - seg
+    i = np.repeat(np.arange(cand.shape[0]), n_later)
+    t = _concat_ranges(seg + 1, n_later)
+    apart = np.maximum(np.maximum(seg_lo[t] - cand[i],
+                                  cand[i] - seg_hi[t]), 0.0)
+    reach = (apart ** 2).sum(axis=1) <= lk2
+    i, t = i[reach], t[reach]
+    n_pairs = seg_len[t]
+    cut = np.flatnonzero(np.diff((np.cumsum(n_pairs) - n_pairs)
+                                 // ROW_PAIRS_PER_BLOCK)) + 1
+    heads, tails = [], []
+    for a, b in zip(np.r_[0, cut], np.r_[cut, i.size]):
+        ii = np.repeat(i[a:b], n_pairs[a:b])
+        jj = _concat_ranges(seg_first[t[a:b]], n_pairs[a:b])
+        diff = cand[ii] - cand[jj]
+        near = (diff ** 2).sum(axis=1) <= lk2
+        heads.append(run[ii[near]])
+        tails.append(run[jj[near]])
+    n_nodes = int(run.max()) + 1
+    graph = coo_matrix((np.ones(sum(map(len, heads))),
+                        (np.concatenate(heads), np.concatenate(tails))),
+                       shape=(n_nodes, n_nodes))
+    _, comp = connected_components(graph, directed=False)
+    comp = comp[run]
+
+    # each cluster's representative: its nearest candidate, the first
+    # one on ties in chain order, a wrapped run's chain tail first
+    cd = np.linalg.norm(cand - x[rows[row_of]], axis=1)
+    order = np.arange(cand.shape[0]) - np.where(tail, count[row_of], 0)
+    order = np.lexsort((order, cd, comp))
+    is_rep = np.ones(order.size, dtype=bool)
+    is_rep[1:] = comp[order[1:]] != comp[order[:-1]]
+    reps = order[is_rep]
+    reps = reps[np.argsort(row_of[reps], kind="stable")]
+    n_reps = np.bincount(row_of[reps], minlength=rows.size)
+    several = n_reps >= 2
+    spread[rows[several]] = _spreads(cand[reps], n_reps)[1][several]
+    return spread, multi, pos[reps]
 
 
 def project_sampled(surface, x, tau_multi=None):
-    """Projection onto a sampled surface with connectivity clustering."""
+    """Projection onto a sampled surface: x is one row of _sampled_rows."""
     if not isinstance(surface, SampledSurface):
         raise ProjectionError("project_sampled requires a SampledSurface")
     x = np.asarray(x, dtype=float)
@@ -338,27 +526,13 @@ def project_sampled(surface, x, tau_multi=None):
 
     tree = surface.tree()
     d_min, _ = tree.query(x)
-    d_min = float(d_min)
-    idx = tree.query_ball_point(x, d_min + tau_multi)
-    cand = surface.points[idx]
-    cand_d = np.linalg.norm(cand - x, axis=1)
-    link = CLUSTER_LINK_FACTOR * surface.spacing
-    clusters = _link_clusters(cand, link)
-
-    reps = []
-    for members in clusters:
-        best = min(members, key=lambda i: cand_d[i])
-        reps.append(cand[best])
-    reps = np.array(reps)
-
-    if len(clusters) == 1:
-        extent = _max_pairwise(cand)
-        if extent > CONTINUUM_TIE_FACTOR * surface.diameter():
-            order = np.argsort(cand_d)[:8]
-            return ProjectionResult(d_min, cand[order], tau_multi,
-                                    spread=extent)
-        return ProjectionResult(d_min, reps, tau_multi, spread=0.0)
-    return ProjectionResult(d_min, reps, tau_multi)
+    idx = np.asarray(tree.query_ball_point(x, d_min + tau_multi,
+                                           return_sorted=True), dtype=np.intp)
+    span = _box_diagonals(surface.points[idx], [0])
+    spread, _, rep = _sampled_rows(surface, x[None], np.array([idx.size]),
+                                   idx, span, every_rep=True)
+    return ProjectionResult(d_min, surface.points[idx[rep]], tau_multi,
+                            spread[0])
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-from scipy.sparse import coo_matrix
 
-from .distance import GridSpec, ScalarField, _bulk_boundary_distance
+from .distance import GridSpec, ScalarField
 from .geometry import (
     Ball,
     Box,
@@ -50,7 +49,14 @@ from .geometry import (
     _element_distance_blocks,
     _element_query,
 )
-from .projection import _nearest_elements, _slack_feet
+from .projection import (
+    _box_diagonals,
+    _keep_rows,
+    _nearest_elements,
+    _sampled_rows,
+    _slack_feet,
+    _spreads,
+)
 
 BAND_FACTOR = 2.0           # unclassified band around K, in grid steps
 DEFAULT_THETA_DEG = 30.0    # gradient disagreement angle threshold
@@ -58,7 +64,6 @@ FOOT_MOVE_FACTOR = 0.5      # footjump bisects edges whose feet move more
                             # than this, in grid steps
 FOOT_BISECT_STEPS = 8       # halvings of each bisected edge
 FOOT_JUMP_FACTOR = 25.0     # confirmed foot gap, in sample spacings
-ROW_PAIRS_PER_BLOCK = 2 ** 16   # padded foot pairs resolved at once
 SAMPLED_ROWS_PER_CHUNK = 16384  # kd-tree candidate rows resolved at once
 
 MASK_MAGIC = "singular_mask"
@@ -176,14 +181,19 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
     boundary distance from the same element distance matrix; 3D ones take
     the closed form over facet slacks, so no node outside a convex body is
     flagged; sampled surfaces split kd-tree candidates into chain runs.
-    The mask carries the boundary distance as ``distance``, unless the
-    shape was replaced by a sampling (Ellipse, GraphHypersurface).
+    Each row's feet are resolved by the projection module's helpers, so a
+    node is flagged exactly when project(shape, node, tau_multi) is not a
+    singleton.  The mask carries the boundary distance as ``distance``,
+    unless the shape was replaced by a sampling (Ellipse,
+    GraphHypersurface).
     """
     if not isinstance(grid, GridSpec):
         raise DetectionError("grid must be a GridSpec")
     h = float(grid.spacing)
     if tau_multi is None:
         tau_multi = h
+    if tau_multi < 0:
+        raise DetectionError("tau_multi must be nonnegative")
     if isinstance(shape, Box):
         shape = shape.as_polytope()
     swapped = isinstance(shape, (Ellipse, GraphHypersurface))
@@ -199,7 +209,7 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
         flags, dK = _detect_cycle(shape, pts, band, tau_multi)
         excluded = dK <= band
     else:
-        dK = _bulk_boundary_distance(shape, pts)
+        dK = shape.boundary_distance(pts)
         excluded = dK <= band
         if isinstance(shape, Ball):
             flags = _detect_ball(shape, pts)
@@ -231,8 +241,10 @@ def _detect_cycle(shape, pts, band, tau_multi):
 
     Each node block's element distance matrix gives the boundary distance
     dK (its row minimum), the band (dK <= band) and the prefilter: the
-    elements projection._nearest_elements keeps.  Rows keeping two or
-    more elements are resolved by _resolve_rows.  Returns (flags, dK).
+    elements projection._nearest_elements keeps.  The feet of rows keeping
+    two or more elements come from one geometry._element_query call in
+    cycle order, and projection._spreads dedupes them, first come first
+    kept, and measures their spread.  Returns (flags, dK).
     """
     diam = shape.diameter()
     n = pts.shape[0]
@@ -247,65 +259,12 @@ def _detect_cycle(shape, pts, band, tau_multi):
         cand_rows.append(sel.start + rows)
         cand_kept.append(kept[rows])
     rows = np.concatenate(cand_rows)
-    flags[rows] = _resolve_rows(shape, pts[rows], np.concatenate(cand_kept),
-                                1e-9 * max(1.0, diam), tau_multi)
-    return flags, dK
-
-
-def _padded_rows(count):
-    """Blocks of rows padded to a common width, for per-row pair work.
-
-    Row i owns the count[i] >= 1 consecutive entries of a flat array that
-    start at sum(count[:i]).  Rows are padded to their count rounded up to
-    a power of two, so one wide row does not widen the rest, and handed
-    out in blocks of about ROW_PAIRS_PER_BLOCK padded pairs.  Each block is
-    (rows, take, valid): take indexes the flat array for every slot,
-    repeating a row's last entry in its padding, and valid marks the real
-    slots.
-    """
-    first = np.cumsum(count) - count
-    width = 1 << np.ceil(np.log2(count)).astype(int)
-    for w in np.unique(width):
-        group = np.flatnonzero(width == w)
-        step = max(1, ROW_PAIRS_PER_BLOCK // (w * w))
-        for b in range(0, group.size, step):
-            rows = group[b:b + step]
-            cnt = count[rows][:, None]
-            slot = np.arange(w)
-            yield (rows, first[rows][:, None] + np.minimum(slot, cnt - 1),
-                   slot < cnt)
-
-
-def _resolve_rows(shape, x, kept, dd_tol, tau_multi):
-    """Whether each row's kept feet hold two representatives spread apart
-    by more than tau_multi.
-
-    Row i keeps the elements kept[i] of the shape's cycle, whose feet come
-    from one geometry._element_query call in cycle order; they are
-    deduplicated first come first kept at dd_tol (projection._dedupe) and
-    their spread is projection._max_pairwise, over _padded_rows blocks.
-    """
+    kept = np.concatenate(cand_kept)
     row, elem = np.nonzero(kept)            # row-major: cycle order per row
-    feet = _element_query(shape, x[row], elem)[1]
-    out = np.zeros(x.shape[0], dtype=bool)
-    for rows, take, valid in _padded_rows(kept.sum(axis=1)):
-        pad = feet[take]
-        diff = pad[:, :, None, :] - pad[:, None, :, :]
-        near = np.sqrt(np.vecdot(diff, diff)) <= dd_tol
-        reps = valid.copy()
-        for j in range(1, take.shape[1]):
-            reps[:, j] &= ~(reps[:, :j] & near[:, j, :j]).any(axis=1)
-        both = reps[:, :, None] & reps[:, None, :]
-        spread = np.where(both, np.sqrt((diff ** 2).sum(axis=3)),
-                          0.0).max(axis=(1, 2))
-        out[rows] = (reps.sum(axis=1) >= 2) & (spread > tau_multi)
-    return out
-
-
-def _concat_ranges(starts, lengths):
-    """The ranges starts[k], ..., starts[k] + lengths[k] - 1, concatenated."""
-    offset = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offset, lengths) + np.arange(int(lengths.sum()))
+    feet = _element_query(shape, pts[rows[row]], elem)[1]
+    flags[rows] = _spreads(feet, kept.sum(axis=1),
+                           1e-9 * max(1.0, diam))[1] > tau_multi
+    return flags, dK
 
 
 def _flatten(lists):
@@ -315,167 +274,39 @@ def _flatten(lists):
                               dtype=np.intp, count=int(count.sum()))
 
 
-def _box_diagonals(points, first):
-    """Bounding-box diagonal of each row of points; rows start at first.
-
-    vecdot takes the same dot product as np.linalg.norm of one vector.
-    """
-    box = np.maximum.reduceat(points, first) - np.minimum.reduceat(points,
-                                                                   first)
-    return np.sqrt(np.vecdot(box, box))
-
-
-def _keep_rows(keep, count, per_row, per_entry):
-    """Restrict a chunk of flat (CSR) rows to the rows where keep holds.
-
-    per_row arrays hold one value per row, per_entry arrays count[i]
-    consecutive values per row.  Both come back filtered, and uncopied
-    when every row is kept.
-    """
-    if keep.all():
-        return per_row, per_entry
-    sel = np.repeat(keep, count)
-    return [a[keep] for a in per_row], [a[sel] for a in per_entry]
-
-
 def _detect_sampled(surface, pts, dK, excluded, tau_multi):
-    """Sampled-surface detection using the ordered-chain invariant.
+    """Sampled-surface detection, in chunks of SAMPLED_ROWS_PER_CHUNK rows.
 
-    Candidates within tau of the optimum are split into runs of
-    chain-consecutive samples (consecutive samples sit within one spacing
-    of each other along the surface, so an index gap of at most 3 bounds
-    the Euclidean gap by the linking distance); runs are then merged by
-    closest approach.  Two or more surviving clusters with well separated
-    representatives mean a genuinely multiple projection.
-
-    Rows are resolved in chunks of SAMPLED_ROWS_PER_CHUNK as flat (CSR)
-    candidate arrays: the rows with one run at once, and the rows with
-    several runs through one graph whose nodes are runs and whose edges
-    join runs of a row that come within the linking distance.  Returns the
-    flags and the counts of candidate rows (two or more candidates spread
-    over more than tau_multi) and of rows resolved through that graph.
+    Each chunk's kd-tree candidates within tau_multi of the optimum become
+    flat (CSR) rows.  Rows of one candidate, or whose candidate bounding
+    box is no wider than tau_multi (the spread cannot exceed it), are not
+    flagged; projection._sampled_rows resolves the rest.  Returns the flags
+    and the counts of candidate rows (two or more candidates spread over
+    more than tau_multi) and of rows split into several candidate runs.
     """
-    # imported on first use: scipy.sparse.csgraph adds about 1 MB of
-    # resident memory to every process that would import it with the package
-    from scipy.sparse.csgraph import connected_components
-
     tree = surface.tree()
-    samples = surface.points
     flags = np.zeros(pts.shape[0], dtype=bool)
     counts = {"candidate_rows": 0, "multi_run_rows": 0}
     active = np.flatnonzero(~excluded)
-    lk2 = (3.0 * surface.spacing) ** 2
-    max_gap = 3
-    guard = 0.5 * surface.diameter()
-    n_samp = samples.shape[0]
     for lo in range(0, active.size, SAMPLED_ROWS_PER_CHUNK):
         rows = active[lo:lo + SAMPLED_ROWS_PER_CHUNK]
-        # the query lists and the candidate points die inside the helpers,
-        # before the run arrays below are built
+        # the query lists and the candidate points die inside the helpers
         count, idx = _flatten(tree.query_ball_point(
             pts[rows], dK[rows] + tau_multi, return_sorted=True))
         (rows, count), (idx,) = _keep_rows(count >= 2, count, (rows, count),
                                            (idx,))
         if rows.size == 0:
             continue
-        first = np.cumsum(count) - count
-        span = _box_diagonals(samples[idx], first)
-        # the spread cannot exceed the candidate bounding box
+        span = _box_diagonals(surface.points[idx], np.cumsum(count) - count)
         (rows, count, span), (idx,) = _keep_rows(
             span > tau_multi, count, (rows, count, span), (idx,))
         counts["candidate_rows"] += int(rows.size)
         if rows.size == 0:
             continue
-        first = np.cumsum(count) - count
-        last = first + count - 1
-
-        # runs of chain-consecutive samples, numbered across the chunk
-        start = np.ones(idx.size, dtype=bool)
-        start[1:] = np.diff(idx) > max_gap
-        start[first] = True
-        run = np.cumsum(start) - 1
-        n_runs = np.add.reduceat(start, first)
-        tail = np.zeros(idx.size, dtype=bool)
-        if surface.closed:
-            # a run through the chain's end continues its first run
-            wrap = (n_runs > 1) & (idx[first] + n_samp - idx[last] <= max_gap)
-            relabel = np.arange(run[-1] + 1)
-            relabel[run[last[wrap]]] = run[first[wrap]]
-            tail = relabel[run] != run
-            run = relabel[run]
-            n_runs -= wrap
-        one = n_runs == 1
-        flags[rows[one]] = span[one] > guard
-
-        multi = ~one
+        spread, multi, _ = _sampled_rows(surface, pts[rows], count, idx, span)
         counts["multi_run_rows"] += int(multi.sum())
-        if not multi.any():
-            continue
-        (rows, count, span), (idx, start, run, tail) = _keep_rows(
-            multi, count, (rows, count, span), (idx, start, run, tail))
-        cand = samples[idx]
-        row_of = np.repeat(np.arange(rows.size), count)
-        # link the runs of a row whose candidates come within the linking
-        # distance.  A candidate is paired only with the later chain
-        # segments of its row whose bounding box it comes that close to:
-        # rounding is monotone, so a box farther than that holds no pair
-        # within reach.  Pairs go in blocks of about ROW_PAIRS_PER_BLOCK.
-        seg = np.cumsum(start) - 1
-        seg_first = np.flatnonzero(start)
-        seg_len = np.diff(np.append(seg_first, cand.shape[0]))
-        seg_lo = np.minimum.reduceat(cand, seg_first)
-        seg_hi = np.maximum.reduceat(cand, seg_first)
-        n_later = seg[np.cumsum(count) - 1][row_of] - seg
-        i = np.repeat(np.arange(cand.shape[0]), n_later)
-        t = _concat_ranges(seg + 1, n_later)
-        apart = np.maximum(np.maximum(seg_lo[t] - cand[i],
-                                      cand[i] - seg_hi[t]), 0.0)
-        reach = (apart ** 2).sum(axis=1) <= lk2
-        i, t = i[reach], t[reach]
-        n_pairs = seg_len[t]
-        cut = np.flatnonzero(np.diff((np.cumsum(n_pairs) - n_pairs)
-                                     // ROW_PAIRS_PER_BLOCK)) + 1
-        heads, tails = [], []
-        for a, b in zip(np.r_[0, cut], np.r_[cut, i.size]):
-            ii = np.repeat(i[a:b], n_pairs[a:b])
-            jj = _concat_ranges(seg_first[t[a:b]], n_pairs[a:b])
-            diff = cand[ii] - cand[jj]
-            near = (diff ** 2).sum(axis=1) <= lk2
-            heads.append(run[ii[near]])
-            tails.append(run[jj[near]])
-        n_nodes = int(run.max()) + 1
-        graph = coo_matrix((np.ones(sum(map(len, heads))),
-                            (np.concatenate(heads), np.concatenate(tails))),
-                           shape=(n_nodes, n_nodes))
-        _, comp = connected_components(graph, directed=False)
-        comp = comp[run]
-
-        # each cluster's representative: its nearest candidate, the first
-        # one on ties in chain order, a wrapped run's chain tail first
-        cd = np.linalg.norm(cand - pts[rows[row_of]], axis=1)
-        order = np.arange(cand.shape[0]) - np.where(tail, count[row_of], 0)
-        order = np.lexsort((order, cd, comp))
-        is_rep = np.ones(order.size, dtype=bool)
-        is_rep[1:] = comp[order[1:]] != comp[order[:-1]]
-        reps = order[is_rep]
-        reps = reps[np.argsort(row_of[reps], kind="stable")]
-        n_reps = np.bincount(row_of[reps], minlength=rows.size)
-        flags[rows[n_reps == 1]] = span[n_reps == 1] > guard
-        several = n_reps >= 2
-        flags[rows[several]] = _row_spreads(cand[reps], n_reps)[several] \
-            > tau_multi
+        flags[rows] = spread > tau_multi
     return flags, counts
-
-
-def _row_spreads(points, count):
-    """projection._max_pairwise of each row of flat points, over
-    _padded_rows blocks (padding repeats a row's last point)."""
-    spread = np.empty(count.size)
-    for rows, take, _ in _padded_rows(count):
-        pad = points[take]
-        diff = pad[:, :, None, :] - pad[:, None, :, :]
-        spread[rows] = np.sqrt((diff ** 2).sum(axis=3)).max(axis=(1, 2))
-    return spread
 
 
 def _detect_slack(shape, pts, excluded, tau_multi):
@@ -494,8 +325,8 @@ def _detect_slack(shape, pts, excluded, tau_multi):
         row, feet = _slack_feet(base, pts[rows], tau_multi, eps)
         count = np.bincount(row, minlength=rows.size)
         several = count >= 2
-        flags[rows[several]] = _row_spreads(
-            feet[np.repeat(several, count)], count[several]) > tau_multi
+        flags[rows[several]] = _spreads(
+            feet[np.repeat(several, count)], count[several])[1] > tau_multi
     return flags
 
 

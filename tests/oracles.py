@@ -8,14 +8,22 @@ dedupe of ``ConvexPolytope`` replaced, and the per-element loops that
 replaced: the 2D boundary distance with one arc at a time, the element
 queries of ``_detect_cycle``, and the scalar element objects (``Segment``,
 ``Arc``) with the one-point projection over their cycle
-(``cycle_project``).  The production code must return exactly the same
-arrays (``np.array_equal``): the kernels and the march keep the same
-arithmetic and the same acceptance order, and the batched row resolution
-and bisection make the same decisions.
+(``cycle_project``).  ``dedupe`` and ``max_pairwise`` are the one-row
+forms of ``projection._spreads``.  The production code must return
+exactly the same arrays (``np.array_equal``): the kernels and the march
+keep the same arithmetic and the same acceptance order, and the batched
+row resolution and bisection make the same decisions.
+
+``project_sampled`` is the one-point sampled projection that
+``projection._sampled_rows`` replaced: single-linkage clusters of all
+candidates by a pairwise union-find, and a continuum tie when one cluster
+spans more than half the surface diameter.  It gives the same distance;
+its nearest set differs only at continuum ties.
 
 ``slack_flags`` is not a replaced loop: it decides the multiproj flags of
 a convex polytope or offset from its facet normals and offsets alone, with
-neither element cycles nor triangles.
+neither element cycles nor triangles; ``box_boundary_distance`` is the
+closed form of a box's distance, independent of its polytope.
 """
 
 import heapq
@@ -24,11 +32,36 @@ import math
 import numpy as np
 from scipy.spatial import HalfspaceIntersection
 
-from sigma_eikonal.distance import ScalarField, _bulk_boundary_distance
+from sigma_eikonal.distance import ScalarField
 from sigma_eikonal.eikonal import ACCEPT_SLACK, _solve_update
 from sigma_eikonal.geometry import GraphHypersurface, OffsetBody, SampledSurface
 from sigma_eikonal.innerball import BISECT_STEPS, InnerBallError, _default_tau
-from sigma_eikonal.projection import _dedupe, _max_pairwise
+
+
+def max_pairwise(points):
+    """Largest distance between two of the points, 0 for one point."""
+    if points.shape[0] < 2:
+        return 0.0
+    diff = points[:, None, :] - points[None, :, :]
+    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+
+
+def dedupe(points, tol):
+    """The points, less each one within tol of an earlier kept one."""
+    keep = []
+    for p in points:
+        if not any(np.linalg.norm(p - q) <= tol for q in keep):
+            keep.append(p)
+    return np.array(keep)
+
+
+def box_boundary_distance(box, points):
+    """Closed-form distance to the boundary of an origin-centred box."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    q = np.abs(points) - box.extents
+    outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
+    inside = np.minimum(np.max(q, axis=1), 0.0)
+    return np.abs(outside + inside)
 
 
 def closest_point_triangles_one(p, tri_a, tri_b, tri_c):
@@ -339,7 +372,7 @@ def cycle_project(cycle, x, tau_multi, diam):
             if results[nb][0] < d - eq_tol:
                 continue  # boundary distance keeps falling past the junction
         feet.append(foot)
-    return d_opt, _dedupe(np.array(feet), 1e-9 * max(1.0, diam))
+    return d_opt, dedupe(np.array(feet), 1e-9 * max(1.0, diam))
 
 
 def element_query_many(el, pts):
@@ -398,8 +431,8 @@ def detect_cycle(cycle, diam, pts, dK, excluded, tau_multi, shape=None):
             for k in np.nonzero(kept[i])[0]:
                 _, foot, _ = cycle[k].query(sub[i])
                 feet.append(foot)
-            reps = _dedupe(np.array(feet), dd_tol)
-            if reps.shape[0] >= 2 and _max_pairwise(reps) > tau_multi:
+            reps = dedupe(np.array(feet), dd_tol)
+            if reps.shape[0] >= 2 and max_pairwise(reps) > tau_multi:
                 flags[lo + i] = True
         if shape is not None:
             _, arcs = shape.elements()
@@ -483,9 +516,52 @@ def detect_sampled(surface, pts, dK, excluded, tau_multi):
             for members in groups.values():
                 pos = np.concatenate(members)
                 reps.append(cand[pos[np.argmin(cd[pos])]])
-            if _max_pairwise(np.array(reps)) > tau_multi:
+            if max_pairwise(np.array(reps)) > tau_multi:
                 flags[row] = True
     return flags
+
+
+def link_clusters(points, link):
+    """Single-linkage clusters at the given linking distance (small sets)."""
+    n = points.shape[0]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if np.linalg.norm(points[i] - points[j]) <= link:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def project_sampled(surface, x, tau_multi):
+    """(distance, nearest, spread) of one point on a sampled surface, by
+    connectivity clustering of its candidates at 3x the spacing."""
+    tree = surface.tree()
+    d_min, _ = tree.query(x)
+    d_min = float(d_min)
+    idx = tree.query_ball_point(x, d_min + tau_multi)
+    cand = surface.points[idx]
+    cand_d = np.linalg.norm(cand - x, axis=1)
+    clusters = link_clusters(cand, 3.0 * surface.spacing)
+    reps = np.array([cand[min(members, key=lambda i: cand_d[i])]
+                     for members in clusters])
+    if len(clusters) == 1:
+        extent = max_pairwise(cand)
+        if extent > 0.5 * surface.diameter():
+            return d_min, cand[np.argsort(cand_d)[:8]], extent
+        return d_min, reps, 0.0
+    return d_min, reps, max_pairwise(reps)
 
 
 def _scalar_distance_fn(shape):
@@ -503,7 +579,7 @@ def _scalar_distance_fn(shape):
             "graphs need a sampled surface; pass shape.boundary_sample(...)")
 
     def fn(p):
-        return float(_bulk_boundary_distance(shape, np.atleast_2d(p))[0])
+        return float(shape.boundary_distance(np.atleast_2d(p))[0])
 
     return fn, shape.diameter()
 
@@ -577,5 +653,5 @@ def slack_flags(shape, pts, tau_multi):
         feet = [x + (s[k] + eps) * normals[k]
                 for k in np.flatnonzero(s <= d + tau_multi)
                 if np.all(normals @ (x + s[k] * normals[k]) <= offsets + tol)]
-        flags[i] = _max_pairwise(np.array(feet)) > tau_multi
+        flags[i] = max_pairwise(np.array(feet)) > tau_multi
     return flags

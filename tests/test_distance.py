@@ -22,7 +22,7 @@ from sigma_eikonal.distance import (
     thread_count,
     write_field,
 )
-from sigma_eikonal.geometry import Ball, GraphHypersurface
+from sigma_eikonal.geometry import Ball, GeometryError, GraphHypersurface
 
 
 def square_distance_analytic(pts):
@@ -118,6 +118,25 @@ def test_interpolation_reproduces_node_values(unit_disk):
     idx = (5, 7)
     p = g.node_point(idx)
     assert fld.interpolate(p) == pytest.approx(fld.values[idx], abs=1e-12)
+
+
+def test_interpolation_outside_the_grid_raises(unit_disk):
+    """The h = 1/8 disk grid spans [-1.375, 1.375]^2; points beyond it
+    must not be extrapolated from the rim cells."""
+    g = grid_covering(unit_disk, 1.0 / 8)
+    fld = distance_field(unit_disk, g)
+    for p in [(10.0, 0.0), (-50.0, 3.0), (0.0, 1.5), (-1.5, 0.0)]:
+        with pytest.raises(GridError):
+            fld.interpolate(p)
+    corner = g.node_point((g.dims[0] - 1, g.dims[1] - 1))
+    assert fld.interpolate(corner) == fld.values[-1, -1]
+
+
+def test_graph_fields_need_a_sampling():
+    graph = GraphHypersurface(alpha=0.5, base=4, terms=2, window=(0.0, 1.0))
+    g = GridSpec((0.0, -1.0), 0.125, (16, 16))
+    with pytest.raises(GeometryError, match="boundary_sample"):
+        distance_field(graph, g, check_cover=False)
 
 
 def test_gradient_by_projection_unit_norm(unit_square):

@@ -10,12 +10,7 @@ import numpy as np
 import pytest
 
 from sigma_eikonal import singular
-from sigma_eikonal.distance import (
-    GridSpec,
-    _bulk_boundary_distance,
-    distance_field,
-    grid_covering,
-)
+from sigma_eikonal.distance import GridSpec, distance_field, grid_covering
 from sigma_eikonal.eikonal import EikonalProblem, fast_march, problem_from_shape
 from sigma_eikonal.geometry import (
     Ball,
@@ -31,7 +26,7 @@ from sigma_eikonal.geometry import (
     make_random_polytope,
 )
 from sigma_eikonal.innerball import inner_ball_profile, inner_ball_radius
-from sigma_eikonal.projection import _max_pairwise, project
+from sigma_eikonal.projection import project
 from sigma_eikonal.singular import BAND_FACTOR, detect_multiproj
 
 import oracles
@@ -155,7 +150,7 @@ def oracle_flags(shape, grid, tau_multi):
         shape = shape.as_polytope()
     h = grid.spacing
     pts = grid.points()
-    dK = _bulk_boundary_distance(shape, pts)
+    dK = shape.boundary_distance(pts)
     excluded = dK <= BAND_FACTOR * h
     extra = {"shape": shape} if isinstance(shape, OffsetBody) else {}
     flags = oracles.detect_cycle(oracle_cycle(shape), shape.diameter(), pts,
@@ -255,7 +250,7 @@ def test_2d_projection_matches_scalar_cycle(label, shape):
             d_ref, feet = oracles.cycle_project(cycle, x, tau, diam)
             assert res.distance == d_ref
             assert np.array_equal(res.nearest, feet)
-            assert res.spread == _max_pairwise(feet)
+            assert res.spread == oracles.max_pairwise(feet)
     if isinstance(shape, OffsetBody):
         for center, _, sweep in shape.elements()[1]:
             chord = 2.0 * shape.epsilon * np.sin(0.5 * sweep)
@@ -389,7 +384,7 @@ def assert_same_sampled_flags(shape, grid, tau_multi=None,
     surface = shape if isinstance(shape, SampledSurface) \
         else shape.boundary_sample(0.5 * grid.spacing)
     pts = grid.points()
-    dK = _bulk_boundary_distance(surface, pts)
+    dK = surface.boundary_distance(pts)
     excluded = dK <= band_factor * grid.spacing
     flags = oracles.detect_sampled(surface, pts, dK, excluded,
                                    mask.params["tau_multi"])
@@ -498,6 +493,90 @@ def test_grid_inside_the_band_has_no_sampled_flags():
     assert mask.excluded.all() and mask.n_flags == 0
     assert mask.params["candidate_rows"] == 0
     assert mask.params["multi_run_rows"] == 0
+
+
+# ---------------------------------------------------------------------------
+# sampled projection: one row of the detector's resolver
+# ---------------------------------------------------------------------------
+
+# shape, h, and the active nodes that agree with the old projection as
+# they are, up to an exact distance tie inside a cluster, and at a
+# continuum tie (measured)
+SAMPLED_PROJECTION_CASES = {
+    "ellipse": (lambda: Ellipse((1.0, 0.5)), 1.0 / 20,
+                {"same": 882, "tie": 0, "continuum": 0}),
+    "offset16": (lambda: OffsetBody(make_random_polytope(16, 1), 0.3),
+                 1.0 / 20, {"same": 3154, "tie": 0, "continuum": 3}),
+    "disk": (lambda: Ball((0.0, 0.0), 1.0), 1.0 / 16,
+             {"same": 1095, "tie": 9, "continuum": 21}),
+}
+
+
+def sorted_rows(points):
+    return points[np.lexsort(points.T[::-1])]
+
+
+def same_reps_up_to_ties(x, reps, ref, link):
+    """The same representatives as rows, except that one may be replaced
+    by another candidate of its cluster (within the linking distance) at
+    exactly the same distance from x: the old loop broke such ties in
+    kd-tree order, the detector's rule in chain order."""
+    if np.array_equal(sorted_rows(reps), sorted_rows(ref)):
+        return "same"
+    assert reps.shape == ref.shape
+    d = np.linalg.norm(reps - x, axis=1)
+    d_ref = np.linalg.norm(ref - x, axis=1)
+    for p, dp in zip(reps, d):
+        gap = np.linalg.norm(ref - p, axis=1)
+        assert np.any((gap <= link) & (d_ref == dp))
+    return "tie"
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLED_PROJECTION_CASES))
+def test_sampled_projection_is_one_row_of_the_detector(case):
+    """On every active node of a sampling at h/2: project is a singleton
+    exactly where the mask has no flag, its distance equals the old
+    union-find projection's bit for bit, and so do its nearest set (as a
+    set of rows, up to exact distance ties inside a cluster) and spread,
+    except at continuum ties, where both call the point a tie and project
+    holds the detector's one representative with the span as spread."""
+    make, h, expected = SAMPLED_PROJECTION_CASES[case]
+    shape = make()
+    surface = shape.boundary_sample(0.5 * h)
+    grid = grid_covering(shape, h)
+    mask = detect_multiproj(surface, grid)
+    active = np.flatnonzero(~mask.excluded.ravel())
+    flags = mask.flags.ravel()
+    nodes = grid.points()
+    half_diameter = 0.5 * surface.diameter()
+    seen = {"same": 0, "tie": 0, "continuum": 0}
+    for i in active:
+        x = nodes[i]
+        res = project(surface, x, tau_multi=h)
+        assert res.is_singleton == (not flags[i])
+        d_ref, near_ref, spread_ref = oracles.project_sampled(surface, x, h)
+        assert res.distance == d_ref
+        if res.nearest.shape[0] == 1 and res.spread > 0.0:
+            seen["continuum"] += 1
+            assert res.spread > half_diameter and spread_ref > half_diameter
+            continue
+        how = same_reps_up_to_ties(x, res.nearest, near_ref,
+                                   3.0 * surface.spacing)
+        seen[how] += 1
+        if how == "same":
+            assert res.spread == spread_ref
+    assert seen == expected
+
+
+def test_sampled_circle_centre_is_a_continuum_tie():
+    """The centre of a 1,257-sample circle: every sample is a candidate,
+    in one run through the chain's end."""
+    surface = Ball((0.0, 0.0), 1.0).boundary_sample(0.005)
+    assert surface.points.shape[0] == 1257
+    res = project(surface, np.zeros(2))
+    assert not res.is_singleton
+    assert res.spread >= 2.0
+    assert res.nearest.shape[0] == 1
 
 
 # ---------------------------------------------------------------------------

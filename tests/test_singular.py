@@ -52,6 +52,12 @@ def test_ellipse_flags_lie_on_its_medial_segment():
     assert off.max() <= 0.5 * h
 
 
+def test_multiproj_rejects_a_negative_tie_window(unit_square):
+    with pytest.raises(DetectionError):
+        detect_multiproj(unit_square, grid_covering(unit_square, 0.25),
+                         tau_multi=-1e-3)
+
+
 def test_disk_flags_only_the_center(unit_disk):
     g = grid_covering(unit_disk, 1.0 / 64)
     m = detect_multiproj(unit_disk, g)
