@@ -108,11 +108,11 @@ def _resolve_grid(shape, cfg):
     return grid
 
 
-def _measured(shape, grid):
-    """Shape with bulk exact distance; graphs fall back to a sampling."""
+def _measured(shape, spacing):
+    """Shape with bulk exact distance; graphs fall back to a sampling at
+    the given spacing."""
     if isinstance(shape, GraphHypersurface):
-        return shape.boundary_sample(0.5 * grid.spacing,
-                                     pad=GRAPH_SAMPLE_PAD)
+        return shape.boundary_sample(spacing, pad=GRAPH_SAMPLE_PAD)
     return shape
 
 
@@ -134,7 +134,7 @@ def cmd_shape(args, cfg):
 def cmd_distance(args, cfg):
     shape = _resolve_shape(args, cfg)
     grid = _resolve_grid(shape, cfg)
-    measured = _measured(shape, grid)
+    measured = _measured(shape, 0.5 * grid.spacing)
     if args.signed:
         fld = signed_distance_field(measured, grid)
     else:
@@ -155,7 +155,7 @@ def cmd_distance(args, cfg):
 def cmd_eikonal(args, cfg):
     shape = _resolve_shape(args, cfg)
     grid = _resolve_grid(shape, cfg)
-    measured = _measured(shape, grid)
+    measured = _measured(shape, 0.5 * grid.spacing)
     problem = problem_from_shape(measured, grid)
     sol = fast_march(problem)
     mask = detect_multiproj(measured, grid, tau_multi=cfg.tau_multi)
@@ -177,7 +177,7 @@ def cmd_eikonal(args, cfg):
 def cmd_singular(args, cfg):
     shape = _resolve_shape(args, cfg)
     grid = _resolve_grid(shape, cfg)
-    measured = _measured(shape, grid)
+    measured = _measured(shape, 0.5 * grid.spacing)
     if args.detector == "multiproj":
         mask = detect_multiproj(measured, grid, tau_multi=cfg.tau_multi)
     else:
@@ -199,10 +199,7 @@ def cmd_innerball(args, cfg):
     spacing = args.spacing if args.spacing is not None else 0.02
     rho_min = cfg.rho_min if cfg.rho_min is not None else 0.05
     r_max = args.r_max if args.r_max is not None else 4.0 * rho_min
-    if isinstance(shape, GraphHypersurface):
-        probe = shape.boundary_sample(spacing, pad=GRAPH_SAMPLE_PAD)
-    else:
-        probe = shape
+    probe = _measured(shape, spacing)
     report = uniform_condition_report(probe, spacing, rho_min, r_max=r_max)
     for line in report.summary_lines():
         _say(cfg, line)

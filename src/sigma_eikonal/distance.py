@@ -25,6 +25,8 @@ from .projection import project
 MAX_TOTAL_NODES = 2 ** 27
 MIN_AXIS_NODES = 8
 COVER_MARGIN_CELLS = 2          # required shape-to-grid margin, in cells
+ZERO_DISTANCE_FACTOR = 1e-9     # gradient_by_projection's on-boundary
+                                # distance, times diameter
 FIELD_KINDS = ("distance", "signed_distance", "eikonal_solution", "generic")
 
 THREADS_ENV = "SIGMA_EIKONAL_THREADS"
@@ -127,15 +129,14 @@ class GridSpec:
                 and all(hi[k] + margin <= up[k] for k in range(self.dim)))
 
 
-def grid_covering(shape, spacing, margin=None, snap=True):
+def grid_covering(shape, spacing, margin=None):
     """Smallest snapped grid covering the shape with the required margin."""
     lo, hi = shape.bbox()
     if margin is None:
         margin = (COVER_MARGIN_CELLS + 1) * spacing
     lo = np.asarray(lo, dtype=float) - margin
     hi = np.asarray(hi, dtype=float) + margin
-    if snap:
-        lo = np.floor(lo / spacing) * spacing
+    lo = np.floor(lo / spacing) * spacing
     dims = tuple(int(np.ceil((hi[k] - lo[k]) / spacing)) + 1
                  for k in range(lo.shape[0]))
     dims = tuple(max(d, MIN_AXIS_NODES) for d in dims)
@@ -261,16 +262,15 @@ def _signed_field(shape, grid, dist):
 # gradients
 # ---------------------------------------------------------------------------
 
-def gradient_by_projection(shape, x, tau_multi=None, tau_zero=None):
+def gradient_by_projection(shape, x, tau_multi=None):
     """Gradient of the boundary distance via (x - nearest) / distance.
 
     Raises SingularPointError when the nearest point is not unique and
-    ZeroDistanceError on the boundary itself, where the formula degenerates.
+    ZeroDistanceError on the boundary itself (within ZERO_DISTANCE_FACTOR
+    times the diameter), where the formula degenerates.
     """
     res = project(shape, x, tau_multi)
-    if tau_zero is None:
-        tau_zero = 1e-9 * shape.diameter()
-    if res.distance <= tau_zero:
+    if res.distance <= ZERO_DISTANCE_FACTOR * shape.diameter():
         raise ZeroDistanceError("zero distance: x lies on the boundary")
     if not res.is_singleton:
         raise SingularPointError(

@@ -60,16 +60,11 @@ class EikonalProblem:
                     f"seed value {val} outside [0, h*sqrt(dim)] = [0, {band}]")
 
 
-def problem_from_shape(shape, grid, distance_fn=None):
-    """Seed every node within one cell diagonal of the surface, exactly.
-
-    ``distance_fn`` maps an (n, dim) array to exact boundary distances and
-    defaults to the shape's own boundary_distance.
-    """
-    if distance_fn is None:
-        distance_fn = shape.boundary_distance
+def problem_from_shape(shape, grid):
+    """Seed every node within one cell diagonal of the surface, exactly,
+    from the shape's own boundary_distance."""
     pts = grid.points()
-    d = np.asarray(distance_fn(pts)).reshape(grid.dims)
+    d = np.asarray(shape.boundary_distance(pts)).reshape(grid.dims)
     band = grid.spacing * math.sqrt(grid.dim)
     idxs = np.argwhere(d <= band)
     if idxs.shape[0] == 0:

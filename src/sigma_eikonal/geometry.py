@@ -173,6 +173,7 @@ class ConvexPolytope:
             max(np.linalg.norm(self.vertices - v, axis=1).max()
                 for v in self.vertices))
         self._hull = None
+        self._triangles = None
         for arr in (self.normals, self.offsets, self.vertices):
             arr.flags.writeable = False
         if self.dim == 2:
@@ -223,6 +224,15 @@ class ConvexPolytope:
         if self._hull is None:
             self._hull = ConvexHull(self.vertices)
         return self._hull
+
+    def triangles(self):
+        """The hull triangles as three (m, 3) arrays of their corners (3D
+        distance and projection kernel input), built once."""
+        if self._triangles is None:
+            hull = self.hull()
+            self._triangles = tuple(hull.points[hull.simplices[:, k]]
+                                    for k in range(3))
+        return self._triangles
 
     # -- geometry queries -----------------------------------------------------
 
@@ -1291,10 +1301,7 @@ TRIANGLE_PAIRS_PER_BLOCK = 2 ** 14
 
 
 def _polytope_boundary_distance_3d(poly, points):
-    hull = poly.hull()
-    verts = hull.points
-    tri = (verts[hull.simplices[:, 0]], verts[hull.simplices[:, 1]],
-           verts[hull.simplices[:, 2]])
+    tri = poly.triangles()
     block = max(1, TRIANGLE_PAIRS_PER_BLOCK // tri[0].shape[0])
     out = np.empty(points.shape[0])
     for s in range(0, points.shape[0], block):

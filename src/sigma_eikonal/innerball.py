@@ -42,55 +42,48 @@ TAU_BALL_FACTOR = 1e-6      # default slack, times diameter
 BISECT_STEPS = 60
 SOURCE_SEP_FACTOR = 3.0     # pairs closer than this (times spacing) on the
                             # surface are never collision candidates
-COLLISION_TOL_FACTOR = 0.5  # default image collision tolerance, times spacing
+COLLISION_TOL_FACTOR = 0.5  # image collision tolerance, times spacing
+N_PATCHES = 8               # contiguous boundary patches of a verdict
 
 
 class InnerBallError(ValueError):
     """Invalid inner ball query."""
 
 
-def _distance_fn(shape):
-    """Vectorized boundary distance minus the sampling slack, and the
-    shape's diameter."""
+def _measure(shape):
+    """(distance, diameter, half spacing) of the shape balls are measured
+    against.  A sampling's distance is its kd-tree distance less half its
+    spacing, so discretization errs on the failing side; an exact shape
+    measures its own boundary distance and has no half spacing."""
     if isinstance(shape, SampledSurface):
         tree = shape.tree()
         half = 0.5 * shape.spacing
 
-        def fn(p):
+        def dist(p):
             d, _ = tree.query(p)
             return d - half
 
-        return fn, shape.diameter()
-    return shape.boundary_distance, shape.diameter()
-
-
-def _default_tau(shape, diam):
-    """Default fit slack: TAU_BALL_FACTOR of the diameter, plus half the
-    spacing on a sampling.  The tangency sample lies at distance exactly r
-    from the centre, so without that half spacing the correction in
-    _distance_fn would fail every ball."""
-    tau = TAU_BALL_FACTOR * diam
-    if isinstance(shape, SampledSurface):
-        tau += 0.5 * shape.spacing
-    return tau
+        return dist, shape.diameter(), half
+    return shape.boundary_distance, shape.diameter(), 0.0
 
 
 def _inner_ball_radii(shape, points, normals, r_max, tau_ball=None):
     """Inner-ball radius at every (point, inner normal) row, by one
-    bisection batched over the rows.
+    bisection batched over the rows, and the slack tau_ball it used (the
+    default of the module docstring when None).
 
-    Each row stops on its own when hi - lo falls to the tolerance, so every
-    radius is what a bisection of that row alone returns.
+    A point counts as on the boundary within _measure's half spacing, or
+    within rounding on an exact shape.  Each row stops on its own when
+    hi - lo falls to the tolerance, so every radius is what a bisection of
+    that row alone returns.
     """
     if r_max <= 0.0:
         raise InnerBallError("r_max must be positive")
     r_max = float(r_max)
-    dist, diam = _distance_fn(shape)
+    dist, diam, half = _measure(shape)
     if tau_ball is None:
-        tau_ball = _default_tau(shape, diam)
-    on_tol = 0.5 * shape.spacing if isinstance(shape, SampledSurface) \
-        else 1e-9 * max(1.0, diam)
-    if np.any(dist(points) > on_tol):
+        tau_ball = TAU_BALL_FACTOR * diam + half
+    if np.any(dist(points) > (half or 1e-9 * max(1.0, diam))):
         raise InnerBallError("query point is not on the boundary")
     contains = getattr(shape, "contains", None)
 
@@ -118,7 +111,7 @@ def _inner_ball_radii(shape, points, normals, r_max, tau_ball=None):
         radii[rows[done]] = lo[done]
         rows, lo, hi = rows[~done], lo[~done], hi[~done]
     radii[rows] = lo
-    return radii
+    return radii, tau_ball
 
 
 def inner_ball_radius(shape, a, nu, r_max, tau_ball=None):
@@ -133,7 +126,7 @@ def inner_ball_radius(shape, a, nu, r_max, tau_ball=None):
     if abs(np.linalg.norm(nu) - 1.0) > 1e-9:
         raise InnerBallError("normal must be a unit vector")
     return float(_inner_ball_radii(shape, a[None], nu[None], r_max,
-                                   tau_ball)[0])
+                                   tau_ball)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +173,8 @@ def inner_ball_profile(shape, spacing, r_max, tau_ball=None, measured=None):
         surface = shape.boundary_sample(spacing)
     if measured is None:
         measured = shape
-    if tau_ball is None:
-        tau_ball = _default_tau(measured, measured.diameter())
-    radii = _inner_ball_radii(measured, surface.points, surface.normals,
-                              r_max, tau_ball)
+    radii, tau_ball = _inner_ball_radii(measured, surface.points,
+                                        surface.normals, r_max, tau_ball)
     return InnerBallProfile(points=surface.points, normals=surface.normals,
                             radii=radii, r_max=float(r_max),
                             tau_ball=float(tau_ball))
@@ -215,19 +206,18 @@ class UniformConditionReport:
         return lines
 
 
-def uniform_condition_report(shape, spacing, rho_min, r_max=None,
-                             n_patches=8, tau_ball=None, measured=None):
-    """Verdict per contiguous boundary patch: inf inner-ball radius >= rho_min."""
+def uniform_condition_report(shape, spacing, rho_min, r_max=None):
+    """Verdict per contiguous boundary patch (N_PATCHES of them, at most one
+    per sample): inf inner-ball radius >= rho_min."""
     if rho_min <= 0.0:
         raise InnerBallError("rho_min must be positive")
     if r_max is None:
         r_max = 4.0 * rho_min
     if r_max < rho_min:
         raise InnerBallError("r_max below rho_min cannot decide the verdict")
-    profile = inner_ball_profile(shape, spacing, r_max, tau_ball=tau_ball,
-                                 measured=measured)
+    profile = inner_ball_profile(shape, spacing, r_max)
     n = profile.radii.shape[0]
-    n_patches = max(1, min(int(n_patches), n))
+    n_patches = max(1, min(N_PATCHES, n))
     bounds = np.linspace(0, n, n_patches + 1).astype(int)
     patches = []
     for k in range(n_patches):
@@ -276,21 +266,20 @@ class InjectivityReport:
         return lines
 
 
-def normal_map_injectivity(surface, t_values, collision_tol=None,
-                           rho_cap=None):
+def normal_map_injectivity(surface, t_values, rho_cap=None):
     """Test injectivity of a + t * nu(a) over the sample set, per t.
 
     Pairs closer than 3 sample spacings along the surface are skipped
     (their images legitimately converge under curvature focusing); a
-    collision is two far-apart sources mapping within collision_tol.
+    collision is two far-apart sources mapping within COLLISION_TOL_FACTOR
+    sample spacings.
     With rho_cap set, t values at or beyond the cap are reported as capped
     instead of tested, since tangent-ball geometry already guarantees
     injectivity below the cap and says nothing above it.
     """
     if not isinstance(surface, SampledSurface):
         raise InnerBallError("normal_map_injectivity needs a SampledSurface")
-    if collision_tol is None:
-        collision_tol = COLLISION_TOL_FACTOR * surface.spacing
+    collision_tol = COLLISION_TOL_FACTOR * surface.spacing
     min_sep = SOURCE_SEP_FACTOR * surface.spacing
     samples = []
     for t in np.atleast_1d(np.asarray(t_values, dtype=float)):
@@ -349,9 +338,8 @@ class EquivalenceReport:
 
 
 def theorem_equivalence_check(shape, grid, r_free, rho_min=None,
-                              spacing=None, r_max=None, n_patches=8,
-                              mask=None, surface=None, inside=None,
-                              tau_ball=None):
+                              r_max=None, mask=None, surface=None,
+                              inside=None):
     """Decide conditions A (flag-free interior ball) and B (uniform inner
     balls) on one grid and report whether they agree.
 
@@ -359,7 +347,8 @@ def theorem_equivalence_check(shape, grid, r_free, rho_min=None,
     pass ``surface`` (a SampledSurface) to measure distance and inner balls
     against a sampling instead, with ``inside`` a callable for membership
     (defaults to shape.contains).  r_free below 2 grid steps is rejected:
-    condition A cannot be decided under grid resolution.
+    condition A cannot be decided under grid resolution.  Condition B
+    samples the boundary at half the grid step.
     """
     if not isinstance(grid, GridSpec):
         raise InnerBallError("grid must be a GridSpec")
@@ -369,8 +358,7 @@ def theorem_equivalence_check(shape, grid, r_free, rho_min=None,
             f"r_free={r_free:.6g} is below grid resolution 2h={2 * h:.6g}")
     if rho_min is None:
         rho_min = r_free
-    if spacing is None:
-        spacing = 0.5 * h
+    spacing = 0.5 * h
     measured = surface if surface is not None else shape
     dK = None
     if mask is None:
@@ -412,8 +400,7 @@ def theorem_equivalence_check(shape, grid, r_free, rho_min=None,
         clearance = float(score[idx])
 
     report = uniform_condition_report(measured, spacing, rho_min,
-                                      r_max=r_max, n_patches=n_patches,
-                                      tau_ball=tau_ball)
+                                      r_max=r_max)
     # B asks for the existence of one patch where inner balls of radius
     # rho_min fit everywhere, not for the bound to hold globally
     condition_b = any(p.ok for p in report.patches)
@@ -424,5 +411,4 @@ def theorem_equivalence_check(shape, grid, r_free, rho_min=None,
         witness=witness, witness_clearance=clearance,
         n_flags=mask.n_flags, patch_report=report,
         params={"r_free": float(r_free), "rho_min": float(rho_min),
-                "h": h, "spacing": float(spacing),
-                "n_patches": int(n_patches)})
+                "h": h, "spacing": spacing, "n_patches": N_PATCHES})

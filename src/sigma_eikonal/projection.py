@@ -8,6 +8,14 @@ the representatives' spread stays within tau_multi.  The default is
 1e-9 x diameter for exact shapes (true ties only) and 2 x sample spacing
 for sampled surfaces; grid detectors pass a grid-scaled value.
 
+project checks the shape kind, the point's dimension and that default
+once, then hands the point to the resolver of its family: _cycle_project
+(2D polytopes and offsets), _slack_project (3D ones, and a Box as its
+polytope), _ball_project, _ellipse_project or _sampled_project.  The rules
+that singular.detect_multiproj shares with project are written here once:
+_convex_base (the polytope and push of a convex shape), _ball_centre (a
+ball's only tie) and the row resolvers below.
+
 Inside a 3D convex polytope the nearest set follows from the facet
 slacks in closed form (_slack_feet); the same feet pushed out by epsilon
 are the nearest set of an offset body, and outside a convex body the
@@ -277,118 +285,72 @@ def _slack_feet(poly, pts, tau_multi, epsilon=0.0):
     return row, pts[row] + (s[row, k] + epsilon)[:, None] * n[k]
 
 
-def _nearest_triangle(poly, x):
-    """Boundary distance of x to a 3D polytope and the nearest foot on its
-    hull triangles."""
-    hull = poly.hull()
-    tri = tuple(hull.points[hull.simplices[:, k]] for k in range(3))
-    feet = _closest_point_triangles(x[None], *tri)[0]
+def _convex_base(shape):
+    """(base, epsilon) of a convex polytope (epsilon 0) or an offset body:
+    the polytope whose facet slacks decide the nearest set, and the push."""
+    if isinstance(shape, OffsetBody):
+        return shape.base, shape.epsilon
+    return shape, 0.0
+
+
+def _slack_project(shape, x, tau_multi):
+    """Projection of x on a 3D polytope or offset.
+
+    The distance comes from the base's hull triangles.  Inside the base
+    the nearest set is its facet slack feet pushed out by epsilon
+    (_slack_feet), one per active facet at a base edge or vertex; outside
+    it the nearest point is unique, the nearest base triangle foot pushed
+    out by epsilon away from x.
+    """
+    base, eps = _convex_base(shape)
+    feet = _closest_point_triangles(x[None], *base.triangles())[0]
     dist = np.linalg.norm(feet - x, axis=1)
     k = np.argmin(dist)
-    return dist[k], feet[k]
-
-
-def project_polytope(poly, x, tau_multi=None):
-    """Exact projection onto the boundary of a convex polytope.
-
-    2D uses the edge cycle with basin filtering.  3D takes the distance
-    from the hull triangles and the nearest set from the facet slacks
-    (_slack_feet) inside the body; outside it, the nearest point is unique
-    and is the nearest triangle's foot.
-    """
-    if isinstance(poly, Box):
-        poly = poly.as_polytope()
-    if not isinstance(poly, ConvexPolytope):
-        raise ProjectionError("project_polytope requires a convex polytope")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (poly.dim,):
-        raise ProjectionError(f"query point must be {poly.dim}D")
-    if tau_multi is None:
-        tau_multi = default_tau_multi(poly)
-    if poly.dim == 2:
-        return _cycle_project(poly, x, tau_multi)
-    dist, foot = _nearest_triangle(poly, x)
-    _, nearest = _slack_feet(poly, x[None], tau_multi)
-    return ProjectionResult(dist, nearest if nearest.shape[0] else foot,
-                            tau_multi)
-
-
-def project_offset(body, x, tau_multi=None):
-    """Exact projection onto the boundary of an offset body.
-
-    2D enumerates the offset boundary directly (pushed edges plus vertex
-    arcs), which keeps the result independent of the base distance.  A
-    query at a base vertex sees the whole vertex arc at the same distance;
-    its nearest set holds the arc's two end points (the feet of the two
-    pushed edges there), so its spread is the arc's chord.  3D builds on
-    the base: inside it the feet are the base's facet slack feet pushed
-    out by epsilon along their normals, one per active facet at a base
-    edge or vertex; outside it the nearest point is unique, the nearest
-    base triangle foot pushed out by epsilon away from x.
-    """
-    if not isinstance(body, OffsetBody):
-        raise ProjectionError("project_offset requires an offset body")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (body.dim,):
-        raise ProjectionError(f"query point must be {body.dim}D")
-    if tau_multi is None:
-        tau_multi = default_tau_multi(body)
-
-    if body.dim == 2:
-        return _cycle_project(body, x, tau_multi)
-    eps = body.epsilon
-    d_base, foot = _nearest_triangle(body.base, x)
-    _, pushed = _slack_feet(body.base, x[None], tau_multi, eps)
+    d_base, foot = dist[k], feet[k]
+    _, pushed = _slack_feet(base, x[None], tau_multi, eps)
     if pushed.shape[0]:
-        return ProjectionResult(eps + d_base, pushed, tau_multi)
-    u = x - foot
-    u /= np.linalg.norm(u)
-    return ProjectionResult(abs(d_base - eps), foot + eps * u, tau_multi)
+        return ProjectionResult(d_base + eps, pushed, tau_multi)
+    if eps:
+        u = x - foot
+        u /= np.linalg.norm(u)
+        foot = foot + eps * u
+    return ProjectionResult(abs(d_base - eps), foot, tau_multi)
 
 
-def project_ball(ball, x, tau_multi=None):
-    if tau_multi is None:
-        tau_multi = default_tau_multi(ball)
-    x = np.asarray(x, dtype=float)
+def _ball_centre(ball, pts):
+    """The points at a ball's centre, within 1e-9 x its diameter: the only
+    points whose nearest set on a sphere is not one point."""
+    return np.linalg.norm(pts - ball.center, axis=1) <= 1e-9 * ball.diameter()
+
+
+def _ball_project(ball, x, tau_multi):
+    """At the centre the whole sphere is nearest: the axis points +-e_k
+    represent it and the diameter is its spread."""
+    if _ball_centre(ball, x[None])[0]:
+        axes = np.kron(np.eye(ball.dim), [[1.0], [-1.0]])
+        return ProjectionResult(ball.radius, ball.center + ball.radius * axes,
+                                tau_multi, spread=2.0 * ball.radius)
     rel = x - ball.center
     r = float(np.linalg.norm(rel))
-    if r <= 1e-12 * ball.diameter():
-        # center: the whole boundary is nearest; report axis representatives
-        reps = []
-        for k in range(ball.dim):
-            for s in (1.0, -1.0):
-                e = np.zeros(ball.dim)
-                e[k] = s
-                reps.append(ball.center + ball.radius * e)
-        return ProjectionResult(ball.radius, np.array(reps), tau_multi,
-                                spread=2.0 * ball.radius)
     foot = ball.center + ball.radius * rel / r
-    return ProjectionResult(abs(r - ball.radius), foot[None, :], tau_multi)
+    return ProjectionResult(abs(r - ball.radius), foot, tau_multi)
 
 
-def project_ellipse(ellipse, x, tau_multi=None):
+def _ellipse_project(ellipse, x, tau_multi):
     """Projection onto an ellipse boundary.
 
     On the interior medial segment (inside the evolute, on a symmetry axis)
     the two mirror feet are both reported; other queries return the unique
     root of the standard foot equation.
     """
-    if tau_multi is None:
-        tau_multi = default_tau_multi(ellipse)
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) <= 1e-14 * ellipse.diameter():
-        k = int(np.argmin(ellipse.semi_axes))
-        reps = []
-        for s in (1.0, -1.0):
-            e = np.zeros(ellipse.dim)
-            e[k] = s * ellipse.semi_axes[k]
-            reps.append(e)
-        return ProjectionResult(float(ellipse.semi_axes.min()),
-                                np.array(reps), tau_multi)
-    foot = ellipse.nearest_boundary_point(x)
-    d = float(np.linalg.norm(x - foot))
     s = ellipse.semi_axes
     k_min = int(np.argmin(s))
+    if np.linalg.norm(x) <= 1e-14 * ellipse.diameter():
+        reps = np.zeros((2, ellipse.dim))
+        reps[:, k_min] = (s[k_min], -s[k_min])
+        return ProjectionResult(float(s.min()), reps, tau_multi)
+    foot = ellipse.nearest_boundary_point(x)
+    d = float(np.linalg.norm(x - foot))
     feet = [foot]
     if abs(x[k_min]) < 1e-14 * ellipse.diameter() \
             and abs(foot[k_min]) > 1e-12 * ellipse.diameter():
@@ -514,16 +476,8 @@ def _sampled_rows(surface, x, count, idx, span, every_rep=False):
     return spread, multi, pos[reps]
 
 
-def project_sampled(surface, x, tau_multi=None):
+def _sampled_project(surface, x, tau_multi):
     """Projection onto a sampled surface: x is one row of _sampled_rows."""
-    if not isinstance(surface, SampledSurface):
-        raise ProjectionError("project_sampled requires a SampledSurface")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (surface.dim,):
-        raise ProjectionError(f"query point must be {surface.dim}D")
-    if tau_multi is None:
-        tau_multi = default_tau_multi(surface)
-
     tree = surface.tree()
     d_min, _ = tree.query(x)
     idx = np.asarray(tree.query_ball_point(x, d_min + tau_multi,
@@ -540,19 +494,31 @@ def project_sampled(surface, x, tau_multi=None):
 # ---------------------------------------------------------------------------
 
 def project(shape, x, tau_multi=None):
-    """Project x onto the boundary of any supported shape."""
-    if isinstance(shape, (ConvexPolytope, Box)):
-        return project_polytope(shape, x, tau_multi)
-    if isinstance(shape, OffsetBody):
-        return project_offset(shape, x, tau_multi)
-    if isinstance(shape, Ball):
-        return project_ball(shape, x, tau_multi)
-    if isinstance(shape, Ellipse):
-        return project_ellipse(shape, x, tau_multi)
-    if isinstance(shape, SampledSurface):
-        return project_sampled(shape, x, tau_multi)
-    if isinstance(shape, GraphHypersurface):
+    """Project x onto the boundary of any supported shape.
+
+    The shape kind, the point's dimension and the default tie window are
+    checked here once; the resolver of the shape's family answers.  A Box
+    is answered as its cached polytope.
+    """
+    if isinstance(shape, Box):
+        shape = shape.as_polytope()
+    if isinstance(shape, (ConvexPolytope, OffsetBody)):
+        resolve = _cycle_project if shape.dim == 2 else _slack_project
+    elif isinstance(shape, Ball):
+        resolve = _ball_project
+    elif isinstance(shape, Ellipse):
+        resolve = _ellipse_project
+    elif isinstance(shape, SampledSurface):
+        resolve = _sampled_project
+    elif isinstance(shape, GraphHypersurface):
         raise ProjectionError(
             "graphs have no exact projection; project onto "
             "shape.boundary_sample(spacing) instead")
-    raise ProjectionError(f"unsupported shape {type(shape).__name__}")
+    else:
+        raise ProjectionError(f"unsupported shape {type(shape).__name__}")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (shape.dim,):
+        raise ProjectionError(f"query point must be {shape.dim}D")
+    if tau_multi is None:
+        tau_multi = default_tau_multi(shape)
+    return resolve(shape, x, tau_multi)

@@ -50,7 +50,9 @@ from .geometry import (
     _element_query,
 )
 from .projection import (
+    _ball_centre,
     _box_diagonals,
+    _convex_base,
     _keep_rows,
     _nearest_elements,
     _sampled_rows,
@@ -212,7 +214,7 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
         dK = shape.boundary_distance(pts)
         excluded = dK <= band
         if isinstance(shape, Ball):
-            flags = _detect_ball(shape, pts)
+            flags = _ball_centre(shape, pts)
         elif isinstance(shape, SampledSurface):
             flags, counts = _detect_sampled(shape, pts, dK, excluded,
                                             tau_multi)
@@ -228,12 +230,6 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
                         excluded=excluded.reshape(grid.dims),
                         detector="multiproj", params=params,
                         distance=None if swapped else dK.reshape(grid.dims))
-
-
-def _detect_ball(ball, pts):
-    # the nearest-point map on a sphere is multiple only at the center
-    rel = np.linalg.norm(pts - ball.center, axis=1)
-    return rel <= 1e-9 * ball.diameter()
 
 
 def _detect_cycle(shape, pts, band, tau_multi):
@@ -315,8 +311,7 @@ def _detect_slack(shape, pts, excluded, tau_multi):
     is project(shape, x, tau_multi).is_singleton being False.  Points
     outside the base keep no foot and are never flagged.
     """
-    base, eps = (shape.base, shape.epsilon) if isinstance(shape, OffsetBody) \
-        else (shape, 0.0)
+    base, eps = _convex_base(shape)
     flags = np.zeros(pts.shape[0], dtype=bool)
     active = np.flatnonzero(~excluded)
     chunk = max(1, 4_000_000 // base.normals.shape[0])
@@ -425,8 +420,7 @@ def detect_footjump(surface, grid, region=None):
 # gradient-jump detector
 # ---------------------------------------------------------------------------
 
-def detect_gradjump(fld, theta_deg=DEFAULT_THETA_DEG,
-                    band_factor=BAND_FACTOR):
+def detect_gradjump(fld, theta_deg=DEFAULT_THETA_DEG):
     """Flag nodes where one-sided gradient combinations disagree in angle.
 
     The input must be an unsigned distance field (or an eikonal solution,
@@ -476,12 +470,12 @@ def detect_gradjump(fld, theta_deg=DEFAULT_THETA_DEG,
     theta = math.radians(theta_deg)
     jump = ok & safe.all(axis=-1) & (min_cos < math.cos(theta))
 
-    excluded = ~ok | (u <= band_factor * h) | ~np.isfinite(u)
+    excluded = ~ok | (u <= BAND_FACTOR * h) | ~np.isfinite(u)
     flags = jump & ~excluded
     return SingularMask(grid=fld.grid, flags=flags, excluded=excluded,
                         detector="gradjump",
                         params={"theta_deg": float(theta_deg),
-                                "band_factor": float(band_factor)})
+                                "band_factor": BAND_FACTOR})
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from scipy.spatial import HalfspaceIntersection
 from sigma_eikonal.distance import ScalarField
 from sigma_eikonal.eikonal import ACCEPT_SLACK, _solve_update
 from sigma_eikonal.geometry import GraphHypersurface, OffsetBody, SampledSurface
-from sigma_eikonal.innerball import BISECT_STEPS, InnerBallError, _default_tau
+from sigma_eikonal.innerball import BISECT_STEPS, TAU_BALL_FACTOR, InnerBallError
 
 
 def max_pairwise(points):
@@ -584,6 +584,15 @@ def _scalar_distance_fn(shape):
     return fn, shape.diameter()
 
 
+def default_tau_ball(shape):
+    """The default inner-ball slack: TAU_BALL_FACTOR x diameter, plus half
+    the spacing on a sampling."""
+    tau = TAU_BALL_FACTOR * shape.diameter()
+    if isinstance(shape, SampledSurface):
+        tau += 0.5 * shape.spacing
+    return tau
+
+
 def inner_ball_radius(shape, a, nu, r_max, tau_ball=None):
     """Inner-ball radius at one boundary point by scalar bisection."""
     a = np.asarray(a, dtype=float)
@@ -592,7 +601,7 @@ def inner_ball_radius(shape, a, nu, r_max, tau_ball=None):
         raise InnerBallError("r_max must be positive")
     dist, diam = _scalar_distance_fn(shape)
     if tau_ball is None:
-        tau_ball = _default_tau(shape, diam)
+        tau_ball = default_tau_ball(shape)
     on_tol = 0.5 * shape.spacing if isinstance(shape, SampledSurface) \
         else 1e-9 * max(1.0, diam)
     if dist(a) > on_tol:
@@ -623,7 +632,7 @@ def inner_ball_radii(shape, surface, r_max, tau_ball=None, measured=None):
     """Profile radii, one scalar bisection per sample of ``surface``."""
     measured = shape if measured is None else measured
     if tau_ball is None:
-        tau_ball = _default_tau(measured, measured.diameter())
+        tau_ball = default_tau_ball(measured)
     return np.array([
         inner_ball_radius(measured, surface.points[i], surface.normals[i],
                           r_max, tau_ball=tau_ball)

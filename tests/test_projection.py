@@ -4,12 +4,14 @@ agreement."""
 import numpy as np
 import pytest
 
-from sigma_eikonal.geometry import Ball, OffsetBody, make_random_polytope
+from sigma_eikonal.distance import GridSpec
+from sigma_eikonal.geometry import Ball, Box, Ellipse, make_random_polytope
 from sigma_eikonal.projection import (
     ProjectionError,
     default_tau_multi,
     project,
 )
+from sigma_eikonal.singular import detect_multiproj
 
 from conftest import dense_boundary_distance
 
@@ -165,6 +167,31 @@ def test_default_tau_multi_scales_with_diameter(unit_square, unit_disk):
     assert default_tau_multi(big) > default_tau_multi(unit_disk)
 
 
-def test_project_rejects_bad_input(unit_square):
-    with pytest.raises(ProjectionError):
-        project(unit_square, (0.0, 0.0, 0.0))
+def test_ball_centre_tie_agrees_with_the_detector():
+    # one node lies 5e-10 from the centre: within the detector's 1e-9 x
+    # diameter, so project must read it as the same continuum tie
+    ball = Ball((0.0, 0.0), 1.0)
+    grid = GridSpec(origin=(-1.5 + 5e-10, -1.5), spacing=0.25, dims=(13, 13))
+    mask = detect_multiproj(ball, grid)
+    pts, flags = grid.points(), mask.flags.reshape(-1)
+    assert np.flatnonzero(flags).tolist() == [6 * 13 + 6]
+    for i in np.flatnonzero(~mask.excluded.reshape(-1)):
+        res = project(ball, pts[i], grid.spacing)
+        assert res.is_singleton == (not flags[i])
+    centre = project(ball, pts[6 * 13 + 6])
+    assert not centre.is_singleton
+    assert centre.spread == 2.0
+
+
+def test_project_rejects_bad_input(unit_square, unit_disk, offset_square):
+    shapes = [unit_square, unit_disk, Ellipse((1.0, 0.5)), Box((1.0, 0.5)),
+              make_random_polytope(8, seed=2), offset_square,
+              unit_disk.boundary_sample(0.1),
+              make_random_polytope(12, seed=2, dim=3)]
+    for shape in shapes:
+        for dim in (1, 2, 3):
+            if dim != shape.dim:
+                with pytest.raises(ProjectionError):
+                    project(shape, np.full(dim, 0.1))
+        with pytest.raises(ProjectionError):
+            project(shape, np.full((1, shape.dim), 0.1))
