@@ -25,7 +25,7 @@ from .eikonal import residuals
 from .geometry import Ball, Box, GraphHypersurface, OffsetBody, \
     make_random_polytope
 from .innerball import inner_ball_profile, theorem_equivalence_check
-from .projection import _cycle_nearest_feet, project
+from .projection import _cycle_nearest_feet, _cycle_rows, project
 from .singular import coverage_density, detect_footjump, detect_multiproj, \
     inclusion_violations
 
@@ -163,7 +163,9 @@ def run_lemma_gradient(config):
     For the disk, the square, and the offset square, compares the finite
     difference gradient of the exact distance field against the projection
     formula at nodes at least 10h from both the boundary and the flags,
-    and checks that flagged nodes carry genuinely spread nearest sets.
+    and checks that flagged nodes carry genuinely spread nearest sets: the
+    flagged nodes of the square and the offset square are the rows of one
+    projection._cycle_rows call, the disk's (its centre) go through project.
     """
     h = config.grid_h or GRAD_H
     square = _unit_square()
@@ -191,15 +193,16 @@ def run_lemma_gradient(config):
         dev = np.linalg.norm(fd - formula, axis=1).reshape(grid.dims)
         max_dev = float(dev[eligible].max())
 
-        flagged = np.argwhere(mask.flags)
+        flagged = pts[mask.flags.reshape(-1)]
         if flagged.shape[0]:
             tau = float(mask.params["tau_multi"])
-            wide = 0
-            for idx in flagged:
-                res = project(shape, grid.node_point(tuple(idx)),
-                              tau_multi=tau)
-                wide += res.spread > 5.0 * tau
-            spread_frac = wide / flagged.shape[0]
+            if isinstance(shape, Ball):
+                spread = np.array([project(shape, x, tau_multi=tau).spread
+                                   for x in flagged])
+            else:
+                spread = _cycle_rows(shape, flagged, tau)[3]
+            spread_frac = np.count_nonzero(spread > 5.0 * tau) \
+                / flagged.shape[0]
         else:
             spread_frac = 1.0
 

@@ -24,7 +24,9 @@ nearest point is unique.
 For exact 2D shapes the boundary is an ordered cycle of elements (polygon
 edges; offset bodies add vertex arcs), held as arrays by the shape and
 queried all at once by geometry._element_query, the one element kernel
-that the grid detector and the bulk feet also call.  Near-optimal feet are
+that the grid detector and the bulk feet also call.  _cycle_rows resolves
+many points at once, one row each, and project answers one point as its
+row 0, so every 2D point has one nearest-set rule.  Near-optimal feet are
 kept only when they are genuine local minima of the boundary distance
 profile (_nearest_elements, shared with the detector): a foot clamped to
 an element junction whose neighbor element continues downhill through
@@ -230,19 +232,47 @@ def _nearest_elements(dist, clamp, tau_multi, eq_tol):
     return d_opt, cand & ~((clamp != 0) & (nb_dist < dist - eq_tol))
 
 
-def _cycle_project(shape, x, tau_multi):
-    """Projection of x on a 2D polytope or offset: one query of x on every
-    element, one row of the junction rule and of _spreads."""
+def _cycle_rows(shape, pts, tau_multi):
+    """Projection rows of points on a 2D polytope or offset.
+
+    Every (point, element) pair is one geometry._element_query row, in
+    blocks of about ROW_PAIRS_PER_BLOCK pairs; _nearest_elements keeps each
+    point's elements and _spreads dedupes their feet, first come first
+    kept, and measures their spread.  Each row is the arithmetic of its
+    point alone.  Returns (d_opt, count, feet, spread): point i owns the
+    count[i] consecutive representatives of feet, in cycle order.
+    """
     diam = shape.diameter()
     n_el = shape._cycle.size
-    dist, foot, clamp = _element_query(shape, x[None][np.zeros(n_el, np.intp)],
-                                       np.arange(n_el))
-    d_opt, kept = _nearest_elements(dist[None], clamp[None], tau_multi,
-                                    1e-12 * max(1.0, diam))
-    feet = foot[kept[0]]
-    keep, spread = _spreads(feet, np.array([feet.shape[0]]),
-                            1e-9 * max(1.0, diam))
-    return ProjectionResult(d_opt[0], feet[keep], tau_multi, spread[0])
+    eq_tol = 1e-12 * max(1.0, diam)
+    block = max(1, ROW_PAIRS_PER_BLOCK // n_el)
+    d_opt = np.empty(pts.shape[0])
+    count = np.empty(pts.shape[0], dtype=np.intp)
+    feet = []
+    for lo in range(0, pts.shape[0], block):
+        p = pts[lo:lo + block]
+        m = p.shape[0]
+        dist, foot, clamp = _element_query(shape, np.repeat(p, n_el, axis=0),
+                                           np.tile(np.arange(n_el), m))
+        d, kept = _nearest_elements(dist.reshape(m, n_el),
+                                    clamp.reshape(m, n_el), tau_multi, eq_tol)
+        d_opt[lo:lo + m] = d
+        count[lo:lo + m] = kept.sum(axis=1)
+        feet.append(foot[kept.reshape(-1)])
+    feet = np.concatenate(feet)
+    keep, spread = _spreads(feet, count, 1e-9 * max(1.0, diam))
+    if not isinstance(keep, slice):
+        count = np.add.reduceat(keep, np.cumsum(count) - count,
+                                dtype=np.intp)
+        feet = feet[keep]
+    return d_opt, count, feet, spread
+
+
+def _cycle_project(shape, x, tau_multi):
+    """Projection of x on a 2D polytope or offset: x is one row of
+    _cycle_rows."""
+    d_opt, _, feet, spread = _cycle_rows(shape, x[None], tau_multi)
+    return ProjectionResult(d_opt[0], feet, tau_multi, spread[0])
 
 
 def _cycle_nearest_feet(shape, pts):

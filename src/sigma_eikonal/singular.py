@@ -240,7 +240,10 @@ def _detect_cycle(shape, pts, band, tau_multi):
     elements projection._nearest_elements keeps.  The feet of rows keeping
     two or more elements come from one geometry._element_query call in
     cycle order, and projection._spreads dedupes them, first come first
-    kept, and measures their spread.  Returns (flags, dK).
+    kept, and measures their spread: the junction rule and spreads of
+    projection._cycle_rows, the rows resolver that project answers from,
+    here read off the distance matrix and run only on the rows the
+    prefilter leaves.  Returns (flags, dK).
     """
     diam = shape.diameter()
     n = pts.shape[0]

@@ -8,8 +8,13 @@ dedupe of ``ConvexPolytope`` replaced, and the per-element loops that
 replaced: the 2D boundary distance with one arc at a time, the element
 queries of ``_detect_cycle``, and the scalar element objects (``Segment``,
 ``Arc``) with the one-point projection over their cycle
-(``cycle_project``).  ``dedupe`` and ``max_pairwise`` are the one-row
-forms of ``projection._spreads``.  The production code must return
+(``cycle_project``, which ``projection._cycle_rows`` replaced).  The
+(n, m, 2) einsum and norm forms of the 2D kernels that the coordinate-plane
+``geometry._segment_distances`` and ``geometry._arc_distances`` replaced
+are ``point_segment_distance`` and ``arc_distance_matrix``, with their
+clamp codes; ``element_distance_matrix`` lays them out in cycle order.
+``dedupe`` and ``max_pairwise`` are the one-row forms of
+``projection._spreads``.  The production code must return
 exactly the same arrays (``np.array_equal``): the kernels and the march
 keep the same arithmetic and the same acceptance order, and the batched
 row resolution and bisection make the same decisions.
@@ -242,7 +247,10 @@ def fast_march(problem):
 
 
 def point_segment_distance(points, seg_a, seg_b):
-    """Distances (n, m) from points (n, d) to segments (m, d)."""
+    """Distances and clamp codes (n, m) from points (n, d) to segments
+    (m, d), through (n, m, d) arrays and einsum over the coordinate axis;
+    clamp is -1 where the foot is the segment start, +1 at its end, else 0.
+    """
     d = seg_b - seg_a
     L2 = np.einsum("md,md->m", d, d)
     L2 = np.where(L2 <= 0.0, 1.0, L2)
@@ -251,7 +259,43 @@ def point_segment_distance(points, seg_a, seg_b):
     t = np.clip(t, 0.0, 1.0)
     feet = seg_a[None, :, :] + t[..., None] * d[None, :, :]
     diff = points[:, None, :] - feet
-    return np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
+    dist = np.sqrt(np.einsum("nmd,nmd->nm", diff, diff))
+    clamp = (t == 1.0).astype(np.int8) - (t == 0.0)
+    return dist, clamp
+
+
+def arc_distance_matrix(points, center, a0, sweep, e0, e1, radius):
+    """Distances and clamp codes (n, m) from points (n, 2) to CCW arcs,
+    through (n, m, 2) arrays and np.linalg.norm: the radial foot (0) on
+    an arc's sector, else the nearer end point (-1 for e0, +1 for e1)."""
+    p = points[:, None, :]
+    rel = p - center
+    r = np.linalg.norm(rel, axis=2)
+    local = (np.arctan2(rel[..., 1], rel[..., 0]) - a0) % (2.0 * np.pi)
+    on_arc = (local <= sweep) & (r > 1e-300)
+    d0 = np.linalg.norm(p - e0, axis=2)
+    d1 = np.linalg.norm(p - e1, axis=2)
+    nearer0 = d0 <= d1
+    dist = np.where(on_arc, np.abs(r - radius), np.where(nearer0, d0, d1))
+    clamp = np.where(on_arc, 0, np.where(nearer0, -1, 1)).astype(np.int8)
+    return dist, clamp
+
+
+def element_distance_matrix(shape, points):
+    """The (node, element) distance and clamp matrices of a 2D polytope or
+    offset in cycle order, from point_segment_distance and
+    arc_distance_matrix over all points at once."""
+    cyc = shape._cycle
+    seg = point_segment_distance(points, cyc.seg_a, cyc.seg_b)
+    if not cyc.radius:
+        return seg
+    arc = arc_distance_matrix(points, cyc.center, cyc.a0, cyc.sweep, cyc.e0,
+                              cyc.e1, cyc.radius)
+    dist = np.empty((points.shape[0], cyc.size))
+    clamp = np.empty((points.shape[0], cyc.size), dtype=np.int8)
+    dist[:, 0::2], clamp[:, 0::2] = arc
+    dist[:, 1::2], clamp[:, 1::2] = seg
+    return dist, clamp
 
 
 def point_arc_distance(points, center, a0, sweep, radius):
@@ -277,7 +321,7 @@ def boundary_distance_2d(shape, points):
         (seg_a, seg_b, _), arcs = shape.elements()
     else:
         (seg_a, seg_b), arcs = shape.edges(), []
-    best = point_segment_distance(points, seg_a, seg_b).min(axis=1)
+    best = point_segment_distance(points, seg_a, seg_b)[0].min(axis=1)
     for center, a0, sweep in arcs:
         best = np.minimum(best, point_arc_distance(points, center, a0, sweep,
                                                    shape.epsilon))

@@ -9,7 +9,7 @@ the arrays must be equal bit for bit, not merely close.
 import numpy as np
 import pytest
 
-from sigma_eikonal import singular
+from sigma_eikonal import projection, singular
 from sigma_eikonal.distance import GridSpec, distance_field, grid_covering
 from sigma_eikonal.eikonal import EikonalProblem, fast_march, problem_from_shape
 from sigma_eikonal.geometry import (
@@ -22,11 +22,12 @@ from sigma_eikonal.geometry import (
     SampledSurface,
     _ELEMENT_PAIRS_PER_BLOCK,
     _closest_point_triangles,
+    _element_distance_blocks,
     _element_query,
     make_random_polytope,
 )
 from sigma_eikonal.innerball import inner_ball_profile, inner_ball_radius
-from sigma_eikonal.projection import project
+from sigma_eikonal.projection import _cycle_rows, project
 from sigma_eikonal.singular import BAND_FACTOR, detect_multiproj
 
 import oracles
@@ -274,6 +275,45 @@ def test_2d_flags_are_exactly_the_non_singleton_projections(label, shape):
             != flags[i]
 
 
+def resolver_shapes():
+    """The square, the offset square and a 16-facet polytope's 0.3 offset."""
+    square = Box((1.0, 1.0)).as_polytope()
+    return [("square", square), ("square_e0.5", OffsetBody(square, 0.5)),
+            ("poly16_e0.3", OffsetBody(make_random_polytope(16, 1), 0.3))]
+
+
+@pytest.mark.parametrize("label,shape", resolver_shapes(),
+                         ids=[lbl for lbl, _ in resolver_shapes()])
+def test_cycle_rows_match_scalar_cycle_on_every_flag(label, shape,
+                                                    monkeypatch):
+    """_cycle_rows, run over every flagged node of the h = 1/32 grid at
+    once, gives each node the distance, feet and spread of
+    oracles.cycle_project bit for bit, in one block of pairs or in many,
+    and project answers each node as that row."""
+    grid = grid_covering(shape, MASK_STEPS[1])
+    mask = detect_multiproj(shape, grid)
+    tau = mask.params["tau_multi"]
+    pts = grid.points()[mask.flags.reshape(-1)]
+    assert pts.shape[0] > 100
+    d_opt, count, feet, spread = _cycle_rows(shape, pts, tau)
+    monkeypatch.setattr(projection, "ROW_PAIRS_PER_BLOCK",
+                        7 * shape._cycle.size)
+    for got, want in zip(_cycle_rows(shape, pts, tau),
+                         (d_opt, count, feet, spread)):
+        assert np.array_equal(got, want)
+    monkeypatch.undo()
+    rows = np.split(feet, np.cumsum(count)[:-1])
+    cycle, diam = oracle_cycle(shape), shape.diameter()
+    for i, x in enumerate(pts):
+        d_ref, feet_ref = oracles.cycle_project(cycle, x, tau, diam)
+        assert d_opt[i] == d_ref
+        assert np.array_equal(rows[i], feet_ref)
+        assert spread[i] == oracles.max_pairwise(feet_ref)
+        res = project(shape, x, tau_multi=tau)
+        assert res.distance == d_opt[i] and res.spread == spread[i]
+        assert np.array_equal(res.nearest, rows[i])
+
+
 # ---------------------------------------------------------------------------
 # 2D boundary distance against the one-arc-at-a-time loop
 # ---------------------------------------------------------------------------
@@ -319,6 +359,39 @@ def test_2d_boundary_distance_across_kernel_blocks():
     assert np.array_equal(distance_field(body, grid).values.ravel(), ref)
     mask = detect_multiproj(body, grid)
     assert np.array_equal(mask.distance.ravel(), ref)
+
+
+def kernel_edge_points(shape):
+    """Points where the 2D kernels switch branch: every vertex, every
+    segment end point (t exactly 0 and 1), every arc centre, and points on
+    the rays from each arc centre through e0 and e1 at radii eps/2, eps and
+    2 eps."""
+    cyc = shape._cycle
+    base = shape.base if isinstance(shape, OffsetBody) else shape
+    pts = [base.vertices, cyc.seg_a, cyc.seg_b, cyc.center]
+    for end in (cyc.e0, cyc.e1):
+        pts += [cyc.center + s * (end - cyc.center) for s in (0.5, 1.0, 2.0)]
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("label,shape", projection_shapes_2d(),
+                         ids=[lbl for lbl, _ in projection_shapes_2d()])
+def test_element_distance_blocks_match_einsum_kernels(label, shape):
+    """The coordinate-plane kernels give the distance and clamp matrices of
+    the (n, E, 2) einsum forms bit for bit, on the h = 1/20 grid and at the
+    points where a kernel switches branch."""
+    pts = np.vstack([grid_covering(shape, MASK_STEPS[0]).points(),
+                     kernel_edge_points(shape)])
+    want_dist, want_clamp = oracles.element_distance_matrix(shape, pts)
+    n_rows = 0
+    for rows, dist, clamp in _element_distance_blocks(shape, pts):
+        assert clamp.dtype == want_clamp.dtype
+        assert np.array_equal(dist, want_dist[rows])
+        assert np.array_equal(clamp, want_clamp[rows])
+        n_rows += dist.shape[0]
+    assert n_rows == pts.shape[0]
+    edge = oracles.element_distance_matrix(shape, kernel_edge_points(shape))[1]
+    assert (edge == -1).any() and (edge == 1).any()
 
 
 # ---------------------------------------------------------------------------
