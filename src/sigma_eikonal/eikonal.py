@@ -13,6 +13,14 @@ Acceptance order is monotone in value; this is asserted during the sweep.
 Nodes that never become reachable from the seeds keep value +inf and are
 counted in the field metadata rather than silently filled.
 
+The sweep runs on the grid padded by one rim node on each side of every
+axis.  Rim nodes count as accepted from the start and offer the value
++inf, which no update uses, so a node's neighbours are its flat index
+plus or minus each axis stride, with no coordinates and no bounds checks.
+The padded flat index grows with the grid's own flat index (both are
+row-major over the same node order), so the heap breaks every tie as on
+the unpadded grid and the values and counts are the same.
+
 Residuals evaluate the same upwind gradient on a finished field:
 per axis g_k = max((u - u_minus)/h, (u - u_plus)/h, 0), residual
 |g|^2 - 1.  Statistics exclude nodes near the surface (small |u|), near
@@ -103,74 +111,70 @@ def fast_march(problem):
     """
     grid = problem.grid
     h = grid.spacing
-    dims = grid.dims
-    n = grid.n_nodes
     dim = grid.dim
-
-    # plain lists: each neighbour read in the sweep is a list index, not a
-    # numpy scalar lookup
-    values = [math.inf] * n
-    accepted = [False] * n
-
+    # the rim-padded state (module docstring): values holds tentative
+    # values and -inf once a node is accepted, as the rim is from the
+    # start; final holds accepted values and +inf elsewhere, rim included
+    padded = tuple(d + 2 for d in grid.dims)
+    inner = (slice(1, -1),) * dim
     strides = [1] * dim
     for k in range(dim - 2, -1, -1):
-        strides[k] = strides[k + 1] * dims[k + 1]
-    axes = list(zip(strides, dims))
+        strides[k] = strides[k + 1] * padded[k + 1]
+    steps = [sign * s for s in strides for sign in (-1, 1)]
+    inf, push, pop = math.inf, heapq.heappush, heapq.heappop
+    state = np.full(padded, -inf)
+    state[inner] = inf
+    # plain lists: each read in the sweep is a list index, not a numpy
+    # scalar lookup
+    values = state.ravel().tolist()
+    final = [inf] * len(values)
 
     heap = []
     for idx, val in problem.seeds:
-        fi = sum(i * s for i, s in zip(idx, strides))
+        fi = sum((i + 1) * s for i, s in zip(idx, strides))
         if val < values[fi]:
             values[fi] = val
-            heapq.heappush(heap, (val, fi))
+            push(heap, (val, fi))
 
-    last_accepted = -math.inf
+    last_accepted = -inf
     n_accepted = 0
     while heap:
-        val, fi = heapq.heappop(heap)
-        if accepted[fi] or val != values[fi]:
+        val, fi = pop(heap)
+        if val != values[fi]:       # accepted, or a stale entry
             continue
         if val < last_accepted - ACCEPT_SLACK * (1.0 + abs(val)):
             raise AssertionError("acceptance order lost monotonicity")
         last_accepted = val
-        accepted[fi] = True
+        values[fi] = -inf
+        final[fi] = val
         n_accepted += 1
-        c = [fi // s % d for s, d in axes]
-        for k, (sk, dk) in enumerate(axes):
-            for step in (-1, 1):
-                ck = c[k] + step
-                if ck < 0 or ck >= dk:
-                    continue
-                nb = fi + step * sk
-                if accepted[nb]:
-                    continue
-                # gather accepted axis values around the neighbor
-                avals = []
-                for ax, (sa, da) in enumerate(axes):
-                    ca = ck if ax == k else c[ax]
-                    best = math.inf
-                    if ca > 0:
-                        cand = nb - sa
-                        if accepted[cand]:
-                            best = values[cand]
-                    if ca < da - 1:
-                        cand = nb + sa
-                        if accepted[cand] and values[cand] < best:
-                            best = values[cand]
-                    if best < math.inf:
-                        avals.append(best)
-                if not avals:
-                    continue
-                avals.sort()
+        for step in steps:
+            nb = fi + step
+            if values[nb] == -inf:
+                continue
+            # the accepted value on each axis around the neighbour; fi
+            # itself is one, so the list is never empty
+            avals = []
+            for s in strides:
+                a = final[nb - s]
+                b = final[nb + s]
+                if b < a:
+                    a = b
+                if a < inf:
+                    avals.append(a)
+            avals.sort()
+            # _solve_update's first branch, inline: most updates end there
+            t = avals[0] + h
+            if len(avals) > 1 and t > avals[1]:
                 t = _solve_update(avals, h)
-                if t < values[nb]:
-                    values[nb] = t
-                    heapq.heappush(heap, (t, nb))
+            if t < values[nb]:
+                values[nb] = t
+                push(heap, (t, nb))
 
-    out = ScalarField(grid, np.array(values).reshape(dims),
+    out = ScalarField(grid, np.array(final).reshape(padded)[inner].copy(),
                       kind="eikonal_solution",
                       meta={"accepted": n_accepted,
-                            "unreachable": n - n_accepted})
+                            "unreachable": grid.n_nodes - n_accepted})
     return out
 
 

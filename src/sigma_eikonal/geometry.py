@@ -129,13 +129,15 @@ class ConvexPolytope:
 
     Vertices are derived once at construction (Qhull halfspace intersection
     seeded by the Chebyshev center) and cached; 2D vertex rings are stored in
-    counterclockwise order.  Construction rejects unbounded or empty input.
+    counterclockwise order.  Construction rejects unbounded or empty input:
+    the normals must pass a direction-net certificate, and the seed must lie
+    strictly inside the dual hull of the intersection.
     """
 
     is_convex = True
     kind = "polytope"
 
-    def __init__(self, normals, offsets, _spec=None):
+    def __init__(self, normals, offsets, _spec=None, _inball=None):
         normals = np.array(normals, dtype=float)
         offsets = np.array(offsets, dtype=float)
         if normals.ndim != 2 or normals.shape[1] not in (2, 3):
@@ -163,7 +165,8 @@ class ConvexPolytope:
         self.offsets = offsets
         self._spec = _spec
 
-        center, radius = self._chebyshev()
+        # _inball: a known (center, radius) of the largest inscribed ball
+        center, radius = self._chebyshev() if _inball is None else _inball
         if radius <= 0.0:
             raise GeometryError("halfspaces have empty interior")
         self.chebyshev_center = center
@@ -203,6 +206,15 @@ class ConvexPolytope:
             hsi = HalfspaceIntersection(halfspaces, self.chebyshev_center)
         except Exception as exc:  # qhull failures surface as shape errors
             raise GeometryError(f"vertex enumeration failed: {exc}") from exc
+        # the intersection is bounded exactly when the seed lies strictly
+        # inside the dual hull (facet offsets below 0, here relative to the
+        # dual points' size); an open cone narrower than the direction
+        # net's spacing passes the certificate but fails here
+        if (hsi.dual_equations[:, -1].max()
+                > -1e-9 * np.abs(hsi.dual_points).max()):
+            raise GeometryError(
+                "polytope is unbounded: the facet normals leave an open "
+                "direction")
         pts = hsi.intersections
         # dedupe near-identical intersection points, first come first kept;
         # vecdot takes the same dot product as np.linalg.norm of one vector
@@ -226,12 +238,10 @@ class ConvexPolytope:
         return self._hull
 
     def triangles(self):
-        """The hull triangles as three (m, 3) arrays of their corners (3D
-        distance and projection kernel input), built once."""
+        """The hull triangles as arrays (_Triangles: the 3D distance and
+        projection kernel input), built once."""
         if self._triangles is None:
-            hull = self.hull()
-            self._triangles = tuple(hull.points[hull.simplices[:, k]]
-                                    for k in range(3))
+            self._triangles = _Triangles(self.hull())
         return self._triangles
 
     # -- geometry queries -----------------------------------------------------
@@ -327,9 +337,11 @@ def make_random_polytope(n_facets, seed, dim=2):
     """Tangent polytope to the unit sphere at n_facets seeded uniform points.
 
     Each facet plane touches the unit sphere, so any bounded result contains
-    the unit ball and has inradius exactly 1.  Sampling that leaves the body
-    unbounded is rejected rather than silently resampled, keeping the map
-    from (n_facets, seed) to shapes deterministic.
+    the unit ball and has inradius exactly 1: the normals of a bounded body
+    positively span, so no center other than the origin clears every facet
+    by more than 1.  That ball is passed in, and no Chebyshev LP is solved.
+    Sampling that leaves the body unbounded is rejected rather than silently
+    resampled, keeping the map from (n_facets, seed) to shapes deterministic.
     """
     if dim not in (2, 3):
         raise GeometryError("dim must be 2 or 3")
@@ -345,7 +357,8 @@ def make_random_polytope(n_facets, seed, dim=2):
     offsets = np.ones(n_facets)
     spec = {"kind": "random_polytope", "n_facets": int(n_facets),
             "seed": int(seed), "dim": int(dim)}
-    return ConvexPolytope(normals, offsets, _spec=spec)
+    return ConvexPolytope(normals, offsets, _spec=spec,
+                          _inball=(np.zeros(dim), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -1263,93 +1276,173 @@ def _boundary_distance_2d(shape, points):
     return out
 
 
-def _closest_point_triangles(points, tri_a, tri_b, tri_c):
-    """Exact closest points from points (n, 3) to triangles (m, 3).
+class _Triangles:
+    """The hull triangles of a 3D polytope as arrays, built once.
 
-    Returns the feet, shape (n, m, 3).  Each (point, triangle) pair runs
-    Ericson's Voronoi-region tests in a fixed order with the same
-    arithmetic, so a pair's foot does not depend on the other pairs.
+    Triangle k has corners a[k], b[k], c[k] and edges ab = b - a,
+    ac = c - a, bc = c - b.  centroid[k] is its centroid and reach[k] the
+    largest distance from the centroid to a corner, so the triangle lies
+    in the ball of that radius about its centroid.  corners holds each
+    hull vertex once, and margin is 1e-9 x max(1, box diagonal of the
+    hull), the rounding allowance of the pruning bounds (see
+    _polytope_boundary_distance_3d).
     """
-    shape = (points.shape[0],) + tri_a.shape
-    p = points[:, None, :]
-    ab = tri_b - tri_a
-    ac = tri_c - tri_a
-    ap = p - tri_a
-    d1 = np.einsum("nmd,md->nm", ap, ab)
-    d2 = np.einsum("nmd,md->nm", ap, ac)
-    bp = p - tri_b
-    d3 = np.einsum("nmd,md->nm", bp, ab)
-    d4 = np.einsum("nmd,md->nm", bp, ac)
-    cp = p - tri_c
-    d5 = np.einsum("nmd,md->nm", cp, ab)
-    d6 = np.einsum("nmd,md->nm", cp, ac)
-    tri_a = np.broadcast_to(tri_a, shape)
-    tri_b = np.broadcast_to(tri_b, shape)
-    tri_c = np.broadcast_to(tri_c, shape)
-    ab = np.broadcast_to(ab, shape)
-    ac = np.broadcast_to(ac, shape)
 
-    result = np.empty(shape)
-    done = np.zeros(shape[:2], dtype=bool)
+    __slots__ = ("a", "b", "c", "ab", "ac", "bc", "centroid", "reach",
+                 "corners", "margin")
 
-    mask = (d1 <= 0) & (d2 <= 0)
-    result[mask] = tri_a[mask]
-    done |= mask
+    def __init__(self, hull):
+        pts, simp = hull.points, hull.simplices
+        self.a, self.b, self.c = (pts[simp[:, k]] for k in range(3))
+        self.ab = self.b - self.a
+        self.ac = self.c - self.a
+        self.bc = self.c - self.b
+        self.centroid = (self.a + self.b + self.c) / 3.0
+        self.reach = np.sqrt(np.max(
+            [np.vecdot(v - self.centroid, v - self.centroid)
+             for v in (self.a, self.b, self.c)], axis=0))
+        self.corners = pts[np.unique(simp)]
+        diag = float(np.linalg.norm(np.ptp(self.corners, axis=0)))
+        self.margin = 1e-9 * max(1.0, diag)
 
-    mask = (~done) & (d3 >= 0) & (d4 <= d3)
-    result[mask] = tri_b[mask]
-    done |= mask
 
+def _squared_distances(points, q):
+    """|p - q|^2 of every point (n, 3) and every q (m, 3): an (n, m)
+    matrix summed over coordinate planes in place."""
+    out = points[:, :1] - q[:, 0]
+    out *= out
+    tmp = np.empty_like(out)
+    for k in (1, 2):
+        np.subtract(points[:, k:k + 1], q[:, k], out=tmp)
+        tmp *= tmp
+        out += tmp
+    return out
+
+
+def _safe_denominator(x):
+    return np.where(np.abs(x) < 1e-300, 1.0, x)
+
+
+def _along(start, edge, num, den, i):
+    """start + (num / den) edge on the pairs i, den kept off zero."""
+    t = num[i] / _safe_denominator(den[i])
+    return start.take(i, axis=0) + t[:, None] * edge.take(i, axis=0)
+
+
+def _triangle_feet(tri, k, p):
+    """Distances and closest points from p[i] (n, 3) to hull triangle
+    k[i] of tri (_Triangles).
+
+    Each pair runs Ericson's Voronoi-region tests in a fixed order: corner
+    a, corner b, edge ab, corner c, edge ac, edge bc, then the face, and
+    the first test that holds gives the foot.  The dots are einsum over
+    the length-3 axis and the distance is np.linalg.norm of foot - p,
+    the arithmetic of the broadcast (point, triangle) kernel this replaced
+    (``closest_point_triangles`` in tests/oracles.py), so a pair's bits
+    do not depend on the other pairs.  Each foot formula runs only on the
+    pairs of its region: a stable sort groups the pairs by region, and the
+    results go back to pair order at the end.  Returns (dist (n,), feet
+    (n, 3)).
+    """
+    a, b, c, ab, ac, bc = (v.take(k, axis=0) for v in (
+        tri.a, tri.b, tri.c, tri.ab, tri.ac, tri.bc))
+    ap = p - a
+    d1 = np.einsum("kd,kd->k", ap, ab)
+    d2 = np.einsum("kd,kd->k", ap, ac)
+    bp = p - b
+    d3 = np.einsum("kd,kd->k", bp, ab)
+    d4 = np.einsum("kd,kd->k", bp, ac)
+    cp = p - c
+    d5 = np.einsum("kd,kd->k", cp, ab)
+    d6 = np.einsum("kd,kd->k", cp, ac)
     vc = d1 * d4 - d3 * d2
-    mask = (~done) & (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    denom = np.where(np.abs(d1 - d3) < 1e-300, 1.0, d1 - d3)
-    v = d1 / denom
-    result[mask] = tri_a[mask] + v[mask, None] * ab[mask]
-    done |= mask
-
-    mask = (~done) & (d6 >= 0) & (d5 <= d6)
-    result[mask] = tri_c[mask]
-    done |= mask
-
     vb = d5 * d2 - d1 * d6
-    mask = (~done) & (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    denom = np.where(np.abs(d2 - d6) < 1e-300, 1.0, d2 - d6)
-    w = d2 / denom
-    result[mask] = tri_a[mask] + w[mask, None] * ac[mask]
-    done |= mask
-
     va = d3 * d6 - d5 * d4
-    mask = (~done) & (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)
-    denom = (d4 - d3) + (d5 - d6)
-    denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-    w = (d4 - d3) / denom
-    result[mask] = tri_b[mask] + w[mask, None] * (tri_c[mask] - tri_b[mask])
-    done |= mask
+    e43, e56 = d4 - d3, d5 - d6
+    tests = ((d1 <= 0) & (d2 <= 0),
+             (d3 >= 0) & (d4 <= d3),
+             (vc <= 0) & (d1 >= 0) & (d3 <= 0),
+             (d6 >= 0) & (d5 <= d6),
+             (vb <= 0) & (d2 >= 0) & (d6 <= 0),
+             (va <= 0) & (e43 >= 0) & (e56 >= 0))
+    region = np.full(k.shape[0], len(tests), dtype=np.int8)   # the face
+    for r in reversed(range(len(tests))):
+        region[tests[r]] = r
+    order = np.argsort(region, kind="stable")
+    i = np.split(order, np.cumsum(
+        np.bincount(region, minlength=len(tests) + 1))[:-1])
+    face = va + vb + vc
+    feet = np.concatenate([
+        a.take(i[0], axis=0),
+        b.take(i[1], axis=0),
+        _along(a, ab, d1, d1 - d3, i[2]),
+        c.take(i[3], axis=0),
+        _along(a, ac, d2, d2 - d6, i[4]),
+        _along(b, bc, e43, e43 + e56, i[5]),
+        (_along(a, ab, vb, face, i[6])
+         + (vc[i[6]] / _safe_denominator(face[i[6]]))[:, None]
+         * ac.take(i[6], axis=0))])
+    dist = np.linalg.norm(feet - p.take(order, axis=0), axis=1)
+    back = np.empty_like(order)
+    back[order] = np.arange(order.shape[0])
+    return dist.take(back), feet.take(back, axis=0)
 
-    mask = ~done
-    denom = va + vb + vc
-    denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-    v = vb / denom
-    w = vc / denom
-    result[mask] = (tri_a[mask] + v[mask, None] * ab[mask]
-                    + w[mask, None] * ac[mask])
-    return result
+
+# (point, triangle) pairs per block of the pruning bounds: keeps the (n, m)
+# bound matrices near half a megabyte whatever the facet count
+TRIANGLE_PAIRS_PER_BLOCK = 2 ** 16
 
 
-# point-triangle pairs per kernel call: keeps the (n, m, 3) temporaries at a
-# few MB whatever the facet count
-TRIANGLE_PAIRS_PER_BLOCK = 2 ** 14
+def _triangle_pairs(tri, points):
+    """The (point, triangle) pairs that can hold a point's nearest foot,
+    with their distances and feet, one block of points at a time.
+
+    A pair is kept unless its lower bound exceeds the point's upper bound
+    (_polytope_boundary_distance_3d gives both and why the pruning is
+    exact), so a NaN point keeps every pair.  Yields (rows, k, dist,
+    feet): the kept pairs in (point, triangle) order, rows indexing
+    points and k the triangles, with dist and feet as _triangle_feet.
+    """
+    block = max(1, TRIANGLE_PAIRS_PER_BLOCK // tri.a.shape[0])
+    for lo in range(0, points.shape[0], block):
+        p = points[lo:lo + block]
+        upper = np.sqrt(_squared_distances(p, tri.corners).min(axis=1))
+        bound = upper + tri.margin * (1.0 + upper)
+        bound = bound[:, None] + tri.reach
+        bound *= bound
+        rows, k = np.nonzero(~(_squared_distances(p, tri.centroid) > bound))
+        dist, feet = _triangle_feet(tri, k, p.take(rows, axis=0))
+        yield lo + rows, k, dist, feet
 
 
 def _polytope_boundary_distance_3d(poly, points):
-    tri = poly.triangles()
-    block = max(1, TRIANGLE_PAIRS_PER_BLOCK // tri[0].shape[0])
+    """Distance from points (n, 3) to the hull triangles of a 3D polytope.
+
+    Each point's distance is the minimum of Ericson's closest-point
+    distances over the triangles, found on the pairs that two bounds do
+    not rule out (_triangle_pairs):
+
+    - the upper bound U is the distance to the nearest hull corner, at
+      least the distance to any triangle at that corner;
+    - the lower bound of a triangle is |p - centroid| - reach, since its
+      foot lies within reach of the centroid (_Triangles).
+
+    A pair is kept when its lower bound is at most U + margin (1 + U),
+    with margin 1e-9 x max(1, box diagonal of the hull), far above the
+    rounding of the bounds and of the kernel's distances.  The pruning is
+    exact: the triangle whose computed distance d is the row minimum has
+    lower bound at most d, and d is at most U, so it is always kept, as
+    are the triangles at the nearest corner.  The row minimum over the
+    kept pairs is therefore the minimum over all triangles, bit for bit,
+    and since kept pairs stay in triangle order the first triangle at the
+    minimum is too (projection reads its foot).  Rows come sorted and
+    none is empty, so np.minimum.reduceat over the row starts reduces
+    each row.
+    """
     out = np.empty(points.shape[0])
-    for s in range(0, points.shape[0], block):
-        p = points[s:s + block]
-        feet = _closest_point_triangles(p, *tri)
-        out[s:s + block] = np.min(
-            np.linalg.norm(feet - p[:, None, :], axis=2), axis=1)
+    for rows, _, dist, _ in _triangle_pairs(poly.triangles(), points):
+        start = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[rows[start]] = np.minimum.reduceat(dist, start)
     return out
 
 

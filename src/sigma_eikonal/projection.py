@@ -64,9 +64,9 @@ from .geometry import (
     GraphHypersurface,
     OffsetBody,
     SampledSurface,
-    _closest_point_triangles,
     _element_distance_blocks,
     _element_query,
+    _triangle_pairs,
 )
 
 EXACT_TAU_FACTOR = 1e-9     # default tau_multi for exact shapes, times diameter
@@ -326,15 +326,15 @@ def _convex_base(shape):
 def _slack_project(shape, x, tau_multi):
     """Projection of x on a 3D polytope or offset.
 
-    The distance comes from the base's hull triangles.  Inside the base
-    the nearest set is its facet slack feet pushed out by epsilon
-    (_slack_feet), one per active facet at a base edge or vertex; outside
-    it the nearest point is unique, the nearest base triangle foot pushed
-    out by epsilon away from x.
+    The distance comes from the base's hull triangles, through the
+    pruned pairs of geometry's 3D distance kernel (_triangle_pairs).
+    Inside the base the nearest set is its facet slack feet pushed out by
+    epsilon (_slack_feet), one per active facet at a base edge or vertex;
+    outside it the nearest point is unique, the foot of the first nearest
+    base triangle pushed out by epsilon away from x.
     """
     base, eps = _convex_base(shape)
-    feet = _closest_point_triangles(x[None], *base.triangles())[0]
-    dist = np.linalg.norm(feet - x, axis=1)
+    _, _, dist, feet = next(_triangle_pairs(base.triangles(), x[None]))
     k = np.argmin(dist)
     d_base, foot = dist[k], feet[k]
     _, pushed = _slack_feet(base, x[None], tau_multi, eps)

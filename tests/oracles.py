@@ -13,9 +13,12 @@ queries of ``_detect_cycle``, and the scalar element objects (``Segment``,
 ``geometry._segment_distances`` and ``geometry._arc_distances`` replaced
 are ``point_segment_distance`` and ``arc_distance_matrix``, with their
 clamp codes; ``element_distance_matrix`` lays them out in cycle order.
-``dedupe`` and ``max_pairwise`` are the one-row forms of
-``projection._spreads``.  The production code must return
-exactly the same arrays (``np.array_equal``): the kernels and the march
+``closest_point_triangles`` is the (n, m, 3) broadcast point-triangle
+kernel that ``geometry._triangle_feet`` replaced: that one runs the same
+per-pair arithmetic on the (point, triangle) pairs that the pruning bounds
+of ``geometry._triangle_pairs`` keep.  ``dedupe`` and ``max_pairwise``
+are the one-row forms of ``projection._spreads``.  The production code
+must return exactly the same arrays (``np.array_equal``): the kernels and the march
 keep the same arithmetic and the same acceptance order, and the batched
 row resolution and bisection make the same decisions.
 
@@ -85,6 +88,81 @@ def closest_point_triangles_one(p, tri_a, tri_b, tri_c):
 
     result = np.empty_like(tri_a)
     done = np.zeros(tri_a.shape[0], dtype=bool)
+
+    mask = (d1 <= 0) & (d2 <= 0)
+    result[mask] = tri_a[mask]
+    done |= mask
+
+    mask = (~done) & (d3 >= 0) & (d4 <= d3)
+    result[mask] = tri_b[mask]
+    done |= mask
+
+    vc = d1 * d4 - d3 * d2
+    mask = (~done) & (vc <= 0) & (d1 >= 0) & (d3 <= 0)
+    denom = np.where(np.abs(d1 - d3) < 1e-300, 1.0, d1 - d3)
+    v = d1 / denom
+    result[mask] = tri_a[mask] + v[mask, None] * ab[mask]
+    done |= mask
+
+    mask = (~done) & (d6 >= 0) & (d5 <= d6)
+    result[mask] = tri_c[mask]
+    done |= mask
+
+    vb = d5 * d2 - d1 * d6
+    mask = (~done) & (vb <= 0) & (d2 >= 0) & (d6 <= 0)
+    denom = np.where(np.abs(d2 - d6) < 1e-300, 1.0, d2 - d6)
+    w = d2 / denom
+    result[mask] = tri_a[mask] + w[mask, None] * ac[mask]
+    done |= mask
+
+    va = d3 * d6 - d5 * d4
+    mask = (~done) & (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)
+    denom = (d4 - d3) + (d5 - d6)
+    denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
+    w = (d4 - d3) / denom
+    result[mask] = tri_b[mask] + w[mask, None] * (tri_c[mask] - tri_b[mask])
+    done |= mask
+
+    mask = ~done
+    denom = va + vb + vc
+    denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
+    v = vb / denom
+    w = vc / denom
+    result[mask] = (tri_a[mask] + v[mask, None] * ab[mask]
+                    + w[mask, None] * ac[mask])
+    return result
+
+
+def closest_point_triangles(points, tri_a, tri_b, tri_c):
+    """Exact closest points from points (n, 3) to triangles (m, 3).
+
+    Returns the feet, shape (n, m, 3).  Each (point, triangle) pair runs
+    Ericson's Voronoi-region tests in a fixed order with the same
+    arithmetic, so a pair's foot does not depend on the other pairs.  This
+    is the broadcast kernel that ``geometry._triangle_feet`` (pair form,
+    on the pruned pairs of ``geometry._triangle_pairs``) replaced.
+    """
+    shape = (points.shape[0],) + tri_a.shape
+    p = points[:, None, :]
+    ab = tri_b - tri_a
+    ac = tri_c - tri_a
+    ap = p - tri_a
+    d1 = np.einsum("nmd,md->nm", ap, ab)
+    d2 = np.einsum("nmd,md->nm", ap, ac)
+    bp = p - tri_b
+    d3 = np.einsum("nmd,md->nm", bp, ab)
+    d4 = np.einsum("nmd,md->nm", bp, ac)
+    cp = p - tri_c
+    d5 = np.einsum("nmd,md->nm", cp, ab)
+    d6 = np.einsum("nmd,md->nm", cp, ac)
+    tri_a = np.broadcast_to(tri_a, shape)
+    tri_b = np.broadcast_to(tri_b, shape)
+    tri_c = np.broadcast_to(tri_c, shape)
+    ab = np.broadcast_to(ab, shape)
+    ac = np.broadcast_to(ac, shape)
+
+    result = np.empty(shape)
+    done = np.zeros(shape[:2], dtype=bool)
 
     mask = (d1 <= 0) & (d2 <= 0)
     result[mask] = tri_a[mask]

@@ -6,6 +6,7 @@ import pytest
 from sigma_eikonal.geometry import (
     Ball,
     Box,
+    ConvexPolytope,
     Ellipse,
     GeometryError,
     GraphHypersurface,
@@ -236,6 +237,34 @@ def test_unbounded_normal_draw_is_rejected():
     # constructor refuses it instead of silently resampling
     with pytest.raises(GeometryError):
         make_random_polytope(8, seed=14)
+
+
+@pytest.mark.parametrize("n_facets, seed, dim",
+                         [(8, 3, 2), (16, 1, 2), (64, 2, 2), (128, 1, 2),
+                          (12, 5, 3), (32, 1, 3), (32, 7, 3)])
+def test_random_polytope_inball_is_the_unit_ball(n_facets, seed, dim):
+    """A random tangent polytope skips the Chebyshev LP: its inball is the
+    unit ball about the origin, and its vertices are the ones the LP-seeded
+    construction from the same halfspaces gives, bit for bit."""
+    poly = make_random_polytope(n_facets, seed, dim)
+    assert poly.inradius() == 1.0
+    assert np.array_equal(poly.chebyshev_center, np.zeros(dim))
+    solved = ConvexPolytope(poly.normals, poly.offsets)
+    assert solved.inradius() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(poly.vertices, solved.vertices)
+
+
+def test_open_cone_between_net_directions_is_rejected():
+    """Normals spanning a half-turn less 0.002 leave an open cone of that
+    width between two directions of the certificate's net.  Without the LP
+    (a given inball, as for random polytopes) the dual-hull test of the
+    vertex enumeration rejects it; the LP rejects it too."""
+    ang = np.linspace(0.0, np.pi - 0.002, 9) + np.pi / 720
+    normals = np.column_stack([np.cos(ang), np.sin(ang)])
+    with pytest.raises(GeometryError, match="unbounded"):
+        ConvexPolytope(normals, np.ones(9), _inball=(np.zeros(2), 1.0))
+    with pytest.raises(GeometryError, match="unbounded"):
+        ConvexPolytope(normals, np.ones(9))
 
 
 def test_shape_spec_round_trip(tmp_path, unit_square):

@@ -9,7 +9,7 @@ the arrays must be equal bit for bit, not merely close.
 import numpy as np
 import pytest
 
-from sigma_eikonal import projection, singular
+from sigma_eikonal import geometry, projection, singular
 from sigma_eikonal.distance import GridSpec, distance_field, grid_covering
 from sigma_eikonal.eikonal import EikonalProblem, fast_march, problem_from_shape
 from sigma_eikonal.geometry import (
@@ -21,9 +21,9 @@ from sigma_eikonal.geometry import (
     OffsetBody,
     SampledSurface,
     _ELEMENT_PAIRS_PER_BLOCK,
-    _closest_point_triangles,
     _element_distance_blocks,
     _element_query,
+    _triangle_feet,
     make_random_polytope,
 )
 from sigma_eikonal.innerball import inner_ball_profile, inner_ball_radius
@@ -43,8 +43,19 @@ def radial(rng, n, lo, hi):
                                                             keepdims=True)
 
 
+def feature_points(poly, spacing):
+    """Hull corners, edge midpoints and triangle centroids, the centre
+    and boundary samples: the points where several triangles tie."""
+    tri = poly.triangles()
+    return np.vstack([tri.corners, (tri.a + tri.b) / 2.0,
+                      (tri.b + tri.c) / 2.0, (tri.a + tri.c) / 2.0,
+                      tri.centroid, np.zeros((1, 3)),
+                      poly.boundary_sample(spacing).points])
+
+
 def query_points(poly, grid, seed):
-    """Grid nodes, interior points and far exterior points."""
+    """Grid nodes, interior points, far exterior points and the feature
+    points."""
     rng = np.random.default_rng(seed)
     verts = poly.vertices
     # a tangent polytope contains the unit ball, so convex combinations of
@@ -52,7 +63,8 @@ def query_points(poly, grid, seed):
     t = rng.uniform(0.0, 1.0, (400, 1))
     inner = (t * verts[rng.integers(0, len(verts), 400)]
              + (1.0 - t) * radial(rng, 400, 0.0, 1.0))
-    return np.vstack([grid.points(), inner, radial(rng, 400, 5.0, 50.0)])
+    return np.vstack([grid.points(), inner, radial(rng, 400, 5.0, 50.0),
+                      feature_points(poly, 0.25)])
 
 
 @pytest.fixture(scope="module", params=SEEDS)
@@ -87,19 +99,78 @@ def test_distance_fields_match_loop(case):
 
 
 def test_batched_feet_match_single_point_feet(case):
+    """The pair kernel on every (point, triangle) pair equals the broadcast
+    kernel, and both equal the one-point loop."""
     poly, _, _, pts, _ = case
-    hull = poly.hull()
-    tri = tuple(hull.points[hull.simplices[:, k]] for k in range(3))
+    tri = poly.triangles()
+    corners = (tri.a, tri.b, tri.c)
     sub = pts[::7]
-    feet = _closest_point_triangles(sub, *tri)
-    for p, f in zip(sub, feet):
-        assert np.array_equal(f, oracles.closest_point_triangles_one(p, *tri))
+    m = tri.a.shape[0]
+    rows = np.repeat(np.arange(len(sub)), m)
+    dist, feet = _triangle_feet(tri, np.tile(np.arange(m), len(sub)),
+                                sub[rows])
+    ref = oracles.closest_point_triangles(sub, *corners)
+    assert np.array_equal(feet.reshape(ref.shape), ref)
+    assert np.array_equal(dist, np.linalg.norm(ref - sub[:, None], axis=2)
+                          .ravel())
+    for p, f in zip(sub, ref):
+        assert np.array_equal(f, oracles.closest_point_triangles_one(
+            p, *corners))
 
 
 def test_projection_distance_matches_loop(case):
     poly, _, _, pts, d_ref = case
     for k in range(0, len(pts), 97):
         assert project(poly, pts[k]).distance == d_ref[k]
+
+
+BOXES = ((1.0, 1.0, 1.0), (1.0, 2.0, 0.5))
+
+
+@pytest.mark.parametrize("extents", BOXES, ids=str)
+def test_box_polytope_kernel_matches_loop(extents):
+    """Box polytopes: few large triangles, two per face, and grid nodes,
+    corners, edge midpoints and centroids where their feet tie."""
+    poly = Box(extents).as_polytope()
+    grid = grid_covering(OffsetBody(poly, EPS), 0.25)
+    pts = np.vstack([grid.points(), feature_points(poly, 0.25)])
+    assert np.array_equal(poly.boundary_distance(pts),
+                          oracles.polytope_boundary_distance_3d(poly, pts))
+
+
+@pytest.mark.parametrize("case", SEEDS[:1], indirect=True)
+def test_polytope_kernel_in_one_point_blocks(case, monkeypatch):
+    """With a block of one point the pruning bounds and the row minimum
+    run per point, and nothing changes."""
+    poly, _, _, pts, d_ref = case
+    monkeypatch.setattr(geometry, "TRIANGLE_PAIRS_PER_BLOCK", 8)
+    assert np.array_equal(poly.boundary_distance(pts), d_ref)
+
+
+def first_argmin_foot(poly, x):
+    """The foot on the first nearest triangle, from the broadcast kernel."""
+    tri = poly.triangles()
+    feet = oracles.closest_point_triangles(x[None], tri.a, tri.b, tri.c)[0]
+    dist = np.linalg.norm(feet - x, axis=1)
+    k = np.argmin(dist)
+    return dist[k], feet[k]
+
+
+def test_exterior_projection_takes_the_first_nearest_foot(case):
+    """Outside the base the nearest point is the first nearest triangle's
+    foot, pushed out by epsilon on the offset."""
+    poly, body, _, pts, _ = case
+    outside = pts[~poly.contains(pts)]
+    assert len(outside) > 100
+    for x in outside[::11]:
+        d, foot = first_argmin_foot(poly, x)
+        res = project(poly, x)
+        assert res.distance == d
+        assert np.array_equal(res.nearest, foot[None])
+        u = (x - foot) / np.linalg.norm(x - foot)
+        res = project(body, x)
+        assert res.distance == abs(d - EPS)
+        assert np.array_equal(res.nearest, (foot + EPS * u)[None])
 
 
 def assert_same_march(problem):
@@ -119,6 +190,28 @@ def test_3d_marches_match_loop(case):
     poly, body, grid, _, _ = case
     assert_same_march(problem_from_shape(poly, grid))
     assert_same_march(problem_from_shape(body, grid))
+
+
+def rim_seeds(dims, h):
+    """Seeds at the grid's corners and at the middles of its edges and,
+    in 3D, of its faces, with values spread over [0, h)."""
+    nodes = set()
+    for corner in np.ndindex(*(2,) * len(dims)):
+        for free in np.ndindex(*(2,) * len(dims)):
+            if all(free):
+                continue        # the grid's middle, not on the rim
+            nodes.add(tuple(d // 2 if f else (d - 1) * c
+                            for d, c, f in zip(dims, corner, free)))
+    return [(idx, h * (k % 7) / 7.0) for k, idx in enumerate(sorted(nodes))]
+
+
+@pytest.mark.parametrize("dims", [(9, 14), (14, 8), (8, 11, 13), (12, 8, 9)],
+                         ids=str)
+def test_rim_seeded_march_on_unequal_axes_matches_loop(dims):
+    """Unequal axes and seeds on the rim: a stride or padding mix-up
+    reads a neighbour across an edge of the grid."""
+    grid = GridSpec((0.0,) * len(dims), 0.1, dims)
+    assert_same_march(EikonalProblem(grid, rim_seeds(dims, 0.1)))
 
 
 def test_two_corner_seeds_march_matches_loop():
