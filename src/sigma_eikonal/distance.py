@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import OffsetBody
 from .projection import project
 
 MAX_TOTAL_NODES = 2 ** 27
@@ -232,12 +233,37 @@ def _require_coverage(shape, grid, check_cover):
             "grid or pass check_cover=False to accept window truncation")
 
 
+def _node_distance(shape, grid):
+    """The shape's boundary distance at every node of grid, flat in C node
+    order, as a read-only array.
+
+    The shape keeps the last grid's array in a one-entry memo keyed by the
+    (frozen, hashable) GridSpec, so distance_field, problem_from_shape and
+    detect_multiproj on one (shape, grid) evaluate the kernel once.  A 3D
+    OffsetBody reads its base's entry and applies its offset formula, so a
+    polytope and its offset on one grid also share one kernel run.  The
+    array is read-only: a caller that keeps it must copy it or keep it
+    read-only, never write into it.
+    """
+    memo = getattr(shape, "_node_memo", None)
+    if memo is not None and memo[0] == grid:
+        return memo[1]
+    if isinstance(shape, OffsetBody) and shape.dim == 3:
+        d = shape._from_base_distance(grid.points(),
+                                      _node_distance(shape.base, grid))
+    else:
+        d = np.asarray(_evaluate_chunked(shape.boundary_distance,
+                                         grid.points()), dtype=float)
+    d.flags.writeable = False
+    shape._node_memo = (grid, d)
+    return d
+
+
 def distance_field(shape, grid, check_cover=True):
     """Distance to the shape boundary at every grid node."""
     _require_coverage(shape, grid, check_cover)
-    pts = grid.points()
-    vals = _evaluate_chunked(shape.boundary_distance, pts)
-    return ScalarField(grid, vals.reshape(grid.dims), kind="distance")
+    vals = _node_distance(shape, grid).reshape(grid.dims).copy()
+    return ScalarField(grid, vals, kind="distance")
 
 
 def signed_distance_field(shape, grid, check_cover=True):
@@ -245,9 +271,7 @@ def signed_distance_field(shape, grid, check_cover=True):
     if not getattr(shape, "is_convex", False):
         raise GridError("signed distance is defined here for convex bodies only")
     _require_coverage(shape, grid, check_cover)
-    pts = grid.points()
-    vals = _evaluate_chunked(shape.boundary_distance, pts)
-    return _signed_field(shape, grid, vals)
+    return _signed_field(shape, grid, _node_distance(shape, grid))
 
 
 def _signed_field(shape, grid, dist):

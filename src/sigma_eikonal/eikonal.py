@@ -21,6 +21,17 @@ The padded flat index grows with the grid's own flat index (both are
 row-major over the same node order), so the heap breaks every tie as on
 the unpadded grid and the values and counts are the same.
 
+The update runs inline in the sweep, written once for 2D and once for 3D:
+the axis values are locals a, b (, c), sorted by compare-and-swap with an
+axis that has no accepted node left at +inf.  It evaluates the same
+expressions in the same branch order as the sorted-list form it replaced
+(``_solve_update`` in ``tests/oracles.py``): t = a + h; if t > b, the
+two-axis root from 2h^2 - (a - b)^2; if that exceeds c, the three-axis
+root.  An axis at +inf sorts last and fails the t > b or t > c test, which
+is where the list form stops for want of a value, and equal values sort
+to the same floats in either order, so every update, heap key and tie is
+bit for bit the same.
+
 Residuals evaluate the same upwind gradient on a finished field:
 per axis g_k = max((u - u_minus)/h, (u - u_plus)/h, 0), residual
 |g|^2 - 1.  Statistics exclude nodes near the surface (small |u|), near
@@ -36,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import GridSpec, ScalarField, GridError
+from .distance import GridSpec, ScalarField, GridError, _node_distance
 
 ACCEPT_SLACK = 1e-9
 
@@ -48,7 +59,9 @@ class EikonalError(ValueError):
 @dataclass
 class EikonalProblem:
     """Grid and seed nodes with exact sub-grid values; the march runs away
-    from the seeds."""
+    from the seeds.  Validation checks every seed's dimension, then every
+    index against the grid, then every value, and names the first seed
+    that fails."""
 
     grid: GridSpec
     seeds: list                      # [(index tuple, value), ...]
@@ -56,51 +69,39 @@ class EikonalProblem:
     def __post_init__(self):
         if not self.seeds:
             raise EikonalError("at least one seed node is required")
+        idxs, vals = zip(*self.seeds)
+        dims = self.grid.dims
+        wrong = [len(idx) != len(dims) for idx in idxs]
+        if any(wrong):
+            idx = idxs[wrong.index(True)]
+            raise EikonalError(f"seed index {idx} has wrong dimension")
+        index = np.array(idxs)
+        outside = ((index < 0) | (index >= dims)).any(axis=1)
+        if outside.any():
+            idx = idxs[int(np.argmax(outside))]
+            raise EikonalError(f"seed index {idx} is outside the grid")
         band = self.grid.spacing * math.sqrt(self.grid.dim)
-        for idx, val in self.seeds:
-            if len(idx) != self.grid.dim:
-                raise EikonalError(f"seed index {idx} has wrong dimension")
-            if any(i < 0 or i >= self.grid.dims[k]
-                   for k, i in enumerate(idx)):
-                raise EikonalError(f"seed index {idx} is outside the grid")
-            if not (0.0 <= val <= band + 1e-12):
-                raise EikonalError(
-                    f"seed value {val} outside [0, h*sqrt(dim)] = [0, {band}]")
+        value = np.array(vals, dtype=float)
+        bad = ~((0.0 <= value) & (value <= band + 1e-12))
+        if bad.any():
+            val = vals[int(np.argmax(bad))]
+            raise EikonalError(
+                f"seed value {val} outside [0, h*sqrt(dim)] = [0, {band}]")
 
 
 def problem_from_shape(shape, grid):
     """Seed every node within one cell diagonal of the surface, exactly,
-    from the shape's own boundary_distance."""
-    pts = grid.points()
-    d = np.asarray(shape.boundary_distance(pts)).reshape(grid.dims)
+    from the shape's own boundary_distance (distance._node_distance, so a
+    distance_field on the same grid has already computed it)."""
+    d = _node_distance(shape, grid)
     band = grid.spacing * math.sqrt(grid.dim)
-    idxs = np.argwhere(d <= band)
+    near = d <= band
+    idxs = np.argwhere(near.reshape(grid.dims))
     if idxs.shape[0] == 0:
         raise EikonalError("no grid nodes lie within one cell diagonal of "
                            "the surface; refine the grid")
-    seeds = [(tuple(int(v) for v in idx), float(d[tuple(idx)]))
-             for idx in idxs]
-    return EikonalProblem(grid, seeds)
-
-
-def _solve_update(avals, h):
-    """Largest-branch Godunov update from sorted axis values."""
-    t = avals[0] + h
-    if len(avals) >= 2 and t > avals[1]:
-        a, b = avals[0], avals[1]
-        disc = 2.0 * h * h - (a - b) ** 2
-        if disc > 0.0:
-            t = 0.5 * (a + b + math.sqrt(disc))
-        if len(avals) == 3 and t > avals[2]:
-            s1 = avals[0] + avals[1] + avals[2]
-            s2 = (avals[0] * avals[0] + avals[1] * avals[1]
-                  + avals[2] * avals[2])
-            disc = s1 * s1 - 3.0 * (s2 - h * h)
-            if disc > 0.0:
-                t3 = (s1 + math.sqrt(disc)) / 3.0
-                if t3 > avals[2]:
-                    t = t3
-    return t
+    return EikonalProblem(grid, list(zip(map(tuple, idxs.tolist()),
+                                         d[near].tolist())))
 
 
 def fast_march(problem):
@@ -121,7 +122,7 @@ def fast_march(problem):
     for k in range(dim - 2, -1, -1):
         strides[k] = strides[k + 1] * padded[k + 1]
     steps = [sign * s for s in strides for sign in (-1, 1)]
-    inf, push, pop = math.inf, heapq.heappush, heapq.heappop
+    inf, push, pop, sqrt = math.inf, heapq.heappush, heapq.heappop, math.sqrt
     state = np.full(padded, -inf)
     state[inner] = inf
     # plain lists: each read in the sweep is a list index, not a numpy
@@ -130,12 +131,17 @@ def fast_march(problem):
     final = [inf] * len(values)
 
     heap = []
-    for idx, val in problem.seeds:
-        fi = sum((i + 1) * s for i, s in zip(idx, strides))
+    idxs, vals = zip(*problem.seeds)
+    flat = ((np.array(idxs) + 1) @ np.array(strides)).tolist()
+    for fi, val in zip(flat, vals):
         if val < values[fi]:
             values[fi] = val
             push(heap, (val, fi))
 
+    # the update's constants, as _solve_update (tests/oracles.py) forms them
+    two_hh, hh = 2.0 * h * h, h * h
+    sx, sy = strides[0], strides[1]
+    sz = strides[2] if dim == 3 else 0
     last_accepted = -inf
     n_accepted = 0
     while heap:
@@ -152,21 +158,48 @@ def fast_march(problem):
             nb = fi + step
             if values[nb] == -inf:
                 continue
-            # the accepted value on each axis around the neighbour; fi
-            # itself is one, so the list is never empty
-            avals = []
-            for s in strides:
-                a = final[nb - s]
-                b = final[nb + s]
-                if b < a:
-                    a = b
-                if a < inf:
-                    avals.append(a)
-            avals.sort()
-            # _solve_update's first branch, inline: most updates end there
-            t = avals[0] + h
-            if len(avals) > 1 and t > avals[1]:
-                t = _solve_update(avals, h)
+            # the accepted value on each axis around the neighbour, +inf
+            # where neither side is accepted (fi is on one axis), sorted
+            # a <= b (<= c): an axis at +inf sorts last and fails every
+            # t > b, t > c test, as a shorter sorted list would
+            a = final[nb - sx]
+            t = final[nb + sx]
+            if t < a:
+                a = t
+            b = final[nb - sy]
+            t = final[nb + sy]
+            if t < b:
+                b = t
+            if b < a:
+                a, b = b, a
+            if sz:
+                c = final[nb - sz]
+                t = final[nb + sz]
+                if t < c:
+                    c = t
+                if c < b:
+                    b, c = c, b
+                    if b < a:
+                        a, b = b, a
+                t = a + h
+                if t > b:
+                    disc = two_hh - (a - b) ** 2
+                    if disc > 0.0:
+                        t = 0.5 * (a + b + sqrt(disc))
+                    if t > c:
+                        s1 = a + b + c
+                        s2 = a * a + b * b + c * c
+                        disc = s1 * s1 - 3.0 * (s2 - hh)
+                        if disc > 0.0:
+                            t3 = (s1 + sqrt(disc)) / 3.0
+                            if t3 > c:
+                                t = t3
+            else:
+                t = a + h
+                if t > b:
+                    disc = two_hh - (a - b) ** 2
+                    if disc > 0.0:
+                        t = 0.5 * (a + b + sqrt(disc))
             if t < values[nb]:
                 values[nb] = t
                 push(heap, (t, nb))

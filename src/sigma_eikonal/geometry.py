@@ -424,8 +424,12 @@ class OffsetBody:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.dim == 2:
             return _boundary_distance_2d(self, points)
-        # 3D: exact via the base projection branches
-        d_base = self.base.boundary_distance(points)
+        return self._from_base_distance(points,
+                                        self.base.boundary_distance(points))
+
+    def _from_base_distance(self, points, d_base):
+        """3D: the distance at points from the base's distance d_base there,
+        exact via the base projection branches."""
         inside = self.base.contains(points)
         return np.where(inside, d_base + self.epsilon,
                         np.abs(d_base - self.epsilon))

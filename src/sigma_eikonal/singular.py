@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .distance import GridSpec, ScalarField
+from .distance import GridSpec, ScalarField, _node_distance
 from .geometry import (
     Ball,
     Box,
@@ -211,7 +211,9 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
         flags, dK = _detect_cycle(shape, pts, band, tau_multi)
         excluded = dK <= band
     else:
-        dK = shape.boundary_distance(pts)
+        # the (shape, grid) memo: the eikonal CLI has just seeded its march
+        # from it, and the mask keeps it read-only
+        dK = _node_distance(shape, grid)
         excluded = dK <= band
         if isinstance(shape, Ball):
             flags = _ball_centre(shape, pts)
@@ -429,7 +431,10 @@ def detect_gradjump(fld, theta_deg=DEFAULT_THETA_DEG):
     The input must be an unsigned distance field (or an eikonal solution,
     which approximates one).  At each interior node the forward/backward
     difference choices per axis give 2^dim one-sided gradient estimates;
-    a maximum pairwise angle above theta_deg marks a gradient jump.
+    a minimum pairwise cosine below cos(theta_deg) marks a gradient jump
+    (_one_sided_cosines).  A node is classified only where all 2 dim
+    differences are finite, and flagged only where no estimate is (near)
+    zero.
     """
     if not isinstance(fld, ScalarField):
         raise DetectionError("detect_gradjump expects a ScalarField")
@@ -437,41 +442,13 @@ def detect_gradjump(fld, theta_deg=DEFAULT_THETA_DEG):
         raise DetectionError(
             f"gradient-jump detection needs a distance-like field, "
             f"got kind={fld.kind!r}")
-    dim = fld.grid.dim
-    dims = fld.grid.dims
-    if any(n < 4 for n in dims):
+    if any(n < 4 for n in fld.grid.dims):
         raise DetectionError("need at least 4 nodes per axis")
     u = fld.values
     h = float(fld.grid.spacing)
-
-    fwd, bwd = [], []
-    for ax in range(dim):
-        f = np.full(dims, np.nan)
-        b = np.full(dims, np.nan)
-        sl_all = [slice(None)] * dim
-
-        sl = list(sl_all); sl[ax] = slice(0, -1)
-        sr = list(sl_all); sr[ax] = slice(1, None)
-        f[tuple(sl)] = (u[tuple(sr)] - u[tuple(sl)]) / h
-        b[tuple(sr)] = f[tuple(sl)]
-        fwd.append(f)
-        bwd.append(b)
-
-    n_comb = 1 << dim
-    grads = np.empty(dims + (n_comb, dim))
-    for c in range(n_comb):
-        for ax in range(dim):
-            grads[..., c, ax] = fwd[ax] if (c >> ax) & 1 else bwd[ax]
-
-    ok = np.isfinite(grads).all(axis=(-1, -2))
-    norms = np.linalg.norm(grads, axis=-1)
-    safe = norms > 1e-12
-    unit = np.where(safe[..., None], grads / np.where(safe, norms, 1.0)[..., None], 0.0)
-    # min cosine over combination pairs
-    cosmat = np.einsum("...id,...jd->...ij", unit, unit)
-    min_cos = cosmat.min(axis=(-1, -2))
+    ok, safe, min_cos = _one_sided_cosines(u, h)
     theta = math.radians(theta_deg)
-    jump = ok & safe.all(axis=-1) & (min_cos < math.cos(theta))
+    jump = ok & safe & (min_cos < math.cos(theta))
 
     excluded = ~ok | (u <= BAND_FACTOR * h) | ~np.isfinite(u)
     flags = jump & ~excluded
@@ -479,6 +456,65 @@ def detect_gradjump(fld, theta_deg=DEFAULT_THETA_DEG):
                         detector="gradjump",
                         params={"theta_deg": float(theta_deg),
                                 "band_factor": BAND_FACTOR})
+
+
+def _one_sided_cosines(u, h):
+    """(ok, safe, min_cos) at every node of the field values u.
+
+    ok: all 2 dim one-sided differences are finite; safe: no estimate has
+    norm <= 1e-12 (such an estimate is the zero vector); min_cos: the
+    smallest cosine between two estimates' unit vectors, NaN where not ok.
+
+    The estimates are never stacked: each one's unit vector is built per
+    axis from the difference arrays, and the minimum runs over the pairs
+    i <= j of the symmetric cosine matrix, whose diagonal is |u_i|^2.  Each
+    norm sums the squares in axis order, as np.linalg.norm does, and each
+    cosine sums its products in the order of the (n, 2^dim, 2^dim) einsum
+    this replaced, which is (x0 y0 + x2 y2) + x1 y1 in 3D on numpy 2.4, so
+    min_cos is the same floats as that einsum's (``tests/oracles.py``
+    compares them).
+    """
+    dim = u.ndim
+    # sides[ax] = (backward, forward) differences, NaN off the grid
+    sides = []
+    ok = np.ones(u.shape, dtype=bool)
+    for ax in range(dim):
+        f = np.full(u.shape, np.nan)
+        b = np.full(u.shape, np.nan)
+        sl = [slice(None)] * dim
+        sr = [slice(None)] * dim
+        sl[ax] = slice(0, -1)
+        sr[ax] = slice(1, None)
+        f[tuple(sl)] = (u[tuple(sr)] - u[tuple(sl)]) / h
+        b[tuple(sr)] = f[tuple(sl)]
+        sides.append((b, f))
+        ok &= np.isfinite(f) & np.isfinite(b)
+    square = [(b * b, f * f) for b, f in sides]
+
+    # unit[c][ax]: estimate c takes the forward difference on the axes of
+    # its set bits
+    unit = []
+    safe = np.ones(u.shape, dtype=bool)
+    for c in range(1 << dim):
+        bits = [(c >> ax) & 1 for ax in range(dim)]
+        norm = square[0][bits[0]]
+        for ax in range(1, dim):
+            norm = norm + square[ax][bits[ax]]
+        norm = np.sqrt(norm)
+        nonzero = norm > 1e-12
+        safe &= nonzero
+        scale = np.where(nonzero, norm, 1.0)
+        unit.append([np.where(nonzero, sides[ax][bits[ax]] / scale, 0.0)
+                     for ax in range(dim)])
+    min_cos = None
+    for i, x in enumerate(unit):
+        for y in unit[i:]:
+            if dim == 2:
+                cos = x[0] * y[0] + x[1] * y[1]
+            else:
+                cos = x[0] * y[0] + x[2] * y[2] + x[1] * y[1]
+            min_cos = cos if min_cos is None else np.minimum(min_cos, cos)
+    return ok, safe, min_cos
 
 
 # ---------------------------------------------------------------------------

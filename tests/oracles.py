@@ -17,7 +17,11 @@ clamp codes; ``element_distance_matrix`` lays them out in cycle order.
 kernel that ``geometry._triangle_feet`` replaced: that one runs the same
 per-pair arithmetic on the (point, triangle) pairs that the pruning bounds
 of ``geometry._triangle_pairs`` keep.  ``dedupe`` and ``max_pairwise``
-are the one-row forms of ``projection._spreads``.  The production code
+are the one-row forms of ``projection._spreads``.  ``_solve_update`` is
+the sorted-list Godunov update that ``eikonal.fast_march`` runs inline,
+and ``one_sided_cosines`` (with ``detect_gradjump`` on top) the
+(n, 2^dim, 2^dim) einsum cosine matrix that the pairwise cosines of
+``singular._one_sided_cosines`` replaced.  The production code
 must return exactly the same arrays (``np.array_equal``): the kernels and the march
 keep the same arithmetic and the same acceptance order, and the batched
 row resolution and bisection make the same decisions.
@@ -41,7 +45,7 @@ import numpy as np
 from scipy.spatial import HalfspaceIntersection
 
 from sigma_eikonal.distance import ScalarField
-from sigma_eikonal.eikonal import ACCEPT_SLACK, _solve_update
+from sigma_eikonal.eikonal import ACCEPT_SLACK
 from sigma_eikonal.geometry import GraphHypersurface, OffsetBody, SampledSurface
 from sigma_eikonal.innerball import BISECT_STEPS, TAU_BALL_FACTOR, InnerBallError
 
@@ -238,6 +242,26 @@ def polytope_boundary_distance_3d(poly, points):
         feet = closest_point_triangles_one(p, tri_a, tri_b, tri_c)
         out[i] = np.min(np.linalg.norm(feet - p, axis=1))
     return out
+
+
+def _solve_update(avals, h):
+    """Largest-branch Godunov update from sorted axis values."""
+    t = avals[0] + h
+    if len(avals) >= 2 and t > avals[1]:
+        a, b = avals[0], avals[1]
+        disc = 2.0 * h * h - (a - b) ** 2
+        if disc > 0.0:
+            t = 0.5 * (a + b + math.sqrt(disc))
+        if len(avals) == 3 and t > avals[2]:
+            s1 = avals[0] + avals[1] + avals[2]
+            s2 = (avals[0] * avals[0] + avals[1] * avals[1]
+                  + avals[2] * avals[2])
+            disc = s1 * s1 - 3.0 * (s2 - h * h)
+            if disc > 0.0:
+                t3 = (s1 + math.sqrt(disc)) / 3.0
+                if t3 > avals[2]:
+                    t = t3
+    return t
 
 
 def fast_march(problem):
@@ -786,3 +810,46 @@ def slack_flags(shape, pts, tau_multi):
                 if np.all(normals @ (x + s[k] * normals[k]) <= offsets + tol)]
         flags[i] = max_pairwise(np.array(feet)) > tau_multi
     return flags
+
+
+def one_sided_cosines(u, h):
+    """(ok, safe, min_cos) from the full (n, 2^dim, 2^dim) cosine matrix:
+    the 2^dim one-sided gradients stacked as an (n, 2^dim, dim) array,
+    normalised by ``np.linalg.norm`` and compared all against all by one
+    einsum."""
+    dims = u.shape
+    dim = u.ndim
+    fwd, bwd = [], []
+    for ax in range(dim):
+        f = np.full(dims, np.nan)
+        b = np.full(dims, np.nan)
+        sl = [slice(None)] * dim
+        sr = [slice(None)] * dim
+        sl[ax] = slice(0, -1)
+        sr[ax] = slice(1, None)
+        f[tuple(sl)] = (u[tuple(sr)] - u[tuple(sl)]) / h
+        b[tuple(sr)] = f[tuple(sl)]
+        fwd.append(f)
+        bwd.append(b)
+    n_comb = 1 << dim
+    grads = np.empty(dims + (n_comb, dim))
+    for c in range(n_comb):
+        for ax in range(dim):
+            grads[..., c, ax] = fwd[ax] if (c >> ax) & 1 else bwd[ax]
+    ok = np.isfinite(grads).all(axis=(-1, -2))
+    norms = np.linalg.norm(grads, axis=-1)
+    safe = norms > 1e-12
+    unit = np.where(safe[..., None],
+                    grads / np.where(safe, norms, 1.0)[..., None], 0.0)
+    min_cos = np.einsum("...id,...jd->...ij", unit, unit).min(axis=(-1, -2))
+    return ok, safe.all(axis=-1), min_cos
+
+
+def detect_gradjump(fld, theta_deg):
+    """Gradient-jump (flags, excluded) from ``one_sided_cosines``."""
+    u = fld.values
+    h = float(fld.grid.spacing)
+    ok, safe, min_cos = one_sided_cosines(u, h)
+    jump = ok & safe & (min_cos < math.cos(math.radians(theta_deg)))
+    excluded = ~ok | (u <= 2.0 * h) | ~np.isfinite(u)
+    return jump & ~excluded, excluded

@@ -117,6 +117,29 @@ def test_eikonal_writes_solution_and_residuals(tmp_path, capsys):
     assert (tmp_path / "residuals.txt").exists()
 
 
+@pytest.mark.parametrize("spec", [
+    json.loads(DISK),
+    {"kind": "random_polytope", "n_facets": 32, "seed": 1, "dim": 3},
+], ids=["ball", "polytope3d"])
+def test_eikonal_evaluates_the_boundary_distance_once(spec, monkeypatch):
+    """The march's seeds and the residual mask's band read one evaluation
+    of the shape's boundary distance on the grid."""
+    cls = type(shape_from_spec(spec))
+    kernel = cls.boundary_distance
+    calls = []
+
+    def counting(self, points):
+        calls.append(len(points))
+        return kernel(self, points)
+
+    monkeypatch.setattr(cls, "boundary_distance", counting)
+    grid = "1/16" if spec["kind"] == "ball" else "0.6"
+    rc = main(["eikonal", "--shape", json.dumps(spec), "--grid", grid,
+               "--quiet"])
+    assert rc == 0
+    assert len(calls) == 1
+
+
 def test_innerball_profile_csv(tmp_path, capsys):
     rc = main(["innerball", "--shape", DISK, "--spacing", "0.2",
                "--out", str(tmp_path)])

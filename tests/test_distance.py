@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from sigma_eikonal import geometry
 from sigma_eikonal.distance import (
     GridError,
     GridSpec,
@@ -19,10 +20,19 @@ from sigma_eikonal.distance import (
     grid_covering,
     read_field,
     signed_distance_field,
+    _node_distance,
     thread_count,
     write_field,
 )
-from sigma_eikonal.geometry import Ball, GeometryError, GraphHypersurface
+from sigma_eikonal.eikonal import problem_from_shape
+from sigma_eikonal.geometry import (
+    Ball,
+    GeometryError,
+    GraphHypersurface,
+    OffsetBody,
+    make_random_polytope,
+)
+from sigma_eikonal.singular import detect_multiproj
 
 
 def square_distance_analytic(pts):
@@ -192,3 +202,74 @@ def test_field_to_csv(tmp_path, unit_disk):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("x")
     assert len(lines) == g.n_nodes + 1
+
+
+# ---------------------------------------------------------------------------
+# the (shape, grid) node-distance memo
+# ---------------------------------------------------------------------------
+
+def test_node_distance_memo_hit_equals_a_fresh_evaluation(unit_disk):
+    g = grid_covering(unit_disk, 1.0 / 16)
+    first = _node_distance(unit_disk, g)
+    again = _node_distance(unit_disk, GridSpec(g.origin, g.spacing, g.dims))
+    assert again is first
+    assert not first.flags.writeable
+    assert np.array_equal(again, unit_disk.boundary_distance(g.points()))
+
+
+def test_node_distance_memo_misses_on_another_origin_or_spacing(unit_disk):
+    g = grid_covering(unit_disk, 1.0 / 16)
+    first = _node_distance(unit_disk, g)
+    for other in (GridSpec(tuple(v + 0.01 for v in g.origin), g.spacing,
+                           g.dims),
+                  GridSpec(g.origin, 1.0 / 15, g.dims)):
+        d = _node_distance(unit_disk, other)
+        assert d is not first
+        assert np.array_equal(d, unit_disk.boundary_distance(other.points()))
+
+
+def test_callers_cannot_corrupt_the_memo(unit_disk):
+    g = grid_covering(unit_disk, 1.0 / 16)
+    fresh = unit_disk.boundary_distance(g.points()).reshape(g.dims)
+    fld = distance_field(unit_disk, g)
+    fld.values[:] = -1.0                      # a field owns its values
+    assert np.array_equal(distance_field(unit_disk, g).values, fresh)
+    mask = detect_multiproj(unit_disk, g)
+    with pytest.raises(ValueError):
+        mask.distance[0, 0] = -1.0            # the mask's view is read-only
+    assert np.array_equal(detect_multiproj(unit_disk, g).distance, fresh)
+    assert np.array_equal(_node_distance(unit_disk, g).reshape(g.dims), fresh)
+
+
+@pytest.mark.parametrize("h", [0.6, 0.25])
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_3d_offset_node_distance_is_its_boundary_distance(seed, h):
+    body = OffsetBody(make_random_polytope(32, seed, dim=3), 0.3)
+    g = grid_covering(body, h)
+    d = _node_distance(body, g)
+    assert np.array_equal(d, body.boundary_distance(g.points()))
+    assert _node_distance(body.base, g) is body.base._node_memo[1]
+
+
+def test_one_base_kernel_run_over_the_3d_march_sequence(monkeypatch):
+    """A polytope and its offset, each distance_field then
+    problem_from_shape on one grid, run the triangle kernel once."""
+    kernel = geometry._polytope_boundary_distance_3d
+    calls = []
+
+    def counting(poly, points):
+        calls.append(len(points))
+        return kernel(poly, points)
+
+    monkeypatch.setattr(geometry, "_polytope_boundary_distance_3d", counting)
+    poly = make_random_polytope(32, 1, dim=3)
+    body = OffsetBody(poly, 0.3)
+    g = grid_covering(body, 0.6)
+    fields = []
+    for shape in (poly, body):
+        fields.append(distance_field(shape, g).values.ravel())
+        problem_from_shape(shape, g)
+    assert calls == [g.n_nodes]
+    monkeypatch.undo()
+    assert np.array_equal(fields[0], poly.boundary_distance(g.points()))
+    assert np.array_equal(fields[1], body.boundary_distance(g.points()))

@@ -85,14 +85,16 @@ def test_solution_stays_below_seed_values(unit_disk):
 
 def test_problem_validation():
     g = GridSpec((0.0, 0.0), 0.1, (16, 16))
-    with pytest.raises(EikonalError):
+    with pytest.raises(EikonalError, match="at least one seed"):
         EikonalProblem(g, [])
-    with pytest.raises(EikonalError):
-        EikonalProblem(g, [((20, 0), 0.0)])          # outside the grid
-    with pytest.raises(EikonalError):
+    with pytest.raises(EikonalError,
+                       match=r"seed index \(20, 0\) is outside the grid"):
+        EikonalProblem(g, [((3, 3), 0.0), ((20, 0), 0.0)])
+    with pytest.raises(EikonalError, match=r"seed value 1.0 outside"):
         EikonalProblem(g, [((2, 2), 1.0)])           # value above h*sqrt(2)
-    with pytest.raises(EikonalError):
-        EikonalProblem(g, [((2, 2, 2), 0.0)])        # wrong dimension
+    with pytest.raises(EikonalError,
+                       match=r"seed index \(2, 2, 2\) has wrong dimension"):
+        EikonalProblem(g, [((2, 2, 2), 0.0)])
 
 
 def test_problem_from_shape_requires_nearby_nodes(unit_disk):

@@ -224,6 +224,60 @@ def test_two_corner_seeds_march_matches_loop():
 
 
 # ---------------------------------------------------------------------------
+# gradient-jump flags
+# ---------------------------------------------------------------------------
+
+THETAS = (10.0, 30.0, 60.0)
+
+
+def assert_same_gradjump(fld):
+    """Pairwise cosines against the einsum matrix, as floats and as flags
+    at each angle; returns the flag counts, so a case that flags nothing
+    shows."""
+    h = fld.grid.spacing
+    ref = oracles.one_sided_cosines(fld.values, h)
+    for out, want in zip(singular._one_sided_cosines(fld.values, h), ref):
+        assert np.array_equal(out, want, equal_nan=True)
+    counts = []
+    for theta in THETAS:
+        mask = singular.detect_gradjump(fld, theta)
+        flags, excluded = oracles.detect_gradjump(fld, theta)
+        assert np.array_equal(mask.flags, flags), theta
+        assert np.array_equal(mask.excluded, excluded), theta
+        counts.append(mask.n_flags)
+    return counts
+
+
+@pytest.mark.parametrize("h", [1.0 / 64, 1.0 / 96], ids=["h64", "h96"])
+def test_disk_march_gradjump_matches_einsum(h):
+    disk = Ball((0.0, 0.0), 1.0)
+    sol = fast_march(problem_from_shape(disk, grid_covering(disk, h)))
+    assert assert_same_gradjump(sol)[0] > 0
+
+
+@pytest.mark.parametrize("label,shape", [
+    ("square", Box((1.0, 1.0))),
+    ("offset_square", OffsetBody(Box((1.0, 1.0)).as_polytope(), 0.5)),
+    ("poly16", make_random_polytope(16, 1)),
+], ids=["square", "offset_square", "poly16"])
+def test_2d_field_gradjump_matches_einsum(label, shape):
+    fld = distance_field(shape, grid_covering(shape, 1.0 / 32))
+    assert assert_same_gradjump(fld)[0] > 0
+
+
+@pytest.mark.parametrize("h", [H, 0.25])
+def test_3d_gradjump_matches_einsum(case, h):
+    poly, body, _, _, _ = case
+    grid = grid_covering(body, h)
+    counts = 0
+    for shape in (poly, body):
+        counts += assert_same_gradjump(distance_field(shape, grid))[0]
+        sol = fast_march(problem_from_shape(shape, grid))
+        counts += assert_same_gradjump(sol)[0]
+    assert counts > 0
+
+
+# ---------------------------------------------------------------------------
 # 2D multiproj row resolution
 # ---------------------------------------------------------------------------
 
