@@ -346,48 +346,58 @@ def gradient_field(field):
 # field files
 # ---------------------------------------------------------------------------
 
+def _write_file(path, grid, payload, head=(), tail=()):
+    """Write a field or mask file: the key=value lines head, the grid's
+    dims, origin and spacing, tail and 'end', then the payload bytes."""
+    lines = [*head, "dims=" + ",".join(str(d) for d in grid.dims),
+             "origin=" + ",".join(repr(v) for v in grid.origin),
+             f"spacing={grid.spacing!r}", *tail, "end", ""]
+    with open(path, "wb") as fh:
+        fh.write("\n".join(lines).encode("ascii"))
+        fh.write(payload)
+
+
 def write_field(f, path):
     """Write header (key=value lines, 'end' terminator) plus raw float64."""
-    g = f.grid
-    header = [
-        "dims=" + ",".join(str(d) for d in g.dims),
-        "origin=" + ",".join(repr(v) for v in g.origin),
-        f"spacing={g.spacing!r}",
-        f"kind={f.kind}",
-        "end",
-    ]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+    _write_file(path, f.grid,
+                np.ascontiguousarray(f.values, dtype="<f8").tobytes(),
+                tail=[f"kind={f.kind}"])
+
+
+def _read_header(fh, path, error):
+    """(header, grid): the key=value lines of a field or mask file up to
+    its 'end' line, and the GridSpec of their dims, origin and spacing.
+    A truncated, malformed or incomplete header raises error."""
+    header = {}
+    while True:
+        line = fh.readline()
+        if not line:
+            raise error(f"{path}: truncated header")
+        text = line.decode("ascii", "replace").strip()
+        if text == "end":
+            break
+        if "=" not in text:
+            raise error(f"{path}: malformed header line {text!r}")
+        key, val = text.split("=", 1)
+        header[key] = val
+    try:
+        grid = GridSpec(tuple(float(v) for v in header["origin"].split(",")),
+                        float(header["spacing"]),
+                        tuple(int(v) for v in header["dims"].split(",")))
+    except (KeyError, ValueError) as exc:
+        raise error(f"{path}: bad header: {exc!r}") from exc
+    return header, grid
 
 
 def read_field(path):
     with open(path, "rb") as fh:
-        header = {}
-        while True:
-            line = fh.readline()
-            if not line:
-                raise GridError(f"{path}: truncated field header")
-            text = line.decode("ascii").strip()
-            if text == "end":
-                break
-            if "=" not in text:
-                raise GridError(f"{path}: malformed header line {text!r}")
-            key, val = text.split("=", 1)
-            header[key] = val
-        try:
-            dims = tuple(int(v) for v in header["dims"].split(","))
-            origin = tuple(float(v) for v in header["origin"].split(","))
-            spacing = float(header["spacing"])
-            kind = header["kind"]
-        except (KeyError, ValueError) as exc:
-            raise GridError(f"{path}: bad field header: {exc}") from exc
-        grid = GridSpec(origin, spacing, dims)
+        header, grid = _read_header(fh, path, GridError)
         raw = fh.read(8 * grid.n_nodes)
-        if len(raw) != 8 * grid.n_nodes:
-            raise GridError(f"{path}: truncated field payload")
-        vals = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
-    return ScalarField(grid, vals, kind=kind)
+    if len(raw) != 8 * grid.n_nodes:
+        raise GridError(f"{path}: truncated field payload")
+    vals = np.frombuffer(raw, dtype="<f8").reshape(grid.dims).copy()
+    # ScalarField raises GridError on a missing or unknown kind
+    return ScalarField(grid, vals, kind=header.get("kind"))
 
 
 def field_to_csv(f, path):

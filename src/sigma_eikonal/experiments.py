@@ -17,6 +17,7 @@ from scipy import ndimage
 
 from .distance import (
     ScalarField,
+    _node_distance,
     _signed_field,
     grid_covering,
     gradient_field,
@@ -303,24 +304,6 @@ def run_typical_density(config):
 # equivalence of flag-free room and uniform inner balls
 # ---------------------------------------------------------------------------
 
-def _collar_membership(graph, surface, depth, x_lo, x_hi):
-    """Centers whose r_free ball stays in the body-side boundary collar.
-
-    The collar is the body side of the curve up to the given depth; the
-    x window and the depth are passed already shrunk by the ball radius,
-    so center membership here equals ball containment in the collar.
-    """
-
-    def member(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        body = pts[:, 1] >= graph.profile(pts[:, 0])
-        dk = surface.boundary_distance(pts)
-        return body & (dk <= depth) & (pts[:, 0] >= x_lo) \
-            & (pts[:, 0] <= x_hi)
-
-    return member
-
-
 def rough_collar_equivalence(terms):
     """Equivalence check on the body-side collar of the rough graph with
     the given number of terms, at the pinned collar settings.
@@ -339,10 +322,13 @@ def rough_collar_equivalence(terms):
     surface = graph.boundary_sample(0.5 * hg, pad=GRAPH_PAD)
     lo, hi = GRAPH_WINDOW
     quarter = 0.25 * (hi - lo)
-    member = _collar_membership(graph, surface, ROUGH_COLLAR - FREE_R,
-                                lo + quarter + FREE_R,
-                                hi - quarter - FREE_R)
-    centres = member(grid.points()).reshape(grid.dims)
+    # centres whose r_free ball stays in the body-side collar: the depth
+    # and the x window are shrunk by the ball radius
+    pts = grid.points()
+    centres = ((pts[:, 1] >= graph.profile(pts[:, 0]))
+               & (_node_distance(surface, grid) <= ROUGH_COLLAR - FREE_R)
+               & (pts[:, 0] >= lo + quarter + FREE_R)
+               & (pts[:, 0] <= hi - quarter - FREE_R)).reshape(grid.dims)
     read = ndimage.distance_transform_edt(~centres, sampling=hg) \
         <= FREE_R + 2 * hg
     mask = detect_footjump(graph.boundary_sample(FOOT_SPACING,
@@ -350,7 +336,7 @@ def rough_collar_equivalence(terms):
                            grid, region=read)
     chk = theorem_equivalence_check(graph, grid, FREE_R, rho_min=RHO_MIN,
                                     r_max=4 * RHO_MIN, surface=surface,
-                                    inside=member, mask=mask)
+                                    inside=centres, mask=mask)
     return chk, mask
 
 

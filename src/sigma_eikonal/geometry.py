@@ -557,19 +557,19 @@ class Ball:
 
 
 class Ellipse:
-    """Origin-centered ellipse/ellipsoid with positive semi-axes."""
+    """Origin-centered ellipse with positive semi-axes."""
 
     is_convex = True
     kind = "ellipse"
+    dim = 2
 
     def __init__(self, semi_axes):
         semi_axes = np.asarray(semi_axes, dtype=float)
-        if semi_axes.shape not in ((2,), (3,)):
-            raise GeometryError("semi_axes must be length 2 or 3")
+        if semi_axes.shape != (2,):
+            raise GeometryError("semi_axes must be length 2")
         if np.any(semi_axes <= 0):
             raise GeometryError("semi-axes must be positive")
         self.semi_axes = semi_axes
-        self.dim = semi_axes.shape[0]
 
     def diameter(self):
         return 2.0 * float(self.semi_axes.max())
@@ -589,72 +589,12 @@ class Ellipse:
         ok = np.sum((pts / self.semi_axes) ** 2, axis=1) <= 1.0 + tol
         return bool(ok[0]) if single else ok
 
-    def nearest_boundary_point(self, point):
-        """Nearest point on the ellipse via the standard root equation.
-
-        Solves sum((s_i x_i / (t + s_i^2))^2) = 1 by bracketing; valid for
-        generic points (nonzero component along the shortest axis).  The
-        center falls back to the nearest axis endpoint.
-        """
-        p = np.asarray(point, dtype=float)
-        s = self.semi_axes
-        scale = float(s.max())
-        if np.linalg.norm(p) <= 1e-14 * scale:
-            k = int(np.argmin(s))
-            q = np.zeros(self.dim)
-            q[k] = s[k]
-            return q
-        s2 = s * s
-
-        def f(t):
-            return float(np.sum((s * p / (t + s2)) ** 2) - 1.0)
-
-        k_min = int(np.argmin(s))
-        if abs(p[k_min]) < 1e-14 * scale:
-            # degenerate: solve in the complementary coordinates, which in
-            # 2D is the pair of axis endpoints rather than a sub-ellipse
-            mask = np.arange(self.dim) != k_min
-            if int(mask.sum()) == 1:
-                q_sub = np.copysign(s[mask], p[mask])
-            else:
-                q_sub = Ellipse(s[mask]).nearest_boundary_point(p[mask])
-            q = np.zeros(self.dim)
-            q[mask] = q_sub
-            # the off-axis candidate may be closer when p is inside the evolute
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u = np.sum((p[mask] * s[mask]
-                            / (s[mask] ** 2 - s2[k_min])) ** 2)
-            if np.isfinite(u) and u < 1.0:
-                q_alt = np.zeros(self.dim)
-                q_alt[mask] = p[mask] * s[mask] ** 2 / (s[mask] ** 2 - s2[k_min])
-                q_alt[k_min] = s[k_min] * math.sqrt(1.0 - u)
-                if np.linalg.norm(q_alt - p) < np.linalg.norm(q - p):
-                    q = q_alt
-            return q
-
-        lo = -float(s2[k_min])
-        span = float(np.linalg.norm(s * p)) + float(s2.max())
-        lo_probe = lo + 1e-15 * max(1.0, abs(lo))
-        step = max(span, 1e-12)
-        hi = lo + step
-        while f(hi) > 0.0:
-            hi = lo + (hi - lo) * 2.0
-        from scipy.optimize import brentq
-        t = brentq(f, lo_probe, hi, xtol=1e-15, maxiter=200)
-        return s2 * p / (t + s2)
-
     def boundary_distance(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(points.shape[0])
-        for i, p in enumerate(points):
-            out[i] = np.linalg.norm(p - self.nearest_boundary_point(p))
-        return out
+        return np.linalg.norm(points - _ellipse_feet(self, points)[0], axis=1)
 
     def boundary_sample(self, spacing):
         _check_spacing(spacing, self.diameter())
-        if self.dim != 2:
-            raise GeometryError("ellipsoid sampling is not implemented; "
-                                "use 2D ellipses or polytopes in 3D")
         a, b = self.semi_axes
         # oversample in parameter, then thin to roughly uniform arc length
         n_par = 16 * max(64, int(math.ceil(2.0 * np.pi * max(a, b) / spacing)))
@@ -684,6 +624,75 @@ class Ellipse:
     def summary(self):
         return {"kind": self.describe(), "dim": self.dim,
                 "inradius": self.inradius(), "diameter": self.diameter()}
+
+
+# each bracket of |t + B^2| spans a log ratio below 64 for points within
+# 10^3 semi-axes of the centre, so its halvings end 2^-58 wide, relatively
+ELLIPSE_BISECT_STEPS = 64
+ELLIPSE_AXIS_TOL = 1e-14    # on the major axis below this, times its semi-axis
+
+
+def _ellipse_feet(ellipse, pts, second=False):
+    """Nearest foot of each point on an ellipse, and its second local minimum.
+
+    With A >= B the semi-axes, (u, v) a point's coordinates along them and
+    c = A^2 - B^2, the feet q = (A^2 u / (t + A^2), B^2 v / (t + B^2)) sit
+    at the roots of F(t) = (A u / (t + A^2))^2 + (B v / (t + B^2))^2 - 1
+    (D. Eberly, "Distance from a point to an ellipse, an ellipsoid, or a
+    hyperellipsoid", 2013).  Off the major axis the nearest foot is the one
+    root above -B^2; strictly inside the evolute, (A u)^(2/3) +
+    (B v)^(2/3) < c^(2/3), the second local minimum is the root between
+    -B^2 and F's minimiser below it.  Both have |t + B^2| >= B |v| and are
+    bisected on its logarithm, all rows at once.  Within ELLIPSE_AXIS_TOL
+    of the major axis, a point with A |u| < c (or a circle's centre) takes
+    the mirror pair at t = -B^2, v's side first; any other, the vertex.
+
+    Returns (near, other): the (n, 2) nearest feet and second local
+    minima, other NaN on rows without one, and on every row unless second.
+    """
+    s = ellipse.semi_axes
+    k = int(np.argmax(s))
+    big, small = s[k], s[1 - k]
+    c = big * big - small * small
+    u, v = pts[:, k], pts[:, 1 - k]
+    au, bv = big * u, small * v
+    feet = np.full((2, u.size, 2), np.nan)   # root, row, (u, v)
+    axis = np.abs(v) < ELLIPSE_AXIS_TOL * big
+    mirror = axis & ((np.abs(au) < c) | (u == 0.0))
+    qu = u[mirror] * (big * big / c if c > 0.0 else 0.0)
+    qv = np.copysign(small * np.sqrt(np.maximum(0.0, 1.0 - (qu / big) ** 2)),
+                     v[mirror])
+    feet[0, mirror] = np.column_stack((qu, qv))
+    feet[1, mirror] = np.column_stack((qu, -qv))
+    vertex = axis & ~mirror
+    feet[0, vertex] = np.outer(np.sign(u[vertex]), (big, 0.0))
+
+    rows = np.flatnonzero(~axis)
+    root = np.zeros(rows.size, dtype=np.intp)
+    lo = np.abs(bv[rows])
+    hi = np.sqrt(au[rows] ** 2 + bv[rows] ** 2)
+    if second:
+        alpha, beta = np.cbrt(au[rows] ** 2), np.cbrt(bv[rows] ** 2)
+        inside = np.flatnonzero(alpha + beta < np.cbrt(c * c))
+        rows = np.concatenate((rows, rows[inside]))
+        root = np.concatenate((root, np.ones(inside.size, dtype=np.intp)))
+        lo = np.concatenate((lo, lo[inside]))
+        hi = np.concatenate((hi, c * beta[inside]
+                             / (alpha[inside] + beta[inside])))
+    # t + B^2 = sign x m, and F falls as m rises between the bracket ends
+    sign = 1.0 - 2.0 * root
+    au_r, bv_r = au[rows], bv[rows]
+    for _ in range(ELLIPSE_BISECT_STEPS):
+        mid = np.sqrt(lo * hi)
+        above = (au_r / (c + sign * mid)) ** 2 + (bv_r / mid) ** 2 > 1.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    w = sign * np.sqrt(lo * hi)
+    feet[root, rows] = np.column_stack((big * big * u[rows] / (w + c),
+                                        small * small * v[rows] / w))
+    if k:
+        feet = feet[:, :, ::-1]
+    return feet[0], feet[1]
 
 
 class Box:

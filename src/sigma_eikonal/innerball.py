@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .distance import GridSpec
+from .distance import GridSpec, _node_distance
 from .geometry import SampledSurface
 from .singular import SingularMask, detect_multiproj
 
@@ -345,10 +345,12 @@ def theorem_equivalence_check(shape, grid, r_free, rho_min=None,
 
     shape provides interior membership and exact distance where available;
     pass ``surface`` (a SampledSurface) to measure distance and inner balls
-    against a sampling instead, with ``inside`` a callable for membership
-    (defaults to shape.contains).  r_free below 2 grid steps is rejected:
-    condition A cannot be decided under grid resolution.  Condition B
-    samples the boundary at half the grid step.
+    against a sampling instead, with ``inside`` a boolean node mask for
+    membership (defaults to shape.contains at the nodes).  The distance is
+    the mask's own, or distance._node_distance's with a given mask.  r_free
+    below 2 grid steps is rejected: condition A cannot be decided under
+    grid resolution.  Condition B samples the boundary at half the grid
+    step.
     """
     if not isinstance(grid, GridSpec):
         raise InnerBallError("grid must be a GridSpec")
@@ -360,22 +362,20 @@ def theorem_equivalence_check(shape, grid, r_free, rho_min=None,
         rho_min = r_free
     spacing = 0.5 * h
     measured = surface if surface is not None else shape
-    dK = None
     if mask is None:
         mask = detect_multiproj(measured, grid)
         dK = mask.distance
     elif not isinstance(mask, SingularMask):
         raise InnerBallError("mask must be a SingularMask")
-
-    pts = grid.points()
-    if dK is None:
-        dK = measured.boundary_distance(pts).reshape(grid.dims)
-    member = inside if inside is not None \
-        else getattr(shape, "contains", None)
-    if member is None:
-        raise InnerBallError(
-            "shape has no interior membership; pass inside=callable")
-    in_mask = np.asarray(member(pts)).reshape(grid.dims)
+    else:
+        dK = _node_distance(measured, grid).reshape(grid.dims)
+    if inside is None:
+        if not hasattr(shape, "contains"):
+            raise InnerBallError(
+                "shape has no interior membership; pass inside=node mask")
+        inside = shape.contains(grid.points()).reshape(grid.dims)
+    if np.shape(inside) != tuple(grid.dims) or np.asarray(inside).dtype != bool:
+        raise InnerBallError("inside must be a boolean node mask of the grid")
     flag_dist = mask.distance_to_flags()
 
     # clearance from the grid rim, so the candidate ball stays inside the
@@ -389,7 +389,7 @@ def theorem_equivalence_check(shape, grid, r_free, rho_min=None,
         shape_ax[ax] = -1
         rim = np.minimum(rim, np.minimum(lo_c, hi_c).reshape(shape_ax))
 
-    ok = in_mask & (dK >= r_free) & (flag_dist >= r_free) & (rim >= r_free)
+    ok = inside & (dK >= r_free) & (flag_dist >= r_free) & (rim >= r_free)
     condition_a = bool(ok.any())
     witness = None
     clearance = 0.0

@@ -9,12 +9,15 @@ the representatives' spread stays within tau_multi.  The default is
 for sampled surfaces; grid detectors pass a grid-scaled value.
 
 project checks the shape kind, the point's dimension and that default
-once, then hands the point to the resolver of its family: _cycle_project
-(2D polytopes and offsets), _slack_project (3D ones, and a Box as its
-polytope), _ball_project, _ellipse_project or _sampled_project.  The rules
-that singular.detect_multiproj shares with project are written here once:
-_convex_base (the polytope and push of a convex shape), _ball_centre (a
-ball's only tie) and the row resolvers below.
+once, then hands the point to the resolver of its family: row 0 of
+_cycle_rows (2D polytopes and offsets) or of _ellipse_rows, _slack_project
+(3D polytopes and offsets, and a Box as its polytope), _ball_project or
+_sampled_project.  The rules that singular.detect_multiproj shares with
+project are written here once: _convex_base (the polytope and push of a
+convex shape), _ball_centre (a ball's only tie) and the row resolvers
+below.  An ellipse is answered exactly: its feet are the nearest root of
+the foot equation and, inside the evolute, the second local minimum
+(geometry._ellipse_feet), kept by the same tie window as every family.
 
 Inside a 3D convex polytope the nearest set follows from the facet
 slacks in closed form (_slack_feet); the same feet pushed out by epsilon
@@ -53,6 +56,8 @@ representatives, over rows of flat feet.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from scipy.sparse import coo_matrix
 
@@ -66,6 +71,7 @@ from .geometry import (
     SampledSurface,
     _element_distance_blocks,
     _element_query,
+    _ellipse_feet,
     _triangle_pairs,
 )
 
@@ -268,13 +274,6 @@ def _cycle_rows(shape, pts, tau_multi):
     return d_opt, count, feet, spread
 
 
-def _cycle_project(shape, x, tau_multi):
-    """Projection of x on a 2D polytope or offset: x is one row of
-    _cycle_rows."""
-    d_opt, _, feet, spread = _cycle_rows(shape, x[None], tau_multi)
-    return ProjectionResult(d_opt[0], feet, tau_multi, spread[0])
-
-
 def _cycle_nearest_feet(shape, pts):
     """One nearest boundary foot per point of a 2D polytope or offset.
 
@@ -366,28 +365,24 @@ def _ball_project(ball, x, tau_multi):
     return ProjectionResult(abs(r - ball.radius), foot, tau_multi)
 
 
-def _ellipse_project(ellipse, x, tau_multi):
-    """Projection onto an ellipse boundary.
+def _ellipse_rows(ellipse, pts, tau_multi):
+    """Projection rows of points on an ellipse.
 
-    On the interior medial segment (inside the evolute, on a symmetry axis)
-    the two mirror feet are both reported; other queries return the unique
-    root of the standard foot equation.
+    A row keeps its nearest foot and, when it lies within tau_multi of the
+    distance, its second local minimum (geometry._ellipse_feet); the spread
+    is the distance between the two.  Returns (d_opt, count, feet, spread)
+    as _cycle_rows does, d_opt equal to ellipse.boundary_distance.
     """
-    s = ellipse.semi_axes
-    k_min = int(np.argmin(s))
-    if np.linalg.norm(x) <= 1e-14 * ellipse.diameter():
-        reps = np.zeros((2, ellipse.dim))
-        reps[:, k_min] = (s[k_min], -s[k_min])
-        return ProjectionResult(float(s.min()), reps, tau_multi)
-    foot = ellipse.nearest_boundary_point(x)
-    d = float(np.linalg.norm(x - foot))
-    feet = [foot]
-    if abs(x[k_min]) < 1e-14 * ellipse.diameter() \
-            and abs(foot[k_min]) > 1e-12 * ellipse.diameter():
-        mirror = foot.copy()
-        mirror[k_min] = -mirror[k_min]
-        feet.append(mirror)
-    return ProjectionResult(d, np.array(feet), tau_multi)
+    near, other = _ellipse_feet(ellipse, pts, second=True)
+    d_opt = np.linalg.norm(pts - near, axis=1)
+    rows = np.flatnonzero(np.linalg.norm(pts - other, axis=1)
+                          <= d_opt + tau_multi)
+    count = np.ones(pts.shape[0], dtype=np.intp)
+    count[rows] = 2
+    spread = np.zeros(pts.shape[0])
+    spread[rows] = np.linalg.norm(near[rows] - other[rows], axis=1)
+    return d_opt, count, np.insert(near, rows + 1, other[rows], axis=0), \
+        spread
 
 
 # ---------------------------------------------------------------------------
@@ -523,21 +518,29 @@ def _sampled_project(surface, x, tau_multi):
 # dispatcher
 # ---------------------------------------------------------------------------
 
+def _first_row(rows, shape, x, tau_multi):
+    """Projection of x as row 0 of rows (_cycle_rows or _ellipse_rows)."""
+    d_opt, _, feet, spread = rows(shape, x[None], tau_multi)
+    return ProjectionResult(d_opt[0], feet, tau_multi, spread[0])
+
+
 def project(shape, x, tau_multi=None):
     """Project x onto the boundary of any supported shape.
 
     The shape kind, the point's dimension and the default tie window are
-    checked here once; the resolver of the shape's family answers.  A Box
-    is answered as its cached polytope.
+    checked here once; the resolver of the shape's family answers, a 2D
+    polytope, offset or ellipse with row 0 of its rows resolver.  A Box is
+    answered as its cached polytope.
     """
     if isinstance(shape, Box):
         shape = shape.as_polytope()
     if isinstance(shape, (ConvexPolytope, OffsetBody)):
-        resolve = _cycle_project if shape.dim == 2 else _slack_project
+        resolve = partial(_first_row, _cycle_rows) if shape.dim == 2 \
+            else _slack_project
     elif isinstance(shape, Ball):
         resolve = _ball_project
     elif isinstance(shape, Ellipse):
-        resolve = _ellipse_project
+        resolve = partial(_first_row, _ellipse_rows)
     elif isinstance(shape, SampledSurface):
         resolve = _sampled_project
     elif isinstance(shape, GraphHypersurface):

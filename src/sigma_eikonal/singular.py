@@ -28,7 +28,6 @@ point.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -37,13 +36,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .distance import GridSpec, ScalarField, _node_distance
+from .distance import (
+    GridSpec,
+    ScalarField,
+    _node_distance,
+    _read_header,
+    _write_file,
+)
 from .geometry import (
     Ball,
     Box,
     ConvexPolytope,
     Ellipse,
-    GraphHypersurface,
     OffsetBody,
     SampledSurface,
     _element_distance_blocks,
@@ -53,6 +57,7 @@ from .projection import (
     _ball_centre,
     _box_diagonals,
     _convex_base,
+    _ellipse_rows,
     _keep_rows,
     _nearest_elements,
     _sampled_rows,
@@ -82,9 +87,9 @@ class SingularMask:
     """Boolean singular-set flags on a grid, plus the unclassified band.
 
     ``distance`` is the boundary distance at every node, shape grid.dims,
-    as detect_multiproj computed it for the band; it is None where the
-    detector measured a sampling in place of the shape, and on a loaded
-    mask (the file holds flags and band only).
+    as detect_multiproj computed it for the band; it is None on the other
+    detectors' masks and on a loaded mask (the file holds flags and band
+    only).
     """
 
     grid: GridSpec
@@ -122,45 +127,31 @@ class SingularMask:
         codes = np.full(self.flags.shape, CLEAR, dtype=np.uint8)
         codes[self.excluded] = EXCLUDED
         codes[self.flags] = FLAG
-        with open(path, "wb") as fh:
-            head = io.StringIO()
-            head.write(f"magic={MASK_MAGIC}\n")
-            head.write("dims=" + ",".join(str(n) for n in self.grid.dims)
-                       + "\n")
-            head.write("origin=" + ",".join(repr(float(v))
-                                            for v in self.grid.origin) + "\n")
-            head.write(f"spacing={self.grid.spacing!r}\n")
-            head.write(f"detector={self.detector}\n")
-            head.write("params=" + json.dumps(self.params, sort_keys=True)
-                       + "\n")
-            head.write("end\n")
-            fh.write(head.getvalue().encode("ascii"))
-            fh.write(codes.tobytes(order="C"))
+        _write_file(path, self.grid, codes.tobytes(order="C"),
+                    head=[f"magic={MASK_MAGIC}"],
+                    tail=[f"detector={self.detector}",
+                          "params=" + json.dumps(self.params, sort_keys=True)])
 
     @classmethod
     def load(cls, path):
+        """Read a mask that save wrote.  A truncated or malformed header or
+        payload, or a code other than CLEAR, FLAG or EXCLUDED, raises
+        DetectionError."""
         with open(path, "rb") as fh:
-            header = {}
-            while True:
-                line = fh.readline().decode("ascii").strip()
-                if line == "end":
-                    break
-                if not line:
-                    raise DetectionError("truncated mask header")
-                key, _, val = line.partition("=")
-                header[key] = val
-            if header.get("magic") != MASK_MAGIC:
-                raise DetectionError("not a singular mask file")
-            dims = tuple(int(v) for v in header["dims"].split(","))
-            origin = tuple(float(v) for v in header["origin"].split(","))
-            grid = GridSpec(origin=origin,
-                            spacing=float(header["spacing"]), dims=dims)
-            n = int(np.prod(dims))
-            codes = np.frombuffer(fh.read(n), dtype=np.uint8).reshape(dims)
+            header, grid = _read_header(fh, path, DetectionError)
+            raw = fh.read(grid.n_nodes)
+        if header.get("magic") != MASK_MAGIC:
+            raise DetectionError(f"{path}: not a singular mask file")
         try:
             params = json.loads(header.get("params", "{}"))
         except json.JSONDecodeError as exc:
-            raise DetectionError(f"bad params header: {exc}") from exc
+            raise DetectionError(f"{path}: bad params header: {exc}") from exc
+        if len(raw) != grid.n_nodes:
+            raise DetectionError(f"{path}: truncated mask payload")
+        codes = np.frombuffer(raw, dtype=np.uint8).reshape(grid.dims)
+        if not np.isin(codes, (CLEAR, FLAG, EXCLUDED)).all():
+            raise DetectionError(f"{path}: mask code outside "
+                                 f"{{{CLEAR}, {FLAG}, {EXCLUDED}}}")
         return cls(grid=grid, flags=codes == FLAG, excluded=codes == EXCLUDED,
                    detector=header.get("detector", "unknown"), params=params)
 
@@ -183,11 +174,12 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
     boundary distance from the same element distance matrix; 3D ones take
     the closed form over facet slacks, so no node outside a convex body is
     flagged; sampled surfaces split kd-tree candidates into chain runs.
-    Each row's feet are resolved by the projection module's helpers, so a
-    node is flagged exactly when project(shape, node, tau_multi) is not a
-    singleton.  The mask carries the boundary distance as ``distance``,
-    unless the shape was replaced by a sampling (Ellipse,
-    GraphHypersurface).
+    An ellipse keeps its exact nearest foot and, inside the evolute, its
+    second local minimum within the window.  Each row's feet are resolved
+    by the projection module's helpers, so a node is flagged exactly when
+    project(shape, node, tau_multi) is not a singleton.  The mask carries
+    the boundary distance as ``distance``.  A graph has no boundary
+    distance and raises its GeometryError: detect on its boundary_sample.
     """
     if not isinstance(grid, GridSpec):
         raise DetectionError("grid must be a GridSpec")
@@ -198,10 +190,6 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
         raise DetectionError("tau_multi must be nonnegative")
     if isinstance(shape, Box):
         shape = shape.as_polytope()
-    swapped = isinstance(shape, (Ellipse, GraphHypersurface))
-    if swapped:
-        # no exact element enumeration; detect against a fine sampling
-        shape = shape.boundary_sample(0.5 * h)
 
     pts = grid.points()
     band = band_factor * h
@@ -217,6 +205,8 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
         excluded = dK <= band
         if isinstance(shape, Ball):
             flags = _ball_centre(shape, pts)
+        elif isinstance(shape, Ellipse):
+            flags = _ellipse_rows(shape, pts, tau_multi)[3] > tau_multi
         elif isinstance(shape, SampledSurface):
             flags, counts = _detect_sampled(shape, pts, dK, excluded,
                                             tau_multi)
@@ -231,7 +221,7 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
     return SingularMask(grid=grid, flags=flags,
                         excluded=excluded.reshape(grid.dims),
                         detector="multiproj", params=params,
-                        distance=None if swapped else dK.reshape(grid.dims))
+                        distance=dK.reshape(grid.dims))
 
 
 def _detect_cycle(shape, pts, band, tau_multi):

@@ -17,6 +17,7 @@ from sigma_eikonal.geometry import (
     save_shape,
     shape_from_spec,
 )
+from sigma_eikonal.projection import project
 
 from conftest import dense_boundary_distance
 
@@ -174,8 +175,8 @@ def test_ellipse_axis_points_exact():
     ell = Ellipse((2.0, 1.0))
     assert ell.boundary_distance([(3.0, 0.0)])[0] == pytest.approx(1.0, abs=1e-9)
     assert ell.boundary_distance([(0.0, 2.5)])[0] == pytest.approx(1.5, abs=1e-9)
-    near = ell.nearest_boundary_point((3.0, 0.0))
-    assert np.allclose(near, (2.0, 0.0), atol=1e-9)
+    near = project(ell, (3.0, 0.0)).nearest
+    assert np.allclose(near, [(2.0, 0.0)], atol=1e-9)
 
 
 def test_graph_samples_lie_on_curve():

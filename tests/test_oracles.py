@@ -652,8 +652,9 @@ def test_square_and_ellipse_sampled_masks_match_row_loop(h):
     square = Box((1.0, 1.0))
     assert_same_sampled_flags(square.boundary_sample(0.5 * h),
                               grid_covering(square, h))
-    ellipse = Ellipse((1.0, 0.5))           # sampled inside detect_multiproj
-    assert_same_sampled_flags(ellipse, grid_covering(ellipse, h))
+    ellipse = Ellipse((1.0, 0.5))
+    assert_same_sampled_flags(ellipse.boundary_sample(0.5 * h),
+                              grid_covering(ellipse, h))
 
 
 def test_3d_sampled_masks_match_row_loop():

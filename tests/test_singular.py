@@ -15,6 +15,8 @@ from sigma_eikonal.geometry import (
     Ball,
     Box,
     Ellipse,
+    GeometryError,
+    GraphHypersurface,
     OffsetBody,
     make_random_polytope,
 )
@@ -270,6 +272,27 @@ def test_mask_round_trip(tmp_path, unit_square):
     assert back.params == m.params
 
 
+def drop_dims_line(raw):
+    head, _, codes = raw.partition(b"end\n")
+    lines = [ln for ln in head.split(b"\n") if not ln.startswith(b"dims=")]
+    return b"\n".join(lines) + b"end\n" + codes
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw: raw[:-10],
+    drop_dims_line,
+    lambda raw: raw[:-1] + b"\x07",
+], ids=["truncated_payload", "missing_dims", "code_outside_0_1_2"])
+def test_damaged_mask_file_raises_detection_error(tmp_path, unit_disk,
+                                                  damage):
+    grid = GridSpec((-1.75, -1.75), 0.25, (15, 15))
+    path = tmp_path / "disk.mask"
+    detect_multiproj(unit_disk, grid).save(path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(DetectionError):
+        SingularMask.load(path)
+
+
 def test_sampled_mask_counts_survive_round_trip(tmp_path, unit_square):
     g = grid_covering(unit_square, 1.0 / 32)
     m = detect_multiproj(unit_square.boundary_sample(1.0 / 64), g)
@@ -293,7 +316,7 @@ OFFSET16_MASK_SHA256 = \
 
 
 @pytest.mark.parametrize("label", ["polytope", "offset", "box", "disk",
-                                   "sampled", "polytope3d"])
+                                   "ellipse", "sampled", "polytope3d"])
 def test_mask_distance_is_the_distance_field(label, unit_square):
     h = 1.0 / 20
     poly = make_random_polytope(16, 1)
@@ -302,6 +325,7 @@ def test_mask_distance_is_the_distance_field(label, unit_square):
         "offset": OffsetBody(poly, 0.3),
         "box": Box((1.0, 0.5)),
         "disk": Ball((0.0, 0.0), 1.0),
+        "ellipse": Ellipse((1.0, 0.5)),
         "sampled": unit_square.boundary_sample(h / 2),
         "polytope3d": make_random_polytope(12, 1, dim=3),
     }[label]
@@ -315,10 +339,10 @@ def test_mask_distance_is_the_distance_field(label, unit_square):
                           mask.distance <= mask.params["band_factor"] * h)
 
 
-def test_mask_distance_is_none_for_a_sampled_stand_in_and_on_load(tmp_path):
-    ellipse = Ellipse((1.0, 0.5))
-    assert detect_multiproj(ellipse,
-                            grid_covering(ellipse, 1.0 / 16)).distance is None
+def test_mask_distance_is_none_on_load_and_a_graph_raises(tmp_path):
+    graph = GraphHypersurface(0.5, 4, 2, window=(0.5, 1.5))
+    with pytest.raises(GeometryError):
+        detect_multiproj(graph, grid_covering(graph, 1.0 / 16))
     body = OffsetBody(make_random_polytope(16, 1), 0.3)
     mask = detect_multiproj(body, grid_covering(body, 1.0 / 20))
     path = tmp_path / "offset.mask"
