@@ -28,7 +28,6 @@ import json
 import math
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, cKDTree
 
 UNIT_VECTOR_TOL = 1e-12
@@ -172,9 +171,10 @@ class ConvexPolytope:
         self.chebyshev_center = center
         self._inradius = radius
         self.vertices = self._enumerate_vertices()
-        self._diameter = float(
-            max(np.linalg.norm(self.vertices - v, axis=1).max()
-                for v in self.vertices))
+        # every pairwise distance at once, summed in axis order as
+        # np.linalg.norm(axis=1) sums them
+        diff = self.vertices[:, None] - self.vertices[None]
+        self._diameter = float(np.sqrt((diff ** 2).sum(-1)).max())
         self._hull = None
         self._triangles = None
         for arr in (self.normals, self.offsets, self.vertices):
@@ -185,6 +185,11 @@ class ConvexPolytope:
     # -- construction helpers ------------------------------------------------
 
     def _chebyshev(self):
+        # imported on first use: scipy.optimize adds about 11 MiB of resident
+        # memory to every process that would import it with the package, and
+        # the experiments pass in their polytopes' known inner balls
+        from scipy.optimize import linprog
+
         m, d = self.normals.shape
         # maximize r subject to n_i . c + r <= c_i
         A = np.hstack([self.normals, np.ones((m, 1))])

@@ -206,7 +206,10 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
         if isinstance(shape, Ball):
             flags = _ball_centre(shape, pts)
         elif isinstance(shape, Ellipse):
-            flags = _ellipse_rows(shape, pts, tau_multi)[3] > tau_multi
+            active = np.flatnonzero(~excluded)
+            flags = np.zeros(pts.shape[0], dtype=bool)
+            flags[active] = _ellipse_rows(shape, pts[active],
+                                          tau_multi)[3] > tau_multi
         elif isinstance(shape, SampledSurface):
             flags, counts = _detect_sampled(shape, pts, dK, excluded,
                                             tau_multi)

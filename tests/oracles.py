@@ -83,7 +83,8 @@ def box_boundary_distance(box, points):
 def ellipse_nearest_point(ellipse, point):
     """Nearest point on an ellipse, one brentq solve of the foot equation.
 
-    Solves sum((s_i x_i / (t + s_i^2))^2) = 1 by bracketing; valid for
+    Solves sum((s_i x_i / (t + s_i^2))^2) = 1 by bracketing, to a relative
+    tolerance on t + s_min^2 (the root's distance from the pole); valid for
     generic points (nonzero component along the shorter axis).  The centre
     falls back to a minor-axis endpoint, and a point on the major axis to
     its nearer axis endpoint or, inside the evolute, the off-axis foot.
@@ -97,9 +98,6 @@ def ellipse_nearest_point(ellipse, point):
         q[k_min] = s[k_min]
         return q
     s2 = s * s
-
-    def f(t):
-        return float(np.sum((s * p / (t + s2)) ** 2) - 1.0)
 
     if abs(p[k_min]) < 1e-14 * scale:
         k = 1 - k_min
@@ -115,14 +113,22 @@ def ellipse_nearest_point(ellipse, point):
                 q = q_alt
         return q
 
-    lo = -float(s2[k_min])
-    span = float(np.linalg.norm(s * p)) + float(s2.max())
-    lo_probe = lo + 1e-15 * max(1.0, abs(lo))
-    hi = lo + max(span, 1e-12)
-    while f(hi) > 0.0:
-        hi = lo + (hi - lo) * 2.0
-    t = brentq(f, lo_probe, hi, xtol=1e-15, maxiter=200)
-    return s2 * p / (t + s2)
+    # solve for w = t + s_min^2 > 0, so that brentq's tolerance is
+    # relative to w: near the major axis w is tiny, and a tolerance
+    # absolute on t would leave few of its digits
+    shift = s2 - s2[k_min]
+
+    def g(w):
+        return float(np.sum((s * p / (w + shift)) ** 2) - 1.0)
+
+    # g(w) > (s_min p_min / w)^2 - 1 > 0 below w = s_min |p_min|
+    lo = 0.5 * float(s[k_min] * abs(p[k_min]))
+    hi = float(np.linalg.norm(s * p))
+    while g(hi) > 0.0:
+        hi *= 2.0
+    w = brentq(g, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
+               maxiter=200)
+    return s2 * p / (w + shift)
 
 
 def ellipse_boundary_distance(ellipse, points):

@@ -1,10 +1,16 @@
 """Experiment configuration parsing and the driver registry."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sigma_eikonal import experiments
+from sigma_eikonal.geometry import Box, _Cycle
 from sigma_eikonal.experiments import (
     EXPERIMENTS,
     ROUGH_H,
@@ -109,3 +115,51 @@ def test_one_term_collar_flags_trace_the_valley_ray():
     assert (mask.distance_to_flags()[on_ray] <= h).all()
     # one term leaves room on both sides of the theorem
     assert chk.condition_a and chk.condition_b
+
+
+# the experiment paths in a fresh interpreter: each polytope they build
+# has a known inner ball, so none of them may load the LP solver
+NO_LP_SCRIPT = """
+import sys
+from sigma_eikonal import experiments
+from sigma_eikonal.distance import grid_covering
+from sigma_eikonal.eikonal import fast_march, problem_from_shape
+from sigma_eikonal.geometry import OffsetBody, make_random_polytope
+from sigma_eikonal.singular import detect_multiproj
+
+poly = make_random_polytope(8, 3)
+make_random_polytope(12, 5, dim=3)
+square = experiments._unit_square()
+surface = OffsetBody(poly, 0.3).boundary_sample(0.05)
+detect_multiproj(surface, grid_covering(surface, 0.1))
+fast_march(problem_from_shape(square, grid_covering(square, 0.1)))
+print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+"""
+
+
+def test_experiment_paths_do_not_load_the_lp_solver():
+    src = Path(experiments.__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", NO_LP_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_unit_square_is_the_box_polytope_bit_for_bit():
+    """The square with its inner ball passed in is the LP-seeded box: the
+    same arrays, bytes included, and the same cycle."""
+    square = experiments._unit_square()
+    box = Box((1.0, 1.0)).as_polytope()
+    for got, want in [(square.vertices, box.vertices),
+                      (square.normals, box.normals),
+                      (square.offsets, box.offsets),
+                      *[(getattr(square._cycle, k), getattr(box._cycle, k))
+                        for k in _Cycle.__slots__]]:
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert square.diameter() == box.diameter()
+    assert square.inradius() == box.inradius() == 1.0
+    assert np.array_equal(square.chebyshev_center, box.chebyshev_center)
