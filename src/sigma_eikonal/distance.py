@@ -14,13 +14,14 @@ export (x,y[,z],value) is provided for plotting.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import OffsetBody
+from .geometry import OffsetBody, _row_blocks
 from .projection import project
 
 MAX_TOTAL_NODES = 2 ** 27
@@ -82,11 +83,8 @@ class GridSpec:
             raise GridError("grid spacing must be positive")
         if any(d < MIN_AXIS_NODES for d in dims):
             raise GridError(f"grids need at least {MIN_AXIS_NODES} nodes per axis")
-        total = 1
-        for d in dims:
-            total *= d
-        if total > MAX_TOTAL_NODES:
-            raise GridError(f"grid with {total} nodes exceeds the "
+        if self.n_nodes > MAX_TOTAL_NODES:
+            raise GridError(f"grid with {self.n_nodes} nodes exceeds the "
                             f"{MAX_TOTAL_NODES} node budget")
 
     @property
@@ -95,10 +93,7 @@ class GridSpec:
 
     @property
     def n_nodes(self):
-        total = 1
-        for d in self.dims:
-            total *= d
-        return total
+        return math.prod(self.dims)
 
     def axes(self):
         return [self.origin[k] + self.spacing * np.arange(self.dims[k])
@@ -204,21 +199,21 @@ class ScalarField:
         return out
 
 
-def _evaluate_chunked(fn, points, chunk=65536):
-    n = points.shape[0]
-    if n <= chunk:
+def _evaluate_chunked(fn, points):
+    """fn over _row_blocks of points (cost 1), on thread_count() threads."""
+    blocks = list(_row_blocks(points.shape[0], 1))
+    if len(blocks) <= 1:
         return fn(points)
-    ranges = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-    out = np.empty(n)
+    out = np.empty(points.shape[0])
     workers = thread_count()
-    if workers == 1 or len(ranges) == 1:
-        for s, e in ranges:
-            out[s:e] = fn(points[s:e])
+    if workers == 1:
+        for rows in blocks:
+            out[rows] = fn(points[rows])
         return out
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, points[s:e]): (s, e) for s, e in ranges}
-        for fut, (s, e) in futures.items():
-            out[s:e] = fut.result()
+        futures = {pool.submit(fn, points[rows]): rows for rows in blocks}
+        for fut, rows in futures.items():
+            out[rows] = fut.result()
     return out
 
 

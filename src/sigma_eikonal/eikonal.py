@@ -263,38 +263,27 @@ def upwind_residual(f):
 def residuals(f, singular_mask=None, margin=None):
     """Residual statistics away from the surface, flags, and the grid rim.
 
-    ``singular_mask`` may be a SingularMask or a boolean array on the same
-    grid; ``margin`` defaults to 10 grid cells.
+    ``singular_mask`` is a SingularMask on the field's grid (another grid
+    raises GridError) or None; ``margin`` defaults to 10 grid cells.
     """
     if f.kind not in ("distance", "signed_distance", "eikonal_solution"):
         raise GridError("residuals need a distance-like field")
-    h = f.grid.spacing
     if margin is None:
-        margin = 10.0 * h
+        margin = 10.0 * f.grid.spacing
     res = upwind_residual(f)
 
     eligible = np.isfinite(f.values)
     # away from the surface: the field value is itself the distance to it
     eligible &= np.abs(f.values) >= margin
     # off the grid rim (upwind stencils there are one-sided)
-    rim = np.zeros(f.grid.dims, dtype=bool)
-    for axis in range(f.grid.dim):
-        sl = [slice(None)] * f.grid.dim
-        sl[axis] = 0
-        rim[tuple(sl)] = True
-        sl[axis] = -1
-        rim[tuple(sl)] = True
-    eligible &= ~rim
+    interior = np.zeros(f.grid.dims, dtype=bool)
+    interior[(slice(1, -1),) * f.grid.dim] = True
+    eligible &= interior
 
     if singular_mask is not None:
-        flags = getattr(singular_mask, "flags", singular_mask)
-        flags = np.asarray(flags, dtype=bool)
-        if flags.shape != tuple(f.grid.dims):
-            raise GridError("singular mask shape does not match the grid")
-        if flags.any():
-            from scipy.ndimage import distance_transform_edt
-            dist_to_flags = distance_transform_edt(~flags, sampling=h)
-            eligible &= dist_to_flags >= margin
+        if singular_mask.grid != f.grid:
+            raise GridError("singular mask grid does not match the field's")
+        eligible &= singular_mask.distance_to_flags() >= margin
 
     sel = res[eligible]
     if sel.size == 0:

@@ -269,7 +269,10 @@ class ConvexPolytope:
         pts = np.atleast_2d(points)
         if tol is None:
             tol = 1e-12 * max(1.0, self._diameter)
-        inside = np.all(pts @ self.normals.T <= self.offsets + tol, axis=1)
+        inside = np.empty(pts.shape[0], dtype=bool)
+        for rows in _row_blocks(pts.shape[0], self.normals.shape[0]):
+            inside[rows] = np.all(pts[rows] @ self.normals.T
+                                  <= self.offsets + tol, axis=1)
         return bool(inside[0]) if single else inside
 
     def edges(self):
@@ -413,9 +416,12 @@ class OffsetBody:
         ok = self.base.contains(pts)
         # the base distance is at least the largest facet violation, so only
         # points within epsilon of the base's facet planes can be inside
-        violation = (pts @ self.base.normals.T
-                     - self.base.offsets).max(axis=1)
-        near = ~ok & (violation <= self.epsilon + 2.0 * tol)
+        near = np.empty_like(ok)
+        for rows in _row_blocks(pts.shape[0], self.base.normals.shape[0]):
+            violation = (pts[rows] @ self.base.normals.T
+                         - self.base.offsets).max(axis=1)
+            near[rows] = violation <= self.epsilon + 2.0 * tol
+        near &= ~ok
         ok[near] = self.base.boundary_distance(pts[near]) <= self.epsilon + tol
         return bool(ok[0]) if single else ok
 
@@ -1093,9 +1099,26 @@ def _sample_offset_3d(body, spacing):
 # low-level distance kernels shared with the projection module
 # ---------------------------------------------------------------------------
 
-# (node, element) pairs per 2D kernel block: keeps the (n, E) temporaries
-# near a megabyte whatever the element count
-_ELEMENT_PAIRS_PER_BLOCK = 2 ** 16
+# (row, column) pairs per block of every (node x boundary element) loop:
+# keeps each block's temporaries near a megabyte whatever the column count
+PAIRS_PER_BLOCK = 2 ** 16
+
+
+def _row_blocks(n_rows, cost):
+    """Slices of range(n_rows) of about PAIRS_PER_BLOCK pairs each.
+
+    A scalar cost is every row's pair count: max(1, PAIRS_PER_BLOCK // cost)
+    rows a block.  An array holds each row's count, and a block ends where
+    the count of the rows before it crosses a multiple of PAIRS_PER_BLOCK.
+    """
+    if np.ndim(cost) == 0:
+        step = max(1, PAIRS_PER_BLOCK // int(cost))
+        for lo in range(0, n_rows, step):
+            yield slice(lo, min(lo + step, n_rows))
+        return
+    cut = np.flatnonzero(np.diff((np.cumsum(cost) - cost)
+                                 // PAIRS_PER_BLOCK)) + 1
+    yield from map(slice, np.r_[0, cut], np.r_[cut, n_rows])
 
 
 def _plane_norm(px, py, qx, qy, out, tmp):
@@ -1210,14 +1233,12 @@ def _element_distance_blocks(shape, points):
     boundary, one block of nodes at a time.
 
     Elements run in cycle order (_Cycle).  Yields (rows, dist, clamp) over
-    blocks of about _ELEMENT_PAIRS_PER_BLOCK (node, element) pairs: rows
-    slices points, dist (n, E) holds the element distances and clamp
-    (n, E) the element clamp codes.
+    blocks of about PAIRS_PER_BLOCK (node, element) pairs: rows slices
+    points, dist (n, E) holds the element distances and clamp (n, E) the
+    element clamp codes.
     """
     cyc = shape._cycle
-    block = max(1, _ELEMENT_PAIRS_PER_BLOCK // cyc.size)
-    for lo in range(0, points.shape[0], block):
-        rows = slice(lo, lo + block)
+    for rows in _row_blocks(points.shape[0], cyc.size):
         p = points[rows]
         if cyc.radius:
             dist = np.empty((p.shape[0], cyc.size))
@@ -1406,11 +1427,6 @@ def _triangle_feet(tri, k, p):
     return dist.take(back), feet.take(back, axis=0)
 
 
-# (point, triangle) pairs per block of the pruning bounds: keeps the (n, m)
-# bound matrices near half a megabyte whatever the facet count
-TRIANGLE_PAIRS_PER_BLOCK = 2 ** 16
-
-
 def _triangle_pairs(tri, points):
     """The (point, triangle) pairs that can hold a point's nearest foot,
     with their distances and feet, one block of points at a time.
@@ -1421,16 +1437,15 @@ def _triangle_pairs(tri, points):
     feet): the kept pairs in (point, triangle) order, rows indexing
     points and k the triangles, with dist and feet as _triangle_feet.
     """
-    block = max(1, TRIANGLE_PAIRS_PER_BLOCK // tri.a.shape[0])
-    for lo in range(0, points.shape[0], block):
-        p = points[lo:lo + block]
+    for block in _row_blocks(points.shape[0], tri.a.shape[0]):
+        p = points[block]
         upper = np.sqrt(_squared_distances(p, tri.corners).min(axis=1))
         bound = upper + tri.margin * (1.0 + upper)
         bound = bound[:, None] + tri.reach
         bound *= bound
         rows, k = np.nonzero(~(_squared_distances(p, tri.centroid) > bound))
         dist, feet = _triangle_feet(tri, k, p.take(rows, axis=0))
-        yield lo + rows, k, dist, feet
+        yield block.start + rows, k, dist, feet
 
 
 def _polytope_boundary_distance_3d(poly, points):

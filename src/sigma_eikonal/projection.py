@@ -72,6 +72,7 @@ from .geometry import (
     _element_distance_blocks,
     _element_query,
     _ellipse_feet,
+    _row_blocks,
     _triangle_pairs,
 )
 
@@ -80,7 +81,6 @@ SAMPLED_TAU_FACTOR = 2.0    # default tau_multi for sampled surfaces, times spac
 CLUSTER_LINK_FACTOR = 3.0   # sample connectivity linking scale, times spacing
 CONTINUUM_TIE_FACTOR = 0.5  # one wide cluster counts as a tie beyond this
                             # fraction of the sample-set diameter
-ROW_PAIRS_PER_BLOCK = 2 ** 16   # padded foot pairs resolved at once
 
 
 class ProjectionError(ValueError):
@@ -132,10 +132,10 @@ def _padded_rows(count):
     Row i owns the count[i] >= 1 consecutive entries of a flat array that
     start at sum(count[:i]).  Rows of one entry hold no pair and are left
     out.  The others are padded to their count rounded up to a power of
-    two, so one wide row does not widen the rest, and handed out in blocks
-    of about ROW_PAIRS_PER_BLOCK padded pairs.  Each block is (rows, take,
-    cnt): take indexes the flat array for every slot, repeating a row's
-    last entry in its padding, and the real slots of row i are the first
+    two, so one wide row does not widen the rest, and handed out in
+    geometry._row_blocks of padded pairs.  Each block is (rows, take, cnt):
+    take indexes the flat array for every slot, repeating a row's last
+    entry in its padding, and the real slots of row i are the first
     cnt[i, 0].
     """
     if count.size == 1:         # one row needs no padding
@@ -146,9 +146,8 @@ def _padded_rows(count):
     width = 1 << np.ceil(np.log2(count)).astype(int)
     for w in np.unique(width[count > 1]):
         group = np.flatnonzero(width == w)
-        step = max(1, ROW_PAIRS_PER_BLOCK // (w * w))
-        for b in range(0, group.size, step):
-            rows = group[b:b + step]
+        for block in _row_blocks(group.size, w * w):
+            rows = group[block]
             cnt = count[rows][:, None]
             yield (rows, first[rows][:, None] + np.minimum(np.arange(w),
                                                            cnt - 1), cnt)
@@ -242,28 +241,26 @@ def _cycle_rows(shape, pts, tau_multi):
     """Projection rows of points on a 2D polytope or offset.
 
     Every (point, element) pair is one geometry._element_query row, in
-    blocks of about ROW_PAIRS_PER_BLOCK pairs; _nearest_elements keeps each
-    point's elements and _spreads dedupes their feet, first come first
-    kept, and measures their spread.  Each row is the arithmetic of its
-    point alone.  Returns (d_opt, count, feet, spread): point i owns the
-    count[i] consecutive representatives of feet, in cycle order.
+    geometry._row_blocks of pairs; _nearest_elements keeps each point's
+    elements and _spreads dedupes their feet, first come first kept, and
+    measures their spread.  Each row is the arithmetic of its point alone.
+    Returns (d_opt, count, feet, spread): point i owns the count[i]
+    consecutive representatives of feet, in cycle order.
     """
     diam = shape.diameter()
     n_el = shape._cycle.size
     eq_tol = 1e-12 * max(1.0, diam)
-    block = max(1, ROW_PAIRS_PER_BLOCK // n_el)
     d_opt = np.empty(pts.shape[0])
     count = np.empty(pts.shape[0], dtype=np.intp)
     feet = []
-    for lo in range(0, pts.shape[0], block):
-        p = pts[lo:lo + block]
+    for rows in _row_blocks(pts.shape[0], n_el):
+        p = pts[rows]
         m = p.shape[0]
         dist, foot, clamp = _element_query(shape, np.repeat(p, n_el, axis=0),
                                            np.tile(np.arange(n_el), m))
-        d, kept = _nearest_elements(dist.reshape(m, n_el),
-                                    clamp.reshape(m, n_el), tau_multi, eq_tol)
-        d_opt[lo:lo + m] = d
-        count[lo:lo + m] = kept.sum(axis=1)
+        d_opt[rows], kept = _nearest_elements(
+            dist.reshape(m, n_el), clamp.reshape(m, n_el), tau_multi, eq_tol)
+        count[rows] = kept.sum(axis=1)
         feet.append(foot[kept.reshape(-1)])
     feet = np.concatenate(feet)
     keep, spread = _spreads(feet, count, 1e-9 * max(1.0, diam))
@@ -455,7 +452,7 @@ def _sampled_rows(surface, x, count, idx, span, every_rep=False):
     # distance.  A candidate is paired only with the later chain
     # segments of its row whose bounding box it comes that close to:
     # rounding is monotone, so a box farther than that holds no pair
-    # within reach.  Pairs go in blocks of about ROW_PAIRS_PER_BLOCK.
+    # within reach.  Pairs go in geometry._row_blocks.
     seg = np.cumsum(start) - 1
     seg_first = np.flatnonzero(start)
     seg_len = np.diff(np.append(seg_first, cand.shape[0]))
@@ -469,12 +466,10 @@ def _sampled_rows(surface, x, count, idx, span, every_rep=False):
     reach = (apart ** 2).sum(axis=1) <= lk2
     i, t = i[reach], t[reach]
     n_pairs = seg_len[t]
-    cut = np.flatnonzero(np.diff((np.cumsum(n_pairs) - n_pairs)
-                                 // ROW_PAIRS_PER_BLOCK)) + 1
     heads, tails = [], []
-    for a, b in zip(np.r_[0, cut], np.r_[cut, i.size]):
-        ii = np.repeat(i[a:b], n_pairs[a:b])
-        jj = _concat_ranges(seg_first[t[a:b]], n_pairs[a:b])
+    for b in _row_blocks(i.size, n_pairs):
+        ii = np.repeat(i[b], n_pairs[b])
+        jj = _concat_ranges(seg_first[t[b]], n_pairs[b])
         diff = cand[ii] - cand[jj]
         near = (diff ** 2).sum(axis=1) <= lk2
         heads.append(run[ii[near]])

@@ -52,6 +52,7 @@ from .geometry import (
     SampledSurface,
     _element_distance_blocks,
     _element_query,
+    _row_blocks,
 )
 from .projection import (
     _ball_centre,
@@ -71,7 +72,6 @@ FOOT_MOVE_FACTOR = 0.5      # footjump bisects edges whose feet move more
                             # than this, in grid steps
 FOOT_BISECT_STEPS = 8       # halvings of each bisected edge
 FOOT_JUMP_FACTOR = 25.0     # confirmed foot gap, in sample spacings
-SAMPLED_ROWS_PER_CHUNK = 16384  # kd-tree candidate rows resolved at once
 
 MASK_MAGIC = "singular_mask"
 
@@ -269,9 +269,9 @@ def _flatten(lists):
 
 
 def _detect_sampled(surface, pts, dK, excluded, tau_multi):
-    """Sampled-surface detection, in chunks of SAMPLED_ROWS_PER_CHUNK rows.
+    """Sampled-surface detection, in geometry._row_blocks of rows.
 
-    Each chunk's kd-tree candidates within tau_multi of the optimum become
+    Each block's kd-tree candidates within tau_multi of the optimum become
     flat (CSR) rows.  Rows of one candidate, or whose candidate bounding
     box is no wider than tau_multi (the spread cannot exceed it), are not
     flagged; projection._sampled_rows resolves the rest.  Returns the flags
@@ -282,8 +282,9 @@ def _detect_sampled(surface, pts, dK, excluded, tau_multi):
     flags = np.zeros(pts.shape[0], dtype=bool)
     counts = {"candidate_rows": 0, "multi_run_rows": 0}
     active = np.flatnonzero(~excluded)
-    for lo in range(0, active.size, SAMPLED_ROWS_PER_CHUNK):
-        rows = active[lo:lo + SAMPLED_ROWS_PER_CHUNK]
+    # a row costs a nominal 4 candidates: 16,384 rows a block
+    for block in _row_blocks(active.size, 4):
+        rows = active[block]
         # the query lists and the candidate points die inside the helpers
         count, idx = _flatten(tree.query_ball_point(
             pts[rows], dK[rows] + tau_multi, return_sorted=True))
@@ -312,9 +313,8 @@ def _detect_slack(shape, pts, excluded, tau_multi):
     base, eps = _convex_base(shape)
     flags = np.zeros(pts.shape[0], dtype=bool)
     active = np.flatnonzero(~excluded)
-    chunk = max(1, 4_000_000 // base.normals.shape[0])
-    for lo in range(0, active.size, chunk):
-        rows = active[lo:lo + chunk]
+    for block in _row_blocks(active.size, base.normals.shape[0]):
+        rows = active[block]
         row, feet = _slack_feet(base, pts[rows], tau_multi, eps)
         count = np.bincount(row, minlength=rows.size)
         several = count >= 2

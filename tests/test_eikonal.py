@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from sigma_eikonal.distance import GridSpec, distance_field, grid_covering
+from sigma_eikonal.distance import (
+    GridError,
+    GridSpec,
+    distance_field,
+    grid_covering,
+)
 from sigma_eikonal.eikonal import (
     EikonalError,
     EikonalProblem,
@@ -112,6 +117,19 @@ def test_exact_square_field_has_zero_residual_off_diagonals(unit_square):
     # away from boundary, flags, and rim are exact
     assert rep.n_eligible > 0
     assert rep.max_abs <= 1e-12
+
+
+def test_residuals_reject_a_mask_on_another_grid(unit_square):
+    """A mask of the same shape on a grid shifted by half a step flags
+    other points, so residuals refuses it."""
+    g = grid_covering(unit_square, 1.0 / 32)
+    fld = distance_field(unit_square, g)
+    shifted = GridSpec(tuple(o + 0.5 * g.spacing for o in g.origin),
+                       g.spacing, g.dims)
+    mask = detect_multiproj(unit_square, shifted)
+    assert mask.flags.shape == fld.values.shape
+    with pytest.raises(GridError, match="singular mask grid"):
+        residuals(fld, singular_mask=mask)
 
 
 def test_residual_sees_the_shock_without_a_mask(unit_square):

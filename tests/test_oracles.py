@@ -6,10 +6,14 @@ replaced.  Both forms make the same decisions on the same arithmetic, so
 the arrays must be equal bit for bit, not merely close.
 """
 
+import pkgutil
+from importlib import import_module
+
 import numpy as np
 import pytest
 
-from sigma_eikonal import geometry, projection, singular
+import sigma_eikonal
+from sigma_eikonal import distance, geometry, singular
 from sigma_eikonal.distance import GridSpec, distance_field, grid_covering
 from sigma_eikonal.eikonal import EikonalProblem, fast_march, problem_from_shape
 from sigma_eikonal.geometry import (
@@ -19,8 +23,8 @@ from sigma_eikonal.geometry import (
     Ellipse,
     GraphHypersurface,
     OffsetBody,
+    PAIRS_PER_BLOCK,
     SampledSurface,
-    _ELEMENT_PAIRS_PER_BLOCK,
     _element_distance_blocks,
     _element_query,
     _triangle_feet,
@@ -143,7 +147,7 @@ def test_polytope_kernel_in_one_point_blocks(case, monkeypatch):
     """With a block of one point the pruning bounds and the row minimum
     run per point, and nothing changes."""
     poly, _, _, pts, d_ref = case
-    monkeypatch.setattr(geometry, "TRIANGLE_PAIRS_PER_BLOCK", 8)
+    monkeypatch.setattr(geometry, "PAIRS_PER_BLOCK", 8)
     assert np.array_equal(poly.boundary_distance(pts), d_ref)
 
 
@@ -443,8 +447,7 @@ def test_cycle_rows_match_scalar_cycle_on_every_flag(label, shape,
     pts = grid.points()[mask.flags.reshape(-1)]
     assert pts.shape[0] > 100
     d_opt, count, feet, spread = _cycle_rows(shape, pts, tau)
-    monkeypatch.setattr(projection, "ROW_PAIRS_PER_BLOCK",
-                        7 * shape._cycle.size)
+    monkeypatch.setattr(geometry, "PAIRS_PER_BLOCK", 7 * shape._cycle.size)
     for got, want in zip(_cycle_rows(shape, pts, tau),
                          (d_opt, count, feet, spread)):
         assert np.array_equal(got, want)
@@ -499,7 +502,7 @@ def test_2d_boundary_distance_across_kernel_blocks():
     body = OffsetBody(make_random_polytope(64, 1), 0.2)
     grid = grid_covering(body, 1.0 / 64)
     n_el = 2 * body.base.vertices.shape[0]
-    assert grid.n_nodes > 10 * (_ELEMENT_PAIRS_PER_BLOCK // n_el)
+    assert grid.n_nodes > 10 * (PAIRS_PER_BLOCK // n_el)
     pts = grid.points()
     ref = oracles.boundary_distance_2d(body, pts)
     assert np.array_equal(body.boundary_distance(pts), ref)
@@ -568,6 +571,45 @@ def test_3d_masks_on_a_finer_grid_match_slack_closed_form():
         mask, flags = slack_mask(shape, 0.25)
         assert mask.n_flags > 0
         assert np.array_equal(mask.flags, flags)
+
+
+def test_one_block_budget_sizes_every_loop(monkeypatch):
+    """Every block loop takes its rows from geometry._row_blocks, sized by
+    the one PAIRS_PER_BLOCK.  A budget of 40 pairs runs the 3D facet-slack
+    detector three rows at a time (the offset's node distances come from
+    its memo) and the field evaluation as 40-node blocks on the thread
+    pool, and neither changes a bit."""
+    body = OffsetBody(make_random_polytope(12, 1, dim=3), 0.3)
+    grid = grid_covering(body, 0.3)
+
+    def outputs():
+        flat = OffsetBody(make_random_polytope(16, 2), 0.3)   # fresh: no memo
+        return (detect_multiproj(body, grid).flags,
+                distance_field(flat, grid_covering(flat, 1.0 / 16)).values)
+
+    flags, field = outputs()
+    assert flags.any() and field.size > 40
+    submitted = []
+
+    class Pool(distance.ThreadPoolExecutor):
+        def submit(self, *args):
+            submitted.append(args)
+            return super().submit(*args)
+
+    monkeypatch.setattr(distance, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(distance, "thread_count", lambda: 2)
+    monkeypatch.setattr(geometry, "PAIRS_PER_BLOCK", 40)
+    small_flags, small_field = outputs()
+    assert len(submitted) == -(-field.size // 40)
+    assert np.array_equal(small_flags, flags)
+    assert np.array_equal(small_field, field)
+
+    for info in pkgutil.iter_modules(sigma_eikonal.__path__):
+        module = import_module(f"sigma_eikonal.{info.name}")
+        budgets = {name for name in vars(module)
+                   if name.endswith(("_PER_BLOCK", "_PER_CHUNK"))}
+        assert budgets == ({"PAIRS_PER_BLOCK"} if module is geometry
+                           else set()), info.name
 
 
 @pytest.mark.parametrize("facets", sorted(MASK_SEEDS))
@@ -665,7 +707,8 @@ def test_3d_sampled_masks_match_row_loop():
 
 
 def test_sampled_masks_match_row_loop_across_chunks(monkeypatch):
-    monkeypatch.setattr(singular, "SAMPLED_ROWS_PER_CHUNK", 500)
+    # 500 rows per block of _detect_sampled, which charges 4 per row
+    monkeypatch.setattr(geometry, "PAIRS_PER_BLOCK", 2000)
     h = 1.0 / 32
     graph = rough_graph(5)
     assert_same_sampled_flags(graph.boundary_sample(0.5 * h, pad=0.3),
