@@ -29,6 +29,7 @@ from .eikonal import EikonalError, fast_march, problem_from_shape, residuals, \
     write_residual_report
 from .experiments import (
     EXPERIMENTS,
+    GRAPH_PAD,
     ExperimentConfig,
     ExperimentError,
     format_verdict,
@@ -45,7 +46,6 @@ from .singular import DEFAULT_THETA_DEG, DetectionError, detect_gradjump, \
 
 PASS, FAIL, USAGE = 0, 1, 2
 DEFAULT_H = 1.0 / 64
-GRAPH_SAMPLE_PAD = 0.3
 
 _CONFIG_ERRORS = (ExperimentError, GeometryError, GridError, EikonalError,
                   DetectionError, InnerBallError, ProjectionError,
@@ -112,7 +112,7 @@ def _measured(shape, spacing):
     """Shape with bulk exact distance; graphs fall back to a sampling at
     the given spacing."""
     if isinstance(shape, GraphHypersurface):
-        return shape.boundary_sample(spacing, pad=GRAPH_SAMPLE_PAD)
+        return shape.boundary_sample(spacing, pad=GRAPH_PAD)
     return shape
 
 

@@ -3,9 +3,9 @@
 Fields live on axis-aligned grids with uniform spacing.  Node (i, j[, k])
 sits at ``origin + spacing * index`` and values are stored in an array of
 shape ``dims`` (C order, first axis is x).  Distance fields are evaluated
-with the same exact element kernels the projection module uses, so node
-values agree with ``project(shape, x).distance`` to rounding for exact
-shapes and to sampling accuracy for sampled surfaces.
+with the same exact kernels the projection module uses, so node values
+equal ``project(shape, x).distance`` bit for bit for exact shapes and
+agree to sampling accuracy for sampled surfaces.
 
 Field files are a short ``key=value`` text header terminated by an ``end``
 line, followed by raw little-endian float64 values in C order.  A CSV

@@ -100,7 +100,6 @@ class ExperimentConfig:
     tau_multi: float | None = None
     theta_deg: float | None = None
     rho_min: float | None = None
-    r_free: float | None = None
     t_values: list | None = None
     out_dir: str | None = None
     quiet: bool = False

@@ -1132,8 +1132,9 @@ def _plane_norm(px, py, qx, qy, out, tmp):
     return np.sqrt(out, out=out)
 
 
-def _segment_distances(points, seg_a, seg_b):
-    """Distances and clamp codes from points (n, 2) to segments (m, 2).
+def _segment_distances(points, cyc):
+    """Distances and clamp codes from points (n, 2) to the m segments of a
+    _Cycle.
 
     Returns (dist (n, m), clamp (n, m)); clamp is -1 where the foot is the
     segment start, +1 where it is the end and 0 between.  The work runs on
@@ -1141,20 +1142,18 @@ def _segment_distances(points, seg_a, seg_b):
     clipped to [0, 1] and dist = sqrt(ex^2 + ey^2) for e = p - (a + t d).
     That order of operations is fixed: np.hypot, vecdot or the expanded
     |w|^2 - 2t w.d + t^2 |d|^2 round differently, and every distance
-    field, mask and digest downstream reads these bits.  In place, three
-    planes are live at most; fresh temporaries ran about a quarter slower.
+    field, mask, foot and digest downstream reads these bits.  In place,
+    three planes are live at most; fresh temporaries ran about a quarter
+    slower.
     """
-    d = seg_b - seg_a
-    L2 = np.einsum("md,md->m", d, d)
-    L2 = np.where(L2 <= 0.0, 1.0, L2)
     px, py = points[:, :1], points[:, 1:]
-    ax, ay, dx, dy = seg_a[:, 0], seg_a[:, 1], d[:, 0], d[:, 1]
+    (ax, ay), (dx, dy) = cyc.seg_a.T, cyc.seg_d.T
     ex = px - ax
     ey = py - ay
     t = ex * dx
     ey *= dy
     t += ey
-    t /= L2
+    t /= cyc.seg_l2
     np.clip(t, 0.0, 1.0, out=t)
     clamp = (t == 1.0).astype(np.int8) - (t == 0.0)
     # the feet a + t d
@@ -1165,13 +1164,13 @@ def _segment_distances(points, seg_a, seg_b):
     return _plane_norm(px, py, ex, ey, ex, ey), clamp
 
 
-def _arc_distances(points, center, a0, sweep, e0, e1, radius):
-    """Distances and clamp codes from points (n, 2) to CCW circular arcs.
+def _arc_distances(points, cyc):
+    """Distances and clamp codes from points (n, 2) to the m CCW circular
+    arcs of a _Cycle.
 
-    Arc k has centre center[k] and starts at angle a0[k], where its end
-    point is e0[k], and sweeps by sweep[k] to e1[k].  Off its sector, or at
-    its centre, a point's foot is the nearer end (-1 for e0, +1 for e1);
-    on it the radial foot (0).  Returns (dist (n, m), clamp (n, m)).  Like
+    Off an arc's sector, or at its centre, a point's foot is the nearer
+    end (-1 for e0, +1 for e1); on it the radial foot (0).  Returns
+    (dist (n, m), clamp (n, m)).  Like
     _segment_distances it works on (n, m) coordinate planes in place, and
     its order of operations is fixed: r = sqrt(rx^2 + ry^2), the sector
     angle from arctan2(ry, rx), and each end distance the same square
@@ -1179,18 +1178,19 @@ def _arc_distances(points, center, a0, sweep, e0, e1, radius):
     differently).
     """
     px, py = points[:, :1], points[:, 1:]
-    rx = px - center[:, 0]
-    ry = py - center[:, 1]
+    e0, e1 = cyc.e0, cyc.e1
+    rx = px - cyc.center[:, 0]
+    ry = py - cyc.center[:, 1]
     local = np.arctan2(ry, rx)
-    local -= a0
+    local -= cyc.a0
     np.remainder(local, 2.0 * np.pi, out=local)
-    on_arc = local <= sweep
+    on_arc = local <= cyc.sweep
     rx *= rx
     ry *= ry
     rx += ry
     r = np.sqrt(rx, out=rx)
     on_arc &= r > 1e-300
-    r -= radius
+    r -= cyc.radius
     np.abs(r, out=r)
     d0 = _plane_norm(px, py, e0[:, 0], e0[:, 1], ry, local)
     d1 = _plane_norm(px, py, e1[:, 0], e1[:, 1], np.empty_like(r), local)
@@ -1206,17 +1206,21 @@ class _Cycle:
     """The boundary elements of a 2D polytope or offset, as arrays.
 
     Built once per shape.  In cycle order a polytope's element k is edge
-    k, from seg_a[k] to seg_b[k]; an offset's element 2i is the CCW arc of
-    the given radius about base vertex center[i], from angle a0[i] (end
+    k, from seg_a[k] to seg_b[k] (direction seg_d[k], squared length
+    seg_l2[k], 1 for a point edge); an offset's element 2i is the CCW arc
+    of the given radius about base vertex center[i], from angle a0[i] (end
     point e0[i]) through sweep[i] (to e1[i]), and element 2i + 1 is pushed
     edge i.  A polytope has no arcs.
     """
 
-    __slots__ = ("seg_a", "seg_b", "center", "a0", "sweep", "e0", "e1",
-                 "radius", "size")
+    __slots__ = ("seg_a", "seg_b", "seg_d", "seg_l2", "center", "a0",
+                 "sweep", "e0", "e1", "radius", "size")
 
     def __init__(self, seg_a, seg_b, arcs=(), radius=0.0):
         self.seg_a, self.seg_b, self.radius = seg_a, seg_b, radius
+        self.seg_d = seg_b - seg_a
+        l2 = np.einsum("md,md->m", self.seg_d, self.seg_d)
+        self.seg_l2 = np.where(l2 <= 0.0, 1.0, l2)
         self.center = np.array([c for c, _, _ in arcs]).reshape(-1, 2)
         self.a0 = np.array([a for _, a, _ in arcs])
         self.sweep = np.array([w for _, _, w in arcs])
@@ -1243,68 +1247,42 @@ def _element_distance_blocks(shape, points):
         if cyc.radius:
             dist = np.empty((p.shape[0], cyc.size))
             clamp = np.empty((p.shape[0], cyc.size), dtype=np.int8)
-            dist[:, 0::2], clamp[:, 0::2] = _arc_distances(
-                p, cyc.center, cyc.a0, cyc.sweep, cyc.e0, cyc.e1, cyc.radius)
-            dist[:, 1::2], clamp[:, 1::2] = _segment_distances(p, cyc.seg_a,
-                                                               cyc.seg_b)
+            dist[:, 0::2], clamp[:, 0::2] = _arc_distances(p, cyc)
+            dist[:, 1::2], clamp[:, 1::2] = _segment_distances(p, cyc)
         else:
-            dist, clamp = _segment_distances(p, cyc.seg_a, cyc.seg_b)
+            dist, clamp = _segment_distances(p, cyc)
         yield rows, dist, clamp
 
 
-def _norm(v):
-    """Row norms as the square root of vecdot, the arithmetic of
-    np.linalg.norm on one vector."""
-    return np.sqrt(np.vecdot(v, v))
+def _element_feet(shape, points, elem, clamp):
+    """Foot of point i on element elem[i] of a 2D polytope or offset
+    boundary (cycle order, _Cycle), given that pair's clamp code clamp[i]
+    from _element_distance_blocks.
 
-
-def _segment_query(p, a, b):
-    """_element_query on segments from a[i] to b[i]."""
-    d = b - a
-    t = np.vecdot(p - a, d) / np.vecdot(d, d)
-    foot = a + t[:, None] * d
-    lo, hi = t <= 0.0, t >= 1.0
-    foot[lo], foot[hi] = a[lo], b[hi]
-    return _norm(p - foot), foot, hi.view(np.int8) - lo.view(np.int8)
-
-
-def _element_query(shape, points, elem):
-    """Distance, foot and clamp code of point i on element elem[i] of a 2D
-    polytope or offset boundary (cycle order, _Cycle).
-
-    A segment's foot is its start (clamp -1) or end (+1) where the
-    projection parameter leaves (0, 1), else the foot between (0).  An
-    arc's foot is the radial one on its sector (0), else the nearer end,
-    e0 on a tie (-1 for e0, +1 for e1); at its centre every arc point is
-    equidistant and the foot is e0 at the radius (-1).  Dots are vecdot
-    and the sector angle is np.arctan2, so each row is the arithmetic of
-    one point on one element.  Returns (dist (n,), foot (n, 2), clamp
-    (n,) int8).
+    Each foot is built in the order of operations of _segment_distances
+    and _arc_distances, so it is the point whose distance the matrix
+    holds: a + clip(t) d on a segment; on an arc the radial point
+    c + r (p - c) / |p - c| (clamp 0), e0 (-1) or e1 (+1).  Returns (n, 2).
     """
     cyc = shape._cycle
-    if not cyc.radius:
-        return _segment_query(points, cyc.seg_a[elem], cyc.seg_b[elem])
-    arc, k = elem % 2 == 0, elem // 2
-    # every row on pushed edge k, then the arc rows written over it: on a
-    # few elements one scatter is cheaper than splitting the segment rows
-    dist, foot, clamp = _segment_query(points, cyc.seg_a[k], cyc.seg_b[k])
-    k, p = k[arc], points[arc]
-    c, e0, e1, r = cyc.center[k], cyc.e0[k], cyc.e1[k], cyc.radius
-    rel = p - c
-    rho = _norm(rel)
-    centre = rho <= 1e-300
-    local = (np.arctan2(rel[:, 1], rel[:, 0]) - cyc.a0[k]) % (2.0 * np.pi)
-    on = (local <= cyc.sweep[k]) & ~centre
-    d0, d1 = _norm(p - e0), _norm(p - e1)
-    near0 = (d0 <= d1) | centre
-    end_dist = np.where(near0, d0, d1)
-    end_dist[centre] = r
-    radial = c + r * rel / np.where(centre, 1.0, rho)[:, None]
-    dist[arc] = np.where(on, np.abs(rho - r), end_dist)
-    foot[arc] = np.where(on[:, None], radial,
-                         np.where(near0[:, None], e0, e1))
-    clamp[arc] = np.where(on, 0, np.where(near0, -1, 1))
-    return dist, foot, clamp
+    arc = elem % 2 == 0 if cyc.radius else np.zeros(elem.shape, dtype=bool)
+    k = elem // 2 if cyc.radius else elem
+    feet = np.empty_like(points)
+    seg = np.flatnonzero(~arc)
+    p, a, d = points[seg], cyc.seg_a[k[seg]], cyc.seg_d[k[seg]]
+    t = (p[:, 0] - a[:, 0]) * d[:, 0]
+    t += (p[:, 1] - a[:, 1]) * d[:, 1]
+    t /= cyc.seg_l2[k[seg]]
+    feet[seg] = a + np.clip(t, 0.0, 1.0)[:, None] * d
+    arc = np.flatnonzero(arc)
+    feet[arc] = np.where(clamp[arc, None] < 0, cyc.e0[k[arc]],
+                         cyc.e1[k[arc]])
+    on = arc[clamp[arc] == 0]
+    c = cyc.center[k[on]]
+    rel = points[on] - c
+    rho = np.sqrt(rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1])
+    feet[on] = c + cyc.radius * rel / rho[:, None]
+    return feet
 
 
 def _boundary_distance_2d(shape, points):

@@ -25,19 +25,23 @@ are the nearest set of an offset body, and outside a convex body the
 nearest point is unique.
 
 For exact 2D shapes the boundary is an ordered cycle of elements (polygon
-edges; offset bodies add vertex arcs), held as arrays by the shape and
-queried all at once by geometry._element_query, the one element kernel
-that the grid detector and the bulk feet also call.  _cycle_rows resolves
-many points at once, one row each, and project answers one point as its
-row 0, so every 2D point has one nearest-set rule.  Near-optimal feet are
-kept only when they are genuine local minima of the boundary distance
-profile (_nearest_elements, shared with the detector): a foot clamped to
-an element junction whose neighbor element continues downhill through
-that junction is a path point, not a separate nearest-point basin, and is
-discarded.  This keeps projections onto smooth convex stretches singleton
-at any tolerance while still resolving true equidistant sets.  A point on
-a base vertex of an offset needs no special case: the arc's two end
-points survive and their spread is the arc's chord.
+edges; offset bodies add vertex arcs), held as arrays by the shape.  Its
+one element kernel is geometry's: _element_distance_blocks gives the
+(point, element) distances and clamp codes, and _element_feet the foot
+of a pair from its clamp code, in the same order of operations.  The grid
+detector, the bulk feet and _cycle_rows all read it, so a distance, a
+foot and a flag of one point never differ by rounding.  _cycle_rows
+resolves many points at once, one row each, and project answers one
+point as its row 0, so every 2D point has one nearest-set rule.
+Near-optimal feet are kept only when they are genuine local minima of
+the boundary distance profile (_nearest_elements, shared with the
+detector): a foot clamped to an element junction whose neighbor element
+continues downhill through that junction is a path point, not a separate
+nearest-point basin, and is discarded.  This keeps projections onto
+smooth convex stretches singleton at any tolerance while still resolving
+true equidistant sets.  A point on a base vertex of an offset needs no
+special case: the arc's two end points survive and their spread is the
+arc's chord.
 
 A sampled surface answers one point as one row of _sampled_rows, the
 resolver that singular.detect_multiproj runs over its grid rows: the
@@ -70,7 +74,7 @@ from .geometry import (
     OffsetBody,
     SampledSurface,
     _element_distance_blocks,
-    _element_query,
+    _element_feet,
     _ellipse_feet,
     _row_blocks,
     _triangle_pairs,
@@ -240,28 +244,25 @@ def _nearest_elements(dist, clamp, tau_multi, eq_tol):
 def _cycle_rows(shape, pts, tau_multi):
     """Projection rows of points on a 2D polytope or offset.
 
-    Every (point, element) pair is one geometry._element_query row, in
-    geometry._row_blocks of pairs; _nearest_elements keeps each point's
-    elements and _spreads dedupes their feet, first come first kept, and
+    Each block of geometry's element distance matrix gives its rows'
+    distances (the row minima) and, through _nearest_elements, the
+    elements each row keeps, whose feet geometry._element_feet builds from
+    the clamp codes; _spreads dedupes them, first come first kept, and
     measures their spread.  Each row is the arithmetic of its point alone.
     Returns (d_opt, count, feet, spread): point i owns the count[i]
     consecutive representatives of feet, in cycle order.
     """
     diam = shape.diameter()
-    n_el = shape._cycle.size
     eq_tol = 1e-12 * max(1.0, diam)
     d_opt = np.empty(pts.shape[0])
     count = np.empty(pts.shape[0], dtype=np.intp)
     feet = []
-    for rows in _row_blocks(pts.shape[0], n_el):
-        p = pts[rows]
-        m = p.shape[0]
-        dist, foot, clamp = _element_query(shape, np.repeat(p, n_el, axis=0),
-                                           np.tile(np.arange(n_el), m))
-        d_opt[rows], kept = _nearest_elements(
-            dist.reshape(m, n_el), clamp.reshape(m, n_el), tau_multi, eq_tol)
+    for rows, dist, clamp in _element_distance_blocks(shape, pts):
+        d_opt[rows], kept = _nearest_elements(dist, clamp, tau_multi, eq_tol)
         count[rows] = kept.sum(axis=1)
-        feet.append(foot[kept.reshape(-1)])
+        row, elem = np.nonzero(kept)        # row-major: cycle order per row
+        feet.append(_element_feet(shape, pts[rows][row], elem,
+                                  clamp[row, elem]))
     feet = np.concatenate(feet)
     keep, spread = _spreads(feet, count, 1e-9 * max(1.0, diam))
     if not isinstance(keep, slice):
@@ -276,12 +277,15 @@ def _cycle_nearest_feet(shape, pts):
 
     Intended for bulk gradient evaluation away from ties, where any single
     global minimizer determines the gradient.  The nearest element is the
-    row argmin of geometry's element distance matrix.
+    row argmin of geometry's element distance matrix, and its foot the one
+    whose distance that matrix holds.
     """
-    k_best = np.empty(pts.shape[0], dtype=np.intp)
-    for rows, dist, _ in _element_distance_blocks(shape, pts):
-        k_best[rows] = dist.argmin(axis=1)
-    return _element_query(shape, pts, k_best)[1]
+    elem = np.empty(pts.shape[0], dtype=np.intp)
+    code = np.empty(pts.shape[0], dtype=np.int8)
+    for rows, dist, clamp in _element_distance_blocks(shape, pts):
+        elem[rows] = k = dist.argmin(axis=1)
+        code[rows] = clamp[np.arange(k.size), k]
+    return _element_feet(shape, pts, elem, code)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +354,16 @@ def _ball_centre(ball, pts):
 
 
 def _ball_project(ball, x, tau_multi):
-    """At the centre the whole sphere is nearest: the axis points +-e_k
-    represent it and the diameter is its spread."""
+    """Distance and foot in the arithmetic of Ball.boundary_distance (the
+    axis-1 norm).  At the centre the whole sphere is nearest: the axis
+    points +-e_k represent it and the diameter is its spread."""
+    rel = x - ball.center
+    r = np.linalg.norm(rel[None], axis=1)[0]
     if _ball_centre(ball, x[None])[0]:
         axes = np.kron(np.eye(ball.dim), [[1.0], [-1.0]])
-        return ProjectionResult(ball.radius, ball.center + ball.radius * axes,
-                                tau_multi, spread=2.0 * ball.radius)
-    rel = x - ball.center
-    r = float(np.linalg.norm(rel))
+        return ProjectionResult(abs(r - ball.radius),
+                                ball.center + ball.radius * axes, tau_multi,
+                                spread=2.0 * ball.radius)
     foot = ball.center + ball.radius * rel / r
     return ProjectionResult(abs(r - ball.radius), foot, tau_multi)
 

@@ -16,7 +16,7 @@ two independent ways:
   closer together than a grid step, which detect_multiproj merges into
   one basin (the lambda-medial axis effect).
 
-All detectors leave a band of width ``band_factor * h`` around K
+All detectors leave a band of width ``BAND_FACTOR * h`` around K
 unclassified: there the distance is below grid resolution and neither
 signal is meaningful.  Flags never appear inside the band.
 
@@ -51,7 +51,7 @@ from .geometry import (
     OffsetBody,
     SampledSurface,
     _element_distance_blocks,
-    _element_query,
+    _element_feet,
     _row_blocks,
 )
 from .projection import (
@@ -165,7 +165,7 @@ class SingularMask:
 # multiple-projection detector
 # ---------------------------------------------------------------------------
 
-def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
+def detect_multiproj(shape, grid, tau_multi=None):
     """Flag grid nodes whose nearest-point set on the boundary is multiple.
 
     tau_multi defaults to the grid step: near-ties below one node of
@@ -192,8 +192,8 @@ def detect_multiproj(shape, grid, tau_multi=None, band_factor=BAND_FACTOR):
         shape = shape.as_polytope()
 
     pts = grid.points()
-    band = band_factor * h
-    params = {"tau_multi": float(tau_multi), "band_factor": float(band_factor)}
+    band = BAND_FACTOR * h
+    params = {"tau_multi": float(tau_multi), "band_factor": float(BAND_FACTOR)}
 
     if isinstance(shape, (ConvexPolytope, OffsetBody)) and shape.dim == 2:
         flags, dK = _detect_cycle(shape, pts, band, tau_multi)
@@ -233,29 +233,30 @@ def _detect_cycle(shape, pts, band, tau_multi):
     Each node block's element distance matrix gives the boundary distance
     dK (its row minimum), the band (dK <= band) and the prefilter: the
     elements projection._nearest_elements keeps.  The feet of rows keeping
-    two or more elements come from one geometry._element_query call in
-    cycle order, and projection._spreads dedupes them, first come first
-    kept, and measures their spread: the junction rule and spreads of
-    projection._cycle_rows, the rows resolver that project answers from,
-    here read off the distance matrix and run only on the rows the
-    prefilter leaves.  Returns (flags, dK).
+    two or more elements come from one geometry._element_feet call on
+    their clamp codes, in cycle order, and projection._spreads dedupes
+    them, first come first kept, and measures their spread: the arithmetic
+    of projection._cycle_rows, the rows resolver that project answers
+    from, run only on the rows the prefilter leaves.  Returns (flags, dK).
     """
     diam = shape.diameter()
     n = pts.shape[0]
     flags = np.zeros(n, dtype=bool)
     dK = np.empty(n)
     eq_tol = 1e-12 * max(1.0, diam)
-    cand_rows, cand_kept = [], []
+    cand_rows, cand_kept, cand_clamp = [], [], []
     for sel, dist, clamp in _element_distance_blocks(shape, pts):
         d_opt, kept = _nearest_elements(dist, clamp, tau_multi, eq_tol)
         dK[sel] = d_opt
         rows = np.flatnonzero((d_opt > band) & (kept.sum(axis=1) >= 2))
         cand_rows.append(sel.start + rows)
         cand_kept.append(kept[rows])
+        cand_clamp.append(clamp[rows][cand_kept[-1]])
     rows = np.concatenate(cand_rows)
     kept = np.concatenate(cand_kept)
     row, elem = np.nonzero(kept)            # row-major: cycle order per row
-    feet = _element_query(shape, pts[rows[row]], elem)[1]
+    feet = _element_feet(shape, pts[rows[row]], elem,
+                         np.concatenate(cand_clamp))
     flags[rows] = _spreads(feet, kept.sum(axis=1),
                            1e-9 * max(1.0, diam))[1] > tau_multi
     return flags, dK
@@ -584,7 +585,8 @@ def coverage_density(mask, region, r):
     ball fully inside that dilation.
 
     region is None (whole grid box), a shape with interior membership, or
-    a boolean node mask matching the grid.  r must be at least one step.
+    a boolean node mask of shape grid.dims (another shape raises
+    DetectionError).  r must be at least one step.
     """
     h = float(mask.grid.spacing)
     if r < h:
@@ -593,7 +595,10 @@ def coverage_density(mask, region, r):
         region_mask = np.ones(mask.grid.dims, dtype=bool)
         label = "grid"
     elif isinstance(region, np.ndarray):
-        region_mask = region.astype(bool).reshape(mask.grid.dims)
+        if region.shape != tuple(mask.grid.dims):
+            raise DetectionError(
+                "region must be a node mask matching the grid")
+        region_mask = region.astype(bool)
         label = "mask"
     else:
         pts = mask.grid.points()

@@ -4,11 +4,16 @@ These are the per-node loops that ``geometry._polytope_boundary_distance_3d``,
 ``eikonal.fast_march``, the row resolution of ``singular._detect_cycle``
 and ``singular._detect_sampled``, the inner-ball bisection and the vertex
 dedupe of ``ConvexPolytope`` replaced, and the per-element loops that
-``geometry._element_distance_blocks`` and ``geometry._element_query``
+``geometry._element_distance_blocks`` and ``geometry._element_feet``
 replaced: the 2D boundary distance with one arc at a time, the element
 queries of ``_detect_cycle``, and the scalar element objects (``Segment``,
 ``Arc``) with the one-point projection over their cycle
-(``cycle_project``, which ``projection._cycle_rows`` replaced).  The
+(``cycle_project``, which ``projection._cycle_rows`` replaced).
+``Segment.query`` and ``Arc.query`` run the order of operations of
+``geometry._segment_distances`` and ``geometry._arc_distances`` on one
+point and one element (``plane_distance`` is their square root of
+explicit products), so their distances are the distance matrix's entries
+and their feet ``_element_feet``'s, bit for bit.  The
 (n, m, 2) einsum and norm forms of the 2D kernels that the coordinate-plane
 ``geometry._segment_distances`` and ``geometry._arc_distances`` replaced
 are ``point_segment_distance`` and ``arc_distance_matrix``, with their
@@ -492,6 +497,14 @@ def boundary_distance_2d(shape, points):
     return best
 
 
+def plane_distance(x, q):
+    """Distance of two 2D points as geometry._plane_norm takes it: the
+    square root of explicit products (on float64 scalars ** 2 rounds
+    differently)."""
+    ex, ey = x[0] - q[0], x[1] - q[1]
+    return math.sqrt(ex * ex + ey * ey)
+
+
 class Segment:
     """One polygon edge or pushed offset edge, queried one point at a time."""
 
@@ -503,15 +516,15 @@ class Segment:
         self.d = self.b - self.a
 
     def query(self, x):
-        """(distance, foot, clamp code) of one point."""
-        L2 = float(self.d @ self.d)
-        t = float((x - self.a) @ self.d) / L2
-        if t <= 0.0:
-            return float(np.linalg.norm(x - self.a)), self.a.copy(), -1
-        if t >= 1.0:
-            return float(np.linalg.norm(x - self.b)), self.b.copy(), +1
+        """(distance, foot, clamp code) of one point, in the order of
+        operations of geometry._segment_distances: t = (wx dx + wy dy) /
+        (dx dx + dy dy) clipped to [0, 1], the foot a + t d, also at t = 1
+        (so it need not be b), and its plane_distance."""
+        (ax, ay), (dx, dy) = self.a, self.d
+        t = ((x[0] - ax) * dx + (x[1] - ay) * dy) / (dx * dx + dy * dy)
+        t = min(max(t, 0.0), 1.0)
         foot = self.a + t * self.d
-        return float(np.linalg.norm(x - foot)), foot, 0
+        return plane_distance(x, foot), foot, int(t == 1.0) - int(t == 0.0)
 
 
 class Arc:
@@ -530,18 +543,16 @@ class Arc:
         self.e1 = self.center + r * np.array([math.cos(a1), math.sin(a1)])
 
     def query(self, x):
-        """(distance, foot, clamp code) of one point; at the centre every
-        arc point is equidistant and the foot is e0."""
+        """(distance, foot, clamp code) of one point, in the order of
+        operations of geometry._arc_distances: on the sector the radial
+        foot, else the nearer end, e0 on a tie.  At the centre every arc
+        point is equidistant, and the foot is the nearer end too."""
         rel = x - self.center
-        rho = float(np.linalg.norm(rel))
-        if rho <= 1e-300:
-            return self.r, self.e0.copy(), -1
+        rho = math.sqrt(rel[0] * rel[0] + rel[1] * rel[1])
         local = (math.atan2(rel[1], rel[0]) - self.a0) % (2.0 * math.pi)
-        if local <= self.sweep:
-            foot = self.center + self.r * rel / rho
-            return abs(rho - self.r), foot, 0
-        d0 = float(np.linalg.norm(x - self.e0))
-        d1 = float(np.linalg.norm(x - self.e1))
+        if local <= self.sweep and rho > 1e-300:
+            return abs(rho - self.r), self.center + self.r * rel / rho, 0
+        d0, d1 = plane_distance(x, self.e0), plane_distance(x, self.e1)
         if d0 <= d1:
             return d0, self.e0.copy(), -1
         return d1, self.e1.copy(), +1

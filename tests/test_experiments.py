@@ -63,6 +63,13 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_json(json.dumps({"sneed": 1}))
 
 
+def test_config_rejects_the_unread_r_free_key():
+    """No driver reads an r_free knob, so a config that sets one is
+    refused, not silently ignored."""
+    with pytest.raises(ExperimentError, match="r_free"):
+        ExperimentConfig.from_json(json.dumps({"r_free": 0.3}))
+
+
 def test_config_validates_grid_early():
     with pytest.raises(ExperimentError):
         ExperimentConfig(grid="zero")

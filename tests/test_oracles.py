@@ -26,7 +26,7 @@ from sigma_eikonal.geometry import (
     PAIRS_PER_BLOCK,
     SampledSurface,
     _element_distance_blocks,
-    _element_query,
+    _element_feet,
     _triangle_feet,
     make_random_polytope,
 )
@@ -346,19 +346,27 @@ def test_spread_equal_to_the_tie_window_is_not_a_flag():
 
 
 def test_batched_feet_match_scalar_query():
-    """_element_query gives each element's scalar query (distance, foot and
-    clamp code), one element for all points and a random element per
-    point, with the base vertices (the arc centres) among the points."""
+    """Each entry of _element_distance_blocks, with the foot _element_feet
+    builds from its clamp code, is the element's scalar query (distance,
+    foot and clamp code), one element for all points and a random element
+    per point, with the base vertices (the arc centres) among the points."""
     poly = make_random_polytope(16, 1)
     rng = np.random.default_rng(0)
     pts = np.vstack([rng.uniform(-3.0, 3.0, (500, 2)), poly.vertices])
+    at = np.arange(len(pts))
     for shape in (poly, OffsetBody(poly, 0.3)):
         cycle = oracle_cycle(shape)
+        blocks = list(_element_distance_blocks(shape, pts))
+        dist = np.vstack([b[1] for b in blocks])
+        clamp = np.vstack([b[2] for b in blocks])
         picks = [np.full(len(pts), k) for k in range(len(cycle))]
         for elem in picks + [rng.integers(0, len(cycle), len(pts))]:
+            code = clamp[at, elem]
+            got = (dist[at, elem], _element_feet(shape, pts, elem, code),
+                   code)
             ref = zip(*[cycle[k].query(p) for k, p in zip(elem, pts)])
-            for got, want in zip(_element_query(shape, pts, elem), ref):
-                assert np.array_equal(got, want)
+            for g, want in zip(got, ref):
+                assert np.array_equal(g, want)
 
 
 def projection_shapes_2d():
@@ -415,15 +423,16 @@ def test_2d_projection_matches_scalar_cycle(label, shape):
 @pytest.mark.parametrize("label,shape", projection_shapes_2d(),
                          ids=[lbl for lbl, _ in projection_shapes_2d()])
 def test_2d_flags_are_exactly_the_non_singleton_projections(label, shape):
-    """At the grid's tie window, project is a singleton exactly where the
-    mask has no flag, on every 7th node off the band."""
+    """At the grid's tie window, _cycle_rows (the rows project answers
+    from) over every node off the band gives the mask's distance, and a
+    spread above the window exactly at its flags, bit for bit."""
     grid = grid_covering(shape, MASK_STEPS[0])
     mask = detect_multiproj(shape, grid)
     tau = mask.params["tau_multi"]
-    pts, flags = grid.points(), mask.flags.reshape(-1)
-    for i in np.flatnonzero(~mask.excluded.reshape(-1))[::7]:
-        assert project(shape, pts[i], tau_multi=tau).is_singleton \
-            != flags[i]
+    active = np.flatnonzero(~mask.excluded.reshape(-1))
+    d_opt, _, _, spread = _cycle_rows(shape, grid.points()[active], tau)
+    assert np.array_equal(d_opt, mask.distance.reshape(-1)[active])
+    assert np.array_equal(spread > tau, mask.flags.reshape(-1)[active])
 
 
 def resolver_shapes():
@@ -638,16 +647,14 @@ def test_offset_square_differs_from_slack_closed_form_only_at_exact_ties():
 # sampled-surface multiproj rows
 # ---------------------------------------------------------------------------
 
-def assert_same_sampled_flags(shape, grid, tau_multi=None,
-                              band_factor=BAND_FACTOR):
+def assert_same_sampled_flags(shape, grid, tau_multi=None):
     """detect_multiproj's mask equals the row loop's on the same sampling."""
-    mask = detect_multiproj(shape, grid, tau_multi=tau_multi,
-                            band_factor=band_factor)
+    mask = detect_multiproj(shape, grid, tau_multi=tau_multi)
     surface = shape if isinstance(shape, SampledSurface) \
         else shape.boundary_sample(0.5 * grid.spacing)
     pts = grid.points()
     dK = surface.boundary_distance(pts)
-    excluded = dK <= band_factor * grid.spacing
+    excluded = dK <= singular.BAND_FACTOR * grid.spacing
     flags = oracles.detect_sampled(surface, pts, dK, excluded,
                                    mask.params["tau_multi"])
     assert np.array_equal(mask.flags,
@@ -750,10 +757,12 @@ def test_wrapped_run_breaks_distance_ties_with_its_chain_tail_first():
     assert not mask.flags[4, 4]                 # the origin
 
 
-def test_grid_inside_the_band_has_no_sampled_flags():
+def test_grid_inside_the_band_has_no_sampled_flags(monkeypatch):
     surface = Ball((0.0, 0.0), 1.0).boundary_sample(0.005)
     grid = GridSpec(origin=(0.965, -0.035), spacing=0.01, dims=(8, 8))
-    mask = assert_same_sampled_flags(surface, grid, band_factor=8.0)
+    monkeypatch.setattr(singular, "BAND_FACTOR", 8.0)
+    mask = assert_same_sampled_flags(surface, grid)
+    assert mask.params["band_factor"] == 8.0
     assert mask.excluded.all() and mask.n_flags == 0
     assert mask.params["candidate_rows"] == 0
     assert mask.params["multi_run_rows"] == 0

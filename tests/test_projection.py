@@ -4,8 +4,14 @@ agreement."""
 import numpy as np
 import pytest
 
-from sigma_eikonal.distance import GridSpec
-from sigma_eikonal.geometry import Ball, Box, Ellipse, make_random_polytope
+from sigma_eikonal.distance import GridSpec, distance_field, grid_covering
+from sigma_eikonal.geometry import (
+    Ball,
+    Box,
+    Ellipse,
+    OffsetBody,
+    make_random_polytope,
+)
 from sigma_eikonal.projection import (
     ProjectionError,
     default_tau_multi,
@@ -195,3 +201,28 @@ def test_project_rejects_bad_input(unit_square, unit_disk, offset_square):
                     project(shape, np.full(dim, 0.1))
         with pytest.raises(ProjectionError):
             project(shape, np.full((1, shape.dim), 0.1))
+
+
+def exact_shapes():
+    """One shape of every exact family, in 2D and in 3D."""
+    poly, poly_3d = make_random_polytope(16, 1), make_random_polytope(
+        16, 1, dim=3)
+    return [("polytope", poly), ("offset", OffsetBody(poly, 0.3)),
+            ("box", Box((1.0, 0.5))), ("disk", Ball((0.1, -0.2), 1.0)),
+            ("ellipse", Ellipse((1.0, 0.5))), ("polytope_3d", poly_3d),
+            ("offset_3d", OffsetBody(poly_3d, 0.3)),
+            ("box_3d", Box((1.0, 0.5, 0.75))),
+            ("ball_3d", Ball((0.1, -0.2, 0.3), 1.0))]
+
+
+@pytest.mark.parametrize("label,shape", exact_shapes(),
+                         ids=[lbl for lbl, _ in exact_shapes()])
+def test_projection_distance_is_the_field_value(label, shape):
+    """project's distance is the distance field's value bit for bit, at
+    about 1,600 nodes of a grid covering each exact shape."""
+    grid = grid_covering(shape, 0.05 if shape.dim == 2 else 0.15)
+    field = distance_field(shape, grid).values.reshape(-1)
+    pick = np.arange(0, grid.n_nodes, max(1, grid.n_nodes // 1600))
+    nodes = grid.points()[pick]
+    assert np.array_equal([project(shape, x).distance for x in nodes],
+                          field[pick])

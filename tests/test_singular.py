@@ -259,6 +259,16 @@ def test_coverage_rejects_empty_region(unit_disk):
         coverage_density(m, far, 0.1)
 
 
+def test_coverage_rejects_a_region_array_off_the_grid(unit_disk):
+    """A region array must have the grid's dims: a short one and the right
+    node count in the wrong shape both raise DetectionError."""
+    g = grid_covering(unit_disk, 1.0 / 32)
+    m = detect_multiproj(unit_disk, g)
+    for region in (np.ones(5, dtype=bool), np.ones(g.n_nodes, dtype=bool)):
+        with pytest.raises(DetectionError, match="grid"):
+            coverage_density(m, region, 0.1)
+
+
 def test_mask_round_trip(tmp_path, unit_square):
     g = grid_covering(unit_square, 1.0 / 32)
     m = detect_multiproj(unit_square, g)
