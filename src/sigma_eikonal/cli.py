@@ -9,6 +9,7 @@ SIGMA_EIKONAL_THREADS caps internal parallelism (see the distance module).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -242,7 +243,10 @@ def cmd_verify(args, cfg):
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process: parse_args leaves
+    it as it was and gives every call a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="sigma-eikonal",
         description="Distance fields, singular-set detection, and "

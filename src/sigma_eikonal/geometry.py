@@ -1121,85 +1121,96 @@ def _row_blocks(n_rows, cost):
     yield from map(slice, np.r_[0, cut], np.r_[cut, n_rows])
 
 
-def _plane_norm(px, py, qx, qy, out, tmp):
-    """sqrt((px - qx)^2 + (py - qy)^2) over (n, m) planes, into out;
-    out and tmp may be qx and qy."""
-    np.subtract(px, qx, out=out)
-    out *= out
+def _planes(buf, shape, k):
+    """k planes of the given (n, m) shape: views of the front of the flat
+    scratch buf, which must hold at least k n m entries."""
+    n, m = shape
+    return buf[:k * n * m].reshape(k, n, m)
+
+
+def _plane_norm(px, py, qx, qy, sq, tmp, out):
+    """sqrt((px - qx)^2 + (py - qy)^2) over (n, m) planes, into out; sq
+    and tmp are work planes and may be qx and qy, out may be sq."""
+    np.subtract(px, qx, out=sq)
+    sq *= sq
     np.subtract(py, qy, out=tmp)
     tmp *= tmp
-    out += tmp
-    return np.sqrt(out, out=out)
+    sq += tmp
+    return np.sqrt(sq, out=out)
 
 
-def _segment_distances(points, cyc):
+def _segment_distances(points, cyc, dist, clamp, work):
     """Distances and clamp codes from points (n, 2) to the m segments of a
-    _Cycle.
+    _Cycle, written into the (n, m) planes dist and clamp.
 
-    Returns (dist (n, m), clamp (n, m)); clamp is -1 where the foot is the
-    segment start, +1 where it is the end and 0 between.  The work runs on
-    (n, m) coordinate planes, in place, with t = (wx dx + wy dy) / |d|^2
-    clipped to [0, 1] and dist = sqrt(ex^2 + ey^2) for e = p - (a + t d).
-    That order of operations is fixed: np.hypot, vecdot or the expanded
+    clamp is -1 where the foot is the segment start, +1 where it is the
+    end and 0 between.  The work runs in place on two (n, m) coordinate
+    planes of the float scratch and two of the bool scratch of work (see
+    _element_blocks), with t = (wx dx + wy dy) / |d|^2 clipped to [0, 1]
+    and dist = sqrt(ex^2 + ey^2) for e = p - (a + t d).  That order of
+    operations is fixed: np.hypot, vecdot or the expanded
     |w|^2 - 2t w.d + t^2 |d|^2 round differently, and every distance
-    field, mask, foot and digest downstream reads these bits.  In place,
-    three planes are live at most; fresh temporaries ran about a quarter
-    slower.
+    field, mask, foot and digest downstream reads these bits.
     """
     px, py = points[:, :1], points[:, 1:]
     (ax, ay), (dx, dy) = cyc.seg_a.T, cyc.seg_d.T
-    ex = px - ax
-    ey = py - ay
-    t = ex * dx
-    ey *= dy
-    t += ey
+    t, e = _planes(work[0], dist.shape, 2)
+    at_end, at_start = _planes(work[1], dist.shape, 2)
+    np.subtract(px, ax, out=t)
+    np.subtract(py, ay, out=e)
+    t *= dx
+    e *= dy
+    t += e
     t /= cyc.seg_l2
     np.clip(t, 0.0, 1.0, out=t)
-    clamp = (t == 1.0).astype(np.int8) - (t == 0.0)
-    # the feet a + t d
-    np.multiply(t, dx, out=ex)
-    ex += ax
-    np.multiply(t, dy, out=ey)
-    ey += ay
-    return _plane_norm(px, py, ex, ey, ex, ey), clamp
+    np.subtract(np.equal(t, 1.0, out=at_end).view(np.int8),
+                np.equal(t, 0.0, out=at_start).view(np.int8), out=clamp)
+    # the feet a + t d: x into e, y into t
+    np.multiply(t, dx, out=e)
+    e += ax
+    t *= dy
+    t += ay
+    _plane_norm(px, py, e, t, e, t, dist)
 
 
-def _arc_distances(points, cyc):
+def _arc_distances(points, cyc, dist, clamp, work):
     """Distances and clamp codes from points (n, 2) to the m CCW circular
-    arcs of a _Cycle.
+    arcs of a _Cycle, written into the (n, m) planes dist and clamp.
 
     Off an arc's sector, or at its centre, a point's foot is the nearer
-    end (-1 for e0, +1 for e1); on it the radial foot (0).  Returns
-    (dist (n, m), clamp (n, m)).  Like
-    _segment_distances it works on (n, m) coordinate planes in place, and
-    its order of operations is fixed: r = sqrt(rx^2 + ry^2), the sector
-    angle from arctan2(ry, rx), and each end distance the same square
-    root of summed squares (not np.hypot or vecdot, which round
-    differently).
+    end (-1 for e0, +1 for e1); on it the radial foot (0).  Like
+    _segment_distances it works in place, on four (n, m) coordinate planes
+    of the float scratch and two of the bool scratch of work, and its
+    order of operations is fixed: r = sqrt(rx^2 + ry^2), the sector angle
+    from arctan2(ry, rx), and each end distance the same square root of
+    summed squares (not np.hypot or vecdot, which round differently).
     """
     px, py = points[:, :1], points[:, 1:]
     e0, e1 = cyc.e0, cyc.e1
-    rx = px - cyc.center[:, 0]
-    ry = py - cyc.center[:, 1]
-    local = np.arctan2(ry, rx)
+    rx, ry, local, d1 = _planes(work[0], dist.shape, 4)
+    on_arc, nearer0 = _planes(work[1], dist.shape, 2)
+    np.subtract(px, cyc.center[:, 0], out=rx)
+    np.subtract(py, cyc.center[:, 1], out=ry)
+    np.arctan2(ry, rx, out=local)
     local -= cyc.a0
     np.remainder(local, 2.0 * np.pi, out=local)
-    on_arc = local <= cyc.sweep
+    np.less_equal(local, cyc.sweep, out=on_arc)
     rx *= rx
     ry *= ry
     rx += ry
     r = np.sqrt(rx, out=rx)
-    on_arc &= r > 1e-300
+    on_arc &= np.greater(r, 1e-300, out=nearer0)
     r -= cyc.radius
     np.abs(r, out=r)
-    d0 = _plane_norm(px, py, e0[:, 0], e0[:, 1], ry, local)
-    d1 = _plane_norm(px, py, e1[:, 0], e1[:, 1], np.empty_like(r), local)
-    nearer0 = d0 <= d1
+    d0 = _plane_norm(px, py, e0[:, 0], e0[:, 1], ry, local, ry)
+    _plane_norm(px, py, e1[:, 0], e1[:, 1], d1, local, d1)
+    np.less_equal(d0, d1, out=nearer0)
     np.copyto(d1, d0, where=nearer0)
     np.copyto(d1, r, where=on_arc)
-    clamp = np.where(nearer0, np.int8(-1), np.int8(1))
-    clamp[on_arc] = 0
-    return d1, clamp
+    np.copyto(dist, d1)
+    np.copyto(clamp, 1)
+    np.copyto(clamp, -1, where=nearer0)
+    np.copyto(clamp, 0, where=on_arc)
 
 
 class _Cycle:
@@ -1232,25 +1243,55 @@ class _Cycle:
         self.size = seg_a.shape[0] + self.center.shape[0]
 
 
-def _element_distance_blocks(shape, points):
+def _element_blocks(shape, points):
     """The (node, element) distance matrix of a 2D polytope or offset
-    boundary, one block of nodes at a time.
+    boundary, one block of nodes at a time, with the loop's scratch.
 
-    Elements run in cycle order (_Cycle).  Yields (rows, dist, clamp) over
-    blocks of about PAIRS_PER_BLOCK (node, element) pairs: rows slices
-    points, dist (n, E) holds the element distances and clamp (n, E) the
-    element clamp codes.
+    Elements run in cycle order (_Cycle).  Yields (rows, dist, clamp,
+    work) over the geometry._row_blocks of points (cost E, the element
+    count): rows slices points, dist (n, E) holds the element distances
+    and clamp (n, E) the element clamp codes; on an offset the arcs are
+    the even columns and the edges the odd ones.  work is the pair
+    (float scratch, bool scratch) of flat arrays of 2 n E and 3 n E
+    entries that the kernels work in, free for the caller's own planes
+    (see _planes) until it draws the next block.
+
+    All of it is allocated once per call, for the first and largest
+    block, and every block works in [:n] views of it: dist, clamp and
+    work are valid only until the next block is drawn, so a caller copies
+    whatever it keeps.  The scratch belongs to this one call, never to
+    the module or the shape, so calls on several threads at once do not
+    share it.
     """
     cyc = shape._cycle
-    for rows in _row_blocks(points.shape[0], cyc.size):
+    size = cyc.size
+    blocks = list(_row_blocks(points.shape[0], size))
+    if not blocks:
+        return
+    # one allocation for the first and largest block: three float planes
+    # (dist, then two of work), then four byte planes (clamp, then three
+    # of work)
+    plane = blocks[0].stop * size
+    scratch = np.empty(28 * plane, dtype=np.uint8)
+    floats, flags = scratch[:24 * plane].view(np.float64), scratch[24 * plane:]
+    dists, clamps = floats[:plane], flags[:plane].view(np.int8)
+    work = floats[plane:], flags[plane:].view(bool)
+    for rows in blocks:
         p = points[rows]
+        dist = dists[:p.shape[0] * size].reshape(-1, size)
+        clamp = clamps[:p.shape[0] * size].reshape(-1, size)
         if cyc.radius:
-            dist = np.empty((p.shape[0], cyc.size))
-            clamp = np.empty((p.shape[0], cyc.size), dtype=np.int8)
-            dist[:, 0::2], clamp[:, 0::2] = _arc_distances(p, cyc)
-            dist[:, 1::2], clamp[:, 1::2] = _segment_distances(p, cyc)
+            _arc_distances(p, cyc, dist[:, 0::2], clamp[:, 0::2], work)
+            _segment_distances(p, cyc, dist[:, 1::2], clamp[:, 1::2], work)
         else:
-            dist, clamp = _segment_distances(p, cyc)
+            _segment_distances(p, cyc, dist, clamp, work)
+        yield rows, dist, clamp, work
+
+
+def _element_distance_blocks(shape, points):
+    """(rows, dist, clamp) of each block of _element_blocks, under its
+    contract: valid until the next block is drawn."""
+    for rows, dist, clamp, _ in _element_blocks(shape, points):
         yield rows, dist, clamp
 
 

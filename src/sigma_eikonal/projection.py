@@ -26,13 +26,15 @@ nearest point is unique.
 
 For exact 2D shapes the boundary is an ordered cycle of elements (polygon
 edges; offset bodies add vertex arcs), held as arrays by the shape.  Its
-one element kernel is geometry's: _element_distance_blocks gives the
-(point, element) distances and clamp codes, and _element_feet the foot
-of a pair from its clamp code, in the same order of operations.  The grid
-detector, the bulk feet and _cycle_rows all read it, so a distance, a
-foot and a flag of one point never differ by rounding.  _cycle_rows
-resolves many points at once, one row each, and project answers one
-point as its row 0, so every 2D point has one nearest-set rule.
+one element kernel is geometry's: _element_blocks gives the (point,
+element) distances and clamp codes block by block, with the scratch
+planes its kernels and _nearest_elements work in, and _element_feet the
+foot of a pair from its clamp code, in the same order of operations.
+The grid detector, the bulk feet and _cycle_rows all read it, so a
+distance, a foot and a flag of one point never differ by rounding.
+_cycle_rows resolves many points at once, one row each, and project
+answers one point as its row 0, so every 2D point has one nearest-set
+rule.
 Near-optimal feet are kept only when they are genuine local minima of
 the boundary distance profile (_nearest_elements, shared with the
 detector): a foot clamped to an element junction whose neighbor element
@@ -55,7 +57,8 @@ its spread is the candidates' bounding-box diagonal.
 
 The feet of every family are resolved by one helper, _spreads: first come
 first kept deduplication and the largest distance between the
-representatives, over rows of flat feet.
+representatives, over rows of flat feet; a row of two feet, the common
+case, in closed form.
 """
 
 from __future__ import annotations
@@ -73,9 +76,11 @@ from .geometry import (
     GraphHypersurface,
     OffsetBody,
     SampledSurface,
+    _element_blocks,
     _element_distance_blocks,
     _element_feet,
     _ellipse_feet,
+    _planes,
     _row_blocks,
     _triangle_pairs,
 )
@@ -164,32 +169,59 @@ def _spreads(points, count, tol=None):
     tol, a point within tol of an earlier representative of its row is
     dropped, first come first kept; without it every point represents.  A
     row's spread is the largest distance between two of its
-    representatives, 0 for one.  Both read one matrix of pair distances,
-    the square root of the summed squared coordinate differences.  Returns
-    (keep, spread), keep selecting the representatives among the points: a
-    boolean mask, or a full slice when every point represents.
+    representatives, 0 for one.  Both read the distances of point pairs,
+    the square root of the summed squared coordinate differences: rows of
+    two points their one pair (_pair_spreads), wider rows the matrix of
+    all pairs (_matrix_spreads).  Returns (keep, spread), keep selecting
+    the representatives among the points: a boolean mask, or a full slice
+    when every point represents.
     """
     keep = slice(None)
     spread = np.zeros(count.size)
     for rows, take, cnt in _padded_rows(count):
-        pad = points[take]
-        diff = pad[:, :, None, :] - pad[:, None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=3))
-        near = None if tol is None else dist <= tol
-        # a near pair off the diagonal (padding is one) needs the
-        # first-come pass, which never keeps a padding slot
-        if near is not None and np.count_nonzero(near) > take.size:
-            valid = np.arange(take.shape[1]) < cnt
-            reps = valid.copy()
-            for j in range(1, take.shape[1]):
-                reps[:, j] &= ~(reps[:, :j] & near[:, j, :j]).any(axis=1)
+        width = take.shape[1]
+        rule = _pair_spreads if width == 2 else _matrix_spreads
+        reps, spread[rows] = rule(points[take], cnt, tol)
+        if reps is not None:
             if isinstance(keep, slice):
                 keep = np.ones(points.shape[0], dtype=bool)
+            valid = np.arange(width) < cnt
             keep[take[valid]] = reps[valid]
-            dist = np.where(reps[:, :, None] & reps[:, None, :], dist, 0.0)
-        # padding repeats a row's last point, which adds no larger distance
-        spread[rows] = dist.max(axis=(1, 2))
     return keep, spread
+
+
+def _matrix_spreads(pad, cnt, tol):
+    """One _padded_rows block of _spreads from its (r, w, w) matrix of pair
+    distances: (reps, spread), reps the (r, w) representative slots, or
+    None when no point of the block is dropped."""
+    r, w = pad.shape[:2]
+    diff = pad[:, :, None, :] - pad[:, None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=3))
+    reps = None
+    near = None if tol is None else dist <= tol
+    # a near pair off the diagonal (padding is one) needs the first-come
+    # pass, which never keeps a padding slot
+    if near is not None and np.count_nonzero(near) > r * w:
+        reps = np.arange(w) < cnt
+        for j in range(1, w):
+            reps[:, j] &= ~(reps[:, :j] & near[:, j, :j]).any(axis=1)
+        dist = np.where(reps[:, :, None] & reps[:, None, :], dist, 0.0)
+    # padding repeats a row's last point, which adds no larger distance
+    return reps, dist.max(axis=(1, 2))
+
+
+def _pair_spreads(pad, cnt, tol):
+    """_matrix_spreads for a block of rows of two points, in closed form:
+    the spread is the pair's distance, 0 with the second point dropped
+    where that is within tol.  Bit for bit the matrix form, whose two
+    off-diagonal entries are this same square root."""
+    diff = pad[:, 1] - pad[:, 0]
+    dist = np.sqrt((diff ** 2).sum(axis=1))
+    near = None if tol is None else dist <= tol
+    if near is None or not near.any():
+        return None, dist
+    return (np.stack((np.ones_like(near), ~near), axis=1),
+            np.where(near, 0.0, dist))
 
 
 def _box_diagonals(points, first):
@@ -225,20 +257,33 @@ def _concat_ranges(starts, lengths):
 # element cycles for exact 2D shapes
 # ---------------------------------------------------------------------------
 
-def _nearest_elements(dist, clamp, tau_multi, eq_tol):
+def _nearest_elements(dist, clamp, tau_multi, eq_tol, work):
     """Row minimum and kept elements of (row, element) distance and clamp
     matrices in cycle order.
 
     A row keeps the elements within tau_multi of its minimum, less the
     feet clamped at a junction past which the neighbour element keeps
     falling by more than eq_tol: those are path points of the boundary
-    distance profile, not separate nearest-point basins.
+    distance profile, not separate nearest-point basins.  The neighbour is
+    the next element in the cycle where the clamp code is +1, else the
+    previous one.  The work runs in two float and three bool planes of
+    the block's scratch work (geometry._element_blocks), and the kept
+    matrix returned is one of them: valid until the next block.
     """
+    nb, lower = _planes(work[0], dist.shape, 2)
+    back, jump, kept = _planes(work[1], dist.shape, 3)
     d_opt = dist.min(axis=1)
-    cand = dist <= (d_opt + tau_multi)[:, None]
-    ring = np.concatenate((dist[:, -1:], dist, dist[:, :1]), axis=1)
-    nb_dist = np.where(clamp > 0, ring[:, 2:], ring[:, :-2])
-    return d_opt, cand & ~((clamp != 0) & (nb_dist < dist - eq_tol))
+    np.less_equal(dist, (d_opt + tau_multi)[:, None], out=kept)
+    nb[:, :-1] = dist[:, 1:]
+    nb[:, -1] = dist[:, 0]
+    np.less_equal(clamp, 0, out=back)
+    np.copyto(nb[:, 1:], dist[:, :-1], where=back[:, 1:])
+    np.copyto(nb[:, 0], dist[:, -1], where=back[:, 0])
+    np.subtract(dist, eq_tol, out=lower)
+    np.less(nb, lower, out=jump)
+    jump &= np.not_equal(clamp, 0, out=back)
+    kept &= np.logical_not(jump, out=jump)
+    return d_opt, kept
 
 
 def _cycle_rows(shape, pts, tau_multi):
@@ -257,12 +302,14 @@ def _cycle_rows(shape, pts, tau_multi):
     d_opt = np.empty(pts.shape[0])
     count = np.empty(pts.shape[0], dtype=np.intp)
     feet = []
-    for rows, dist, clamp in _element_distance_blocks(shape, pts):
-        d_opt[rows], kept = _nearest_elements(dist, clamp, tau_multi, eq_tol)
+    for rows, dist, clamp, work in _element_blocks(shape, pts):
+        d_opt[rows], kept = _nearest_elements(dist, clamp, tau_multi, eq_tol,
+                                              work)
         count[rows] = kept.sum(axis=1)
         row, elem = np.nonzero(kept)        # row-major: cycle order per row
         feet.append(_element_feet(shape, pts[rows][row], elem,
                                   clamp[row, elem]))
+    del dist, clamp, work, kept             # free the loop's scratch
     feet = np.concatenate(feet)
     keep, spread = _spreads(feet, count, 1e-9 * max(1.0, diam))
     if not isinstance(keep, slice):

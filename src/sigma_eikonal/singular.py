@@ -50,7 +50,7 @@ from .geometry import (
     Ellipse,
     OffsetBody,
     SampledSurface,
-    _element_distance_blocks,
+    _element_blocks,
     _element_feet,
     _row_blocks,
 )
@@ -237,28 +237,30 @@ def _detect_cycle(shape, pts, band, tau_multi):
     their clamp codes, in cycle order, and projection._spreads dedupes
     them, first come first kept, and measures their spread: the arithmetic
     of projection._cycle_rows, the rows resolver that project answers
-    from, run only on the rows the prefilter leaves.  Returns (flags, dK).
+    from, run only on the rows the prefilter leaves.  Each row's kept
+    count is taken once, in its block.  Returns (flags, dK).
     """
     diam = shape.diameter()
     n = pts.shape[0]
     flags = np.zeros(n, dtype=bool)
     dK = np.empty(n)
     eq_tol = 1e-12 * max(1.0, diam)
-    cand_rows, cand_kept, cand_clamp = [], [], []
-    for sel, dist, clamp in _element_distance_blocks(shape, pts):
-        d_opt, kept = _nearest_elements(dist, clamp, tau_multi, eq_tol)
+    rows, count, elem, code = [], [], [], []
+    for sel, dist, clamp, work in _element_blocks(shape, pts):
+        d_opt, kept = _nearest_elements(dist, clamp, tau_multi, eq_tol, work)
         dK[sel] = d_opt
-        rows = np.flatnonzero((d_opt > band) & (kept.sum(axis=1) >= 2))
-        cand_rows.append(sel.start + rows)
-        cand_kept.append(kept[rows])
-        cand_clamp.append(clamp[rows][cand_kept[-1]])
-    rows = np.concatenate(cand_rows)
-    kept = np.concatenate(cand_kept)
-    row, elem = np.nonzero(kept)            # row-major: cycle order per row
-    feet = _element_feet(shape, pts[rows[row]], elem,
-                         np.concatenate(cand_clamp))
-    flags[rows] = _spreads(feet, kept.sum(axis=1),
-                           1e-9 * max(1.0, diam))[1] > tau_multi
+        n_kept = kept.sum(axis=1)
+        cand = np.flatnonzero((d_opt > band) & (n_kept >= 2))
+        row, k = np.nonzero(kept[cand])     # row-major: cycle order per row
+        rows.append(sel.start + cand)
+        count.append(n_kept[cand])
+        elem.append(k)
+        code.append(clamp[cand[row], k])
+    del dist, clamp, work, kept             # free the loop's scratch
+    rows, count = np.concatenate(rows), np.concatenate(count)
+    feet = _element_feet(shape, pts[np.repeat(rows, count)],
+                         np.concatenate(elem), np.concatenate(code))
+    flags[rows] = _spreads(feet, count, 1e-9 * max(1.0, diam))[1] > tau_multi
     return flags, dK
 
 

@@ -1,10 +1,11 @@
 """Command line entry point: exit codes, outputs, and file side effects."""
 
+import argparse
 import json
 
 import pytest
 
-from sigma_eikonal.cli import main
+from sigma_eikonal.cli import build_parser, main
 from sigma_eikonal.distance import read_field
 from sigma_eikonal.experiments import EXPERIMENTS
 from sigma_eikonal.geometry import shape_from_spec
@@ -186,3 +187,30 @@ def test_config_file_feeds_defaults(tmp_path):
     rc = main(["distance", "--config", str(cfg_path)])
     assert rc == 0
     assert (tmp_path / "distance.field").exists()
+
+
+def test_one_parser_serves_independent_calls(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process; a quiet verify run leaves no
+    flag behind for the next call, which parses into its own namespace."""
+    seen = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        seen.append(parse(self, *args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    monkeypatch.setitem(EXPERIMENTS, "offset_identity",
+                        lambda cfg: {"experiment": "offset_identity",
+                                     "passed": True})
+    rc = main(["verify", "offset_identity", "--quiet", "--seed", "3",
+               "--out", str(tmp_path)])
+    assert rc == 0 and capsys.readouterr().out == ""
+    assert main(["shape", "--shape", DISK]) == 0
+    assert "inradius=1" in capsys.readouterr().out
+    first, second = seen
+    assert first is not second and build_parser() is build_parser()
+    assert (first.quiet, first.seed, first.experiment) == \
+        (True, 3, "offset_identity")
+    assert (second.quiet, second.seed, second.out) == (False, None, None)
+    assert not hasattr(second, "experiment")

@@ -345,18 +345,24 @@ def test_spread_equal_to_the_tie_window_is_not_a_flag():
     assert not mask.flags[tuple(centre)]
 
 
-def test_batched_feet_match_scalar_query():
+def test_batched_feet_match_scalar_query(monkeypatch):
     """Each entry of _element_distance_blocks, with the foot _element_feet
     builds from its clamp code, is the element's scalar query (distance,
     foot and clamp code), one element for all points and a random element
-    per point, with the base vertices (the arc centres) among the points."""
+    per point, with the base vertices (the arc centres) among the points.
+    A block is valid only until the next is drawn, so each is copied as
+    it arrives; the budget gives several blocks and a shorter last one."""
     poly = make_random_polytope(16, 1)
     rng = np.random.default_rng(0)
     pts = np.vstack([rng.uniform(-3.0, 3.0, (500, 2)), poly.vertices])
     at = np.arange(len(pts))
+    monkeypatch.setattr(geometry, "PAIRS_PER_BLOCK", 1600)
     for shape in (poly, OffsetBody(poly, 0.3)):
         cycle = oracle_cycle(shape)
-        blocks = list(_element_distance_blocks(shape, pts))
+        blocks = [(rows, dist.copy(), clamp.copy()) for rows, dist, clamp
+                  in _element_distance_blocks(shape, pts)]
+        sizes = [rows.stop - rows.start for rows, _, _ in blocks]
+        assert len(sizes) > 2 and sizes[-1] < sizes[0]
         dist = np.vstack([b[1] for b in blocks])
         clamp = np.vstack([b[2] for b in blocks])
         picks = [np.full(len(pts), k) for k in range(len(cycle))]
@@ -367,6 +373,22 @@ def test_batched_feet_match_scalar_query():
             ref = zip(*[cycle[k].query(p) for k, p in zip(elem, pts)])
             for g, want in zip(got, ref):
                 assert np.array_equal(g, want)
+
+
+def test_threads_own_their_block_scratch(monkeypatch):
+    """Each _element_distance_blocks call owns its scratch planes, so two
+    threads computing an offset's boundary distance at once, in blocks of
+    a small budget, each get the serial result bit for bit."""
+    shape = OffsetBody(make_random_polytope(16, 1), 0.3)
+    rng = np.random.default_rng(3)
+    pts = [rng.uniform(-3.0, 3.0, (2000 + 37 * k, 2)) for k in range(2)]
+    monkeypatch.setattr(geometry, "PAIRS_PER_BLOCK", 32 * 64)
+    want = [shape.boundary_distance(p) for p in pts]
+    with distance.ThreadPoolExecutor(2) as pool:
+        for _ in range(20):
+            got = list(pool.map(shape.boundary_distance, pts))
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
 
 def projection_shapes_2d():

@@ -3,7 +3,9 @@ agreement."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sigma_eikonal import projection
 from sigma_eikonal.distance import GridSpec, distance_field, grid_covering
 from sigma_eikonal.geometry import (
     Ball,
@@ -226,3 +228,38 @@ def test_projection_distance_is_the_field_value(label, shape):
     nodes = grid.points()[pick]
     assert np.array_equal([project(shape, x).distance for x in nodes],
                           field[pick])
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.lists(st.integers(1, 6), min_size=1, max_size=12),
+       dim=st.sampled_from([2, 3]),
+       tol=st.sampled_from([None, 1e-9, 0.25]),
+       dup=st.floats(0.0, 0.8), lattice=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_two_point_spreads_match_the_matrix_form(counts, dim, tol, dup,
+                                                 lattice, seed):
+    """Rows of two points take their spread in closed form; with that path
+    swapped for the pair-matrix path, _spreads returns the same keep (type
+    and entries) and spread, bit for bit.  Rows hold 1 to 6 points, some
+    repeating an earlier point of their row exactly or within tol; on the
+    lattice of quarters many pairs lie exactly tol = 0.25 apart."""
+    count = np.array(counts + [2] * 8)
+    rng = np.random.default_rng(seed)
+    pts = (rng.integers(-2, 3, (count.sum(), dim)) / 4.0 if lattice
+           else rng.normal(size=(count.sum(), dim)))
+    first = np.cumsum(count) - count
+    jitter = 0.0 if tol is None else 0.4 * tol / np.sqrt(dim)
+    for start, n in zip(first, count):
+        for j in range(1, n):
+            if rng.random() < dup:
+                src = start + rng.integers(0, j)
+                pts[start + j] = pts[src] + rng.choice([0.0, jitter]) * \
+                    rng.uniform(-1.0, 1.0, dim)
+    fast = projection._spreads(pts, count, tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projection, "_pair_spreads", projection._matrix_spreads)
+        general = projection._spreads(pts, count, tol)
+    assert type(fast[0]) is type(general[0])
+    if not isinstance(fast[0], slice):
+        assert np.array_equal(fast[0], general[0])
+    assert fast[1].tobytes() == general[1].tobytes()
