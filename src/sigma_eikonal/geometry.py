@@ -1270,7 +1270,8 @@ def _element_blocks(shape, points):
         return
     # one allocation for the first and largest block: three float planes
     # (dist, then two of work), then four byte planes (clamp, then three
-    # of work)
+    # of work).  Freed whole, it lets glibc serve the next call's scratch
+    # from memory it keeps rather than mapping and faulting in fresh pages
     plane = blocks[0].stop * size
     scratch = np.empty(28 * plane, dtype=np.uint8)
     floats, flags = scratch[:24 * plane].view(np.float64), scratch[24 * plane:]
