@@ -26,7 +26,7 @@ from .eikonal import residuals
 from .geometry import Ball, ConvexPolytope, GraphHypersurface, OffsetBody, \
     make_random_polytope
 from .innerball import inner_ball_profile, theorem_equivalence_check
-from .projection import _cycle_nearest_feet, _cycle_rows, project
+from .projection import _cycle_nearest_feet, _resolver, project
 from .singular import coverage_density, detect_footjump, detect_multiproj, \
     inclusion_violations
 
@@ -168,8 +168,9 @@ def run_lemma_gradient(config):
     difference gradient of the exact distance field against the projection
     formula at nodes at least 10h from both the boundary and the flags,
     and checks that flagged nodes carry genuinely spread nearest sets: the
-    flagged nodes of the square and the offset square are the rows of one
-    projection._cycle_rows call, the disk's (its centre) go through project.
+    flagged nodes of each shape are the rows of one call of its family's
+    rows function (projection._resolver), and project must answer the
+    first of them with the same spread.
     """
     h = config.grid_h or GRAD_H
     square = _unit_square()
@@ -199,12 +200,13 @@ def run_lemma_gradient(config):
 
         flagged = pts[mask.flags.reshape(-1)]
         if flagged.shape[0]:
-            tau = float(mask.params["tau_multi"])
-            if isinstance(shape, Ball):
-                spread = np.array([project(shape, x, tau_multi=tau).spread
-                                   for x in flagged])
-            else:
-                spread = _cycle_rows(shape, flagged, tau)[3]
+            rows, body, tau = _resolver(shape, flagged,
+                                        float(mask.params["tau_multi"]))
+            spread = rows(body, flagged, tau, False)[3]
+            # project answers a node as its row of the same function
+            if project(shape, flagged[0], tau).spread != spread[0]:
+                raise RuntimeError(f"{label}: project and the flagged rows "
+                                   f"disagree at {flagged[0]}")
             spread_frac = np.count_nonzero(spread > 5.0 * tau) \
                 / flagged.shape[0]
         else:

@@ -1289,17 +1289,10 @@ def _element_blocks(shape, points):
         yield rows, dist, clamp, work
 
 
-def _element_distance_blocks(shape, points):
-    """(rows, dist, clamp) of each block of _element_blocks, under its
-    contract: valid until the next block is drawn."""
-    for rows, dist, clamp, _ in _element_blocks(shape, points):
-        yield rows, dist, clamp
-
-
 def _element_feet(shape, points, elem, clamp):
     """Foot of point i on element elem[i] of a 2D polytope or offset
     boundary (cycle order, _Cycle), given that pair's clamp code clamp[i]
-    from _element_distance_blocks.
+    from _element_blocks.
 
     Each foot is built in the order of operations of _segment_distances
     and _arc_distances, so it is the point whose distance the matrix
@@ -1330,7 +1323,7 @@ def _element_feet(shape, points, elem, clamp):
 def _boundary_distance_2d(shape, points):
     """Row minimum of the element distance matrix, block by block."""
     out = np.empty(points.shape[0])
-    for rows, dist, _ in _element_distance_blocks(shape, points):
+    for rows, dist, _, _ in _element_blocks(shape, points):
         out[rows] = dist.min(axis=1)
     return out
 

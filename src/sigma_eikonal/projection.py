@@ -8,21 +8,16 @@ the representatives' spread stays within tau_multi.  The default is
 1e-9 x diameter for exact shapes (true ties only) and 2 x sample spacing
 for sampled surfaces; grid detectors pass a grid-scaled value.
 
-project checks the shape kind, the point's dimension and that default
-once, then hands the point to the resolver of its family: row 0 of
-_cycle_rows (2D polytopes and offsets) or of _ellipse_rows, _slack_project
-(3D polytopes and offsets, and a Box as its polytope), _ball_project or
-_sampled_project.  The rules that singular.detect_multiproj shares with
-project are written here once: _convex_base (the polytope and push of a
-convex shape), _ball_centre (a ball's only tie) and the row resolvers
-below.  An ellipse is answered exactly: its feet are the nearest root of
-the foot equation and, inside the evolute, the second local minimum
-(geometry._ellipse_feet), kept by the same tie window as every family.
-
-Inside a 3D convex polytope the nearest set follows from the facet
-slacks in closed form (_slack_feet); the same feet pushed out by epsilon
-are the nearest set of an offset body, and outside a convex body the
-nearest point is unique.
+Each shape family has one rows function, which resolves many points at
+once, one row each: _cycle_rows (2D polytopes and offsets), _slack_rows
+(3D polytopes and offsets), _ball_rows, _ellipse_rows and _sampled_rows.
+One lookup, _resolver, picks it for every caller: it answers a Box as its
+cached polytope, raises on a graph or an unknown shape, and checks the
+points' dimension and the tie window.  project answers one point as row 0
+of its family's rows, resolved in full; singular.detect_multiproj runs the
+same function over its grid rows, resolving only the rows that can be
+ties, and flags the rows whose spread exceeds tau_multi.  So a node is
+flagged exactly when its projection is not a singleton.
 
 For exact 2D shapes the boundary is an ordered cycle of elements (polygon
 edges; offset bodies add vertex arcs), held as arrays by the shape.  Its
@@ -30,30 +25,34 @@ one element kernel is geometry's: _element_blocks gives the (point,
 element) distances and clamp codes block by block, with the scratch
 planes its kernels and _nearest_elements work in, and _element_feet the
 foot of a pair from its clamp code, in the same order of operations.
-The grid detector, the bulk feet and _cycle_rows all read it, so a
+_cycle_rows, the bulk feet and the boundary distance all read it, so a
 distance, a foot and a flag of one point never differ by rounding.
-_cycle_rows resolves many points at once, one row each, and project
-answers one point as its row 0, so every 2D point has one nearest-set
-rule.
 Near-optimal feet are kept only when they are genuine local minima of
-the boundary distance profile (_nearest_elements, shared with the
-detector): a foot clamped to an element junction whose neighbor element
-continues downhill through that junction is a path point, not a separate
-nearest-point basin, and is discarded.  This keeps projections onto
-smooth convex stretches singleton at any tolerance while still resolving
-true equidistant sets.  A point on a base vertex of an offset needs no
-special case: the arc's two end points survive and their spread is the
-arc's chord.
+the boundary distance profile (_nearest_elements): a foot clamped to an
+element junction whose neighbor element continues downhill through that
+junction is a path point, not a separate nearest-point basin, and is
+discarded.  This keeps projections onto smooth convex stretches singleton
+at any tolerance while still resolving true equidistant sets.  A point on
+a base vertex of an offset needs no special case: the arc's two end
+points survive and their spread is the arc's chord.
 
-A sampled surface answers one point as one row of _sampled_rows, the
-resolver that singular.detect_multiproj runs over its grid rows: the
-kd-tree candidates within tau_multi of the optimum split into runs of
-chain-consecutive samples, runs that come within 3x the sample spacing
-are one cluster, and each cluster's nearest candidate represents it, so
-spread measures genuine multi-projection rather than sampling density.
-One cluster whose candidates span more than half the surface diameter
-(for instance the whole circle, seen from its center) is a continuum tie:
-its spread is the candidates' bounding-box diagonal.
+Inside a 3D convex polytope the nearest set follows from the facet
+slacks in closed form (_slack_feet); the same feet pushed out by epsilon
+are the nearest set of an offset body, and outside a convex body the
+nearest point is unique.  A ball's only tie is its centre, whose nearest
+set is the whole sphere.  An ellipse is answered exactly: its feet are
+the nearest root of the foot equation and, inside the evolute, the second
+local minimum (geometry._ellipse_feet), kept by the same tie window as
+every family.
+
+On a sampled surface the kd-tree candidates within tau_multi of the
+optimum split into runs of chain-consecutive samples, runs that come
+within 3x the sample spacing are one cluster, and each cluster's nearest
+candidate represents it (_sampled_clusters), so spread measures genuine
+multi-projection rather than sampling density.  One cluster whose
+candidates span more than half the surface diameter (for instance the
+whole circle, seen from its center) is a continuum tie: its spread is the
+candidates' bounding-box diagonal.
 
 The feet of every family are resolved by one helper, _spreads: first come
 first kept deduplication and the largest distance between the
@@ -63,7 +62,7 @@ case, in closed form.
 
 from __future__ import annotations
 
-from functools import partial
+import itertools
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -73,11 +72,11 @@ from .geometry import (
     Box,
     ConvexPolytope,
     Ellipse,
+    GeometryError,
     GraphHypersurface,
     OffsetBody,
     SampledSurface,
     _element_blocks,
-    _element_distance_blocks,
     _element_feet,
     _ellipse_feet,
     _planes,
@@ -108,13 +107,9 @@ class ProjectionResult:
 
     __slots__ = ("distance", "nearest", "is_singleton", "spread", "tau_multi")
 
-    def __init__(self, distance, nearest, tau_multi, spread=None):
-        nearest = np.atleast_2d(np.asarray(nearest, dtype=float))
-        if spread is None:
-            k = nearest.shape[0]
-            spread = _spreads(nearest, np.array([k]))[1][0] if k > 1 else 0.0
+    def __init__(self, distance, nearest, tau_multi, spread):
         self.distance = float(distance)
-        self.nearest = nearest
+        self.nearest = np.atleast_2d(np.asarray(nearest, dtype=float))
         self.spread = float(spread)
         self.tau_multi = float(tau_multi)
         self.is_singleton = self.spread <= tau_multi
@@ -286,37 +281,47 @@ def _nearest_elements(dist, clamp, tau_multi, eq_tol, work):
     return d_opt, kept
 
 
-def _cycle_rows(shape, pts, tau_multi):
-    """Projection rows of points on a 2D polytope or offset.
+def _cycle_rows(shape, pts, tau_multi, full, d_opt=None):
+    """Rows of points on a 2D polytope or offset, from its element cycle.
 
     Each block of geometry's element distance matrix gives its rows'
-    distances (the row minima) and, through _nearest_elements, the
-    elements each row keeps, whose feet geometry._element_feet builds from
-    the clamp codes; _spreads dedupes them, first come first kept, and
-    measures their spread.  Each row is the arithmetic of its point alone.
-    Returns (d_opt, count, feet, spread): point i owns the count[i]
-    consecutive representatives of feet, in cycle order.
+    distances, the row minima (so a d_opt passed in is not read), and,
+    through _nearest_elements, the elements each row keeps.  With full
+    every row is resolved; without it only the rows that keep two or more
+    elements, the only ones that can be ties.  Their feet come from one
+    geometry._element_feet call on the kept clamp codes, in cycle order,
+    and _spreads dedupes them, first come first kept, and measures their
+    spread.  Each row is the arithmetic of its point alone.
     """
     diam = shape.diameter()
     eq_tol = 1e-12 * max(1.0, diam)
-    d_opt = np.empty(pts.shape[0])
-    count = np.empty(pts.shape[0], dtype=np.intp)
-    feet = []
-    for rows, dist, clamp, work in _element_blocks(shape, pts):
-        d_opt[rows], kept = _nearest_elements(dist, clamp, tau_multi, eq_tol,
-                                              work)
-        count[rows] = kept.sum(axis=1)
-        row, elem = np.nonzero(kept)        # row-major: cycle order per row
-        feet.append(_element_feet(shape, pts[rows][row], elem,
-                                  clamp[row, elem]))
-    del dist, clamp, work, kept             # free the loop's scratch
-    feet = np.concatenate(feet)
+    n = pts.shape[0]
+    d_opt = np.empty(n)
+    none = np.empty(0, dtype=np.intp)
+    parts = [(none, none, none, np.empty(0, dtype=np.int8))]
+    for sel, dist, clamp, work in _element_blocks(shape, pts):
+        d_opt[sel], kept = _nearest_elements(dist, clamp, tau_multi, eq_tol,
+                                             work)
+        n_kept = kept.sum(axis=1)
+        cand = np.flatnonzero(n_kept > (0 if full else 1))
+        row, k = np.nonzero(kept[cand])     # row-major: cycle order per row
+        parts.append((sel.start + cand, n_kept[cand], k, clamp[cand[row], k]))
+    # the loop's views keep its scratch alive: free it before the feet
+    dist = clamp = work = kept = None
+    rows, count, elem, code = map(np.concatenate, zip(*parts))
+    feet = _element_feet(shape, pts[np.repeat(rows, count)], elem, code)
     keep, spread = _spreads(feet, count, 1e-9 * max(1.0, diam))
+    row_spread = np.zeros(n)
+    row_spread[rows] = spread
+    if not full:
+        return d_opt, None, None, row_spread, {}
     if not isinstance(keep, slice):
         count = np.add.reduceat(keep, np.cumsum(count) - count,
                                 dtype=np.intp)
         feet = feet[keep]
-    return d_opt, count, feet, spread
+    row_count = np.zeros(n, dtype=np.intp)
+    row_count[rows] = count
+    return d_opt, row_count, feet, row_spread, {}
 
 
 def _cycle_nearest_feet(shape, pts):
@@ -329,7 +334,7 @@ def _cycle_nearest_feet(shape, pts):
     """
     elem = np.empty(pts.shape[0], dtype=np.intp)
     code = np.empty(pts.shape[0], dtype=np.int8)
-    for rows, dist, clamp in _element_distance_blocks(shape, pts):
+    for rows, dist, clamp, _ in _element_blocks(shape, pts):
         elem[rows] = k = dist.argmin(axis=1)
         code[rows] = clamp[np.arange(k.size), k]
     return _element_feet(shape, pts, elem, code)
@@ -362,84 +367,169 @@ def _slack_feet(poly, pts, tau_multi, epsilon=0.0):
     return row, pts[row] + (s[row, k] + epsilon)[:, None] * n[k]
 
 
-def _convex_base(shape):
-    """(base, epsilon) of a convex polytope (epsilon 0) or an offset body:
-    the polytope whose facet slacks decide the nearest set, and the push."""
-    if isinstance(shape, OffsetBody):
-        return shape.base, shape.epsilon
-    return shape, 0.0
+def _slack_rows(shape, pts, tau_multi, full, d_opt=None):
+    """Rows of points on a 3D polytope or offset.
 
-
-def _slack_project(shape, x, tau_multi):
-    """Projection of x on a 3D polytope or offset.
-
-    The distance comes from the base's hull triangles, through the
-    pruned pairs of geometry's 3D distance kernel (_triangle_pairs).
     Inside the base the nearest set is its facet slack feet pushed out by
-    epsilon (_slack_feet), one per active facet at a base edge or vertex;
-    outside it the nearest point is unique, the foot of the first nearest
-    base triangle pushed out by epsilon away from x.
+    epsilon (_slack_feet), one per active facet at a base edge or vertex,
+    and their spread is the row's.  Outside it the nearest point is
+    unique: the foot of the first nearest base triangle, through the
+    pruned pairs of geometry's 3D distance kernel (_triangle_pairs),
+    pushed out by epsilon away from the point.  The distance is that
+    triangle's plus epsilon inside and |d - epsilon| outside; it is
+    computed only with full or without d_opt, and the outside feet only
+    with full.
     """
-    base, eps = _convex_base(shape)
-    _, _, dist, feet = next(_triangle_pairs(base.triangles(), x[None]))
-    k = np.argmin(dist)
-    d_base, foot = dist[k], feet[k]
-    _, pushed = _slack_feet(base, x[None], tau_multi, eps)
-    if pushed.shape[0]:
-        return ProjectionResult(d_base + eps, pushed, tau_multi)
+    base, eps = ((shape.base, shape.epsilon) if isinstance(shape, OffsetBody)
+                 else (shape, 0.0))
+    n = pts.shape[0]
+    parts = [(np.empty(0, dtype=np.intp), np.empty((0, 3)))]
+    for block in _row_blocks(n, base.normals.shape[0]):
+        row, feet = _slack_feet(base, pts[block], tau_multi, eps)
+        parts.append((block.start + row, feet))
+    row, feet = map(np.concatenate, zip(*parts))
+    count = np.bincount(row, minlength=n)
+    inside = count > 0
+    spread = np.zeros(n)
+    spread[inside] = _spreads(feet, count[inside])[1]
+    if full or d_opt is None:
+        d_base, foot = np.empty(n), np.empty((n, 3))
+        for rows, _, dist, tri_feet in _triangle_pairs(base.triangles(), pts):
+            # kept pairs come in (point, triangle) order: the first pair at
+            # a row's minimum is its first nearest triangle
+            order = np.lexsort((dist, rows))
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = rows[order[1:]] != rows[order[:-1]]
+            first = order[first]
+            d_base[rows[first]] = dist[first]
+            foot[rows[first]] = tri_feet[first]
+        d_opt = np.where(inside, d_base + eps, np.abs(d_base - eps))
+    if not full:
+        return d_opt, None, None, spread, {}
+    out = np.flatnonzero(~inside)
+    foot = foot[out]
     if eps:
-        u = x - foot
-        u /= np.linalg.norm(u)
+        u = pts[out] - foot
+        u /= np.sqrt(np.vecdot(u, u))[:, None]
         foot = foot + eps * u
-    return ProjectionResult(abs(d_base - eps), foot, tau_multi)
+    count[out] = 1
+    order = np.argsort(np.concatenate([row, out]), kind="stable")
+    return d_opt, count, np.concatenate([feet, foot])[order], spread, {}
 
 
-def _ball_centre(ball, pts):
-    """The points at a ball's centre, within 1e-9 x its diameter: the only
-    points whose nearest set on a sphere is not one point."""
-    return np.linalg.norm(pts - ball.center, axis=1) <= 1e-9 * ball.diameter()
+def _ball_rows(ball, pts, tau_multi, full, d_opt=None):
+    """Rows of points on a ball, in the arithmetic of
+    Ball.boundary_distance (the axis-1 norm).
 
-
-def _ball_project(ball, x, tau_multi):
-    """Distance and foot in the arithmetic of Ball.boundary_distance (the
-    axis-1 norm).  At the centre the whole sphere is nearest: the axis
-    points +-e_k represent it and the diameter is its spread."""
-    rel = x - ball.center
-    r = np.linalg.norm(rel[None], axis=1)[0]
-    if _ball_centre(ball, x[None])[0]:
+    A point within 1e-9 x the diameter of the centre has the whole sphere
+    as its nearest set: the axis points +-e_k represent it and the
+    diameter is its spread.  Every other point has one foot, on its ray
+    from the centre.
+    """
+    rel = pts - ball.center
+    r = np.linalg.norm(rel, axis=1)
+    if d_opt is None:
+        d_opt = np.abs(r - ball.radius)
+    centre = r <= 1e-9 * ball.diameter()
+    spread = np.where(centre, 2.0 * ball.radius, 0.0)
+    if not full:
+        return d_opt, None, None, spread, {}
+    count = np.ones(pts.shape[0], dtype=np.intp)
+    feet = ball.center + ball.radius * rel / np.where(centre, 1.0, r)[:, None]
+    if centre.any():
+        count[centre] = 2 * ball.dim
+        feet = np.repeat(feet, count, axis=0)
         axes = np.kron(np.eye(ball.dim), [[1.0], [-1.0]])
-        return ProjectionResult(abs(r - ball.radius),
-                                ball.center + ball.radius * axes, tau_multi,
-                                spread=2.0 * ball.radius)
-    foot = ball.center + ball.radius * rel / r
-    return ProjectionResult(abs(r - ball.radius), foot, tau_multi)
+        feet[np.repeat(centre, count)] = np.tile(
+            ball.center + ball.radius * axes, (np.count_nonzero(centre), 1))
+    return d_opt, count, feet, spread, {}
 
 
-def _ellipse_rows(ellipse, pts, tau_multi):
-    """Projection rows of points on an ellipse.
+def _ellipse_rows(ellipse, pts, tau_multi, full, d_opt=None):
+    """Rows of points on an ellipse.
 
     A row keeps its nearest foot and, when it lies within tau_multi of the
     distance, its second local minimum (geometry._ellipse_feet); the spread
-    is the distance between the two.  Returns (d_opt, count, feet, spread)
-    as _cycle_rows does, d_opt equal to ellipse.boundary_distance.
+    is the distance between the two.  The distance, equal to
+    ellipse.boundary_distance, comes from the nearest foot, so a d_opt
+    passed in is not read.
     """
     near, other = _ellipse_feet(ellipse, pts, second=True)
     d_opt = np.linalg.norm(pts - near, axis=1)
     rows = np.flatnonzero(np.linalg.norm(pts - other, axis=1)
                           <= d_opt + tau_multi)
-    count = np.ones(pts.shape[0], dtype=np.intp)
-    count[rows] = 2
     spread = np.zeros(pts.shape[0])
     spread[rows] = np.linalg.norm(near[rows] - other[rows], axis=1)
-    return d_opt, count, np.insert(near, rows + 1, other[rows], axis=0), \
-        spread
+    if not full:
+        return d_opt, None, None, spread, {}
+    count = np.ones(pts.shape[0], dtype=np.intp)
+    count[rows] = 2
+    return (d_opt, count, np.insert(near, rows + 1, other[rows], axis=0),
+            spread, {})
 
 
 # ---------------------------------------------------------------------------
 # sampled surfaces
 # ---------------------------------------------------------------------------
 
-def _sampled_rows(surface, x, count, idx, span, every_rep=False):
+def _flatten(lists):
+    """Row lengths and concatenated entries of a list of index lists."""
+    count = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    return count, np.fromiter(itertools.chain.from_iterable(lists),
+                              dtype=np.intp, count=int(count.sum()))
+
+
+def _sampled_rows(surface, pts, tau_multi, full, d_opt=None):
+    """Rows of points on a sampled surface, in geometry._row_blocks of rows.
+
+    A row's candidates are the samples within tau_multi of its distance
+    (d_opt, else the kd-tree's nearest distance), as flat (CSR) rows of
+    ascending sample indices.  With full every row is resolved.  Without
+    it a row of one candidate, or whose candidate bounding box is no wider
+    than tau_multi (the spread cannot exceed it), is not; _sampled_clusters
+    resolves the others.  stats counts the rows resolved (candidate_rows)
+    and, among them, the rows split into two or more candidate runs
+    (multi_run_rows).
+    """
+    tree = surface.tree()
+    n = pts.shape[0]
+    if d_opt is None:
+        d_opt = tree.query(pts)[0]
+    count = np.zeros(n, dtype=np.intp)
+    spread = np.zeros(n)
+    feet = [np.empty((0, surface.dim))]
+    stats = {"candidate_rows": 0, "multi_run_rows": 0}
+    # a row costs a nominal 4 candidates: 16,384 rows a block
+    for block in _row_blocks(n, 4):
+        # the query lists and the candidate points die inside the helpers
+        n_cand, idx = _flatten(tree.query_ball_point(
+            pts[block], d_opt[block] + tau_multi, return_sorted=True))
+        rows = np.arange(block.start, block.stop)
+        (rows, n_cand), (idx,) = _keep_rows(n_cand > (0 if full else 1),
+                                            n_cand, (rows, n_cand), (idx,))
+        if rows.size == 0:
+            continue
+        span = _box_diagonals(surface.points[idx], np.cumsum(n_cand) - n_cand)
+        if not full:
+            (rows, n_cand, span), (idx,) = _keep_rows(
+                span > tau_multi, n_cand, (rows, n_cand, span), (idx,))
+        stats["candidate_rows"] += int(rows.size)
+        if rows.size == 0:
+            continue
+        spread[rows], multi, rep = _sampled_clusters(surface, pts[rows],
+                                                     n_cand, idx, span, full)
+        stats["multi_run_rows"] += int(multi.sum())
+        if full:
+            count[rows] = np.bincount(
+                np.repeat(np.arange(rows.size), n_cand)[rep],
+                minlength=rows.size)
+            feet.append(surface.points[idx[rep]])
+    if not full:
+        return d_opt, None, None, spread, stats
+    return d_opt, count, np.concatenate(feet), spread, stats
+
+
+def _sampled_clusters(surface, x, count, idx, span, full):
     """Nearest-set spread and representatives of rows of sampled candidates.
 
     Row i of x holds count[i] >= 1 candidate samples, ascending sample
@@ -458,11 +548,11 @@ def _sampled_rows(surface, x, count, idx, span, every_rep=False):
     representatives as spread.  A row of one cluster has spread 0, or its
     span when that exceeds CONTINUUM_TIE_FACTOR x the surface diameter (a
     continuum tie).  A row of one run is one cluster, so its spread needs
-    no representative, and the grid detector, whose rows are mostly of
-    one run, skips the candidate distances that would pick it.  Returns
-    (spread, multi, rep): multi marks the rows of two or more runs, and
-    rep indexes idx at the representatives of those rows, or of every row
-    with every_rep, row by row.
+    no representative, and without full, the grid detector's case, whose
+    rows are mostly of one run, the candidate distances that would pick
+    it are skipped.  Returns (spread, multi, rep): multi marks the rows of
+    two or more runs, and rep indexes idx at the representatives of those
+    rows, or of every row with full, row by row.
     """
     # imported on first use: scipy.sparse.csgraph adds about 1 MB of
     # resident memory to every process that would import it with the package
@@ -492,7 +582,7 @@ def _sampled_rows(surface, x, count, idx, span, every_rep=False):
         run = relabel[run]
         n_runs -= wrap
     multi = n_runs > 1
-    resolve = multi | every_rep
+    resolve = multi | full
     if not resolve.any():
         return spread, multi, np.empty(0, dtype=np.intp)
     pos = np.arange(idx.size)
@@ -549,57 +639,65 @@ def _sampled_rows(surface, x, count, idx, span, every_rep=False):
     return spread, multi, pos[reps]
 
 
-def _sampled_project(surface, x, tau_multi):
-    """Projection onto a sampled surface: x is one row of _sampled_rows."""
-    tree = surface.tree()
-    d_min, _ = tree.query(x)
-    idx = np.asarray(tree.query_ball_point(x, d_min + tau_multi,
-                                           return_sorted=True), dtype=np.intp)
-    span = _box_diagonals(surface.points[idx], [0])
-    spread, _, rep = _sampled_rows(surface, x[None], np.array([idx.size]),
-                                   idx, span, every_rep=True)
-    return ProjectionResult(d_min, surface.points[idx[rep]], tau_multi,
-                            spread[0])
-
 
 # ---------------------------------------------------------------------------
-# dispatcher
+# the one lookup
 # ---------------------------------------------------------------------------
 
-def _first_row(rows, shape, x, tau_multi):
-    """Projection of x as row 0 of rows (_cycle_rows or _ellipse_rows)."""
-    d_opt, _, feet, spread = rows(shape, x[None], tau_multi)
-    return ProjectionResult(d_opt[0], feet, tau_multi, spread[0])
+_ROWS = {
+    (ConvexPolytope, 2): _cycle_rows, (OffsetBody, 2): _cycle_rows,
+    (ConvexPolytope, 3): _slack_rows, (OffsetBody, 3): _slack_rows,
+    (Ball, 2): _ball_rows, (Ball, 3): _ball_rows,
+    (Ellipse, 2): _ellipse_rows,
+    (SampledSurface, 2): _sampled_rows, (SampledSurface, 3): _sampled_rows,
+}
 
 
-def project(shape, x, tau_multi=None):
-    """Project x onto the boundary of any supported shape.
+def _resolver(shape, pts, tau_multi=None, error=ProjectionError):
+    """(rows, shape, tau_multi): the rows function of shape's family, the
+    shape it reads and the tie window, for the points pts.
 
-    The shape kind, the point's dimension and the default tie window are
-    checked here once; the resolver of the shape's family answers, a 2D
-    polytope, offset or ellipse with row 0 of its rows resolver.  A Box is
-    answered as its cached polytope.
+    A Box is read as its cached polytope.  A graph has no exact boundary
+    distance and raises GeometryError: resolve its boundary_sample
+    instead.  Another unknown shape, pts other than rows of shape.dim
+    coordinates, and a tie window that is not a finite number >= 0 raise
+    error; tau_multi None is default_tau_multi(shape).
+
+    A rows function is called as rows(shape, pts, tau_multi, full, d_opt)
+    and returns (d_opt, count, feet, spread, stats) for the n rows of pts:
+    the boundary distances, row i's count[i] consecutive nearest-set
+    representatives in feet, the spread of each row and a dict of work
+    counts (empty but for a sampled surface).  With full every row is
+    resolved, as project needs.  Without it, the detector's case, only the
+    rows that can be ties are: count and feet are None, and a row left out
+    has spread 0, so spread > tau_multi is the same in both modes.  d_opt,
+    when the caller has the rows' distances (the detector's node memo),
+    spares a family the distance computation that its resolution does not
+    make anyway.
     """
     if isinstance(shape, Box):
         shape = shape.as_polytope()
-    if isinstance(shape, (ConvexPolytope, OffsetBody)):
-        resolve = partial(_first_row, _cycle_rows) if shape.dim == 2 \
-            else _slack_project
-    elif isinstance(shape, Ball):
-        resolve = _ball_project
-    elif isinstance(shape, Ellipse):
-        resolve = partial(_first_row, _ellipse_rows)
-    elif isinstance(shape, SampledSurface):
-        resolve = _sampled_project
-    elif isinstance(shape, GraphHypersurface):
-        raise ProjectionError(
-            "graphs have no exact projection; project onto "
-            "shape.boundary_sample(spacing) instead")
-    else:
-        raise ProjectionError(f"unsupported shape {type(shape).__name__}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (shape.dim,):
-        raise ProjectionError(f"query point must be {shape.dim}D")
+    rows = _ROWS.get((type(shape), getattr(shape, "dim", None)))
+    if rows is None:
+        if isinstance(shape, GraphHypersurface):
+            raise GeometryError(
+                "graphs have no exact boundary distance; resolve "
+                "shape.boundary_sample(spacing) instead")
+        raise error(f"unsupported shape {type(shape).__name__}")
+    if pts.ndim != 2 or pts.shape[1] != shape.dim:
+        raise error(f"query points must be {shape.dim}D")
     if tau_multi is None:
         tau_multi = default_tau_multi(shape)
-    return resolve(shape, x, tau_multi)
+    if not (np.isfinite(tau_multi) and tau_multi >= 0):
+        raise error(f"tau_multi must be finite and nonnegative, "
+                    f"got {tau_multi}")
+    return rows, shape, tau_multi
+
+
+def project(shape, x, tau_multi=None):
+    """Project x onto the boundary of any supported shape: row 0 of its
+    family's rows function (_resolver), resolved in full."""
+    x = np.asarray(x, dtype=float)[None]
+    rows, shape, tau_multi = _resolver(shape, x, tau_multi)
+    d_opt, _, feet, spread, _ = rows(shape, x, tau_multi, True)
+    return ProjectionResult(d_opt[0], feet, tau_multi, spread[0])

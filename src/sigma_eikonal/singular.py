@@ -6,7 +6,10 @@ two independent ways:
 
 * detect_multiproj flags nodes whose nearest-point set, resolved at a
   grid-scale tolerance, has spread above that tolerance (genuinely distinct
-  nearest-point basins).
+  nearest-point basins).  Each node is a row of the rows function that
+  projection._resolver picks for the shape's family, the one project
+  answers from; this module keeps no per-family resolution code, only
+  the choice of where the boundary distance comes from.
 * detect_gradjump flags nodes where one-sided gradients of a distance field
   disagree in direction beyond a threshold angle, which is the finite
   difference signature of a gradient jump.
@@ -28,7 +31,6 @@ point.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,28 +45,8 @@ from .distance import (
     _read_header,
     _write_file,
 )
-from .geometry import (
-    Ball,
-    Box,
-    ConvexPolytope,
-    Ellipse,
-    OffsetBody,
-    SampledSurface,
-    _element_blocks,
-    _element_feet,
-    _row_blocks,
-)
-from .projection import (
-    _ball_centre,
-    _box_diagonals,
-    _convex_base,
-    _ellipse_rows,
-    _keep_rows,
-    _nearest_elements,
-    _sampled_rows,
-    _slack_feet,
-    _spreads,
-)
+from .geometry import SampledSurface
+from .projection import _cycle_rows, _resolver
 
 BAND_FACTOR = 2.0           # unclassified band around K, in grid steps
 DEFAULT_THETA_DEG = 30.0    # gradient disagreement angle threshold
@@ -169,161 +151,45 @@ def detect_multiproj(shape, grid, tau_multi=None):
     """Flag grid nodes whose nearest-point set on the boundary is multiple.
 
     tau_multi defaults to the grid step: near-ties below one node of
-    distance cannot be resolved and do not count as multiplicity.  2D
-    polytopes and offsets resolve their element cycles, and take the
-    boundary distance from the same element distance matrix; 3D ones take
-    the closed form over facet slacks, so no node outside a convex body is
-    flagged; sampled surfaces split kd-tree candidates into chain runs.
-    An ellipse keeps its exact nearest foot and, inside the evolute, its
-    second local minimum within the window.  Each row's feet are resolved
-    by the projection module's helpers, so a node is flagged exactly when
-    project(shape, node, tau_multi) is not a singleton.  The mask carries
-    the boundary distance as ``distance``.  A graph has no boundary
-    distance and raises its GeometryError: detect on its boundary_sample.
+    distance cannot be resolved and do not count as multiplicity.  The
+    nodes are rows of the shape family's rows function, the one that
+    project answers from (projection._resolver, which also checks the
+    shape, the grid's dimension and the tie window), resolved only where
+    they can be ties, and a node is flagged when its spread exceeds
+    tau_multi: exactly when project(shape, node, tau_multi) is not a
+    singleton.  The boundary distance, carried by the mask as
+    ``distance``, comes for a 2D polytope or offset from the element
+    distance matrix of the same pass, and for every other shape from the
+    (shape, grid) node memo, whose band nodes are then left out of the
+    resolution.  A graph has no boundary distance and raises
+    GeometryError: detect on its boundary_sample.
     """
     if not isinstance(grid, GridSpec):
         raise DetectionError("grid must be a GridSpec")
     h = float(grid.spacing)
-    if tau_multi is None:
-        tau_multi = h
-    if tau_multi < 0:
-        raise DetectionError("tau_multi must be nonnegative")
-    if isinstance(shape, Box):
-        shape = shape.as_polytope()
-
     pts = grid.points()
+    rows, shape, tau_multi = _resolver(
+        shape, pts, h if tau_multi is None else tau_multi, DetectionError)
     band = BAND_FACTOR * h
-    params = {"tau_multi": float(tau_multi), "band_factor": float(BAND_FACTOR)}
-
-    if isinstance(shape, (ConvexPolytope, OffsetBody)) and shape.dim == 2:
-        flags, dK = _detect_cycle(shape, pts, band, tau_multi)
+    if rows is _cycle_rows:
+        dK, _, _, spread, stats = rows(shape, pts, tau_multi, False)
         excluded = dK <= band
     else:
         # the (shape, grid) memo: the eikonal CLI has just seeded its march
         # from it, and the mask keeps it read-only
         dK = _node_distance(shape, grid)
         excluded = dK <= band
-        if isinstance(shape, Ball):
-            flags = _ball_centre(shape, pts)
-        elif isinstance(shape, Ellipse):
-            active = np.flatnonzero(~excluded)
-            flags = np.zeros(pts.shape[0], dtype=bool)
-            flags[active] = _ellipse_rows(shape, pts[active],
-                                          tau_multi)[3] > tau_multi
-        elif isinstance(shape, SampledSurface):
-            flags, counts = _detect_sampled(shape, pts, dK, excluded,
-                                            tau_multi)
-            params.update(counts)
-        elif isinstance(shape, (ConvexPolytope, OffsetBody)):
-            flags = _detect_slack(shape, pts, excluded, tau_multi)
-        else:
-            raise DetectionError(
-                f"no multiplicity detector for {type(shape).__name__}")
-
-    flags = flags.reshape(grid.dims) & ~excluded.reshape(grid.dims)
-    return SingularMask(grid=grid, flags=flags,
+        active = np.flatnonzero(~excluded)
+        spread = np.zeros(pts.shape[0])
+        _, _, _, spread[active], stats = rows(shape, pts[active], tau_multi,
+                                              False, dK[active])
+    params = {"tau_multi": float(tau_multi), "band_factor": float(BAND_FACTOR),
+              **stats}
+    flags = (spread > tau_multi) & ~excluded
+    return SingularMask(grid=grid, flags=flags.reshape(grid.dims),
                         excluded=excluded.reshape(grid.dims),
                         detector="multiproj", params=params,
                         distance=dK.reshape(grid.dims))
-
-
-def _detect_cycle(shape, pts, band, tau_multi):
-    """Exact 2D detection over the element cycle of a polytope or offset.
-
-    Each node block's element distance matrix gives the boundary distance
-    dK (its row minimum), the band (dK <= band) and the prefilter: the
-    elements projection._nearest_elements keeps.  The feet of rows keeping
-    two or more elements come from one geometry._element_feet call on
-    their clamp codes, in cycle order, and projection._spreads dedupes
-    them, first come first kept, and measures their spread: the arithmetic
-    of projection._cycle_rows, the rows resolver that project answers
-    from, run only on the rows the prefilter leaves.  Each row's kept
-    count is taken once, in its block.  Returns (flags, dK).
-    """
-    diam = shape.diameter()
-    n = pts.shape[0]
-    flags = np.zeros(n, dtype=bool)
-    dK = np.empty(n)
-    eq_tol = 1e-12 * max(1.0, diam)
-    rows, count, elem, code = [], [], [], []
-    for sel, dist, clamp, work in _element_blocks(shape, pts):
-        d_opt, kept = _nearest_elements(dist, clamp, tau_multi, eq_tol, work)
-        dK[sel] = d_opt
-        n_kept = kept.sum(axis=1)
-        cand = np.flatnonzero((d_opt > band) & (n_kept >= 2))
-        row, k = np.nonzero(kept[cand])     # row-major: cycle order per row
-        rows.append(sel.start + cand)
-        count.append(n_kept[cand])
-        elem.append(k)
-        code.append(clamp[cand[row], k])
-    del dist, clamp, work, kept             # free the loop's scratch
-    rows, count = np.concatenate(rows), np.concatenate(count)
-    feet = _element_feet(shape, pts[np.repeat(rows, count)],
-                         np.concatenate(elem), np.concatenate(code))
-    flags[rows] = _spreads(feet, count, 1e-9 * max(1.0, diam))[1] > tau_multi
-    return flags, dK
-
-
-def _flatten(lists):
-    """Row lengths and concatenated entries of a list of index lists."""
-    count = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-    return count, np.fromiter(itertools.chain.from_iterable(lists),
-                              dtype=np.intp, count=int(count.sum()))
-
-
-def _detect_sampled(surface, pts, dK, excluded, tau_multi):
-    """Sampled-surface detection, in geometry._row_blocks of rows.
-
-    Each block's kd-tree candidates within tau_multi of the optimum become
-    flat (CSR) rows.  Rows of one candidate, or whose candidate bounding
-    box is no wider than tau_multi (the spread cannot exceed it), are not
-    flagged; projection._sampled_rows resolves the rest.  Returns the flags
-    and the counts of candidate rows (two or more candidates spread over
-    more than tau_multi) and of rows split into several candidate runs.
-    """
-    tree = surface.tree()
-    flags = np.zeros(pts.shape[0], dtype=bool)
-    counts = {"candidate_rows": 0, "multi_run_rows": 0}
-    active = np.flatnonzero(~excluded)
-    # a row costs a nominal 4 candidates: 16,384 rows a block
-    for block in _row_blocks(active.size, 4):
-        rows = active[block]
-        # the query lists and the candidate points die inside the helpers
-        count, idx = _flatten(tree.query_ball_point(
-            pts[rows], dK[rows] + tau_multi, return_sorted=True))
-        (rows, count), (idx,) = _keep_rows(count >= 2, count, (rows, count),
-                                           (idx,))
-        if rows.size == 0:
-            continue
-        span = _box_diagonals(surface.points[idx], np.cumsum(count) - count)
-        (rows, count, span), (idx,) = _keep_rows(
-            span > tau_multi, count, (rows, count, span), (idx,))
-        counts["candidate_rows"] += int(rows.size)
-        if rows.size == 0:
-            continue
-        spread, multi, _ = _sampled_rows(surface, pts[rows], count, idx, span)
-        counts["multi_run_rows"] += int(multi.sum())
-        flags[rows] = spread > tau_multi
-    return flags, counts
-
-
-def _detect_slack(shape, pts, excluded, tau_multi):
-    """3D convex polytopes and offsets: a row is flagged when the spread of
-    its facet-slack feet (projection._slack_feet) exceeds tau_multi, which
-    is project(shape, x, tau_multi).is_singleton being False.  Points
-    outside the base keep no foot and are never flagged.
-    """
-    base, eps = _convex_base(shape)
-    flags = np.zeros(pts.shape[0], dtype=bool)
-    active = np.flatnonzero(~excluded)
-    for block in _row_blocks(active.size, base.normals.shape[0]):
-        rows = active[block]
-        row, feet = _slack_feet(base, pts[rows], tau_multi, eps)
-        count = np.bincount(row, minlength=rows.size)
-        several = count >= 2
-        flags[rows[several]] = _spreads(
-            feet[np.repeat(several, count)], count[several])[1] > tau_multi
-    return flags
 
 
 # ---------------------------------------------------------------------------

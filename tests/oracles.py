@@ -1,14 +1,15 @@
 """Reference implementations kept as bit-for-bit oracles, and one closed form.
 
 These are the per-node loops that ``geometry._polytope_boundary_distance_3d``,
-``eikonal.fast_march``, the row resolution of ``singular._detect_cycle``
-and ``singular._detect_sampled``, the inner-ball bisection and the vertex
-dedupe of ``ConvexPolytope`` replaced, and the per-element loops that
-``geometry._element_distance_blocks`` and ``geometry._element_feet``
-replaced: the 2D boundary distance with one arc at a time, the element
-queries of ``_detect_cycle``, and the scalar element objects (``Segment``,
-``Arc``) with the one-point projection over their cycle
-(``cycle_project``, which ``projection._cycle_rows`` replaced).
+``eikonal.fast_march``, the row resolution of ``projection._cycle_rows``
+and ``projection._sampled_rows`` (the rows functions that
+``singular.detect_multiproj`` runs over its grid rows), the inner-ball
+bisection and the vertex dedupe of ``ConvexPolytope`` replaced, and the
+per-element loops that ``geometry._element_blocks`` and
+``geometry._element_feet`` replaced: the 2D boundary distance with one arc
+at a time, the element queries of the 2D detector, and the scalar element
+objects (``Segment``, ``Arc``) with the one-point projection over their
+cycle (``cycle_project``, which ``projection._cycle_rows`` replaced).
 ``Segment.query`` and ``Arc.query`` run the order of operations of
 ``geometry._segment_distances`` and ``geometry._arc_distances`` on one
 point and one element (``plane_distance`` is their square root of
@@ -32,7 +33,7 @@ keep the same arithmetic and the same acceptance order, and the batched
 row resolution and bisection make the same decisions.
 
 ``project_sampled`` is the one-point sampled projection that
-``projection._sampled_rows`` replaced: single-linkage clusters of all
+``projection._sampled_clusters`` replaced: single-linkage clusters of all
 candidates by a pairwise union-find, and a continuum tie when one cluster
 spans more than half the surface diameter.  It gives the same distance;
 its nearest set differs only at continuum ties.

@@ -25,7 +25,7 @@ from sigma_eikonal.geometry import (
     OffsetBody,
     PAIRS_PER_BLOCK,
     SampledSurface,
-    _element_distance_blocks,
+    _element_blocks,
     _element_feet,
     _triangle_feet,
     make_random_polytope,
@@ -346,7 +346,7 @@ def test_spread_equal_to_the_tie_window_is_not_a_flag():
 
 
 def test_batched_feet_match_scalar_query(monkeypatch):
-    """Each entry of _element_distance_blocks, with the foot _element_feet
+    """Each entry of _element_blocks, with the foot _element_feet
     builds from its clamp code, is the element's scalar query (distance,
     foot and clamp code), one element for all points and a random element
     per point, with the base vertices (the arc centres) among the points.
@@ -359,8 +359,8 @@ def test_batched_feet_match_scalar_query(monkeypatch):
     monkeypatch.setattr(geometry, "PAIRS_PER_BLOCK", 1600)
     for shape in (poly, OffsetBody(poly, 0.3)):
         cycle = oracle_cycle(shape)
-        blocks = [(rows, dist.copy(), clamp.copy()) for rows, dist, clamp
-                  in _element_distance_blocks(shape, pts)]
+        blocks = [(rows, dist.copy(), clamp.copy()) for rows, dist, clamp, _
+                  in _element_blocks(shape, pts)]
         sizes = [rows.stop - rows.start for rows, _, _ in blocks]
         assert len(sizes) > 2 and sizes[-1] < sizes[0]
         dist = np.vstack([b[1] for b in blocks])
@@ -376,7 +376,7 @@ def test_batched_feet_match_scalar_query(monkeypatch):
 
 
 def test_threads_own_their_block_scratch(monkeypatch):
-    """Each _element_distance_blocks call owns its scratch planes, so two
+    """Each _element_blocks call owns its scratch planes, so two
     threads computing an offset's boundary distance at once, in blocks of
     a small budget, each get the serial result bit for bit."""
     shape = OffsetBody(make_random_polytope(16, 1), 0.3)
@@ -452,7 +452,8 @@ def test_2d_flags_are_exactly_the_non_singleton_projections(label, shape):
     mask = detect_multiproj(shape, grid)
     tau = mask.params["tau_multi"]
     active = np.flatnonzero(~mask.excluded.reshape(-1))
-    d_opt, _, _, spread = _cycle_rows(shape, grid.points()[active], tau)
+    d_opt, _, _, spread, _ = _cycle_rows(shape, grid.points()[active], tau,
+                                         True)
     assert np.array_equal(d_opt, mask.distance.reshape(-1)[active])
     assert np.array_equal(spread > tau, mask.flags.reshape(-1)[active])
 
@@ -477,9 +478,9 @@ def test_cycle_rows_match_scalar_cycle_on_every_flag(label, shape,
     tau = mask.params["tau_multi"]
     pts = grid.points()[mask.flags.reshape(-1)]
     assert pts.shape[0] > 100
-    d_opt, count, feet, spread = _cycle_rows(shape, pts, tau)
+    d_opt, count, feet, spread, _ = _cycle_rows(shape, pts, tau, True)
     monkeypatch.setattr(geometry, "PAIRS_PER_BLOCK", 7 * shape._cycle.size)
-    for got, want in zip(_cycle_rows(shape, pts, tau),
+    for got, want in zip(_cycle_rows(shape, pts, tau, True),
                          (d_opt, count, feet, spread)):
         assert np.array_equal(got, want)
     monkeypatch.undo()
@@ -565,7 +566,7 @@ def test_element_distance_blocks_match_einsum_kernels(label, shape):
                      kernel_edge_points(shape)])
     want_dist, want_clamp = oracles.element_distance_matrix(shape, pts)
     n_rows = 0
-    for rows, dist, clamp in _element_distance_blocks(shape, pts):
+    for rows, dist, clamp, _ in _element_blocks(shape, pts):
         assert clamp.dtype == want_clamp.dtype
         assert np.array_equal(dist, want_dist[rows])
         assert np.array_equal(clamp, want_clamp[rows])
@@ -736,7 +737,7 @@ def test_3d_sampled_masks_match_row_loop():
 
 
 def test_sampled_masks_match_row_loop_across_chunks(monkeypatch):
-    # 500 rows per block of _detect_sampled, which charges 4 per row
+    # 500 rows per block of projection._sampled_rows, which charges 4 per row
     monkeypatch.setattr(geometry, "PAIRS_PER_BLOCK", 2000)
     h = 1.0 / 32
     graph = rough_graph(5)

@@ -203,6 +203,10 @@ def test_project_rejects_bad_input(unit_square, unit_disk, offset_square):
                     project(shape, np.full(dim, 0.1))
         with pytest.raises(ProjectionError):
             project(shape, np.full((1, shape.dim), 0.1))
+        # a tie window that is negative, NaN or infinite
+        for tau in (-1.0, np.nan, np.inf):
+            with pytest.raises(ProjectionError):
+                project(shape, np.full(shape.dim, 0.3), tau_multi=tau)
 
 
 def exact_shapes():
@@ -228,6 +232,55 @@ def test_projection_distance_is_the_field_value(label, shape):
     nodes = grid.points()[pick]
     assert np.array_equal([project(shape, x).distance for x in nodes],
                           field[pick])
+
+
+def agreement_shapes():
+    """The exact shapes and a closed sampling of the 16-facet polytope's
+    0.3 offset."""
+    offset = OffsetBody(make_random_polytope(16, 1), 0.3)
+    return exact_shapes() + [("offset_sampled",
+                              offset.boundary_sample(0.5 / 20))]
+
+
+@pytest.mark.parametrize("label,shape", agreement_shapes(),
+                         ids=[lbl for lbl, _ in agreement_shapes()])
+def test_rows_functions_accept_zero_rows(label, shape):
+    """Each family's rows function answers no points with empty rows, in
+    full and without it."""
+    pts = np.empty((0, shape.dim))
+    rows, body, tau = projection._resolver(shape, pts)
+    for full in (True, False):
+        d_opt, count, feet, spread, _ = rows(body, pts, tau, full)
+        assert d_opt.shape == spread.shape == (0,)
+        if full:
+            assert count.shape == (0,) and feet.shape == (0, shape.dim)
+
+
+@pytest.mark.parametrize("label,shape", agreement_shapes(),
+                         ids=[lbl for lbl, _ in agreement_shapes()])
+def test_project_agrees_with_the_detector(label, shape):
+    """On every node off the band (in 3D every flag and every seventh
+    other node) of a grid covering the shape, with a node at the centre of
+    its bounding box (a ball's one tie), project at the detector's tie
+    window is a singleton exactly where the mask has no flag, and its
+    distance is the mask's distance bit for bit: both read one rows
+    function per shape family."""
+    h = 1.0 / 20 if shape.dim == 2 else 0.15
+    cover = grid_covering(shape, h)
+    centre = 0.5 * np.add(*shape.bbox())
+    grid = GridSpec(origin=centre - np.ceil((centre - cover.origin) / h) * h,
+                    spacing=h, dims=tuple(n + 1 for n in cover.dims))
+    mask = detect_multiproj(shape, grid)
+    assert mask.params["tau_multi"] == h and mask.n_flags > 0
+    flags, dist = mask.flags.reshape(-1), mask.distance.reshape(-1)
+    nodes = grid.points()
+    active = np.flatnonzero(~mask.excluded.reshape(-1))
+    if shape.dim == 3:
+        active = np.union1d(active[::7], np.flatnonzero(flags))
+    for i in active:
+        res = project(shape, nodes[i], h)
+        assert res.is_singleton == (not flags[i])
+        assert res.distance == dist[i]
 
 
 @settings(max_examples=60, deadline=None)

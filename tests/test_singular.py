@@ -55,9 +55,14 @@ def test_ellipse_flags_lie_on_its_medial_segment():
 
 
 def test_multiproj_rejects_a_negative_tie_window(unit_square):
-    with pytest.raises(DetectionError):
-        detect_multiproj(unit_square, grid_covering(unit_square, 0.25),
-                         tau_multi=-1e-3)
+    """A negative, NaN or infinite tie window raises; a NaN one used to
+    flag nothing."""
+    poly = make_random_polytope(16, 1)
+    for shape, h in ((unit_square, 0.25), (poly, 1.0 / 16)):
+        for tau in (-1e-3, np.nan, np.inf):
+            with pytest.raises(DetectionError):
+                detect_multiproj(shape, grid_covering(shape, h),
+                                 tau_multi=tau)
 
 
 def test_disk_flags_only_the_center(unit_disk):
