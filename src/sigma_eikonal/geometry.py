@@ -1122,15 +1122,18 @@ def _row_blocks(n_rows, cost):
 
 
 def _planes(buf, shape, k):
-    """k planes of the given (n, m) shape: views of the front of the flat
-    scratch buf, which must hold at least k n m entries."""
-    n, m = shape
-    return buf[:k * n * m].reshape(k, n, m)
+    """k planes of the given element-major (m, n) shape, m elements by n
+    points: views of the front of the flat scratch buf, which must hold at
+    least k m n entries."""
+    m, n = shape
+    return buf[:k * m * n].reshape(k, m, n)
 
 
 def _plane_norm(px, py, qx, qy, sq, tmp, out):
-    """sqrt((px - qx)^2 + (py - qy)^2) over (n, m) planes, into out; sq
-    and tmp are work planes and may be qx and qy, out may be sq."""
+    """sqrt((px - qx)^2 + (py - qy)^2) over element-major (m, n) planes,
+    into out: px, py rows of n point coordinates, qx, qy (m, 1) columns or
+    (m, n) planes; sq and tmp are work planes and may be qx and qy, out may
+    be sq."""
     np.subtract(px, qx, out=sq)
     sq *= sq
     np.subtract(py, qy, out=tmp)
@@ -1139,12 +1142,13 @@ def _plane_norm(px, py, qx, qy, sq, tmp, out):
     return np.sqrt(sq, out=out)
 
 
-def _segment_distances(points, cyc, dist, clamp, work):
-    """Distances and clamp codes from points (n, 2) to the m segments of a
-    _Cycle, written into the (n, m) planes dist and clamp.
+def _segment_distances(px, py, cyc, dist, clamp, work):
+    """Distances and clamp codes from the points (px, py), two rows of n
+    coordinates, to the m segments of a _Cycle, written into the
+    element-major (m, n) planes dist and clamp: one row per segment.
 
     clamp is -1 where the foot is the segment start, +1 where it is the
-    end and 0 between.  The work runs in place on two (n, m) coordinate
+    end and 0 between.  The work runs in place on two (m, n) coordinate
     planes of the float scratch and two of the bool scratch of work (see
     _element_blocks), with t = (wx dx + wy dy) / |d|^2 clipped to [0, 1]
     and dist = sqrt(ex^2 + ey^2) for e = p - (a + t d).  That order of
@@ -1152,8 +1156,7 @@ def _segment_distances(points, cyc, dist, clamp, work):
     |w|^2 - 2t w.d + t^2 |d|^2 round differently, and every distance
     field, mask, foot and digest downstream reads these bits.
     """
-    px, py = points[:, :1], points[:, 1:]
-    (ax, ay), (dx, dy) = cyc.seg_a.T, cyc.seg_d.T
+    (ax, ay), (dx, dy) = cyc.seg_a.T[..., None], cyc.seg_d.T[..., None]
     t, e = _planes(work[0], dist.shape, 2)
     at_end, at_start = _planes(work[1], dist.shape, 2)
     np.subtract(px, ax, out=t)
@@ -1161,7 +1164,7 @@ def _segment_distances(points, cyc, dist, clamp, work):
     t *= dx
     e *= dy
     t += e
-    t /= cyc.seg_l2
+    t /= cyc.seg_l2[:, None]
     np.clip(t, 0.0, 1.0, out=t)
     np.subtract(np.equal(t, 1.0, out=at_end).view(np.int8),
                 np.equal(t, 0.0, out=at_start).view(np.int8), out=clamp)
@@ -1173,28 +1176,50 @@ def _segment_distances(points, cyc, dist, clamp, work):
     _plane_norm(px, py, e, t, e, t, dist)
 
 
-def _arc_distances(points, cyc, dist, clamp, work):
-    """Distances and clamp codes from points (n, 2) to the m CCW circular
-    arcs of a _Cycle, written into the (n, m) planes dist and clamp.
+def _wrap_turn(local, mask):
+    """Angles local in [-2 pi, 2 pi] wrapped into [0, 2 pi], in place, in
+    two masked steps over the bool plane mask: 2 pi off where local >=
+    2 pi, then 2 pi on where local < 0.
+
+    A sector angle arctan2(ry, rx) - a0, with a0 from math.atan2, lies in
+    that range, where this is np.remainder(local, 2 pi) but for the sign
+    of a zero, which no <= sweep test sees: NumPy's float remainder is
+    fmod, exact on the range, plus 2 pi where that is negative, and -2 pi
+    and 2 pi both give 0.  The order of the steps matters: a tiny negative
+    angle rounds up to exactly 2 pi after the add and stays there, as
+    np.remainder keeps it.  np.remainder itself costs several times the
+    arctan2 that feeds it.
+    """
+    turn = 2.0 * np.pi
+    np.subtract(local, turn, out=local,
+                where=np.greater_equal(local, turn, out=mask))
+    np.add(local, turn, out=local, where=np.less(local, 0.0, out=mask))
+    return local
+
+
+def _arc_distances(px, py, cyc, dist, clamp, work):
+    """Distances and clamp codes from the points (px, py), two rows of n
+    coordinates, to the m CCW circular arcs of a _Cycle, written into the
+    element-major (m, n) planes dist and clamp: one row per arc.
 
     Off an arc's sector, or at its centre, a point's foot is the nearer
     end (-1 for e0, +1 for e1); on it the radial foot (0).  Like
-    _segment_distances it works in place, on four (n, m) coordinate planes
+    _segment_distances it works in place, on four (m, n) coordinate planes
     of the float scratch and two of the bool scratch of work, and its
     order of operations is fixed: r = sqrt(rx^2 + ry^2), the sector angle
     from arctan2(ry, rx), and each end distance the same square root of
     summed squares (not np.hypot or vecdot, which round differently).
+    The sector angle arctan2(ry, rx) - a0 is wrapped by _wrap_turn.
     """
-    px, py = points[:, :1], points[:, 1:]
-    e0, e1 = cyc.e0, cyc.e1
+    (cx, cy), (x0, y0), (x1, y1) = (
+        v.T[..., None] for v in (cyc.center, cyc.e0, cyc.e1))
     rx, ry, local, d1 = _planes(work[0], dist.shape, 4)
     on_arc, nearer0 = _planes(work[1], dist.shape, 2)
-    np.subtract(px, cyc.center[:, 0], out=rx)
-    np.subtract(py, cyc.center[:, 1], out=ry)
+    np.subtract(px, cx, out=rx)
+    np.subtract(py, cy, out=ry)
     np.arctan2(ry, rx, out=local)
-    local -= cyc.a0
-    np.remainder(local, 2.0 * np.pi, out=local)
-    np.less_equal(local, cyc.sweep, out=on_arc)
+    local -= cyc.a0[:, None]
+    np.less_equal(_wrap_turn(local, on_arc), cyc.sweep[:, None], out=on_arc)
     rx *= rx
     ry *= ry
     rx += ry
@@ -1202,8 +1227,8 @@ def _arc_distances(points, cyc, dist, clamp, work):
     on_arc &= np.greater(r, 1e-300, out=nearer0)
     r -= cyc.radius
     np.abs(r, out=r)
-    d0 = _plane_norm(px, py, e0[:, 0], e0[:, 1], ry, local, ry)
-    _plane_norm(px, py, e1[:, 0], e1[:, 1], d1, local, d1)
+    d0 = _plane_norm(px, py, x0, y0, ry, local, ry)
+    _plane_norm(px, py, x1, y1, d1, local, d1)
     np.less_equal(d0, d1, out=nearer0)
     np.copyto(d1, d0, where=nearer0)
     np.copyto(d1, r, where=on_arc)
@@ -1244,20 +1269,22 @@ class _Cycle:
 
 
 def _element_blocks(shape, points):
-    """The (node, element) distance matrix of a 2D polytope or offset
-    boundary, one block of nodes at a time, with the loop's scratch.
+    """The element-major (element, node) distance matrix of a 2D polytope
+    or offset boundary, one block of nodes at a time, with the loop's
+    scratch.
 
     Elements run in cycle order (_Cycle).  Yields (rows, dist, clamp,
     work) over the geometry._row_blocks of points (cost E, the element
-    count): rows slices points, dist (n, E) holds the element distances
-    and clamp (n, E) the element clamp codes; on an offset the arcs are
-    the even columns and the edges the odd ones.  work is the pair
-    (float scratch, bool scratch) of flat arrays of 2 n E and 3 n E
-    entries that the kernels work in, free for the caller's own planes
-    (see _planes) until it draws the next block.
+    count): rows slices points, dist (E, n) holds the element distances
+    and clamp (E, n) the element clamp codes, one row per element and the
+    n points of the block along it, so a reduction over the elements is
+    one over axis 0; on an offset the arcs are the even rows and the edges
+    the odd ones.  work is the pair (float scratch, bool scratch) of flat
+    arrays of 2 E n and 3 E n entries that the kernels work in, free for
+    the caller's own planes (see _planes) until it draws the next block.
 
     All of it is allocated once per call, for the first and largest
-    block, and every block works in [:n] views of it: dist, clamp and
+    block, and every block works in [:E n] views of it: dist, clamp and
     work are valid only until the next block is drawn, so a caller copies
     whatever it keeps.  The scratch belongs to this one call, never to
     the module or the shape, so calls on several threads at once do not
@@ -1278,14 +1305,16 @@ def _element_blocks(shape, points):
     dists, clamps = floats[:plane], flags[:plane].view(np.int8)
     work = floats[plane:], flags[plane:].view(bool)
     for rows in blocks:
-        p = points[rows]
-        dist = dists[:p.shape[0] * size].reshape(-1, size)
-        clamp = clamps[:p.shape[0] * size].reshape(-1, size)
+        # the block's coordinates as two contiguous rows, which every
+        # plane operation reads along its long axis
+        px, py = np.ascontiguousarray(points[rows].T)
+        dist = dists[:px.size * size].reshape(size, -1)
+        clamp = clamps[:px.size * size].reshape(size, -1)
         if cyc.radius:
-            _arc_distances(p, cyc, dist[:, 0::2], clamp[:, 0::2], work)
-            _segment_distances(p, cyc, dist[:, 1::2], clamp[:, 1::2], work)
+            _arc_distances(px, py, cyc, dist[0::2], clamp[0::2], work)
+            _segment_distances(px, py, cyc, dist[1::2], clamp[1::2], work)
         else:
-            _segment_distances(p, cyc, dist, clamp, work)
+            _segment_distances(px, py, cyc, dist, clamp, work)
         yield rows, dist, clamp, work
 
 
@@ -1321,10 +1350,11 @@ def _element_feet(shape, points, elem, clamp):
 
 
 def _boundary_distance_2d(shape, points):
-    """Row minimum of the element distance matrix, block by block."""
+    """Each point's minimum over the elements of the element-major
+    distance matrix (axis 0), block by block."""
     out = np.empty(points.shape[0])
     for rows, dist, _, _ in _element_blocks(shape, points):
-        out[rows] = dist.min(axis=1)
+        out[rows] = dist.min(axis=0)
     return out
 
 

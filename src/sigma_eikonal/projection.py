@@ -197,9 +197,17 @@ def _matrix_spreads(pad, cnt, tol):
     # a near pair off the diagonal (padding is one) needs the first-come
     # pass, which never keeps a padding slot
     if near is not None and np.count_nonzero(near) > r * w:
-        reps = np.arange(w) < cnt
-        for j in range(1, w):
-            reps[:, j] &= ~(reps[:, :j] & near[:, j, :j]).any(axis=1)
+        # slot j is kept when valid and near no kept slot before it: a
+        # fixpoint, unique by induction on j, so the sweep reaches the
+        # column-by-column loop's answer once it stops changing
+        valid = np.arange(w) < cnt
+        near &= np.tri(w, k=-1, dtype=bool)
+        reps = valid
+        while True:
+            new = valid & ~(near & reps[:, None, :]).any(axis=2)
+            if np.array_equal(new, reps):
+                break
+            reps = new
         dist = np.where(reps[:, :, None] & reps[:, None, :], dist, 0.0)
     # padding repeats a row's last point, which adds no larger distance
     return reps, dist.max(axis=(1, 2))
@@ -253,27 +261,29 @@ def _concat_ranges(starts, lengths):
 # ---------------------------------------------------------------------------
 
 def _nearest_elements(dist, clamp, tau_multi, eq_tol, work):
-    """Row minimum and kept elements of (row, element) distance and clamp
-    matrices in cycle order.
+    """Minimum and kept elements of each point of element-major (element,
+    point) distance and clamp matrices in cycle order: one row per
+    element, reduced over axis 0.
 
-    A row keeps the elements within tau_multi of its minimum, less the
+    A point keeps the elements within tau_multi of its minimum, less the
     feet clamped at a junction past which the neighbour element keeps
     falling by more than eq_tol: those are path points of the boundary
     distance profile, not separate nearest-point basins.  The neighbour is
     the next element in the cycle where the clamp code is +1, else the
     previous one.  The work runs in two float and three bool planes of
     the block's scratch work (geometry._element_blocks), and the kept
-    matrix returned is one of them: valid until the next block.
+    matrix returned, (element, point) like dist, is one of them: valid
+    until the next block.
     """
     nb, lower = _planes(work[0], dist.shape, 2)
     back, jump, kept = _planes(work[1], dist.shape, 3)
-    d_opt = dist.min(axis=1)
-    np.less_equal(dist, (d_opt + tau_multi)[:, None], out=kept)
-    nb[:, :-1] = dist[:, 1:]
-    nb[:, -1] = dist[:, 0]
+    d_opt = dist.min(axis=0)
+    np.less_equal(dist, d_opt + tau_multi, out=kept)
+    nb[:-1] = dist[1:]
+    nb[-1] = dist[0]
     np.less_equal(clamp, 0, out=back)
-    np.copyto(nb[:, 1:], dist[:, :-1], where=back[:, 1:])
-    np.copyto(nb[:, 0], dist[:, -1], where=back[:, 0])
+    np.copyto(nb[1:], dist[:-1], where=back[1:])
+    np.copyto(nb[0], dist[-1], where=back[0])
     np.subtract(dist, eq_tol, out=lower)
     np.less(nb, lower, out=jump)
     jump &= np.not_equal(clamp, 0, out=back)
@@ -284,14 +294,15 @@ def _nearest_elements(dist, clamp, tau_multi, eq_tol, work):
 def _cycle_rows(shape, pts, tau_multi, full, d_opt=None):
     """Rows of points on a 2D polytope or offset, from its element cycle.
 
-    Each block of geometry's element distance matrix gives its rows'
-    distances, the row minima (so a d_opt passed in is not read), and,
-    through _nearest_elements, the elements each row keeps.  With full
-    every row is resolved; without it only the rows that keep two or more
-    elements, the only ones that can be ties.  Their feet come from one
-    geometry._element_feet call on the kept clamp codes, in cycle order,
-    and _spreads dedupes them, first come first kept, and measures their
-    spread.  Each row is the arithmetic of its point alone.
+    Each block of geometry's element-major (element, point) distance
+    matrix gives its points' distances, the minima over axis 0 (so a
+    d_opt passed in is not read), and, through _nearest_elements, the
+    elements each point keeps.  With full every row is resolved; without
+    it only the rows that keep two or more elements, the only ones that
+    can be ties.  Their feet come from one geometry._element_feet call on
+    the kept clamp codes, in cycle order, and _spreads dedupes them, first
+    come first kept, and measures their spread.  Each row is the
+    arithmetic of its point alone.
     """
     diam = shape.diameter()
     eq_tol = 1e-12 * max(1.0, diam)
@@ -302,10 +313,11 @@ def _cycle_rows(shape, pts, tau_multi, full, d_opt=None):
     for sel, dist, clamp, work in _element_blocks(shape, pts):
         d_opt[sel], kept = _nearest_elements(dist, clamp, tau_multi, eq_tol,
                                              work)
-        n_kept = kept.sum(axis=1)
+        n_kept = kept.sum(axis=0)
         cand = np.flatnonzero(n_kept > (0 if full else 1))
-        row, k = np.nonzero(kept[cand])     # row-major: cycle order per row
-        parts.append((sel.start + cand, n_kept[cand], k, clamp[cand[row], k]))
+        # point-major over the transpose: cycle order within each row
+        row, k = np.nonzero(kept[:, cand].T)
+        parts.append((sel.start + cand, n_kept[cand], k, clamp[k, cand[row]]))
     # the loop's views keep its scratch alive: free it before the feet
     dist = clamp = work = kept = None
     rows, count, elem, code = map(np.concatenate, zip(*parts))
@@ -328,15 +340,16 @@ def _cycle_nearest_feet(shape, pts):
     """One nearest boundary foot per point of a 2D polytope or offset.
 
     Intended for bulk gradient evaluation away from ties, where any single
-    global minimizer determines the gradient.  The nearest element is the
-    row argmin of geometry's element distance matrix, and its foot the one
-    whose distance that matrix holds.
+    global minimizer determines the gradient.  The nearest element is each
+    point's argmin over axis 0 of geometry's element-major (element,
+    point) distance matrix, and its foot the one whose distance that
+    matrix holds.
     """
     elem = np.empty(pts.shape[0], dtype=np.intp)
     code = np.empty(pts.shape[0], dtype=np.int8)
     for rows, dist, clamp, _ in _element_blocks(shape, pts):
-        elem[rows] = k = dist.argmin(axis=1)
-        code[rows] = clamp[np.arange(k.size), k]
+        elem[rows] = k = dist.argmin(axis=0)
+        code[rows] = clamp[k, np.arange(k.size)]
     return _element_feet(shape, pts, elem, code)
 
 
@@ -660,8 +673,8 @@ def _resolver(shape, pts, tau_multi=None, error=ProjectionError):
     A Box is read as its cached polytope.  A graph has no exact boundary
     distance and raises GeometryError: resolve its boundary_sample
     instead.  Another unknown shape, pts other than rows of shape.dim
-    coordinates, and a tie window that is not a finite number >= 0 raise
-    error; tau_multi None is default_tau_multi(shape).
+    finite coordinates, and a tie window that is not a finite number >= 0
+    raise error; tau_multi None is default_tau_multi(shape).
 
     A rows function is called as rows(shape, pts, tau_multi, full, d_opt)
     and returns (d_opt, count, feet, spread, stats) for the n rows of pts:
@@ -686,6 +699,8 @@ def _resolver(shape, pts, tau_multi=None, error=ProjectionError):
         raise error(f"unsupported shape {type(shape).__name__}")
     if pts.ndim != 2 or pts.shape[1] != shape.dim:
         raise error(f"query points must be {shape.dim}D")
+    if not np.isfinite(pts).all():
+        raise error("query points must be finite")
     if tau_multi is None:
         tau_multi = default_tau_multi(shape)
     if not (np.isfinite(tau_multi) and tau_multi >= 0):

@@ -27,7 +27,9 @@ are the one-row forms of ``projection._spreads``.  ``_solve_update`` is
 the sorted-list Godunov update that ``eikonal.fast_march`` runs inline,
 and ``one_sided_cosines`` (with ``detect_gradjump`` on top) the
 (n, 2^dim, 2^dim) einsum cosine matrix that the pairwise cosines of
-``singular._one_sided_cosines`` replaced.  The production code
+``singular._one_sided_cosines`` replaced.  ``matrix_spreads`` is
+``projection._matrix_spreads`` with the column-by-column first-come pass
+that its fixpoint replaced.  The production code
 must return exactly the same arrays (``np.array_equal``): the kernels and the march
 keep the same arithmetic and the same acceptance order, and the batched
 row resolution and bisection make the same decisions.
@@ -75,6 +77,24 @@ def dedupe(points, tol):
         if not any(np.linalg.norm(p - q) <= tol for q in keep):
             keep.append(p)
     return np.array(keep)
+
+
+def matrix_spreads(pad, cnt, tol):
+    """(reps, spread) of an (r, w) block of padded rows of points, as
+    projection._matrix_spreads: reps None when no slot is near another,
+    else kept column by column, slot j when it is real and near no kept
+    slot before it."""
+    r, w = pad.shape[:2]
+    diff = pad[:, :, None, :] - pad[:, None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=3))
+    reps = None
+    near = None if tol is None else dist <= tol
+    if near is not None and np.count_nonzero(near) > r * w:
+        reps = np.arange(w) < cnt
+        for j in range(1, w):
+            reps[:, j] &= ~(reps[:, :j] & near[:, j, :j]).any(axis=1)
+        dist = np.where(reps[:, :, None] & reps[:, None, :], dist, 0.0)
+    return reps, dist.max(axis=(1, 2))
 
 
 def box_boundary_distance(box, points):
@@ -454,7 +474,9 @@ def arc_distance_matrix(points, center, a0, sweep, e0, e1, radius):
 def element_distance_matrix(shape, points):
     """The (node, element) distance and clamp matrices of a 2D polytope or
     offset in cycle order, from point_segment_distance and
-    arc_distance_matrix over all points at once."""
+    arc_distance_matrix over all points at once.  They stay point-major,
+    (n, E), as the reference: geometry._element_blocks yields the
+    element-major (E, n) transpose."""
     cyc = shape._cycle
     seg = point_segment_distance(points, cyc.seg_a, cyc.seg_b)
     if not cyc.radius:

@@ -6,6 +6,7 @@ replaced.  Both forms make the same decisions on the same arithmetic, so
 the arrays must be equal bit for bit, not merely close.
 """
 
+import math
 import pkgutil
 from importlib import import_module
 
@@ -28,6 +29,7 @@ from sigma_eikonal.geometry import (
     _element_blocks,
     _element_feet,
     _triangle_feet,
+    _wrap_turn,
     make_random_polytope,
 )
 from sigma_eikonal.innerball import inner_ball_profile, inner_ball_radius
@@ -351,7 +353,8 @@ def test_batched_feet_match_scalar_query(monkeypatch):
     foot and clamp code), one element for all points and a random element
     per point, with the base vertices (the arc centres) among the points.
     A block is valid only until the next is drawn, so each is copied as
-    it arrives; the budget gives several blocks and a shorter last one."""
+    it arrives, transposed from the element-major (E, n) to (n, E); the
+    budget gives several blocks and a shorter last one."""
     poly = make_random_polytope(16, 1)
     rng = np.random.default_rng(0)
     pts = np.vstack([rng.uniform(-3.0, 3.0, (500, 2)), poly.vertices])
@@ -359,8 +362,8 @@ def test_batched_feet_match_scalar_query(monkeypatch):
     monkeypatch.setattr(geometry, "PAIRS_PER_BLOCK", 1600)
     for shape in (poly, OffsetBody(poly, 0.3)):
         cycle = oracle_cycle(shape)
-        blocks = [(rows, dist.copy(), clamp.copy()) for rows, dist, clamp, _
-                  in _element_blocks(shape, pts)]
+        blocks = [(rows, dist.T.copy(), clamp.T.copy()) for rows, dist,
+                  clamp, _ in _element_blocks(shape, pts)]
         sizes = [rows.stop - rows.start for rows, _, _ in blocks]
         assert len(sizes) > 2 and sizes[-1] < sizes[0]
         dist = np.vstack([b[1] for b in blocks])
@@ -560,20 +563,52 @@ def kernel_edge_points(shape):
                          ids=[lbl for lbl, _ in projection_shapes_2d()])
 def test_element_distance_blocks_match_einsum_kernels(label, shape):
     """The coordinate-plane kernels give the distance and clamp matrices of
-    the (n, E, 2) einsum forms bit for bit, on the h = 1/20 grid and at the
-    points where a kernel switches branch."""
+    the (n, E, 2) einsum forms bit for bit, transposed from their
+    element-major (E, n) blocks, on the h = 1/20 grid and at the points
+    where a kernel switches branch."""
     pts = np.vstack([grid_covering(shape, MASK_STEPS[0]).points(),
                      kernel_edge_points(shape)])
     want_dist, want_clamp = oracles.element_distance_matrix(shape, pts)
     n_rows = 0
     for rows, dist, clamp, _ in _element_blocks(shape, pts):
         assert clamp.dtype == want_clamp.dtype
-        assert np.array_equal(dist, want_dist[rows])
-        assert np.array_equal(clamp, want_clamp[rows])
-        n_rows += dist.shape[0]
+        assert np.array_equal(dist.T, want_dist[rows])
+        assert np.array_equal(clamp.T, want_clamp[rows])
+        n_rows += dist.T.shape[0]
     assert n_rows == pts.shape[0]
     edge = oracles.element_distance_matrix(shape, kernel_edge_points(shape))[1]
     assert (edge == -1).any() and (edge == 1).any()
+
+
+def test_sector_angle_wrap_is_np_remainder():
+    """_wrap_turn's two masked steps give np.remainder(x, 2 pi) on
+    [-2 pi, 2 pi], up to the sign of a zero, and the same <= sweep masks:
+    at +-2 pi, +-0, the neighbours of +-2 pi, tiny negatives whose x + 2 pi
+    rounds to 2 pi, and arctan2 - a0 draws with a0 from math.atan2."""
+    turn = 2.0 * np.pi
+    rng = np.random.default_rng(5)
+    edges = [turn, -turn, 0.0, -0.0, np.nextafter(turn, 0.0),
+             np.nextafter(-turn, 0.0), np.pi, -np.pi, 5e-324, -5e-324,
+             -1e-300, -1e-17, -np.spacing(turn) / 4, -np.spacing(turn) / 2,
+             -np.spacing(turn)]
+    y, x = rng.normal(size=(2, 100_000))
+    y[:1000] = rng.choice([0.0, -0.0], 1000)
+    a0 = np.array([math.atan2(v, u) for v, u in rng.normal(size=(200, 2))]
+                  + [math.pi, -math.pi, 0.0, -0.0, math.atan2(-0.0, -1.0)])
+    local = np.concatenate([edges, (np.arctan2(y, x)[:, None]
+                                    - a0[rng.integers(0, a0.size, 16)]
+                                    ).ravel(),
+                            np.arctan2(0.0, -1.0) - a0,
+                            np.arctan2(-0.0, -1.0) - a0])
+    assert (np.abs(local) <= turn).all()
+    want = np.remainder(local, turn)
+    got = _wrap_turn(local.copy(), np.empty(local.shape, dtype=bool))
+    assert np.array_equal(got, want)
+    assert (got == turn).any() and (got == 0.0).any()
+    sweeps = np.concatenate([[0.0, 5e-324, np.nextafter(turn, 0.0), turn],
+                             rng.uniform(0.0, turn, 8)])
+    for sweep in sweeps:
+        assert np.array_equal(got <= sweep, want <= sweep)
 
 
 # ---------------------------------------------------------------------------

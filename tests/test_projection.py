@@ -19,8 +19,9 @@ from sigma_eikonal.projection import (
     default_tau_multi,
     project,
 )
-from sigma_eikonal.singular import detect_multiproj
+from sigma_eikonal.singular import DetectionError, detect_multiproj
 
+import oracles
 from conftest import dense_boundary_distance
 
 
@@ -209,6 +210,24 @@ def test_project_rejects_bad_input(unit_square, unit_disk, offset_square):
                 project(shape, np.full(shape.dim, 0.3), tau_multi=tau)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_points_raise(bad, unit_disk, offset_square):
+    """A NaN or infinite coordinate raises the entry point's error, on
+    every family: project's ProjectionError, and detect_multiproj's
+    DetectionError for a grid whose origin is not finite.  project used to
+    answer a NaN distance with no feet as a singleton."""
+    shapes = [Box((1.0, 1.0)), offset_square, unit_disk,
+              Ellipse((1.0, 0.5)), unit_disk.boundary_sample(0.1),
+              make_random_polytope(12, seed=2, dim=3)]
+    for shape in shapes:
+        with pytest.raises(ProjectionError):
+            project(shape, np.r_[bad, np.zeros(shape.dim - 1)])
+        grid = GridSpec((bad,) + (0.0,) * (shape.dim - 1), 0.25,
+                        (8,) * shape.dim)
+        with pytest.raises(DetectionError):
+            detect_multiproj(shape, grid)
+
+
 def exact_shapes():
     """One shape of every exact family, in 2D and in 3D."""
     poly, poly_3d = make_random_polytope(16, 1), make_random_polytope(
@@ -281,6 +300,42 @@ def test_project_agrees_with_the_detector(label, shape):
         res = project(shape, nodes[i], h)
         assert res.is_singleton == (not flags[i])
         assert res.distance == dist[i]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), width=st.integers(4, 32),
+       rows=st.integers(1, 6), tol=st.sampled_from([None, 1e-9, 0.25]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_matrix_spreads_match_the_first_come_loop(data, width, rows, tol,
+                                                  seed):
+    """_matrix_spreads keeps the same slots and spreads as the column by
+    column first-come loop it replaced (oracles.matrix_spreads), bit for
+    bit.  Each row holds 2 to width real points, padded by repeating its
+    last one; a chain row steps 0.3 to 1.2 tol along a line, in order or
+    shuffled, so whether a point is dropped hangs on which earlier points
+    were kept."""
+    rng = np.random.default_rng(seed)
+    step = 0.25 if tol is None else tol
+    pad = np.empty((rows, width, 2))
+    cnt = np.empty((rows, 1), dtype=int)
+    for i in range(rows):
+        n = cnt[i, 0] = data.draw(st.integers(2, width))
+        kind = data.draw(st.sampled_from(["chain", "shuffled", "random"]))
+        if kind == "random":
+            pts = rng.normal(size=(n, 2))
+        else:
+            line = rng.normal(size=2)
+            line /= np.linalg.norm(line)
+            pts = np.cumsum(rng.uniform(0.3, 1.2, n) * step)[:, None] * line
+            if kind == "shuffled":
+                pts = rng.permutation(pts)
+        pad[i, :n], pad[i, n:] = pts, pts[-1]
+    got = projection._matrix_spreads(pad, cnt, tol)
+    want = oracles.matrix_spreads(pad, cnt, tol)
+    assert (got[0] is None) == (want[0] is None)
+    if want[0] is not None:
+        assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
