@@ -28,7 +28,6 @@ from .distance import (
     ZeroDistanceError,
     distance_field,
     field_to_csv,
-    finite_difference_gradient,
     gradient_by_projection,
     gradient_field,
     grid_covering,
@@ -80,8 +79,8 @@ __all__ = [
     "ProjectionError", "ProjectionResult", "default_tau_multi", "project",
     "GridError", "GridSpec", "ScalarField", "SingularPointError",
     "ZeroDistanceError", "distance_field", "field_to_csv",
-    "finite_difference_gradient", "gradient_by_projection", "gradient_field",
-    "grid_covering", "read_field", "signed_distance_field", "write_field",
+    "gradient_by_projection", "gradient_field", "grid_covering",
+    "read_field", "signed_distance_field", "write_field",
     "EikonalError", "EikonalProblem", "ResidualReport", "fast_march",
     "problem_from_shape", "residuals", "upwind_residual",
     "write_residual_report",

@@ -223,6 +223,9 @@ def cmd_innerball(args, cfg):
 
 def cmd_verify(args, cfg):
     name = args.experiment
+    if cfg.grid is not None and parse_grid(cfg.grid)[1] is not None:
+        raise ExperimentError(f"verify reads only a grid step, got dims in "
+                              f"{cfg.grid!r}")
     try:
         report = EXPERIMENTS[name](cfg)
     except Exception as exc:

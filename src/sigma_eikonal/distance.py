@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import OffsetBody, _row_blocks
+from .geometry import OffsetBody, _require, _row_blocks
 from .projection import project
 
 MAX_TOTAL_NODES = 2 ** 27
@@ -79,8 +79,9 @@ class GridSpec:
         object.__setattr__(self, "spacing", float(self.spacing))
         if len(origin) != len(dims) or len(dims) not in (2, 3):
             raise GridError("grid must be 2D or 3D with matching origin")
-        if self.spacing <= 0:
-            raise GridError("grid spacing must be positive")
+        _require(origin, GridError, "grid origin must be finite")
+        _require(self.spacing, GridError,
+                 "grid spacing must be finite and positive", positive=True)
         if any(d < MIN_AXIS_NODES for d in dims):
             raise GridError(f"grids need at least {MIN_AXIS_NODES} nodes per axis")
         if self.n_nodes > MAX_TOTAL_NODES:
@@ -299,40 +300,9 @@ def gradient_by_projection(shape, x, tau_multi=None):
     return (x - res.nearest[0]) / res.distance
 
 
-def finite_difference_gradient(field, index):
-    """Central-difference gradient at a node; one-sided at grid edges.
-
-    Returns (gradient, one_sided) where one_sided flags that at least one
-    axis had to fall back to a forward or backward difference.
-    """
-    g = field.grid
-    h = g.spacing
-    vals = field.values
-    idx = tuple(int(i) for i in index)
-    if any(i < 0 or i >= g.dims[k] for k, i in enumerate(idx)):
-        raise GridError(f"node {idx} is outside the grid")
-    grad = np.zeros(g.dim)
-    one_sided = False
-    for k in range(g.dim):
-        lo = list(idx)
-        hi = list(idx)
-        if idx[k] == 0:
-            hi[k] += 1
-            grad[k] = (vals[tuple(hi)] - vals[idx]) / h
-            one_sided = True
-        elif idx[k] == g.dims[k] - 1:
-            lo[k] -= 1
-            grad[k] = (vals[idx] - vals[tuple(lo)]) / h
-            one_sided = True
-        else:
-            lo[k] -= 1
-            hi[k] += 1
-            grad[k] = (vals[tuple(hi)] - vals[tuple(lo)]) / (2.0 * h)
-    return grad, one_sided
-
-
 def gradient_field(field):
-    """Componentwise np.gradient of the whole field (central inside)."""
+    """Componentwise np.gradient of the whole field: central differences
+    inside, one-sided ones on the grid rim."""
     grads = np.gradient(field.values, field.grid.spacing)
     return np.stack(grads, axis=-1)
 

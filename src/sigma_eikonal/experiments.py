@@ -188,6 +188,9 @@ def run_lemma_gradient(config):
         fld = ScalarField(grid, dK, kind="distance")
         flag_dist = mask.distance_to_flags()
         eligible = (dK >= 10.0 * h) & (flag_dist >= 10.0 * h)
+        if not eligible.any():
+            raise ExperimentError(f"{label}: no node lies 10h from both the "
+                                  f"boundary and the flags at h={h:g}")
 
         pts = grid.points()
         feet = _nearest_feet(shape, pts)

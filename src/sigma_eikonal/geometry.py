@@ -13,7 +13,7 @@ interface used by the field and detection modules:
                         Euclidean distance to the hypersurface, vectorized
                         (a graph raises: measure its boundary_sample)
     boundary_sample(spacing)
-                        SampledSurface with inner normals and weights
+                        SampledSurface of points with inner normals
     to_spec()           JSON-serializable description, round-trips exactly
 
 Conventions: polytope facet normals point outward and are unit length;
@@ -39,38 +39,42 @@ class GeometryError(ValueError):
     """Invalid shape construction or sampling request."""
 
 
+def _require(values, error, message, positive=False):
+    """Raise error(message) unless every entry of values is finite and,
+    with positive, above zero: tested as not (x > 0), so NaN fails too."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all() or (positive and not (values > 0).all()):
+        raise error(message)
+
+
 # ---------------------------------------------------------------------------
 # sampled surfaces
 # ---------------------------------------------------------------------------
 
 class SampledSurface:
-    """Discrete boundary: points, inner unit normals, quadrature weights.
+    """Discrete boundary: points and inner unit normals.
 
     ``points`` has shape (N, dim); ``normals`` matches and holds unit vectors
-    pointing into the enclosed region; ``weights`` are surface-measure shares
-    (arc length in 2D, area in 3D).  ``spacing`` records the target sample
+    pointing into the enclosed region.  ``spacing`` records the target sample
     spacing used to build the chain, which downstream tolerances scale with.
     """
 
-    def __init__(self, points, normals, weights, source, spacing, closed=True):
+    def __init__(self, points, normals, spacing, closed=True):
         points = np.asarray(points, dtype=float)
         normals = np.asarray(normals, dtype=float)
-        weights = np.asarray(weights, dtype=float)
         if points.ndim != 2 or points.shape[1] not in (2, 3):
             raise GeometryError("sample points must be (N, 2) or (N, 3)")
-        if not np.isfinite(points).all():
-            raise GeometryError("sample points must be finite")
+        _require(points, GeometryError, "sample points must be finite")
         if normals.shape != points.shape:
             raise GeometryError("normals must match points shape")
-        if weights.shape != (points.shape[0],):
-            raise GeometryError("weights must be one per sample")
+        _require(normals, GeometryError, "inner normals must be finite")
+        _require(spacing, GeometryError,
+                 "sample spacing must be finite and positive", positive=True)
         norms = np.linalg.norm(normals, axis=1)
         if points.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-9:
             raise GeometryError("inner normals must be unit length")
         self.points = points
         self.normals = normals
-        self.weights = weights
-        self.source = source
         self.spacing = float(spacing)
         self.closed = bool(closed)
         self._tree = None
@@ -143,6 +147,8 @@ class ConvexPolytope:
             raise GeometryError("normals must be (m, 2) or (m, 3)")
         if offsets.shape != (normals.shape[0],):
             raise GeometryError("offsets must be one per halfspace")
+        _require(np.append(normals, offsets), GeometryError,
+                 "facet normals and offsets must be finite")
         self.dim = normals.shape[1]
         if normals.shape[0] < self.dim + 1:
             raise GeometryError(
@@ -306,13 +312,10 @@ class ConvexPolytope:
     def boundary_sample(self, spacing):
         _check_spacing(spacing, self.diameter())
         if self.dim == 2:
-            pts, nrm, wts = _sample_polygon(self.vertices, spacing)
-            surf = SampledSurface(pts, nrm, wts, source=self.describe(),
-                                  spacing=spacing, closed=True)
+            pts, nrm = _sample_polygon(self.vertices, spacing)
         else:
-            pts, nrm, wts = _sample_hull_3d(self.hull(), spacing)
-            surf = SampledSurface(pts, nrm, wts, source=self.describe(),
-                                  spacing=spacing, closed=False)
+            pts, nrm = _sample_hull_3d(self.hull(), spacing)
+        surf = SampledSurface(pts, nrm, spacing, closed=self.dim == 2)
         _check_on_surface(self, surf)
         return surf
 
@@ -388,8 +391,8 @@ class OffsetBody:
         if not isinstance(base, ConvexPolytope):
             raise GeometryError("offset base must be a convex polytope")
         epsilon = float(epsilon)
-        if epsilon <= 0.0:
-            raise GeometryError("offset radius must be positive")
+        _require(epsilon, GeometryError,
+                 "offset radius must be finite and positive", positive=True)
         self.base = base
         self.epsilon = epsilon
         self.dim = base.dim
@@ -460,13 +463,10 @@ class OffsetBody:
     def boundary_sample(self, spacing):
         _check_spacing(spacing, self.diameter())
         if self.dim == 2:
-            pts, nrm, wts = _sample_offset_2d(self, spacing)
-            surf = SampledSurface(pts, nrm, wts, source=self.describe(),
-                                  spacing=spacing, closed=True)
+            pts, nrm = _sample_offset_2d(self, spacing)
         else:
-            pts, nrm, wts = _sample_offset_3d(self, spacing)
-            surf = SampledSurface(pts, nrm, wts, source=self.describe(),
-                                  spacing=spacing, closed=False)
+            pts, nrm = _sample_offset_3d(self, spacing)
+        surf = SampledSurface(pts, nrm, spacing, closed=self.dim == 2)
         _check_on_surface(self, surf)
         return surf
 
@@ -505,8 +505,9 @@ class Ball:
         center = np.asarray(center, dtype=float)
         if center.shape not in ((2,), (3,)):
             raise GeometryError("ball center must be 2D or 3D")
-        if radius <= 0:
-            raise GeometryError("ball radius must be positive")
+        _require(center, GeometryError, "ball center must be finite")
+        _require(radius, GeometryError,
+                 "ball radius must be finite and positive", positive=True)
         self.center = center
         self.radius = float(radius)
         self.dim = center.shape[0]
@@ -539,18 +540,12 @@ class Ball:
             n = max(8, int(math.ceil(2.0 * np.pi * self.radius / spacing)))
             t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
             outward = np.column_stack([np.cos(t), np.sin(t)])
-            pts = self.center + self.radius * outward
-            wts = np.full(n, 2.0 * np.pi * self.radius / n)
-            surf = SampledSurface(pts, -outward, wts, source=self.describe(),
-                                  spacing=spacing, closed=True)
         else:
             area = 4.0 * np.pi * self.radius ** 2
             n = max(32, int(math.ceil(area / spacing ** 2)))
             outward = _direction_net(3, n)
-            pts = self.center + self.radius * outward
-            wts = np.full(n, area / n)
-            surf = SampledSurface(pts, -outward, wts, source=self.describe(),
-                                  spacing=spacing, closed=False)
+        surf = SampledSurface(self.center + self.radius * outward, -outward,
+                              spacing, closed=self.dim == 2)
         _check_on_surface(self, surf)
         return surf
 
@@ -578,8 +573,8 @@ class Ellipse:
         semi_axes = np.asarray(semi_axes, dtype=float)
         if semi_axes.shape != (2,):
             raise GeometryError("semi_axes must be length 2")
-        if np.any(semi_axes <= 0):
-            raise GeometryError("semi-axes must be positive")
+        _require(semi_axes, GeometryError,
+                 "semi-axes must be finite and positive", positive=True)
         self.semi_axes = semi_axes
 
     def diameter(self):
@@ -620,9 +615,7 @@ class Ellipse:
         pts = p[np.clip(idx, 0, n_par - 1)]
         grad = pts / self.semi_axes ** 2
         outward = grad / np.linalg.norm(grad, axis=1, keepdims=True)
-        wts = np.full(n, total / n)
-        surf = SampledSurface(pts, -outward, wts, source=self.describe(),
-                              spacing=spacing, closed=True)
+        surf = SampledSurface(pts, -outward, spacing, closed=True)
         _check_on_surface(self, surf)
         return surf
 
@@ -716,8 +709,8 @@ class Box:
         extents = np.array(extents, dtype=float)
         if extents.shape not in ((2,), (3,)):
             raise GeometryError("extents must be length 2 or 3")
-        if np.any(extents <= 0):
-            raise GeometryError("half-extents must be positive")
+        _require(extents, GeometryError,
+                 "half-extents must be finite and positive", positive=True)
         extents.flags.writeable = False
         self._extents = extents
         self.dim = extents.shape[0]
@@ -786,31 +779,29 @@ class GraphHypersurface:
     with alpha in (0, 1) and integer base >= 2.  The sum converges in C^1 and
     the derivative is alpha-Hoelder; truncation depth ``terms`` controls how
     rough the graph is.  The enclosed region is the open epigraph {y > f(x)}
-    over the window; in 3D the profile is applied radially.  Statistics in
-    experiments are restricted to the central half of the window to suppress
-    endpoint effects.
+    over the window, in the plane.  Statistics in experiments are restricted
+    to the central half of the window to suppress endpoint effects.
     """
 
     is_convex = False
     kind = "graph"
+    dim = 2
 
-    def __init__(self, alpha, base, terms, window=(0.0, 1.0), dim=2):
+    def __init__(self, alpha, base, terms, window=(0.0, 1.0)):
         if not (0.0 < alpha < 1.0):
             raise GeometryError("alpha must lie in (0, 1)")
         if int(base) != base or base < 2:
             raise GeometryError("base must be an integer >= 2")
         if int(terms) != terms or terms < 1:
             raise GeometryError("terms must be a positive integer")
-        if dim not in (2, 3):
-            raise GeometryError("dim must be 2 or 3")
         lo, hi = float(window[0]), float(window[1])
+        _require((lo, hi), GeometryError, "window must be finite")
         if not lo < hi:
             raise GeometryError("window must be a nonempty interval")
         self.alpha = float(alpha)
         self.base = int(base)
         self.terms = int(terms)
         self.window = (lo, hi)
-        self.dim = dim
         k = np.arange(self.terms)
         self._amps = float(self.base) ** (-k * (1.0 + self.alpha))
         self._freqs = float(self.base) ** k * np.pi
@@ -828,19 +819,12 @@ class GraphHypersurface:
     def max_slope(self):
         return float(np.sum(self._amps * self._freqs))
 
-    def height(self, points):
-        """Graph height under a point: f(x) in 2D, f(|xy|) radially in 3D."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.dim == 2:
-            return self.profile(points[:, 0])
-        return self.profile(np.linalg.norm(points[:, :2], axis=1))
-
     def contains(self, points, tol=0.0):
-        """Membership in the closed epigraph {last coordinate >= f}."""
+        """Membership in the closed epigraph {y >= f(x)}."""
         points = np.asarray(points, dtype=float)
         single = points.ndim == 1
         pts = np.atleast_2d(points)
-        ok = pts[:, -1] >= self.height(pts) - tol
+        ok = pts[:, 1] >= self.profile(pts[:, 0]) - tol
         return bool(ok[0]) if single else ok
 
     def diameter(self):
@@ -851,9 +835,7 @@ class GraphHypersurface:
     def bbox(self):
         lo, hi = self.window
         amp = float(np.sum(self._amps))
-        if self.dim == 2:
-            return np.array([lo, -amp]), np.array([hi, amp])
-        return np.array([lo, lo, -amp]), np.array([hi, hi, amp])
+        return np.array([lo, -amp]), np.array([hi, amp])
 
     def boundary_distance(self, points):
         raise GeometryError("graphs have no exact boundary distance; "
@@ -866,9 +848,6 @@ class GraphHypersurface:
         samples along the curve stay within the target spacing.
         """
         _check_spacing(spacing, self.diameter())
-        if self.dim != 2:
-            raise GeometryError("3D graph sampling is not implemented; "
-                                "analyze radial profiles through 2D sections")
         lo, hi = self.window
         lo -= pad
         hi += pad
@@ -880,15 +859,9 @@ class GraphHypersurface:
         slope = self.profile_slope(x)
         nrm = np.column_stack([-slope, np.ones_like(slope)])
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-        pts = np.column_stack([x, y])
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        wts = np.zeros(n)
-        wts[:-1] += 0.5 * seg
-        wts[1:] += 0.5 * seg
-        surf = SampledSurface(pts, nrm, wts, source=self.describe(),
-                              spacing=spacing, closed=False)
-        # on-surface check is exact here by construction
-        return surf
+        # on-surface by construction: no _check_on_surface
+        return SampledSurface(np.column_stack([x, y]), nrm, spacing,
+                              closed=False)
 
     def describe(self):
         return (f"graph(alpha={self.alpha}, base={self.base}, "
@@ -896,8 +869,7 @@ class GraphHypersurface:
 
     def to_spec(self):
         return {"kind": "graph", "alpha": self.alpha, "base": self.base,
-                "terms": self.terms, "window": list(self.window),
-                "dim": self.dim}
+                "terms": self.terms, "window": list(self.window)}
 
     def summary(self):
         return {"kind": self.describe(), "dim": self.dim,
@@ -928,7 +900,7 @@ def _check_on_surface(shape, surf):
 
 def _sample_polygon(vertices, spacing):
     """Uniform chain along polygon edges; vertices are always included."""
-    pts, nrm, wts = [], [], []
+    pts, nrm = [], []
     m = vertices.shape[0]
     for i in range(m):
         a = vertices[i]
@@ -942,8 +914,7 @@ def _sample_polygon(vertices, spacing):
         outward = np.array([tangent[1], -tangent[0]])
         pts.append(seg_pts)
         nrm.append(np.tile(-outward, (n, 1)))
-        wts.append(np.full(n, length / n))
-    return np.vstack(pts), np.vstack(nrm), np.concatenate(wts)
+    return np.vstack(pts), np.vstack(nrm)
 
 
 def _offset_elements_2d(base, epsilon):
@@ -972,18 +943,16 @@ def _sample_offset_2d(body, spacing):
     seg, arcs = body.elements()
     seg_a, seg_b, outward = seg
     eps = body.epsilon
-    pts, nrm, wts = [], [], []
+    pts, nrm = [], []
     m = seg_a.shape[0]
     for i in range(m):
         # vertex arc before edge i
         center, a0, sweep = arcs[i]
-        arc_len = eps * sweep
-        n = max(1, int(math.ceil(arc_len / spacing)))
+        n = max(1, int(math.ceil(eps * sweep / spacing)))
         t = a0 + sweep * np.arange(n) / n
         out = np.column_stack([np.cos(t), np.sin(t)])
         pts.append(center + eps * out)
         nrm.append(-out)
-        wts.append(np.full(n, arc_len / n))
         # pushed edge i
         a, b = seg_a[i], seg_b[i]
         length = float(np.linalg.norm(b - a))
@@ -991,22 +960,19 @@ def _sample_offset_2d(body, spacing):
         t = np.arange(n) / n
         pts.append(a + t[:, None] * (b - a))
         nrm.append(np.tile(-outward[i], (n, 1)))
-        wts.append(np.full(n, length / n))
-    return np.vstack(pts), np.vstack(nrm), np.concatenate(wts)
+    return np.vstack(pts), np.vstack(nrm)
 
 
 def _sample_triangles(hull, spacing, push):
     """Barycentric grids over hull triangles, pushed out along their
     normals by push, at roughly the target spacing.  Returns the sample
-    lists (points, inner normals, weights) and the triangles' unit
-    normals."""
-    pts, nrm, wts, normals = [], [], [], []
+    lists (points, inner normals) and the triangles' unit normals."""
+    pts, nrm, normals = [], [], []
     for simplex, eq in zip(hull.simplices, hull.equations):
         normal = eq[:3] / np.linalg.norm(eq[:3])
         normals.append(normal)
         a, b, c = hull.points[simplex] + push * normal
         u, v = b - a, c - a
-        area = 0.5 * float(np.linalg.norm(np.cross(u, v)))
         n = max(1, int(math.ceil(max(np.linalg.norm(u), np.linalg.norm(v))
                                  / spacing)))
         cell = []
@@ -1020,14 +986,13 @@ def _sample_triangles(hull, spacing, push):
         p = a + cell[:, :1] * u + cell[:, 1:] * v
         pts.append(p)
         nrm.append(np.tile(-normal, (p.shape[0], 1)))
-        wts.append(np.full(p.shape[0], area / p.shape[0]))
-    return pts, nrm, wts, normals
+    return pts, nrm, normals
 
 
 def _sample_hull_3d(hull, spacing):
     """Barycentric grids over hull triangles at roughly the target spacing."""
-    pts, nrm, wts, _ = _sample_triangles(hull, spacing, 0.0)
-    return np.vstack(pts), np.vstack(nrm), np.concatenate(wts)
+    pts, nrm, _ = _sample_triangles(hull, spacing, 0.0)
+    return np.vstack(pts), np.vstack(nrm)
 
 
 def _sample_offset_3d(body, spacing):
@@ -1036,7 +1001,7 @@ def _sample_offset_3d(body, spacing):
     eps = body.epsilon
     hull = base.hull()
     verts = hull.points
-    pts, nrm, wts, facet_normals = _sample_triangles(hull, spacing, eps)
+    pts, nrm, facet_normals = _sample_triangles(hull, spacing, eps)
 
     # edge strips between adjacent facets; two hull triangles in one facet
     # plane of the base meet at no angle, whatever acos reads from their
@@ -1071,7 +1036,6 @@ def _sample_offset_3d(body, spacing):
                        + axis * np.dot(axis, n_a) * (1.0 - math.cos(t)))
                 pts.append((p + eps * rot)[None])
                 nrm.append((-rot)[None])
-                wts.append(np.array([length / n_len * eps * ang / n_ang]))
 
     # vertex caps: sphere directions restricted to the vertex normal cone
     vert_facets = {}
@@ -1086,13 +1050,9 @@ def _sample_offset_3d(body, spacing):
             int(j) for f in facets for j in hull.simplices[f]) - {vi})] - v).T
             <= 1e-12, axis=1)
         cap = sphere[sel]
-        if cap.shape[0] == 0:
-            continue
-        share = 4.0 * np.pi * eps * eps * cap.shape[0] / n_cap / cap.shape[0]
         pts.append(v + eps * cap)
         nrm.append(-cap)
-        wts.append(np.full(cap.shape[0], share))
-    return np.vstack(pts), np.vstack(nrm), np.concatenate(wts)
+    return np.vstack(pts), np.vstack(nrm)
 
 
 # ---------------------------------------------------------------------------
@@ -1546,9 +1506,11 @@ def shape_from_spec(spec):
         if kind == "box":
             return Box(spec["extents"])
         if kind == "graph":
+            if spec.get("dim", 2) != 2:
+                raise GeometryError("graphs are 2D: a graph spec's dim "
+                                    f"must be 2, got {spec['dim']!r}")
             return GraphHypersurface(spec["alpha"], spec["base"], spec["terms"],
-                                     tuple(spec.get("window", (0.0, 1.0))),
-                                     spec.get("dim", 2))
+                                     tuple(spec.get("window", (0.0, 1.0))))
     except KeyError as exc:
         raise GeometryError(f"shape spec missing field {exc}") from exc
     raise GeometryError(f"unknown shape kind {kind!r}")

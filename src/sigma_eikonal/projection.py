@@ -80,6 +80,7 @@ from .geometry import (
     _element_feet,
     _ellipse_feet,
     _planes,
+    _require,
     _row_blocks,
     _triangle_pairs,
 )
@@ -699,8 +700,7 @@ def _resolver(shape, pts, tau_multi=None, error=ProjectionError):
         raise error(f"unsupported shape {type(shape).__name__}")
     if pts.ndim != 2 or pts.shape[1] != shape.dim:
         raise error(f"query points must be {shape.dim}D")
-    if not np.isfinite(pts).all():
-        raise error("query points must be finite")
+    _require(pts, error, "query points must be finite")
     if tau_multi is None:
         tau_multi = default_tau_multi(shape)
     if not (np.isfinite(tau_multi) and tau_multi >= 0):

@@ -179,6 +179,28 @@ def test_verify_unknown_name_exits_two():
     assert exc.value.code == 2
 
 
+def test_verify_lemma_gradient_on_a_coarse_grid_names_shape_and_step(
+        tmp_path, capsys):
+    """At h = 1/20 no node of the square lies 10h from both the boundary
+    and the diagonal flags: a typed error naming the shape and h, not
+    numpy's zero-size reduction."""
+    rc = main(["verify", "lemma_gradient", "--grid", "1/20",
+               "--out", str(tmp_path), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "failed_stage=ExperimentError: square:" in err
+    assert "h=0.05" in err
+
+
+def test_verify_rejects_grid_dims(tmp_path, capsys):
+    """The experiments read only the grid step, so dims are refused."""
+    rc = main(["verify", "offset_identity", "--grid", "1/20,9,9",
+               "--out", str(tmp_path), "--quiet"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "verdict_offset_identity.txt").exists()
+
+
 def test_config_file_feeds_defaults(tmp_path):
     cfg = {"grid": "1/16", "shape": json.loads(DISK),
            "out_dir": str(tmp_path), "quiet": True}

@@ -17,6 +17,7 @@ from sigma_eikonal.geometry import (
     save_shape,
     shape_from_spec,
 )
+from sigma_eikonal.distance import GridError, GridSpec
 from sigma_eikonal.projection import project
 
 from conftest import dense_boundary_distance
@@ -205,8 +206,15 @@ def test_graph_parameter_validation():
         GraphHypersurface(alpha=0.5, base=4, terms=0)
     with pytest.raises(GeometryError):
         GraphHypersurface(alpha=0.5, base=4, terms=2, window=(1.0, 1.0))
-    with pytest.raises(GeometryError):
-        GraphHypersurface(alpha=0.5, base=4, terms=2, dim=4)
+    # graphs are planar: a spec of another dim raises, dim 2 or none loads
+    spec = {"kind": "graph", "alpha": 0.5, "base": 4, "terms": 2,
+            "window": [0.5, 1.5]}
+    with pytest.raises(GeometryError, match="dim"):
+        shape_from_spec({**spec, "dim": 3})
+    for saved in (spec, {**spec, "dim": 2}):
+        graph = shape_from_spec(saved)
+        assert graph.dim == 2
+        assert graph.to_spec() == spec
 
 
 def test_sampled_surface_tree_and_diameter(unit_disk):
@@ -287,3 +295,52 @@ def test_shape_spec_round_trip(tmp_path, unit_square):
 def test_shape_from_spec_rejects_unknown():
     with pytest.raises(GeometryError):
         shape_from_spec({"kind": "torus"})
+
+
+NAN, INF = float("nan"), float("inf")
+SQUARE_NORMALS = np.vstack([np.eye(2), -np.eye(2)])
+TWO_POINTS = np.array([[1.0, 0.0], [0.0, 1.0]])
+
+# case id: (expected error, constructor call with one bad argument)
+BAD_CONSTRUCTIONS = {
+    "grid_nan_origin": (GridError, lambda: GridSpec((NAN, 0.0), 0.1, (8, 8))),
+    "grid_inf_origin": (GridError, lambda: GridSpec((0.0, -INF), 0.1, (8, 8))),
+    "grid_nan_spacing": (GridError, lambda: GridSpec((0.0, 0.0), NAN, (8, 8))),
+    "grid_inf_spacing": (GridError, lambda: GridSpec((0.0, 0.0), INF, (8, 8))),
+    "ball_nan_centre": (GeometryError, lambda: Ball((NAN, 0.0), 1.0)),
+    "ball_nan_radius": (GeometryError, lambda: Ball((0.0, 0.0), NAN)),
+    "ball_inf_radius": (GeometryError, lambda: Ball((0.0, 0.0), INF)),
+    "ellipse_nan_axis": (GeometryError, lambda: Ellipse((1.0, NAN))),
+    "ellipse_inf_axis": (GeometryError, lambda: Ellipse((INF, 1.0))),
+    "offset_nan_epsilon": (GeometryError, lambda: OffsetBody(
+        ConvexPolytope(SQUARE_NORMALS, np.ones(4)), NAN)),
+    "offset_inf_epsilon": (GeometryError, lambda: OffsetBody(
+        ConvexPolytope(SQUARE_NORMALS, np.ones(4)), INF)),
+    "box_nan_extent": (GeometryError, lambda: Box((1.0, NAN))),
+    "box_inf_extent": (GeometryError, lambda: Box((INF, 1.0))),
+    "sampled_nan_normal": (GeometryError, lambda: SampledSurface(
+        TWO_POINTS, [[NAN, 0.0], [0.0, -1.0]], 0.1)),
+    "sampled_nan_spacing": (GeometryError, lambda: SampledSurface(
+        TWO_POINTS, -TWO_POINTS, NAN)),
+    "sampled_zero_spacing": (GeometryError, lambda: SampledSurface(
+        TWO_POINTS, -TWO_POINTS, 0.0)),
+    "polytope_nan_normal": (GeometryError, lambda: ConvexPolytope(
+        np.vstack([[NAN, 0.0], SQUARE_NORMALS[1:]]), np.ones(4))),
+    "polytope_nan_offset": (GeometryError, lambda: ConvexPolytope(
+        SQUARE_NORMALS, [1.0, NAN, 1.0, 1.0])),
+    "polytope_inf_offset": (GeometryError, lambda: ConvexPolytope(
+        SQUARE_NORMALS, [1.0, 1.0, INF, 1.0])),
+    "graph_inf_window": (GeometryError, lambda: GraphHypersurface(
+        0.5, 4, 2, window=(0.0, INF))),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONSTRUCTIONS)
+def test_constructors_reject_non_finite_and_non_positive_input(case):
+    """A NaN or infinite coordinate, or a spacing, radius, semi-axis,
+    extent or epsilon that is not a finite positive number, raises the
+    module's typed error at construction (a polytope's, not linprog's
+    ValueError)."""
+    error, build = BAD_CONSTRUCTIONS[case]
+    with pytest.raises(error):
+        build()

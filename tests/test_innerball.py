@@ -212,8 +212,7 @@ def test_profile_rejects_a_probe_sample_off_the_measured_boundary(unit_disk):
     surf = unit_disk.boundary_sample(0.1)
     pts = surf.points.copy()
     pts[3] += 0.01 * surf.normals[3]
-    moved = SampledSurface(pts, surf.normals, surf.weights, surf.source,
-                           surf.spacing)
+    moved = SampledSurface(pts, surf.normals, surf.spacing)
     with pytest.raises(InnerBallError, match="not on the boundary"):
         inner_ball_profile(moved, 0.1, r_max=1.0, measured=unit_disk)
 

@@ -807,8 +807,7 @@ def test_wrapped_run_breaks_distance_ties_with_its_chain_tail_first():
         np.column_stack([top_tail, np.ones_like(top_tail)]),
     ])
     normals = np.tile([0.0, 1.0], (pts.shape[0], 1))   # not read here
-    chain = SampledSurface(pts, normals, np.full(pts.shape[0], step),
-                           source="rectangle chain", spacing=step)
+    chain = SampledSurface(pts, normals, spacing=step)
     grid = GridSpec(origin=(-0.5, -0.5), spacing=step, dims=(9, 9))
     mask = assert_same_sampled_flags(chain, grid, tau_multi=2.001)
     assert mask.params["multi_run_rows"] > 0

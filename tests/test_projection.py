@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigma_eikonal import projection
-from sigma_eikonal.distance import GridSpec, distance_field, grid_covering
+from sigma_eikonal.distance import GridError, GridSpec, distance_field, \
+    grid_covering
 from sigma_eikonal.geometry import (
     Ball,
     Box,
@@ -214,17 +215,20 @@ def test_project_rejects_bad_input(unit_square, unit_disk, offset_square):
 def test_non_finite_query_points_raise(bad, unit_disk, offset_square):
     """A NaN or infinite coordinate raises the entry point's error, on
     every family: project's ProjectionError, and detect_multiproj's
-    DetectionError for a grid whose origin is not finite.  project used to
-    answer a NaN distance with no feet as a singleton."""
+    DetectionError for a grid whose far nodes overflow to inf.  A grid
+    whose origin is not finite raises GridError when it is built.  project
+    used to answer a NaN distance with no feet as a singleton."""
     shapes = [Box((1.0, 1.0)), offset_square, unit_disk,
               Ellipse((1.0, 0.5)), unit_disk.boundary_sample(0.1),
               make_random_polytope(12, seed=2, dim=3)]
     for shape in shapes:
         with pytest.raises(ProjectionError):
             project(shape, np.r_[bad, np.zeros(shape.dim - 1)])
-        grid = GridSpec((bad,) + (0.0,) * (shape.dim - 1), 0.25,
-                        (8,) * shape.dim)
-        with pytest.raises(DetectionError):
+        with pytest.raises(GridError):
+            GridSpec((bad,) + (0.0,) * (shape.dim - 1), 0.25,
+                     (8,) * shape.dim)
+        grid = GridSpec((0.0,) * shape.dim, 1e308, (8,) * shape.dim)
+        with pytest.raises(DetectionError), np.errstate(over="ignore"):
             detect_multiproj(shape, grid)
 
 

@@ -206,5 +206,5 @@ def test_sampled_surface_rejects_non_finite_points():
     pts = np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]])
     nrm = np.array([[0.0, 0.0, -1.0]] * 2)
     with pytest.raises(GeometryError):
-        SampledSurface(pts, nrm, np.ones(2), source="test", spacing=0.1)
+        SampledSurface(pts, nrm, spacing=0.1)
 
