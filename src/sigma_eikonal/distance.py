@@ -128,9 +128,13 @@ class GridSpec:
 
 def grid_covering(shape, spacing, margin=None):
     """Smallest snapped grid covering the shape with the required margin."""
+    _require(spacing, GridError, "grid spacing must be finite and positive",
+             positive=True)
     lo, hi = shape.bbox()
     if margin is None:
         margin = (COVER_MARGIN_CELLS + 1) * spacing
+    if not 0 <= margin < math.inf:     # also rejects NaN
+        raise GridError(f"grid margin must be finite and >= 0, got {margin}")
     lo = np.asarray(lo, dtype=float) - margin
     hi = np.asarray(hi, dtype=float) + margin
     lo = np.floor(lo / spacing) * spacing

@@ -77,7 +77,7 @@ class SampledSurface:
         self.normals = normals
         self.spacing = float(spacing)
         self.closed = bool(closed)
-        self._tree = None
+        self._tree = self._diameter = None
 
     @property
     def dim(self):
@@ -94,9 +94,11 @@ class SampledSurface:
         return self._tree
 
     def diameter(self):
-        lo = self.points.min(axis=0)
-        hi = self.points.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
+        # kept: the sampled resolver reads it once per fetch block
+        if self._diameter is None:
+            lo, hi = self.bbox()
+            self._diameter = float(np.linalg.norm(hi - lo))
+        return self._diameter
 
     def bbox(self):
         return self.points.min(axis=0), self.points.max(axis=0)
@@ -881,8 +883,8 @@ class GraphHypersurface:
 # ---------------------------------------------------------------------------
 
 def _check_spacing(spacing, diam):
-    if spacing <= 0:
-        raise GeometryError("sample spacing must be positive")
+    _require(spacing, GeometryError,
+             "sample spacing must be finite and positive", positive=True)
     if spacing < MIN_SPACING_FACTOR * diam:
         raise GeometryError(
             f"sample spacing {spacing} below {MIN_SPACING_FACTOR} x diameter; "

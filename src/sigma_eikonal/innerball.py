@@ -35,7 +35,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .distance import GridSpec, _node_distance
-from .geometry import SampledSurface
+from .geometry import SampledSurface, _require
 from .singular import SingularMask, detect_multiproj
 
 TAU_BALL_FACTOR = 1e-6      # default slack, times diameter
@@ -77,12 +77,15 @@ def _inner_ball_radii(shape, points, normals, r_max, tau_ball=None):
     hi - lo falls to the tolerance, so every radius is what a bisection of
     that row alone returns.
     """
-    if r_max <= 0.0:
-        raise InnerBallError("r_max must be positive")
+    _require(r_max, InnerBallError, "r_max must be finite and positive",
+             positive=True)
     r_max = float(r_max)
     dist, diam, half = _measure(shape)
     if tau_ball is None:
         tau_ball = TAU_BALL_FACTOR * diam + half
+    if not 0 <= tau_ball < np.inf:     # also rejects NaN
+        raise InnerBallError(f"tau_ball must be finite and >= 0, "
+                             f"got {tau_ball}")
     if np.any(dist(points) > (half or 1e-9 * max(1.0, diam))):
         raise InnerBallError("query point is not on the boundary")
     contains = getattr(shape, "contains", None)
@@ -123,6 +126,7 @@ def inner_ball_radius(shape, a, nu, r_max, tau_ball=None):
     nu = np.asarray(nu, dtype=float)
     if a.shape != nu.shape or a.ndim != 1:
         raise InnerBallError("point and normal must be matching vectors")
+    _require((a, nu), InnerBallError, "point and normal must be finite")
     if abs(np.linalg.norm(nu) - 1.0) > 1e-9:
         raise InnerBallError("normal must be a unit vector")
     return float(_inner_ball_radii(shape, a[None], nu[None], r_max,

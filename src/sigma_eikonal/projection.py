@@ -65,8 +65,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
+from . import geometry
 from .geometry import (
     Ball,
     Box,
@@ -494,53 +494,103 @@ def _flatten(lists):
 
 
 def _sampled_rows(surface, pts, tau_multi, full, d_opt=None):
-    """Rows of points on a sampled surface, in geometry._row_blocks of rows.
+    """Rows of points on a sampled surface, fetched in blocks of about
+    geometry.PAIRS_PER_BLOCK candidates.
 
     A row's candidates are the samples within tau_multi of its distance
     (d_opt, else the kd-tree's nearest distance), as flat (CSR) rows of
-    ascending sample indices.  With full every row is resolved.  Without
-    it a row of one candidate, or whose candidate bounding box is no wider
-    than tau_multi (the spread cannot exceed it), is not; _sampled_clusters
-    resolves the others.  stats counts the rows resolved (candidate_rows)
-    and, among them, the rows split into two or more candidate runs
-    (multi_run_rows).
+    ascending sample indices.  The first block is one row; each next one
+    holds the rows that the mean candidate count of the rows fetched so
+    far puts at the budget, and at most twice the rows of the block before
+    it.  Each block is resolved before the next fetch (_sampled_block), so
+    no row depends on the blocking.  With full every row is resolved.
+    Without it a row of one candidate, or whose candidate bounding box is
+    no wider than tau_multi (the spread cannot exceed it), is not;
+    _sampled_clusters resolves the others.  stats counts the candidates
+    fetched (candidate_pairs), the fetches (fetch_blocks), the rows
+    resolved (candidate_rows) and, among them, the rows split into two or
+    more candidate runs (multi_run_rows).
     """
-    tree = surface.tree()
     n = pts.shape[0]
     if d_opt is None:
-        d_opt = tree.query(pts)[0]
+        d_opt = surface.tree().query(pts)[0]
     count = np.zeros(n, dtype=np.intp)
     spread = np.zeros(n)
     feet = [np.empty((0, surface.dim))]
-    stats = {"candidate_rows": 0, "multi_run_rows": 0}
-    # a row costs a nominal 4 candidates: 16,384 rows a block
-    for block in _row_blocks(n, 4):
-        # the query lists and the candidate points die inside the helpers
-        n_cand, idx = _flatten(tree.query_ball_point(
-            pts[block], d_opt[block] + tau_multi, return_sorted=True))
-        rows = np.arange(block.start, block.stop)
-        (rows, n_cand), (idx,) = _keep_rows(n_cand > (0 if full else 1),
-                                            n_cand, (rows, n_cand), (idx,))
-        if rows.size == 0:
-            continue
+    stats = dict.fromkeys(("candidate_rows", "multi_run_rows",
+                           "candidate_pairs", "fetch_blocks"), 0)
+    lo, step = 0, 1
+    while lo < n:
+        hi = min(lo + step, n)
+        rows, row_spread, row_count, row_feet = _sampled_block(
+            surface, pts[lo:hi], d_opt[lo:hi] + tau_multi, tau_multi, full,
+            stats)
+        spread[lo + rows] = row_spread
+        if full:
+            count[lo + rows] = row_count
+            feet.append(row_feet)
+        lo = hi
+        step = min(2 * step, max(1, geometry.PAIRS_PER_BLOCK * lo
+                                 // max(1, stats["candidate_pairs"])))
+    if not full:
+        return d_opt, None, None, spread, stats
+    return d_opt, count, np.concatenate(feet), spread, stats
+
+
+def _sampled_block(surface, x, radius, tau_multi, full, stats):
+    """One fetch of _sampled_rows: (rows, spread, count, feet), rows the
+    rows of x resolved, as indices into x, and count and feet None without
+    full.  The candidate lists, their flat indices and spans live only
+    here; stats is updated in place."""
+    n_cand, idx = _flatten(surface.tree().query_ball_point(
+        x, radius, return_sorted=True))
+    stats["candidate_pairs"] += int(idx.size)
+    stats["fetch_blocks"] += 1
+    rows = np.arange(x.shape[0])
+    (rows, n_cand), (idx,) = _keep_rows(n_cand > (0 if full else 1),
+                                        n_cand, (rows, n_cand), (idx,))
+    if rows.size:
         span = _box_diagonals(surface.points[idx], np.cumsum(n_cand) - n_cand)
         if not full:
             (rows, n_cand, span), (idx,) = _keep_rows(
                 span > tau_multi, n_cand, (rows, n_cand, span), (idx,))
-        stats["candidate_rows"] += int(rows.size)
-        if rows.size == 0:
-            continue
-        spread[rows], multi, rep = _sampled_clusters(surface, pts[rows],
-                                                     n_cand, idx, span, full)
-        stats["multi_run_rows"] += int(multi.sum())
-        if full:
-            count[rows] = np.bincount(
-                np.repeat(np.arange(rows.size), n_cand)[rep],
-                minlength=rows.size)
-            feet.append(surface.points[idx[rep]])
+    stats["candidate_rows"] += int(rows.size)
+    if rows.size == 0:
+        return rows, 0.0, 0, np.empty((0, surface.dim))
+    spread, multi, rep = _sampled_clusters(surface, x[rows], n_cand, idx,
+                                           span, full)
+    stats["multi_run_rows"] += int(multi.sum())
     if not full:
-        return d_opt, None, None, spread, stats
-    return d_opt, count, np.concatenate(feet), spread, stats
+        return rows, spread, None, None
+    count = np.bincount(np.repeat(np.arange(rows.size), n_cand)[rep],
+                        minlength=rows.size)
+    return rows, spread, count, surface.points[idx[rep]]
+
+
+def _components(n_nodes, heads, tails):
+    """Connected-component label of each of n_nodes graph nodes, the
+    undirected edges joining heads[k] and tails[k]: the smallest node of
+    its component.
+
+    Min-label propagation with pointer jumping: every node starts as its
+    own label, each edge hooks the larger of its ends' labels onto the
+    smaller, and labels are then followed to their roots, until no edge
+    joins two labels.  A label only falls and never leaves its node's
+    component, so the fixpoint gives each component its smallest node.
+    """
+    label = np.arange(n_nodes)
+    while True:
+        a, b = label[heads], label[tails]
+        if np.array_equal(a, b):
+            return label
+        low = np.minimum(a, b)
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+        while True:
+            root = label[label]
+            if np.array_equal(root, label):
+                break
+            label = root
 
 
 def _sampled_clusters(surface, x, count, idx, span, full):
@@ -554,9 +604,10 @@ def _sampled_clusters(surface, x, count, idx, span, full):
     Euclidean gap by the linking distance CLUSTER_LINK_FACTOR x spacing),
     and a run through the end of a closed chain continues its first run.
     Runs of a row that come within the linking distance are one cluster,
-    through one graph over the runs of all rows; each cluster's
-    representative is its nearest candidate, the first one on ties in
-    chain order, a wrapped run's chain tail first.
+    labelled by its smallest run (_components over the runs of all rows),
+    so a row's clusters come in the order of their first runs; each
+    cluster's representative is its nearest candidate, the first one on
+    ties in chain order, a wrapped run's chain tail first.
 
     A row of two or more clusters has the largest distance between its
     representatives as spread.  A row of one cluster has spread 0, or its
@@ -568,10 +619,6 @@ def _sampled_clusters(surface, x, count, idx, span, full):
     two or more runs, and rep indexes idx at the representatives of those
     rows, or of every row with full, row by row.
     """
-    # imported on first use: scipy.sparse.csgraph adds about 1 MB of
-    # resident memory to every process that would import it with the package
-    from scipy.sparse.csgraph import connected_components
-
     n_samp = surface.points.shape[0]
     lk2 = (CLUSTER_LINK_FACTOR * surface.spacing) ** 2
     max_gap = int(CLUSTER_LINK_FACTOR)
@@ -631,12 +678,8 @@ def _sampled_clusters(surface, x, count, idx, span, full):
         near = (diff ** 2).sum(axis=1) <= lk2
         heads.append(run[ii[near]])
         tails.append(run[jj[near]])
-    n_nodes = int(run.max()) + 1
-    graph = coo_matrix((np.ones(sum(map(len, heads))),
-                        (np.concatenate(heads), np.concatenate(tails))),
-                       shape=(n_nodes, n_nodes))
-    _, comp = connected_components(graph, directed=False)
-    comp = comp[run]
+    comp = _components(int(run.max()) + 1, np.concatenate(heads),
+                       np.concatenate(tails))[run]
 
     # each cluster's representative: its nearest candidate, the first
     # one on ties in chain order, a wrapped run's chain tail first

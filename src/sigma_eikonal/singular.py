@@ -293,10 +293,10 @@ def detect_gradjump(fld, theta_deg=DEFAULT_THETA_DEG):
     The input must be an unsigned distance field (or an eikonal solution,
     which approximates one).  At each interior node the forward/backward
     difference choices per axis give 2^dim one-sided gradient estimates;
-    a minimum pairwise cosine below cos(theta_deg) marks a gradient jump
-    (_one_sided_cosines).  A node is classified only where all 2 dim
-    differences are finite, and flagged only where no estimate is (near)
-    zero.
+    a minimum pairwise cosine below cos(theta_deg), theta_deg in (0, 180],
+    marks a gradient jump (_one_sided_cosines).  A node is classified only
+    where all 2 dim differences are finite, and flagged only where no
+    estimate is (near) zero.
     """
     if not isinstance(fld, ScalarField):
         raise DetectionError("detect_gradjump expects a ScalarField")
@@ -306,6 +306,9 @@ def detect_gradjump(fld, theta_deg=DEFAULT_THETA_DEG):
             f"got kind={fld.kind!r}")
     if any(n < 4 for n in fld.grid.dims):
         raise DetectionError("need at least 4 nodes per axis")
+    if not 0 < theta_deg <= 180:     # also rejects NaN
+        raise DetectionError(f"theta_deg must be in (0, 180], "
+                             f"got {theta_deg}")
     u = fld.values
     h = float(fld.grid.spacing)
     ok, safe, min_cos = _one_sided_cosines(u, h)
@@ -454,11 +457,12 @@ def coverage_density(mask, region, r):
 
     region is None (whole grid box), a shape with interior membership, or
     a boolean node mask of shape grid.dims (another shape raises
-    DetectionError).  r must be at least one step.
+    DetectionError).  r must be finite and at least one step.
     """
     h = float(mask.grid.spacing)
-    if r < h:
-        raise DetectionError("dilation radius below grid resolution")
+    if not h <= r < math.inf:     # also rejects NaN
+        raise DetectionError(f"dilation radius {r} must be finite and at "
+                             f"least one grid step")
     if region is None:
         region_mask = np.ones(mask.grid.dims, dtype=bool)
         label = "grid"

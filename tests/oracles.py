@@ -34,6 +34,10 @@ must return exactly the same arrays (``np.array_equal``): the kernels and the ma
 keep the same arithmetic and the same acceptance order, and the batched
 row resolution and bisection make the same decisions.
 
+``connected_components`` is scipy's csgraph labelling, which the
+min-label propagation of ``projection._components`` replaced in the run
+linking of ``projection._sampled_clusters``.
+
 ``project_sampled`` is the one-point sampled projection that
 ``projection._sampled_clusters`` replaced: single-linkage clusters of all
 candidates by a pairwise union-find, and a continuum tie when one cluster
@@ -761,6 +765,19 @@ def detect_sampled(surface, pts, dK, excluded, tau_multi):
             if max_pairwise(np.array(reps)) > tau_multi:
                 flags[row] = True
     return flags
+
+
+def connected_components(n_nodes, heads, tails):
+    """Component label of each node of the undirected graph whose edges
+    join heads[k] and tails[k], by scipy's csgraph, which
+    ``projection._components`` replaced: the labels number the components
+    in the order of their smallest nodes."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components as label
+
+    graph = coo_matrix((np.ones(len(heads)), (heads, tails)),
+                       shape=(n_nodes, n_nodes))
+    return label(graph, directed=False)[1]
 
 
 def link_clusters(points, link):

@@ -17,8 +17,24 @@ from sigma_eikonal.geometry import (
     save_shape,
     shape_from_spec,
 )
-from sigma_eikonal.distance import GridError, GridSpec
+from sigma_eikonal.distance import (
+    GridError,
+    GridSpec,
+    distance_field,
+    grid_covering,
+)
+from sigma_eikonal.innerball import (
+    InnerBallError,
+    inner_ball_profile,
+    inner_ball_radius,
+)
 from sigma_eikonal.projection import project
+from sigma_eikonal.singular import (
+    DetectionError,
+    coverage_density,
+    detect_gradjump,
+    detect_multiproj,
+)
 
 from conftest import dense_boundary_distance
 
@@ -344,3 +360,73 @@ def test_constructors_reject_non_finite_and_non_positive_input(case):
     error, build = BAD_CONSTRUCTIONS[case]
     with pytest.raises(error):
         build()
+
+
+def disk_mask():
+    disk = Ball((0.0, 0.0), 1.0)
+    return detect_multiproj(disk, grid_covering(disk, 0.25))
+
+
+def disk_field():
+    disk = Ball((0.0, 0.0), 1.0)
+    return distance_field(disk, grid_covering(disk, 0.25))
+
+
+def square_radius(**bad):
+    args = {"a": (1.0, 0.0), "nu": (-1.0, 0.0), "r_max": 1.0, **bad}
+    return inner_ball_radius(Box((1.0, 1.0)), **args)
+
+
+def unit_disk_sample(spacing):
+    return Ball((0.0, 0.0), 1.0).boundary_sample(spacing)
+
+
+# entry point and argument: (expected error, call with the bad value)
+BAD_PARAMETERS = {
+    ("boundary_sample", "spacing"): (
+        GeometryError, unit_disk_sample, (NAN, INF, -0.1, 0.0)),
+    ("grid_covering", "spacing"): (
+        GridError, lambda v: grid_covering(Ball((0.0, 0.0), 1.0), v),
+        (NAN, INF, -0.1, 0.0)),
+    ("grid_covering", "margin"): (
+        GridError,
+        lambda v: grid_covering(Ball((0.0, 0.0), 1.0), 0.1, margin=v),
+        (NAN, INF, -0.1)),
+    ("inner_ball_profile", "spacing"): (
+        GeometryError, lambda v: inner_ball_profile(Box((1.0, 1.0)), v, 0.5),
+        (NAN, INF, -0.1)),
+    ("inner_ball_profile", "r_max"): (
+        InnerBallError,
+        lambda v: inner_ball_profile(Box((1.0, 1.0)), 0.5, v),
+        (NAN, INF, -0.5, 0.0)),
+    ("inner_ball_profile", "tau_ball"): (
+        InnerBallError,
+        lambda v: inner_ball_profile(Box((1.0, 1.0)), 0.5, 0.5, tau_ball=v),
+        (NAN, INF, -1e-3)),
+    ("inner_ball_radius", "a"): (
+        InnerBallError, lambda v: square_radius(a=(v, 0.0)), (NAN, INF)),
+    ("inner_ball_radius", "nu"): (
+        InnerBallError, lambda v: square_radius(nu=(v, 0.0)), (NAN, INF)),
+    ("inner_ball_radius", "r_max"): (
+        InnerBallError, lambda v: square_radius(r_max=v), (NAN, INF, -1.0)),
+    ("coverage_density", "r"): (
+        DetectionError, lambda v: coverage_density(disk_mask(), None, v),
+        (NAN, INF, -0.5)),
+    ("detect_gradjump", "theta_deg"): (
+        DetectionError, lambda v: detect_gradjump(disk_field(), theta_deg=v),
+        (NAN, INF, -INF, -30.0, 0.0, 270.0)),
+}
+
+
+@pytest.mark.parametrize("case, value", [
+    pytest.param(case, value, id=f"{case[0]}-{case[1]}={value}")
+    for case, (_, _, values) in BAD_PARAMETERS.items() for value in values])
+def test_entry_points_reject_non_finite_and_out_of_range_parameters(case,
+                                                                     value):
+    """A NaN or infinite parameter, or one of the wrong sign, raises the
+    typed error of the module that reads it, at its entry point; none of
+    these returns an answer.  A sampling spacing is checked by the
+    sampler, so inner_ball_profile's raises GeometryError."""
+    error, call, _ = BAD_PARAMETERS[case]
+    with pytest.raises(error):
+        call(value)

@@ -12,9 +12,10 @@ from importlib import import_module
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sigma_eikonal
-from sigma_eikonal import distance, geometry, singular
+from sigma_eikonal import distance, geometry, projection, singular
 from sigma_eikonal.distance import GridSpec, distance_field, grid_covering
 from sigma_eikonal.eikonal import EikonalProblem, fast_march, problem_from_shape
 from sigma_eikonal.geometry import (
@@ -772,7 +773,7 @@ def test_3d_sampled_masks_match_row_loop():
 
 
 def test_sampled_masks_match_row_loop_across_chunks(monkeypatch):
-    # 500 rows per block of projection._sampled_rows, which charges 4 per row
+    # fetches of about 2000 candidates in projection._sampled_rows
     monkeypatch.setattr(geometry, "PAIRS_PER_BLOCK", 2000)
     h = 1.0 / 32
     graph = rough_graph(5)
@@ -823,6 +824,101 @@ def test_grid_inside_the_band_has_no_sampled_flags(monkeypatch):
     assert mask.excluded.all() and mask.n_flags == 0
     assert mask.params["candidate_rows"] == 0
     assert mask.params["multi_run_rows"] == 0
+
+
+class FetchSpy:
+    """A sampling's kd-tree that logs the (rows, candidates) of each
+    query_ball_point fetch."""
+
+    def __init__(self, tree):
+        self.tree, self.fetches = tree, []
+
+    def __getattr__(self, name):
+        return getattr(self.tree, name)
+
+    def query_ball_point(self, x, r, **kwargs):
+        lists = self.tree.query_ball_point(x, r, **kwargs)
+        self.fetches.append((len(lists), sum(map(len, lists))))
+        return lists
+
+
+def sampled_outputs(surface, grid):
+    """The mask of a sampling and its full rows over the mask's active
+    nodes (the rows project answers one at a time)."""
+    mask = detect_multiproj(surface, grid)
+    pts = grid.points()[~mask.excluded.ravel()]
+    return mask, projection._sampled_rows(surface, pts, grid.spacing, True)
+
+
+def block_case(shape, h, sample):
+    return shape.boundary_sample(sample), grid_covering(shape, h)
+
+
+BLOCK_CASES = {
+    # open: the rough graph; closed: an offset and the disk, whose centre
+    # is one run through the chain's end; and a 3D sampling
+    "graph": lambda: (rough_graph(5).boundary_sample(1 / 32, pad=0.3),
+                      grid_covering(rough_graph(5), 1 / 16, margin=0.35)),
+    "offset": lambda: block_case(OffsetBody(make_random_polytope(16, 1), 0.3),
+                                 1 / 16, 1 / 32),
+    "disk": lambda: block_case(Ball((0.0, 0.0), 1.0), 1 / 16, 1 / 32),
+    "ball3d": lambda: block_case(Ball((0.0, 0.0, 0.0), 1.0), 0.5, 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_sampled_rows_do_not_depend_on_the_fetch_blocks(case, monkeypatch):
+    """A budget of 40 candidates fetches the rows a few at a time.  The
+    mask, its params (but the fetch count) and the full rows' distances,
+    counts, feet and spreads are the defaults' bit for bit.  Each fetch
+    after the first holds the rows that the mean candidate count so far
+    puts at the budget, and at most twice the rows of the one before."""
+    surface, grid = BLOCK_CASES[case]()
+    mask, full = sampled_outputs(surface, grid)
+    assert mask.n_flags > 0 and mask.params["fetch_blocks"] > 1
+    monkeypatch.setattr(geometry, "PAIRS_PER_BLOCK", 40)
+    spy = FetchSpy(surface.tree())
+    surface._tree = spy
+    small, small_full = sampled_outputs(surface, grid)
+    assert np.array_equal(small.flags, mask.flags)
+    assert np.array_equal(small.excluded, mask.excluded)
+    blocks = small.params.pop("fetch_blocks")
+    assert blocks > 10 * mask.params.pop("fetch_blocks")
+    assert small.params == mask.params
+    for got, want in zip(small_full[:4], full[:4]):
+        assert np.array_equal(got, want)
+    assert small_full[4]["candidate_pairs"] == full[4]["candidate_pairs"]
+
+    detect = np.array(spy.fetches[:blocks])
+    assert detect[:, 1].sum() == small.params["candidate_pairs"]
+    assert detect[0, 0] == 1
+    fetched = np.cumsum(detect, axis=0)[:-1]
+    budget = np.minimum(2 * detect[:-1, 0],
+                        np.maximum(1, 40 * fetched[:, 0] // fetched[:, 1]))
+    assert np.array_equal(detect[1:-1, 0], budget[:-1])
+    assert detect[-1, 0] <= budget[-1]
+    # a single row can hold far more candidates than the mean: near the
+    # budget on average
+    assert 40 / 4 <= detect[:, 1].mean() <= 2 * 40
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_nodes=st.integers(1, 40), data=st.data())
+def test_component_labels_match_csgraph(n_nodes, data):
+    """On random edge lists with self-loops, duplicate edges and isolated
+    nodes, projection._components labels each node with the smallest node
+    of its csgraph component: the same partition, numbered in csgraph's
+    order."""
+    node = st.integers(0, n_nodes - 1)
+    edges = data.draw(st.lists(st.tuples(node, node), max_size=3 * n_nodes))
+    heads, tails = (np.array([e[k] for e in edges], dtype=np.intp)
+                    for k in (0, 1))
+    ref = oracles.connected_components(n_nodes, heads, tails)
+    smallest = np.full(ref.max() + 1, n_nodes)
+    np.minimum.at(smallest, ref, np.arange(n_nodes))
+    label = projection._components(n_nodes, heads, tails)
+    assert np.array_equal(label, smallest[ref])
+    assert np.array_equal(np.unique(label, return_inverse=True)[1], ref)
 
 
 # ---------------------------------------------------------------------------

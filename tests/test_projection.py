@@ -1,6 +1,11 @@
 """Nearest-point projection: exact feet, multiplicity, and brute-force
 agreement."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -375,3 +380,31 @@ def test_two_point_spreads_match_the_matrix_form(counts, dim, tol, dup,
     if not isinstance(fast[0], slice):
         assert np.array_equal(fast[0], general[0])
     assert fast[1].tobytes() == general[1].tobytes()
+
+
+NO_CSGRAPH_SCRIPT = """
+import sys
+from sigma_eikonal.distance import grid_covering
+from sigma_eikonal.geometry import OffsetBody, make_random_polytope
+from sigma_eikonal.projection import project
+from sigma_eikonal.singular import detect_multiproj
+
+surface = OffsetBody(make_random_polytope(8, 3), 0.3).boundary_sample(0.05)
+mask = detect_multiproj(surface, grid_covering(surface, 0.1))
+assert mask.params["multi_run_rows"] > 0
+assert project(surface, (0.0, 0.0)).nearest.shape[0] > 1
+print(sorted(m for m in sys.modules if m.startswith("scipy.sparse.csgraph")))
+"""
+
+
+def test_sampled_resolution_does_not_load_csgraph():
+    """Sampled detection and projection link their candidate runs in the
+    package (projection._components), so a fresh interpreter that runs
+    both never imports scipy.sparse.csgraph."""
+    src = Path(projection.__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", NO_CSGRAPH_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
