@@ -37,8 +37,8 @@ from .experiments import (
     parse_grid,
     write_verdict,
 )
-from .geometry import GeometryError, GraphHypersurface, load_shape, \
-    save_shape, shape_from_spec
+from .geometry import GeometryError, GraphHypersurface, SampledSurface, \
+    load_shape, save_shape, shape_from_spec
 from .innerball import InnerBallError, normal_map_injectivity, \
     uniform_condition_report
 from .projection import ProjectionError
@@ -210,12 +210,15 @@ def cmd_innerball(args, cfg):
         _say(cfg, f"written={path}")
     t_values = cfg.t_values or []
     if args.t:
-        t_values = [float(v) for v in args.t.split(",")]
+        try:
+            t_values = [float(v) for v in args.t.split(",")]
+        except ValueError as exc:
+            raise ExperimentError(f"cannot parse --t {args.t!r}") from exc
     if t_values:
-        surface = probe if not hasattr(probe, "boundary_sample") \
-            else probe.boundary_sample(spacing)
+        prof = report.profile
+        surface = SampledSurface(prof.points, prof.normals, spacing)
         inj = normal_map_injectivity(surface, t_values,
-                                     rho_cap=report.profile.min_radius)
+                                     rho_cap=prof.min_radius)
         for line in inj.summary_lines():
             _say(cfg, line)
     return PASS

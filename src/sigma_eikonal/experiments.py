@@ -26,7 +26,7 @@ from .eikonal import residuals
 from .geometry import Ball, ConvexPolytope, GraphHypersurface, OffsetBody, \
     make_random_polytope
 from .innerball import inner_ball_profile, theorem_equivalence_check
-from .projection import _cycle_nearest_feet, _resolver, project
+from .projection import _resolver, project
 from .singular import coverage_density, detect_footjump, detect_multiproj, \
     inclusion_violations
 
@@ -78,7 +78,10 @@ def parse_grid(text):
     h = parse_fraction(parts[0])
     if len(parts) == 1:
         return h, None
-    dims = tuple(int(p) for p in parts[1:])
+    try:
+        dims = tuple(int(p) for p in parts[1:])
+    except ValueError:
+        dims = ()
     if len(dims) not in (2, 3) or any(d < 2 for d in dims):
         raise ExperimentError(f"bad grid dims in {text!r}")
     return h, dims
@@ -147,16 +150,6 @@ def _unit_square():
                           _inball=(np.zeros(2), 1.0))
 
 
-def _nearest_feet(shape, pts):
-    """One nearest boundary foot per point for bulk gradient evaluation."""
-    if isinstance(shape, Ball):
-        rel = pts - shape.center
-        rho = np.linalg.norm(rel, axis=1, keepdims=True)
-        safe = np.where(rho > 0.0, rho, 1.0)
-        return shape.center + shape.radius * rel / safe
-    return _cycle_nearest_feet(shape, pts)
-
-
 # ---------------------------------------------------------------------------
 # gradient characterization
 # ---------------------------------------------------------------------------
@@ -167,10 +160,11 @@ def run_lemma_gradient(config):
     For the disk, the square, and the offset square, compares the finite
     difference gradient of the exact distance field against the projection
     formula at nodes at least 10h from both the boundary and the flags,
-    and checks that flagged nodes carry genuinely spread nearest sets: the
-    flagged nodes of each shape are the rows of one call of its family's
-    rows function (projection._resolver), and project must answer the
-    first of them with the same spread.
+    and checks that flagged nodes carry genuinely spread nearest sets.
+    Both read one call each of the shape family's rows function
+    (projection._resolver): the formula takes each eligible node's first
+    foot at tie window 0, and project must answer the first flagged node
+    with the spread of its row.
     """
     h = config.grid_h or GRAD_H
     square = _unit_square()
@@ -193,13 +187,15 @@ def run_lemma_gradient(config):
                                   f"boundary and the flags at h={h:g}")
 
         pts = grid.points()
-        feet = _nearest_feet(shape, pts)
-        dflat = dK.reshape(-1)
-        safe = np.where(dflat > 0.0, dflat, 1.0)
-        formula = (pts - feet) / safe[:, None]
-        fd = gradient_field(fld).reshape(-1, grid.dim)
-        dev = np.linalg.norm(fd - formula, axis=1).reshape(grid.dims)
-        max_dev = float(dev[eligible].max())
+        nodes = eligible.reshape(-1)
+        x = pts[nodes]
+        # the first foot of each row at tie window 0 is a nearest point
+        rows, body, _ = _resolver(shape, x, 0.0)
+        count, feet = rows(body, x, 0.0, True)[1:3]
+        formula = (x - feet[np.cumsum(count) - count]) \
+            / dK.reshape(-1)[nodes][:, None]
+        fd = gradient_field(fld).reshape(-1, grid.dim)[nodes]
+        max_dev = float(np.linalg.norm(fd - formula, axis=1).max())
 
         flagged = pts[mask.flags.reshape(-1)]
         if flagged.shape[0]:

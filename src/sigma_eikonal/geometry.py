@@ -47,6 +47,18 @@ def _require(values, error, message, positive=False):
         raise error(message)
 
 
+class _Region:
+    """A shape that encloses a region: contains(points) is membership in
+    the closed region, from the shape's _inside on (k, dim) rows, with the
+    shape's fixed tolerance.  Rows give a boolean array, one point (a 1-D
+    array) a bool."""
+
+    def contains(self, points):
+        points = np.asarray(points, dtype=float)
+        ok = self._inside(np.atleast_2d(points))
+        return bool(ok[0]) if points.ndim == 1 else ok
+
+
 # ---------------------------------------------------------------------------
 # sampled surfaces
 # ---------------------------------------------------------------------------
@@ -129,7 +141,7 @@ def _direction_net(dim, n=720):
     ])
 
 
-class ConvexPolytope:
+class ConvexPolytope(_Region):
     """Bounded intersection of halfspaces {x : n_i . x <= c_i} with unit n_i.
 
     Vertices are derived once at construction (Qhull halfspace intersection
@@ -271,17 +283,13 @@ class ConvexPolytope:
     def support(self, direction):
         return float(np.max(self.vertices @ np.asarray(direction, dtype=float)))
 
-    def contains(self, points, tol=None):
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = np.atleast_2d(points)
-        if tol is None:
-            tol = 1e-12 * max(1.0, self._diameter)
+    def _inside(self, pts):
+        tol = 1e-12 * max(1.0, self._diameter)
         inside = np.empty(pts.shape[0], dtype=bool)
         for rows in _row_blocks(pts.shape[0], self.normals.shape[0]):
             inside[rows] = np.all(pts[rows] @ self.normals.T
                                   <= self.offsets + tol, axis=1)
-        return bool(inside[0]) if single else inside
+        return inside
 
     def edges(self):
         """(a, b) endpoint arrays of boundary edges (2D only)."""
@@ -378,7 +386,7 @@ def make_random_polytope(n_facets, seed, dim=2):
 # offset bodies
 # ---------------------------------------------------------------------------
 
-class OffsetBody:
+class OffsetBody(_Region):
     """Outward expansion of a convex polytope by radius epsilon > 0.
 
     The boundary consists of the base facets pushed out by epsilon plus
@@ -412,12 +420,8 @@ class OffsetBody:
         lo, hi = self.base.bbox()
         return lo - self.epsilon, hi + self.epsilon
 
-    def contains(self, points, tol=None):
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = np.atleast_2d(points)
-        if tol is None:
-            tol = 1e-12 * max(1.0, self.diameter())
+    def _inside(self, pts):
+        tol = 1e-12 * max(1.0, self.diameter())
         ok = self.base.contains(pts)
         # the base distance is at least the largest facet violation, so only
         # points within epsilon of the base's facet planes can be inside
@@ -428,7 +432,7 @@ class OffsetBody:
             near[rows] = violation <= self.epsilon + 2.0 * tol
         near &= ~ok
         ok[near] = self.base.boundary_distance(pts[near]) <= self.epsilon + tol
-        return bool(ok[0]) if single else ok
+        return ok
 
     def elements(self):
         """Offset boundary elements: (segments, arcs); 2D only."""
@@ -497,7 +501,7 @@ class OffsetBody:
 # primitives: ball, ellipse, box
 # ---------------------------------------------------------------------------
 
-class Ball:
+class Ball(_Region):
     """Round ball; the boundary is a circle (2D) or sphere (3D)."""
 
     is_convex = True
@@ -523,14 +527,9 @@ class Ball:
     def bbox(self):
         return self.center - self.radius, self.center + self.radius
 
-    def contains(self, points, tol=None):
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = np.atleast_2d(points)
-        if tol is None:
-            tol = 1e-12 * max(1.0, self.diameter())
-        ok = np.linalg.norm(pts - self.center, axis=1) <= self.radius + tol
-        return bool(ok[0]) if single else ok
+    def _inside(self, pts):
+        tol = 1e-12 * max(1.0, self.diameter())
+        return np.linalg.norm(pts - self.center, axis=1) <= self.radius + tol
 
     def boundary_distance(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -564,7 +563,7 @@ class Ball:
                 "inradius": self.radius, "diameter": self.diameter()}
 
 
-class Ellipse:
+class Ellipse(_Region):
     """Origin-centered ellipse with positive semi-axes."""
 
     is_convex = True
@@ -588,14 +587,8 @@ class Ellipse:
     def bbox(self):
         return -self.semi_axes.copy(), self.semi_axes.copy()
 
-    def contains(self, points, tol=None):
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = np.atleast_2d(points)
-        if tol is None:
-            tol = 1e-12
-        ok = np.sum((pts / self.semi_axes) ** 2, axis=1) <= 1.0 + tol
-        return bool(ok[0]) if single else ok
+    def _inside(self, pts):
+        return np.sum((pts / self.semi_axes) ** 2, axis=1) <= 1.0 + 1e-12
 
     def boundary_distance(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -701,7 +694,7 @@ def _ellipse_feet(ellipse, pts, second=False):
     return feet[0], feet[1]
 
 
-class Box:
+class Box(_Region):
     """Origin-centered axis-aligned box with given half-extents."""
 
     is_convex = True
@@ -741,14 +734,9 @@ class Box:
     def bbox(self):
         return -self.extents.copy(), self.extents.copy()
 
-    def contains(self, points, tol=None):
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = np.atleast_2d(points)
-        if tol is None:
-            tol = 1e-12 * max(1.0, self.diameter())
-        ok = np.all(np.abs(pts) <= self.extents + tol, axis=1)
-        return bool(ok[0]) if single else ok
+    def _inside(self, pts):
+        tol = 1e-12 * max(1.0, self.diameter())
+        return np.all(np.abs(pts) <= self.extents + tol, axis=1)
 
     def boundary_distance(self, points):
         """The distance of the cached polytope, so a Box and its polytope
@@ -773,7 +761,7 @@ class Box:
 # rough graph hypersurfaces
 # ---------------------------------------------------------------------------
 
-class GraphHypersurface:
+class GraphHypersurface(_Region):
     """Graph of a lacunary cosine sum, C^1 but increasingly rough with depth.
 
     f(x) = sum_{k=0}^{terms-1} base^(-k (1 + alpha)) cos(base^k pi x)
@@ -821,13 +809,9 @@ class GraphHypersurface:
     def max_slope(self):
         return float(np.sum(self._amps * self._freqs))
 
-    def contains(self, points, tol=0.0):
+    def _inside(self, pts):
         """Membership in the closed epigraph {y >= f(x)}."""
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = np.atleast_2d(points)
-        ok = pts[:, 1] >= self.profile(pts[:, 0]) - tol
-        return bool(ok[0]) if single else ok
+        return pts[:, 1] >= self.profile(pts[:, 0])
 
     def diameter(self):
         lo, hi = self.window

@@ -213,8 +213,8 @@ class UniformConditionReport:
 def uniform_condition_report(shape, spacing, rho_min, r_max=None):
     """Verdict per contiguous boundary patch (N_PATCHES of them, at most one
     per sample): inf inner-ball radius >= rho_min."""
-    if rho_min <= 0.0:
-        raise InnerBallError("rho_min must be positive")
+    _require(rho_min, InnerBallError, "rho_min must be finite and positive",
+             positive=True)
     if r_max is None:
         r_max = 4.0 * rho_min
     if r_max < rho_min:
@@ -283,13 +283,15 @@ def normal_map_injectivity(surface, t_values, rho_cap=None):
     """
     if not isinstance(surface, SampledSurface):
         raise InnerBallError("normal_map_injectivity needs a SampledSurface")
+    if rho_cap is not None and not 0 <= rho_cap < np.inf:   # also NaN
+        raise InnerBallError(f"rho_cap must be finite and >= 0: {rho_cap}")
     collision_tol = COLLISION_TOL_FACTOR * surface.spacing
     min_sep = SOURCE_SEP_FACTOR * surface.spacing
     samples = []
     for t in np.atleast_1d(np.asarray(t_values, dtype=float)):
         t = float(t)
-        if t < 0.0:
-            raise InnerBallError("t values must be nonnegative")
+        if not 0.0 <= t < np.inf:       # also rejects NaN
+            raise InnerBallError(f"t values must be finite and >= 0: {t}")
         if rho_cap is not None and t >= rho_cap:
             samples.append(InjectivitySample(t=t, n_collisions=0,
                                              example=None, injective=True,

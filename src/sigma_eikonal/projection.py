@@ -25,8 +25,8 @@ one element kernel is geometry's: _element_blocks gives the (point,
 element) distances and clamp codes block by block, with the scratch
 planes its kernels and _nearest_elements work in, and _element_feet the
 foot of a pair from its clamp code, in the same order of operations.
-_cycle_rows, the bulk feet and the boundary distance all read it, so a
-distance, a foot and a flag of one point never differ by rounding.
+_cycle_rows and the boundary distance both read it, so a distance, a
+foot and a flag of one point never differ by rounding.
 Near-optimal feet are kept only when they are genuine local minima of
 the boundary distance profile (_nearest_elements): a foot clamped to an
 element junction whose neighbor element continues downhill through that
@@ -143,10 +143,6 @@ def _padded_rows(count):
     entry in its padding, and the real slots of row i are the first
     cnt[i, 0].
     """
-    if count.size == 1:         # one row needs no padding
-        if count[0] > 1:
-            yield slice(None), np.arange(count[0])[None], count[:, None]
-        return
     first = np.cumsum(count) - count
     width = 1 << np.ceil(np.log2(count)).astype(int)
     for w in np.unique(width[count > 1]):
@@ -168,19 +164,16 @@ def _spreads(points, count, tol=None):
     representatives, 0 for one.  Both read the distances of point pairs,
     the square root of the summed squared coordinate differences: rows of
     two points their one pair (_pair_spreads), wider rows the matrix of
-    all pairs (_matrix_spreads).  Returns (keep, spread), keep selecting
-    the representatives among the points: a boolean mask, or a full slice
-    when every point represents.
+    all pairs (_matrix_spreads).  Returns (keep, spread), keep the
+    boolean mask of the representatives among the points.
     """
-    keep = slice(None)
+    keep = np.ones(points.shape[0], dtype=bool)
     spread = np.zeros(count.size)
     for rows, take, cnt in _padded_rows(count):
         width = take.shape[1]
         rule = _pair_spreads if width == 2 else _matrix_spreads
         reps, spread[rows] = rule(points[take], cnt, tol)
         if reps is not None:
-            if isinstance(keep, slice):
-                keep = np.ones(points.shape[0], dtype=bool)
             valid = np.arange(width) < cnt
             keep[take[valid]] = reps[valid]
     return keep, spread
@@ -328,30 +321,10 @@ def _cycle_rows(shape, pts, tau_multi, full, d_opt=None):
     row_spread[rows] = spread
     if not full:
         return d_opt, None, None, row_spread, {}
-    if not isinstance(keep, slice):
-        count = np.add.reduceat(keep, np.cumsum(count) - count,
-                                dtype=np.intp)
-        feet = feet[keep]
     row_count = np.zeros(n, dtype=np.intp)
-    row_count[rows] = count
-    return d_opt, row_count, feet, row_spread, {}
-
-
-def _cycle_nearest_feet(shape, pts):
-    """One nearest boundary foot per point of a 2D polytope or offset.
-
-    Intended for bulk gradient evaluation away from ties, where any single
-    global minimizer determines the gradient.  The nearest element is each
-    point's argmin over axis 0 of geometry's element-major (element,
-    point) distance matrix, and its foot the one whose distance that
-    matrix holds.
-    """
-    elem = np.empty(pts.shape[0], dtype=np.intp)
-    code = np.empty(pts.shape[0], dtype=np.int8)
-    for rows, dist, clamp, _ in _element_blocks(shape, pts):
-        elem[rows] = k = dist.argmin(axis=0)
-        code[rows] = clamp[k, np.arange(k.size)]
-    return _element_feet(shape, pts, elem, code)
+    row_count[rows] = np.add.reduceat(keep, np.cumsum(count) - count,
+                                      dtype=np.intp)
+    return d_opt, row_count, feet[keep], row_spread, {}
 
 
 # ---------------------------------------------------------------------------

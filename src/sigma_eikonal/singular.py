@@ -393,6 +393,8 @@ def inclusion_violations(inner, outer, radius):
     """
     if inner.grid != outer.grid:
         raise DetectionError("masks live on different grids")
+    if not 0 <= radius < math.inf:     # also rejects NaN
+        raise DetectionError(f"radius {radius} must be finite and >= 0")
     dist = outer.distance_to_flags()
     bad = inner.flags & (dist > radius)
     return int(bad.sum()), np.argwhere(bad)
@@ -407,6 +409,8 @@ def mask_agreement(a, b, radius):
     """
     if a.grid != b.grid:
         raise DetectionError("masks live on different grids")
+    if not 0 <= radius < math.inf:     # also rejects NaN
+        raise DetectionError(f"radius {radius} must be finite and >= 0")
     valid = ~(a.excluded | b.excluded)
     fa = a.flags & valid
     fb = b.flags & valid

@@ -44,6 +44,12 @@ candidates by a pairwise union-find, and a continuum tie when one cluster
 spans more than half the surface diameter.  It gives the same distance;
 its nearest set differs only at continuum ties.
 
+``cycle_nearest_feet`` and ``ball_nearest_feet`` are the one-foot-per-point
+paths that the gradient lemma's feet took before it read the first foot of
+each row of the family's rows function at tie window 0: the foot on the
+first element in cycle order that attains a point's distance, and the
+ball's radial closed form.
+
 ``slack_flags`` is not a replaced loop: it decides the multiproj flags of
 a convex polytope or offset from its facet normals and offsets alone, with
 neither element cycles nor triangles; ``box_boundary_distance`` is the
@@ -62,7 +68,8 @@ from scipy.spatial import HalfspaceIntersection
 
 from sigma_eikonal.distance import ScalarField
 from sigma_eikonal.eikonal import ACCEPT_SLACK
-from sigma_eikonal.geometry import GraphHypersurface, OffsetBody, SampledSurface
+from sigma_eikonal.geometry import GraphHypersurface, OffsetBody, \
+    SampledSurface, _element_feet
 from sigma_eikonal.innerball import BISECT_STEPS, TAU_BALL_FACTOR, InnerBallError
 
 
@@ -492,6 +499,29 @@ def element_distance_matrix(shape, points):
     dist[:, 0::2], clamp[:, 0::2] = arc
     dist[:, 1::2], clamp[:, 1::2] = seg
     return dist, clamp
+
+
+def cycle_nearest_feet(shape, points, block=1024):
+    """One nearest foot per point of a 2D polytope or offset: the foot on
+    the point's first nearest element in cycle order, its argmin of
+    element_distance_matrix, from geometry._element_feet and that entry's
+    clamp code.  Points go in blocks, to bound the (n, E, 2) arrays."""
+    feet = np.empty_like(points)
+    for lo in range(0, points.shape[0], block):
+        pts = points[lo:lo + block]
+        dist, clamp = element_distance_matrix(shape, pts)
+        elem = dist.argmin(axis=1)
+        code = clamp[np.arange(pts.shape[0]), elem]
+        feet[lo:lo + block] = _element_feet(shape, pts, elem, code)
+    return feet
+
+
+def ball_nearest_feet(ball, points):
+    """The nearest point of a ball's sphere: the point's ray from the
+    centre, scaled to the radius (the centre maps to itself)."""
+    rel = points - ball.center
+    rho = np.linalg.norm(rel, axis=1, keepdims=True)
+    return ball.center + ball.radius * rel / np.where(rho > 0.0, rho, 1.0)
 
 
 def point_arc_distance(points, center, a0, sweep, radius):

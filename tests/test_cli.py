@@ -8,7 +8,7 @@ import pytest
 from sigma_eikonal.cli import build_parser, main
 from sigma_eikonal.distance import read_field
 from sigma_eikonal.experiments import EXPERIMENTS
-from sigma_eikonal.geometry import shape_from_spec
+from sigma_eikonal.geometry import Ball, shape_from_spec
 from sigma_eikonal.singular import SingularMask
 
 DISK = json.dumps({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0})
@@ -49,6 +49,18 @@ def test_malformed_shape_json_is_config_error(capsys):
 def test_bad_grid_is_config_error(capsys):
     rc = main(["distance", "--shape", DISK, "--grid", "0"])
     assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["innerball", "--shape", DISK, "--spacing", "0.2", "--t", "abc"],
+    ["innerball", "--shape", DISK, "--spacing", "0.2", "--t", "nan"],
+    ["singular", "--shape", DISK, "--grid", "1/16,abc"],
+], ids=["t=abc", "t=nan", "grid=1/16,abc"])
+def test_unreadable_numbers_are_config_errors(argv, capsys):
+    """A number float() or int() cannot read, or a NaN offset, prints an
+    error line and exits 2 instead of raising."""
+    assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -149,6 +161,24 @@ def test_innerball_profile_csv(tmp_path, capsys):
     assert len(text.strip().splitlines()) > 10
     out = capsys.readouterr().out
     assert "overall=pass" in out
+
+
+def test_innerball_t_reads_the_profile_samples(monkeypatch, capsys):
+    """innerball --t tests the normal map on the samples the profile drew:
+    the shape is sampled once, and an offset at or past the smallest
+    radius is capped."""
+    calls = []
+    sample = Ball.boundary_sample
+    monkeypatch.setattr(Ball, "boundary_sample",
+                        lambda self, spacing: calls.append(spacing)
+                        or sample(self, spacing))
+    rc = main(["innerball", "--shape", DISK, "--spacing", "0.2",
+               "--r-max", "2", "--t", "0.5,1.5"])
+    assert rc == 0
+    assert calls == [0.2]
+    out = capsys.readouterr().out
+    assert "t=0.5: injective" in out
+    assert "t=1.5: capped" in out
 
 
 def test_verify_offset_identity(tmp_path, capsys):

@@ -47,6 +47,8 @@ def test_parse_grid_forms():
         parse_grid("0.05,40")          # single dim is not a grid
     with pytest.raises(ExperimentError):
         parse_grid("")
+    with pytest.raises(ExperimentError):
+        parse_grid("1/16,abc")         # a node count int() cannot read
 
 
 def test_config_round_trips_through_json():

@@ -27,6 +27,8 @@ from sigma_eikonal.innerball import (
     InnerBallError,
     inner_ball_profile,
     inner_ball_radius,
+    normal_map_injectivity,
+    uniform_condition_report,
 )
 from sigma_eikonal.projection import project
 from sigma_eikonal.singular import (
@@ -34,6 +36,8 @@ from sigma_eikonal.singular import (
     coverage_density,
     detect_gradjump,
     detect_multiproj,
+    inclusion_violations,
+    mask_agreement,
 )
 
 from conftest import dense_boundary_distance
@@ -77,6 +81,61 @@ def test_box_extents_are_half_widths():
     assert not b.contains((2.1, 0.0))
     assert b.inradius() == pytest.approx(2.0)
     assert b.diameter() == pytest.approx(2.0 * np.hypot(2.0, 3.0))
+
+
+def membership_cases():
+    """One shape of each class that has contains, 2D and 3D where both
+    exist."""
+    poly2 = make_random_polytope(16, 1)
+    poly3 = make_random_polytope(16, 1, dim=3)
+    return [("polytope_2d", poly2), ("polytope_3d", poly3),
+            ("offset_2d", OffsetBody(poly2, 0.3)),
+            ("offset_3d", OffsetBody(poly3, 0.3)),
+            ("ball_2d", Ball((0.5, -0.25), 1.5)),
+            ("ball_3d", Ball((0.0, 0.0, 0.5), 1.0)),
+            ("ellipse", Ellipse((1.0, 0.5))),
+            ("box_2d", Box((1.0, 0.5))), ("box_3d", Box((1.0, 0.5, 2.0))),
+            ("graph", GraphHypersurface(0.5, 4, 3, window=(0.5, 1.5)))]
+
+
+def edge_shifts(shape):
+    """(inside, outside): an outward shift of a boundary point that still
+    reads inside, and one that reads outside, from each class's fixed
+    tolerance.  That is 1e-12 x max(1, diameter) for polytopes, offsets,
+    balls and boxes; 1e-12 on the ellipse's quadratic form, which a shift
+    moves by 2 to 4 times itself on these semi-axes; 0 for the graph."""
+    if isinstance(shape, Ellipse):
+        return 1e-13, 1e-11
+    if isinstance(shape, GraphHypersurface):
+        return 0.0, 1e-12
+    tol = 1e-12 * max(1.0, shape.diameter())
+    return 0.25 * tol, 10.0 * tol
+
+
+@pytest.mark.parametrize("label,shape", membership_cases(),
+                         ids=[lbl for lbl, _ in membership_cases()])
+def test_contains_reads_rows_or_one_point_with_a_fixed_tolerance(label,
+                                                                  shape):
+    """Boundary samples moved along their inner normal read inside when
+    moved in or out by less than the shape's tolerance, outside past it.
+    One point (a 1-D array) gives a Python bool equal to its row's entry,
+    and contains takes no tolerance argument."""
+    surf = shape.boundary_sample(0.05 if shape.dim == 2 else 0.3)
+    inside, outside = edge_shifts(shape)
+    moved = []
+    for shift, want in ((1e-3, True), (0.0, True), (-inside, True),
+                        (-outside, False), (-1e-3, False)):
+        pts = surf.points + shift * surf.normals
+        got = shape.contains(pts)
+        assert got.dtype == bool
+        assert np.array_equal(got, np.full(len(pts), want)), shift
+        moved.append(pts[::7])
+    for p in np.vstack(moved):
+        one = shape.contains(p)
+        assert type(one) is bool
+        assert one == shape.contains(p[None])[0]
+    with pytest.raises(TypeError):
+        shape.contains(surf.points[0], tol=1e-9)
 
 
 def test_box_polytope_is_built_once_and_extents_are_read_only():
@@ -415,6 +474,27 @@ BAD_PARAMETERS = {
     ("detect_gradjump", "theta_deg"): (
         DetectionError, lambda v: detect_gradjump(disk_field(), theta_deg=v),
         (NAN, INF, -INF, -30.0, 0.0, 270.0)),
+    ("uniform_condition_report", "rho_min"): (
+        InnerBallError,
+        lambda v: uniform_condition_report(Ball((0.0, 0.0), 1.0), 0.1, v,
+                                           r_max=0.2),
+        (NAN, INF, -0.05, 0.0)),
+    ("normal_map_injectivity", "t_values"): (
+        InnerBallError,
+        lambda v: normal_map_injectivity(unit_disk_sample(0.1), [0.1, v]),
+        (NAN, INF, -0.1)),
+    ("normal_map_injectivity", "rho_cap"): (
+        InnerBallError,
+        lambda v: normal_map_injectivity(unit_disk_sample(0.1), [0.1],
+                                         rho_cap=v),
+        (NAN, INF, -0.1)),
+    ("inclusion_violations", "radius"): (
+        DetectionError,
+        lambda v: inclusion_violations(disk_mask(), disk_mask(), v),
+        (NAN, INF, -0.1)),
+    ("mask_agreement", "radius"): (
+        DetectionError, lambda v: mask_agreement(disk_mask(), disk_mask(), v),
+        (NAN, INF, -0.1)),
 }
 
 

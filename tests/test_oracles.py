@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import sigma_eikonal
 from sigma_eikonal import distance, geometry, projection, singular
-from sigma_eikonal.distance import GridSpec, distance_field, grid_covering
+from sigma_eikonal.distance import GridSpec, ScalarField, distance_field, \
+    gradient_field, grid_covering
 from sigma_eikonal.eikonal import EikonalProblem, fast_march, problem_from_shape
 from sigma_eikonal.geometry import (
     Ball,
@@ -34,7 +35,9 @@ from sigma_eikonal.geometry import (
     make_random_polytope,
 )
 from sigma_eikonal.innerball import inner_ball_profile, inner_ball_radius
-from sigma_eikonal.projection import _cycle_rows, project
+from sigma_eikonal.experiments import ExperimentConfig, _unit_square, \
+    run_lemma_gradient
+from sigma_eikonal.projection import _cycle_rows, _resolver, project
 from sigma_eikonal.singular import BAND_FACTOR, detect_multiproj
 
 import oracles
@@ -498,6 +501,90 @@ def test_cycle_rows_match_scalar_cycle_on_every_flag(label, shape,
         res = project(shape, x, tau_multi=tau)
         assert res.distance == d_opt[i] and res.spread == spread[i]
         assert np.array_equal(res.nearest, rows[i])
+
+
+def first_feet(shape, pts):
+    """The first foot of each row of the shape family's rows function,
+    resolved in full at tie window 0: the feet of the gradient lemma."""
+    rows, body, tau = _resolver(shape, pts, 0.0)
+    count, feet = rows(body, pts, tau, True)[1:3]
+    return feet[np.cumsum(count) - count]
+
+
+def oracle_nearest_feet(shape, pts):
+    if isinstance(shape, Ball):
+        return oracles.ball_nearest_feet(shape, pts)
+    return oracles.cycle_nearest_feet(shape, pts)
+
+
+def lemma_shapes():
+    """The disk, the square and the offset square of the gradient lemma."""
+    square = _unit_square()
+    return [("disk", Ball((0.0, 0.0), 1.0)), ("square", square),
+            ("offset_square", OffsetBody(square, 0.5))]
+
+
+def lemma_nodes(shape, h):
+    """The grid, mask and eligible node mask (flat) of the gradient lemma:
+    the nodes 10h from the boundary and from every flag."""
+    grid = grid_covering(shape, h)
+    mask = detect_multiproj(shape, grid)
+    eligible = ((mask.distance >= 10.0 * h)
+                & (mask.distance_to_flags() >= 10.0 * h)).reshape(-1)
+    return grid, mask, eligible
+
+
+@pytest.mark.parametrize("h", (1.0 / 32, 1.0 / 64, 1.0 / 128),
+                         ids=("1/32", "1/64", "1/128"))
+@pytest.mark.parametrize("label,shape", lemma_shapes(),
+                         ids=[lbl for lbl, _ in lemma_shapes()])
+def test_lemma_feet_are_the_first_feet_of_the_rows(label, shape, h):
+    """On the nodes the gradient lemma reads, 10h from the boundary and
+    from every flag, the first foot of each row at tie window 0 is the
+    one-foot oracle's bit for bit: the first nearest element's foot, or
+    the ball's radial foot."""
+    grid, _, eligible = lemma_nodes(shape, h)
+    pts = grid.points()[eligible]
+    assert pts.shape[0] > 100
+    assert np.array_equal(first_feet(shape, pts),
+                          oracle_nearest_feet(shape, pts))
+
+
+def test_lemma_gradient_deviations_are_those_of_the_oracle_feet():
+    """run_lemma_gradient's largest deviation of each shape at h = 1/32 is
+    the one the projection formula gives with the one-foot oracle's feet
+    on the same eligible nodes, bit for bit."""
+    h = 1.0 / 32
+    report = run_lemma_gradient(ExperimentConfig(grid="1/32"))
+    for label, shape in lemma_shapes():
+        grid, mask, eligible = lemma_nodes(shape, h)
+        pts = grid.points()[eligible]
+        dK = mask.distance
+        formula = (pts - oracle_nearest_feet(shape, pts)) \
+            / dK.reshape(-1)[eligible][:, None]
+        fd = gradient_field(ScalarField(grid, dK, kind="distance"))
+        dev = np.linalg.norm(fd.reshape(-1, 2)[eligible] - formula, axis=1)
+        assert report[f"{label}_max_dev"] == float(dev.max())
+
+
+@pytest.mark.parametrize("label,shape", projection_shapes_2d(),
+                         ids=[lbl for lbl, _ in projection_shapes_2d()])
+def test_first_feet_of_the_rows_are_the_first_nearest_elements(label,
+                                                                shape):
+    """Everywhere, ties and junctions included, the first foot of a row at
+    tie window 0 is the foot on the first nearest element: the junction
+    rule never drops that element, since no neighbour lies below the
+    minimum, no earlier element attains it, and the dedupe keeps a row's
+    first foot.  On grid nodes, random points and the base vertices."""
+    base = shape.base if isinstance(shape, OffsetBody) else shape
+    lo, hi = shape.bbox()
+    rng = np.random.default_rng(len(label))
+    pts = np.vstack([grid_covering(shape, MASK_STEPS[1]).points(),
+                     rng.uniform(np.asarray(lo) - 0.5, np.asarray(hi) + 0.5,
+                                 (200, 2)),
+                     base.vertices])
+    assert np.array_equal(first_feet(shape, pts),
+                          oracles.cycle_nearest_feet(shape, pts))
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_convex_exterior_is_clean(tilted_polytope):
     m = detect_multiproj(tilted_polytope, g)
     fp = m.flagged_points()
     assert m.n_flags > 0
-    assert np.all(tilted_polytope.contains(fp, tol=1e-9))
+    assert np.all(tilted_polytope.contains(fp))
 
 
 def test_flags_inside_offset_body_cover_base_diagonals(offset_square):
@@ -105,7 +105,7 @@ def test_flags_inside_offset_body_cover_base_diagonals(offset_square):
     g = grid_covering(offset_square, h)
     m = detect_multiproj(offset_square, g)
     fp = m.flagged_points()
-    assert np.all(offset_square.contains(fp, tol=1e-9))
+    assert np.all(offset_square.contains(fp))
     assert dist_to_diagonals(fp).max() <= h / np.sqrt(2.0) + 1e-9
     # ties live inside the base square only: past the corners the nearest
     # arc point is unique
