@@ -27,7 +27,6 @@ from .distance import (
     SingularPointError,
     ZeroDistanceError,
     distance_field,
-    field_to_csv,
     gradient_by_projection,
     gradient_field,
     grid_covering,
@@ -55,7 +54,6 @@ from .singular import (
     detect_multiproj,
     inclusion_violations,
     mask_agreement,
-    write_density_csv,
 )
 from .innerball import (
     EquivalenceReport,
@@ -78,7 +76,7 @@ __all__ = [
     "make_random_polytope", "save_shape", "shape_from_spec",
     "ProjectionError", "ProjectionResult", "default_tau_multi", "project",
     "GridError", "GridSpec", "ScalarField", "SingularPointError",
-    "ZeroDistanceError", "distance_field", "field_to_csv",
+    "ZeroDistanceError", "distance_field",
     "gradient_by_projection", "gradient_field", "grid_covering",
     "read_field", "signed_distance_field", "write_field",
     "EikonalError", "EikonalProblem", "ResidualReport", "fast_march",
@@ -86,7 +84,7 @@ __all__ = [
     "write_residual_report",
     "DensityReport", "DetectionError", "SingularMask", "coverage_density",
     "detect_footjump", "detect_gradjump", "detect_multiproj",
-    "inclusion_violations", "mask_agreement", "write_density_csv",
+    "inclusion_violations", "mask_agreement",
     "EquivalenceReport", "InjectivityReport", "InnerBallError",
     "InnerBallProfile", "UniformConditionReport", "inner_ball_profile",
     "inner_ball_radius", "normal_map_injectivity",

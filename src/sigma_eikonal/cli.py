@@ -99,22 +99,24 @@ def _resolve_shape(args, cfg):
     return shape_from_spec(spec)
 
 
-def _resolve_grid(shape, cfg):
-    if cfg.grid is None:
-        return grid_covering(shape, DEFAULT_H)
-    h, dims = parse_grid(cfg.grid)
-    grid = grid_covering(shape, h)
-    if dims is not None:
-        grid = GridSpec(grid.origin, h, dims)
-    return grid
-
-
 def _measured(shape, spacing):
     """Shape with bulk exact distance; graphs fall back to a sampling at
     the given spacing."""
     if isinstance(shape, GraphHypersurface):
         return shape.boundary_sample(spacing, pad=GRAPH_PAD)
     return shape
+
+
+def _measured_grid(args, cfg):
+    """(measured, grid): the shape, measured at half the grid step, and the
+    grid covering it.  A graph's sampling overhangs its window, so the grid
+    covers the sampling, not the window."""
+    h, dims = (DEFAULT_H, None) if cfg.grid is None else parse_grid(cfg.grid)
+    measured = _measured(_resolve_shape(args, cfg), 0.5 * h)
+    grid = grid_covering(measured, h)
+    if dims is not None:
+        grid = GridSpec(grid.origin, h, dims)
+    return measured, grid
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +135,7 @@ def cmd_shape(args, cfg):
 
 
 def cmd_distance(args, cfg):
-    shape = _resolve_shape(args, cfg)
-    grid = _resolve_grid(shape, cfg)
-    measured = _measured(shape, 0.5 * grid.spacing)
+    measured, grid = _measured_grid(args, cfg)
     if args.signed:
         fld = signed_distance_field(measured, grid)
     else:
@@ -154,12 +154,12 @@ def cmd_distance(args, cfg):
 
 
 def cmd_eikonal(args, cfg):
-    shape = _resolve_shape(args, cfg)
-    grid = _resolve_grid(shape, cfg)
-    measured = _measured(shape, 0.5 * grid.spacing)
+    measured, grid = _measured_grid(args, cfg)
+    # detect first: a pass that computes every node's distance leaves it
+    # in the memo that seeds the march
+    mask = detect_multiproj(measured, grid, tau_multi=cfg.tau_multi)
     problem = problem_from_shape(measured, grid)
     sol = fast_march(problem)
-    mask = detect_multiproj(measured, grid, tau_multi=cfg.tau_multi)
     rep = residuals(sol, singular_mask=mask)
     _say(cfg,
          f"nodes={int(np.prod(grid.dims))}",
@@ -176,9 +176,7 @@ def cmd_eikonal(args, cfg):
 
 
 def cmd_singular(args, cfg):
-    shape = _resolve_shape(args, cfg)
-    grid = _resolve_grid(shape, cfg)
-    measured = _measured(shape, 0.5 * grid.spacing)
+    measured, grid = _measured_grid(args, cfg)
     if args.detector == "multiproj":
         mask = detect_multiproj(measured, grid, tau_multi=cfg.tau_multi)
     else:

@@ -8,8 +8,7 @@ equal ``project(shape, x).distance`` bit for bit for exact shapes and
 agree to sampling accuracy for sampled surfaces.
 
 Field files are a short ``key=value`` text header terminated by an ``end``
-line, followed by raw little-endian float64 values in C order.  A CSV
-export (x,y[,z],value) is provided for plotting.
+line, followed by raw little-endian float64 values in C order.
 """
 
 from __future__ import annotations
@@ -181,28 +180,6 @@ class ScalarField:
                 worst = max(worst, float(dv.max()) - h - slack)
         return max(0.0, worst)
 
-    def interpolate(self, point):
-        """Multilinear interpolation at one point inside the grid (to a
-        rounding slack of 1e-9 cells); a point outside raises GridError."""
-        g = self.grid
-        rel = [(point[k] - g.origin[k]) / g.spacing for k in range(g.dim)]
-        if not all(-1e-9 <= r <= g.dims[k] - 1 + 1e-9
-                   for k, r in enumerate(rel)):
-            raise GridError(f"point {tuple(point)} is outside the grid")
-        base = [int(np.floor(r)) for r in rel]
-        base = [min(max(b, 0), g.dims[k] - 2) for k, b in enumerate(base)]
-        frac = [r - b for r, b in zip(rel, base)]
-        out = 0.0
-        for corner in range(2 ** g.dim):
-            w = 1.0
-            idx = []
-            for k in range(g.dim):
-                bit = (corner >> k) & 1
-                idx.append(base[k] + bit)
-                w *= frac[k] if bit else (1.0 - frac[k])
-            out += w * self.values[tuple(idx)]
-        return out
-
 
 def _evaluate_chunked(fn, points):
     """fn over _row_blocks of points (cost 1), on thread_count() threads."""
@@ -239,11 +216,12 @@ def _node_distance(shape, grid):
 
     The shape keeps the last grid's array in a one-entry memo keyed by the
     (frozen, hashable) GridSpec, so distance_field, problem_from_shape and
-    detect_multiproj on one (shape, grid) evaluate the kernel once.  A 3D
-    OffsetBody reads its base's entry and applies its offset formula, so a
-    polytope and its offset on one grid also share one kernel run.  The
-    array is read-only: a caller that keeps it must copy it or keep it
-    read-only, never write into it.
+    detect_multiproj on one (shape, grid) evaluate the kernel once; a
+    detector whose pass computes every node's distance stores it here
+    (_remember_distance).  A 3D OffsetBody reads its base's entry and
+    applies its offset formula, so a polytope and its offset on one grid
+    also share one kernel run.  The array is read-only: a caller that
+    keeps it must copy it or keep it read-only, never write into it.
     """
     memo = getattr(shape, "_node_memo", None)
     if memo is not None and memo[0] == grid:
@@ -252,8 +230,14 @@ def _node_distance(shape, grid):
         d = shape._from_base_distance(grid.points(),
                                       _node_distance(shape.base, grid))
     else:
-        d = np.asarray(_evaluate_chunked(shape.boundary_distance,
-                                         grid.points()), dtype=float)
+        d = _evaluate_chunked(shape.boundary_distance, grid.points())
+    return _remember_distance(shape, grid, d)
+
+
+def _remember_distance(shape, grid, d):
+    """Make d, shape's boundary distance at grid's nodes, the read-only
+    entry of its (shape, grid) memo, and return it."""
+    d = np.asarray(d, dtype=float)
     d.flags.writeable = False
     shape._node_memo = (grid, d)
     return d
@@ -271,14 +255,8 @@ def signed_distance_field(shape, grid, check_cover=True):
     if not getattr(shape, "is_convex", False):
         raise GridError("signed distance is defined here for convex bodies only")
     _require_coverage(shape, grid, check_cover)
-    return _signed_field(shape, grid, _node_distance(shape, grid))
-
-
-def _signed_field(shape, grid, dist):
-    """The signed-distance field from node distances: positive inside."""
-    dist = dist.reshape(-1)
-    inside = shape.contains(grid.points())
-    signed = np.where(inside, dist, -dist)
+    dist = _node_distance(shape, grid)
+    signed = np.where(shape.contains(grid.points()), dist, -dist)
     return ScalarField(grid, signed.reshape(grid.dims), kind="signed_distance")
 
 
@@ -367,16 +345,3 @@ def read_field(path):
     vals = np.frombuffer(raw, dtype="<f8").reshape(grid.dims).copy()
     # ScalarField raises GridError on a missing or unknown kind
     return ScalarField(grid, vals, kind=header.get("kind"))
-
-
-def field_to_csv(f, path):
-    """Plot-ready CSV: one node per row, coordinates then value."""
-    g = f.grid
-    pts = g.points()
-    cols = "xyz"[:g.dim]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(cols) + ",value\n")
-        flat = f.values.ravel()
-        for p, v in zip(pts, flat):
-            coords = ",".join(repr(c) for c in p)
-            fh.write(f"{coords},{v!r}\n")

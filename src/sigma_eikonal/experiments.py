@@ -18,9 +18,9 @@ from scipy import ndimage
 from .distance import (
     ScalarField,
     _node_distance,
-    _signed_field,
     grid_covering,
     gradient_field,
+    signed_distance_field,
 )
 from .eikonal import residuals
 from .geometry import Ball, ConvexPolytope, GraphHypersurface, OffsetBody, \
@@ -87,14 +87,22 @@ def parse_grid(text):
     return h, dims
 
 
+def _is_number(value, optional=False):
+    """An int or a float, not a bool; or None, when optional."""
+    return (optional and value is None) or (
+        isinstance(value, (int, float)) and not isinstance(value, bool))
+
+
 @dataclass
 class ExperimentConfig:
     """Knobs shared by the experiment drivers and the command line.
 
     grid is 'h' or 'h,n1,n2[,n3]' (h accepts ratios like 1/128); shape is
     an inline shape spec dict or {"file": path}.  Optional detector and
-    inner-ball parameters override the driver defaults where they apply.
-    The JSON form round-trips exactly.
+    inner-ball parameters override the driver defaults where they apply:
+    numbers, and t_values a list of numbers; seed is an int.  A field of
+    another type raises ExperimentError.  The JSON form round-trips
+    exactly.
     """
 
     seed: int = 0
@@ -108,8 +116,24 @@ class ExperimentConfig:
     quiet: bool = False
 
     def __post_init__(self):
+        # validate early, so a bad config file is a usage error
         if self.grid is not None:
-            parse_grid(self.grid)  # validate early
+            parse_grid(self.grid)
+        t = self.t_values
+        wrong = [name for name, ok in (
+            ("seed", type(self.seed) is int),
+            ("shape", isinstance(self.shape, (dict, type(None)))),
+            ("tau_multi", _is_number(self.tau_multi, optional=True)),
+            ("theta_deg", _is_number(self.theta_deg, optional=True)),
+            ("rho_min", _is_number(self.rho_min, optional=True)),
+            ("t_values", t is None or isinstance(t, list)
+             and all(map(_is_number, t))),
+            ("out_dir", isinstance(self.out_dir, (str, type(None)))),
+            ("quiet", isinstance(self.quiet, bool)),
+        ) if not ok]
+        if wrong:
+            listed = ", ".join(f"{n}={getattr(self, n)!r}" for n in wrong)
+            raise ExperimentError(f"config fields of the wrong type: {listed}")
 
     @property
     def grid_h(self):
@@ -178,7 +202,7 @@ def run_lemma_gradient(config):
     for label, shape in shapes:
         grid = grid_covering(shape, h)
         mask = detect_multiproj(shape, grid)
-        dK = mask.distance
+        dK = _node_distance(shape, grid).reshape(grid.dims)
         fld = ScalarField(grid, dK, kind="distance")
         flag_dist = mask.distance_to_flags()
         eligible = (dK >= 10.0 * h) & (flag_dist >= 10.0 * h)
@@ -242,8 +266,9 @@ def run_offset_identity(config):
             m_base = detect_multiproj(base, grid)
             m_off = detect_multiproj(off, grid)
             inside = np.asarray(base.contains(pts)).reshape(grid.dims)
-            dev = float(np.abs(m_off.distance - m_base.distance
-                               - eps)[inside].max())
+            dev = float(np.abs(_node_distance(off, grid)
+                               - _node_distance(base, grid)
+                               - eps).reshape(grid.dims)[inside].max())
             nviol, _ = inclusion_violations(m_base, m_off, radius=h)
             key = f"{label}_e{eps:g}"
             report[f"{key}_dev"] = dev
@@ -291,7 +316,7 @@ def run_typical_density(config):
     center_inside = rep.ball_center is not None \
         and bool(base.contains(rep.ball_center))
     ball_ok = rep.ball_radius >= 0.1 and center_inside
-    u = _signed_field(body, grid, mask.distance)
+    u = signed_distance_field(body, grid)
     rr = residuals(u, singular_mask=mask, margin=10.0 * h)
     resid_ok = (not rr.empty) and rr.max_abs <= 10.0 * h
 
@@ -340,8 +365,7 @@ def rough_collar_equivalence(terms):
     mask = detect_footjump(graph.boundary_sample(FOOT_SPACING,
                                                  pad=GRAPH_PAD),
                            grid, region=read)
-    chk = theorem_equivalence_check(graph, grid, FREE_R, rho_min=RHO_MIN,
-                                    r_max=4 * RHO_MIN, surface=surface,
+    chk = theorem_equivalence_check(surface, grid, FREE_R, rho_min=RHO_MIN,
                                     inside=centres, mask=mask)
     return chk, mask
 
@@ -373,7 +397,7 @@ def run_equivalence(config):
     for label, shape, expected in cases:
         grid = grid_covering(shape, h)
         chk = theorem_equivalence_check(shape, grid, FREE_R,
-                                        rho_min=RHO_MIN, r_max=4 * RHO_MIN)
+                                        rho_min=RHO_MIN)
         report[f"{label}_A"] = bool(chk.condition_a)
         report[f"{label}_B"] = bool(chk.condition_b)
         report[f"{label}_agree"] = bool(chk.agree)
@@ -414,7 +438,7 @@ def run_counterexample(config):
         surface = graph.boundary_sample(0.5 * h, pad=GRAPH_PAD)
         mask = detect_multiproj(surface, grid)
         pts = grid.points()
-        dk = mask.distance.reshape(-1)
+        dk = _node_distance(surface, grid)
         central = (pts[:, 0] >= lo + quarter) & (pts[:, 0] <= hi - quarter)
         region = ((dk <= TUBE_R) & central).reshape(grid.dims)
         cov = coverage_density(mask, region, COVER_R).covered_fraction

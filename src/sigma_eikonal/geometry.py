@@ -280,9 +280,6 @@ class ConvexPolytope(_Region):
     def bbox(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    def support(self, direction):
-        return float(np.max(self.vertices @ np.asarray(direction, dtype=float)))
-
     def _inside(self, pts):
         tol = 1e-12 * max(1.0, self._diameter)
         inside = np.empty(pts.shape[0], dtype=bool)

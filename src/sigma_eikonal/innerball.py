@@ -343,20 +343,19 @@ class EquivalenceReport:
                 "n_flags": self.n_flags, **self.params}
 
 
-def theorem_equivalence_check(shape, grid, r_free, rho_min=None,
-                              r_max=None, mask=None, surface=None,
+def theorem_equivalence_check(shape, grid, r_free, rho_min=None, mask=None,
                               inside=None):
     """Decide conditions A (flag-free interior ball) and B (uniform inner
     balls) on one grid and report whether they agree.
 
-    shape provides interior membership and exact distance where available;
-    pass ``surface`` (a SampledSurface) to measure distance and inner balls
-    against a sampling instead, with ``inside`` a boolean node mask for
-    membership (defaults to shape.contains at the nodes).  The distance is
-    the mask's own, or distance._node_distance's with a given mask.  r_free
-    below 2 grid steps is rejected: condition A cannot be decided under
-    grid resolution.  Condition B samples the boundary at half the grid
-    step.
+    shape gives the boundary distance (distance._node_distance), the flags
+    (detect_multiproj, unless a mask is given) and the inner balls, which
+    uniform_condition_report samples at half the grid step with its
+    default search cap.  A SampledSurface measures all of these against
+    its sampling; it has no interior, so pass ``inside``, a boolean node
+    mask for membership (it defaults to shape.contains at the nodes).
+    r_free below 2 grid steps is rejected: condition A cannot be decided
+    under grid resolution.
     """
     if not isinstance(grid, GridSpec):
         raise InnerBallError("grid must be a GridSpec")
@@ -367,14 +366,11 @@ def theorem_equivalence_check(shape, grid, r_free, rho_min=None,
     if rho_min is None:
         rho_min = r_free
     spacing = 0.5 * h
-    measured = surface if surface is not None else shape
     if mask is None:
-        mask = detect_multiproj(measured, grid)
-        dK = mask.distance
+        mask = detect_multiproj(shape, grid)
     elif not isinstance(mask, SingularMask):
         raise InnerBallError("mask must be a SingularMask")
-    else:
-        dK = _node_distance(measured, grid).reshape(grid.dims)
+    dK = _node_distance(shape, grid).reshape(grid.dims)
     if inside is None:
         if not hasattr(shape, "contains"):
             raise InnerBallError(
@@ -405,8 +401,7 @@ def theorem_equivalence_check(shape, grid, r_free, rho_min=None,
         witness = grid.node_point(idx)
         clearance = float(score[idx])
 
-    report = uniform_condition_report(measured, spacing, rho_min,
-                                      r_max=r_max)
+    report = uniform_condition_report(shape, spacing, rho_min)
     # B asks for the existence of one patch where inner balls of radius
     # rho_min fit everywhere, not for the bound to hold globally
     condition_b = any(p.ok for p in report.patches)

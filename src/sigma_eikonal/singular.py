@@ -43,10 +43,11 @@ from .distance import (
     ScalarField,
     _node_distance,
     _read_header,
+    _remember_distance,
     _write_file,
 )
 from .geometry import SampledSurface
-from .projection import _cycle_rows, _resolver
+from .projection import _cycle_rows, _ellipse_rows, _resolver
 
 BAND_FACTOR = 2.0           # unclassified band around K, in grid steps
 DEFAULT_THETA_DEG = 30.0    # gradient disagreement angle threshold
@@ -66,27 +67,18 @@ class DetectionError(ValueError):
 
 @dataclass
 class SingularMask:
-    """Boolean singular-set flags on a grid, plus the unclassified band.
-
-    ``distance`` is the boundary distance at every node, shape grid.dims,
-    as detect_multiproj computed it for the band; it is None on the other
-    detectors' masks and on a loaded mask (the file holds flags and band
-    only).
-    """
+    """Boolean singular-set flags on a grid, plus the unclassified band."""
 
     grid: GridSpec
     flags: np.ndarray
     excluded: np.ndarray
     detector: str
     params: dict = field(default_factory=dict)
-    distance: np.ndarray | None = None
 
     def __post_init__(self):
         dims = tuple(self.grid.dims)
         if self.flags.shape != dims or self.excluded.shape != dims:
             raise DetectionError("mask arrays must match the grid dims")
-        if self.distance is not None and self.distance.shape != dims:
-            raise DetectionError("mask distance must match the grid dims")
         if bool(np.any(self.flags & self.excluded)):
             raise DetectionError("flags inside the unclassified band")
 
@@ -157,39 +149,38 @@ def detect_multiproj(shape, grid, tau_multi=None):
     shape, the grid's dimension and the tie window), resolved only where
     they can be ties, and a node is flagged when its spread exceeds
     tau_multi: exactly when project(shape, node, tau_multi) is not a
-    singleton.  The boundary distance, carried by the mask as
-    ``distance``, comes for a 2D polytope or offset from the element
-    distance matrix of the same pass, and for every other shape from the
-    (shape, grid) node memo, whose band nodes are then left out of the
-    resolution.  A graph has no boundary distance and raises
-    GeometryError: detect on its boundary_sample.
+    singleton.  The boundary distance that sets the band is the (shape,
+    grid) node memo's (distance._node_distance).  A 2D polytope, offset
+    or ellipse computes it in the same pass over every node, and that
+    pass stores it as the memo of the shape passed in (a Box, not only
+    its polytope); every other shape reads the memo and leaves its band
+    nodes out of the resolution.  A graph has no boundary distance and
+    raises GeometryError: detect on its boundary_sample.
     """
     if not isinstance(grid, GridSpec):
         raise DetectionError("grid must be a GridSpec")
     h = float(grid.spacing)
     pts = grid.points()
-    rows, shape, tau_multi = _resolver(
+    rows, body, tau_multi = _resolver(
         shape, pts, h if tau_multi is None else tau_multi, DetectionError)
     band = BAND_FACTOR * h
-    if rows is _cycle_rows:
-        dK, _, _, spread, stats = rows(shape, pts, tau_multi, False)
+    if rows in (_cycle_rows, _ellipse_rows):
+        dK, _, _, spread, stats = rows(body, pts, tau_multi, False)
+        dK = _remember_distance(shape, grid, dK)
         excluded = dK <= band
     else:
-        # the (shape, grid) memo: the eikonal CLI has just seeded its march
-        # from it, and the mask keeps it read-only
         dK = _node_distance(shape, grid)
         excluded = dK <= band
         active = np.flatnonzero(~excluded)
         spread = np.zeros(pts.shape[0])
-        _, _, _, spread[active], stats = rows(shape, pts[active], tau_multi,
+        _, _, _, spread[active], stats = rows(body, pts[active], tau_multi,
                                               False, dK[active])
     params = {"tau_multi": float(tau_multi), "band_factor": float(BAND_FACTOR),
               **stats}
     flags = (spread > tau_multi) & ~excluded
     return SingularMask(grid=grid, flags=flags.reshape(grid.dims),
                         excluded=excluded.reshape(grid.dims),
-                        detector="multiproj", params=params,
-                        distance=dK.reshape(grid.dims))
+                        detector="multiproj", params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +433,6 @@ class DensityReport:
     ball_center: np.ndarray | None
     ball_radius: float
 
-    def csv_row(self):
-        c = ("" if self.ball_center is None
-             else ";".join(f"{v:.9g}" for v in self.ball_center))
-        return (f"{self.region},{self.r:.9g},{self.covered_fraction:.9g},"
-                f"{self.n_flags},{self.n_region_nodes},{c},"
-                f"{self.ball_radius:.9g}")
-
-    @staticmethod
-    def csv_header():
-        return ("region,r,covered_fraction,n_flags,n_region_nodes,"
-                "ball_center,ball_radius")
-
 
 def coverage_density(mask, region, r):
     """Fraction of region nodes within r of a flag, and the largest grid
@@ -508,10 +487,3 @@ def coverage_density(mask, region, r):
                          covered_fraction=float(frac),
                          n_flags=mask.n_flags, n_region_nodes=n_region,
                          ball_center=center, ball_radius=radius)
-
-
-def write_density_csv(reports, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(DensityReport.csv_header() + "\n")
-        for rep in reports:
-            fh.write(rep.csv_row() + "\n")

@@ -52,16 +52,49 @@ def test_bad_grid_is_config_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["innerball", "--shape", DISK, "--spacing", "0.2", "--t", "abc"],
-    ["innerball", "--shape", DISK, "--spacing", "0.2", "--t", "nan"],
-    ["singular", "--shape", DISK, "--grid", "1/16,abc"],
-], ids=["t=abc", "t=nan", "grid=1/16,abc"])
-def test_unreadable_numbers_are_config_errors(argv, capsys):
-    """A number float() or int() cannot read, or a NaN offset, prints an
-    error line and exits 2 instead of raising."""
+INNERBALL = ["innerball", "--shape", DISK, "--spacing", "0.2"]
+OFFSETS = ["verify", "offset_identity", "--grid", "1/16"]
+
+
+@pytest.mark.parametrize("argv,config", [
+    (INNERBALL + ["--t", "abc"], None),
+    (INNERBALL + ["--t", "nan"], None),
+    (["singular", "--shape", DISK, "--grid", "1/16,abc"], None),
+    (["singular", "--shape", DISK, "--grid", "1/16"], {"tau_multi": "abc"}),
+    (["singular", "--shape", DISK, "--grid", "1/16", "--detector",
+      "gradjump"], {"theta_deg": "abc"}),
+    (INNERBALL, {"rho_min": "abc"}),
+    (INNERBALL, {"t_values": ["abc"]}),
+    (OFFSETS, {"seed": "abc"}),
+    (OFFSETS, {"seed": 1.5}),
+    (["shape", "--shape", DISK], {"out_dir": 5}),
+    (["shape", "--shape", DISK], {"quiet": "no"}),
+], ids=["t=abc", "t=nan", "grid=1/16,abc", "config-tau_multi", "config-theta",
+        "config-rho_min", "config-t_values", "config-seed=abc",
+        "config-seed=1.5", "config-out_dir", "config-quiet"])
+def test_unreadable_numbers_are_config_errors(argv, config, tmp_path, capsys):
+    """A number float() or int() cannot read, a NaN offset, or a config
+    file field of the wrong type prints an error line and exits 2 instead
+    of raising."""
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path), "--out", str(tmp_path)]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_every_subcommand_runs_on_a_graph(tmp_path, capsys):
+    """The grid covers the graph's measured sampling, which overhangs its
+    window; only the signed distance, defined for convex bodies, fails."""
+    graph = json.dumps({"kind": "graph", "alpha": 0.5, "base": 4,
+                        "terms": 2, "window": [0.5, 1.5]})
+    common = ["--shape", graph, "--grid", "1/32", "--out", str(tmp_path)]
+    for sub in (["shape"], ["distance"], ["eikonal"], ["singular"],
+                ["singular", "--detector", "gradjump"], ["innerball"]):
+        assert main(sub + common) == 0, sub
+    assert main(["distance", "--signed"] + common) == 2
+    assert "convex" in capsys.readouterr().err
 
 
 def test_distance_writes_field(tmp_path, capsys):

@@ -13,7 +13,6 @@ from sigma_eikonal.distance import (
     SingularPointError,
     ZeroDistanceError,
     distance_field,
-    field_to_csv,
     gradient_by_projection,
     gradient_field,
     grid_covering,
@@ -121,26 +120,6 @@ def test_lipschitz_violation_zero_on_true_distance(unit_square):
     assert fld.lipschitz_violation() == 0.0
 
 
-def test_interpolation_reproduces_node_values(unit_disk):
-    g = grid_covering(unit_disk, 1.0 / 16)
-    fld = distance_field(unit_disk, g)
-    idx = (5, 7)
-    p = g.node_point(idx)
-    assert fld.interpolate(p) == pytest.approx(fld.values[idx], abs=1e-12)
-
-
-def test_interpolation_outside_the_grid_raises(unit_disk):
-    """The h = 1/8 disk grid spans [-1.375, 1.375]^2; points beyond it
-    must not be extrapolated from the rim cells."""
-    g = grid_covering(unit_disk, 1.0 / 8)
-    fld = distance_field(unit_disk, g)
-    for p in [(10.0, 0.0), (-50.0, 3.0), (0.0, 1.5), (-1.5, 0.0)]:
-        with pytest.raises(GridError):
-            fld.interpolate(p)
-    corner = g.node_point((g.dims[0] - 1, g.dims[1] - 1))
-    assert fld.interpolate(corner) == fld.values[-1, -1]
-
-
 def test_graph_fields_need_a_sampling():
     graph = GraphHypersurface(alpha=0.5, base=4, terms=2, window=(0.0, 1.0))
     g = GridSpec((0.0, -1.0), 0.125, (16, 16))
@@ -192,16 +171,6 @@ def test_thread_count_env_override(monkeypatch):
     assert thread_count() >= 1
 
 
-def test_field_to_csv(tmp_path, unit_disk):
-    g = grid_covering(unit_disk, 1.0 / 16)
-    fld = distance_field(unit_disk, g)
-    path = tmp_path / "disk.csv"
-    field_to_csv(fld, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("x")
-    assert len(lines) == g.n_nodes + 1
-
-
 # ---------------------------------------------------------------------------
 # the (shape, grid) node-distance memo
 # ---------------------------------------------------------------------------
@@ -232,10 +201,10 @@ def test_callers_cannot_corrupt_the_memo(unit_disk):
     fld = distance_field(unit_disk, g)
     fld.values[:] = -1.0                      # a field owns its values
     assert np.array_equal(distance_field(unit_disk, g).values, fresh)
-    mask = detect_multiproj(unit_disk, g)
+    detect_multiproj(unit_disk, g)
     with pytest.raises(ValueError):
-        mask.distance[0, 0] = -1.0            # the mask's view is read-only
-    assert np.array_equal(detect_multiproj(unit_disk, g).distance, fresh)
+        _node_distance(unit_disk, g)[0] = -1.0    # the memo is read-only
+    detect_multiproj(unit_disk, g)
     assert np.array_equal(_node_distance(unit_disk, g).reshape(g.dims), fresh)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sigma_eikonal import geometry, projection
 from sigma_eikonal.distance import distance_field, grid_covering
 from sigma_eikonal.geometry import Ellipse, GeometryError
 from sigma_eikonal.projection import project
@@ -126,3 +127,27 @@ def test_circle_centre_is_a_tie_across_the_diameter(a):
     assert res.distance == a
     assert not res.is_singleton
     assert res.spread == 2.0 * a
+
+
+def test_detection_bisects_the_feet_once(monkeypatch):
+    """detect_multiproj solves the foot equation in one pass, which gives
+    both the flags and the memo's distance, so a field read after it
+    solves nothing more."""
+    calls = []
+    feet = geometry._ellipse_feet
+
+    def counting(ellipse, pts, second=False):
+        calls.append(second)
+        return feet(ellipse, pts, second)
+
+    monkeypatch.setattr(geometry, "_ellipse_feet", counting)
+    monkeypatch.setattr(projection, "_ellipse_feet", counting)
+    ellipse = Ellipse((1.0, 0.5))
+    grid = grid_covering(ellipse, 1.0 / 32)
+    mask = detect_multiproj(ellipse, grid)
+    fld = distance_field(ellipse, grid)
+    assert calls == [True]
+    monkeypatch.undo()
+    assert mask.n_flags > 0
+    assert np.array_equal(fld.values.reshape(-1),
+                          ellipse.boundary_distance(grid.points()))

@@ -160,19 +160,6 @@ def test_polytope_inradius_matches_dense_scan():
         assert poly.inradius() >= oracle - 1e-12
 
 
-def test_support_value_matches_dense_boundary_maximum():
-    poly = make_random_polytope(10, seed=4)
-    surf = poly.boundary_sample(0.01)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        u = rng.normal(size=2)
-        u /= np.linalg.norm(u)
-        sup = poly.support(u)
-        sampled_max = (surf.points @ u).max()
-        assert sup >= sampled_max - 1e-9
-        assert sup <= sampled_max + 0.01  # sampling gap only
-
-
 def test_polytope_vertices_lie_on_boundary():
     poly = make_random_polytope(9, seed=2)
     verts = poly.hull().points[poly.hull().vertices]

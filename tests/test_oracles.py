@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import sigma_eikonal
 from sigma_eikonal import distance, geometry, projection, singular
-from sigma_eikonal.distance import GridSpec, ScalarField, distance_field, \
-    gradient_field, grid_covering
+from sigma_eikonal.distance import GridSpec, ScalarField, _node_distance, \
+    distance_field, gradient_field, grid_covering
 from sigma_eikonal.eikonal import EikonalProblem, fast_march, problem_from_shape
 from sigma_eikonal.geometry import (
     Ball,
@@ -453,15 +453,15 @@ def test_2d_projection_matches_scalar_cycle(label, shape):
                          ids=[lbl for lbl, _ in projection_shapes_2d()])
 def test_2d_flags_are_exactly_the_non_singleton_projections(label, shape):
     """At the grid's tie window, _cycle_rows (the rows project answers
-    from) over every node off the band gives the mask's distance, and a
-    spread above the window exactly at its flags, bit for bit."""
+    from) over every node off the band gives the node memo's distance,
+    and a spread above the window exactly at its flags, bit for bit."""
     grid = grid_covering(shape, MASK_STEPS[0])
     mask = detect_multiproj(shape, grid)
     tau = mask.params["tau_multi"]
     active = np.flatnonzero(~mask.excluded.reshape(-1))
     d_opt, _, _, spread, _ = _cycle_rows(shape, grid.points()[active], tau,
                                          True)
-    assert np.array_equal(d_opt, mask.distance.reshape(-1)[active])
+    assert np.array_equal(d_opt, _node_distance(shape, grid)[active])
     assert np.array_equal(spread > tau, mask.flags.reshape(-1)[active])
 
 
@@ -529,7 +529,7 @@ def lemma_nodes(shape, h):
     the nodes 10h from the boundary and from every flag."""
     grid = grid_covering(shape, h)
     mask = detect_multiproj(shape, grid)
-    eligible = ((mask.distance >= 10.0 * h)
+    eligible = ((_node_distance(shape, grid).reshape(grid.dims) >= 10.0 * h)
                 & (mask.distance_to_flags() >= 10.0 * h)).reshape(-1)
     return grid, mask, eligible
 
@@ -559,7 +559,7 @@ def test_lemma_gradient_deviations_are_those_of_the_oracle_feet():
     for label, shape in lemma_shapes():
         grid, mask, eligible = lemma_nodes(shape, h)
         pts = grid.points()[eligible]
-        dK = mask.distance
+        dK = _node_distance(shape, grid).reshape(grid.dims)
         formula = (pts - oracle_nearest_feet(shape, pts)) \
             / dK.reshape(-1)[eligible][:, None]
         fd = gradient_field(ScalarField(grid, dK, kind="distance"))
@@ -630,8 +630,8 @@ def test_2d_boundary_distance_across_kernel_blocks():
     ref = oracles.boundary_distance_2d(body, pts)
     assert np.array_equal(body.boundary_distance(pts), ref)
     assert np.array_equal(distance_field(body, grid).values.ravel(), ref)
-    mask = detect_multiproj(body, grid)
-    assert np.array_equal(mask.distance.ravel(), ref)
+    detect_multiproj(body, grid)
+    assert np.array_equal(_node_distance(body, grid), ref)
 
 
 def kernel_edge_points(shape):

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigma_eikonal import projection
-from sigma_eikonal.distance import GridError, GridSpec, distance_field, \
-    grid_covering
+from sigma_eikonal.distance import GridError, GridSpec, _node_distance, \
+    distance_field, grid_covering
 from sigma_eikonal.geometry import (
     Ball,
     Box,
@@ -291,8 +291,8 @@ def test_project_agrees_with_the_detector(label, shape):
     other node) of a grid covering the shape, with a node at the centre of
     its bounding box (a ball's one tie), project at the detector's tie
     window is a singleton exactly where the mask has no flag, and its
-    distance is the mask's distance bit for bit: both read one rows
-    function per shape family."""
+    distance is the node memo's bit for bit: both read one rows function
+    per shape family."""
     h = 1.0 / 20 if shape.dim == 2 else 0.15
     cover = grid_covering(shape, h)
     centre = 0.5 * np.add(*shape.bbox())
@@ -300,7 +300,7 @@ def test_project_agrees_with_the_detector(label, shape):
                     spacing=h, dims=tuple(n + 1 for n in cover.dims))
     mask = detect_multiproj(shape, grid)
     assert mask.params["tau_multi"] == h and mask.n_flags > 0
-    flags, dist = mask.flags.reshape(-1), mask.distance.reshape(-1)
+    flags, dist = mask.flags.reshape(-1), _node_distance(shape, grid)
     nodes = grid.points()
     active = np.flatnonzero(~mask.excluded.reshape(-1))
     if shape.dim == 3:

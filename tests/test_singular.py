@@ -8,16 +8,19 @@ import pytest
 from sigma_eikonal.distance import (
     GridSpec,
     ScalarField,
+    _node_distance,
     distance_field,
     grid_covering,
 )
 from sigma_eikonal.geometry import (
     Ball,
     Box,
+    ConvexPolytope,
     Ellipse,
     GeometryError,
     GraphHypersurface,
     OffsetBody,
+    SampledSurface,
     make_random_polytope,
 )
 from sigma_eikonal.singular import (
@@ -29,7 +32,6 @@ from sigma_eikonal.singular import (
     detect_multiproj,
     inclusion_violations,
     mask_agreement,
-    write_density_csv,
 )
 
 # Area fraction of [-1,1]^2 within 0.1 of its two diagonals, from a dense
@@ -331,8 +333,13 @@ OFFSET16_MASK_SHA256 = \
 
 
 @pytest.mark.parametrize("label", ["polytope", "offset", "box", "disk",
-                                   "ellipse", "sampled", "polytope3d"])
-def test_mask_distance_is_the_distance_field(label, unit_square):
+                                   "ellipse", "sampled", "polytope3d",
+                                   "box3d"])
+def test_mask_distance_is_the_distance_field(label, unit_square,
+                                             monkeypatch):
+    """After detect_multiproj the (shape, grid) node memo holds the
+    boundary distance that set the mask's band, bit for bit a fresh
+    evaluation, so a distance field on that grid evaluates no kernel."""
     h = 1.0 / 20
     poly = make_random_polytope(16, 1)
     shape = {
@@ -343,18 +350,33 @@ def test_mask_distance_is_the_distance_field(label, unit_square):
         "ellipse": Ellipse((1.0, 0.5)),
         "sampled": unit_square.boundary_sample(h / 2),
         "polytope3d": make_random_polytope(12, 1, dim=3),
+        "box3d": Box((1.0, 0.5, 0.75)),
     }[label]
-    if label == "polytope3d":
+    if shape.dim == 3:
         h = 0.25
     grid = grid_covering(shape, h)
     mask = detect_multiproj(shape, grid)
-    assert mask.distance.shape == grid.dims
-    assert np.array_equal(mask.distance, distance_field(shape, grid).values)
-    assert np.array_equal(mask.excluded,
-                          mask.distance <= mask.params["band_factor"] * h)
+    calls = []
+    for cls in (ConvexPolytope, OffsetBody, Box, Ball, Ellipse,
+                SampledSurface):
+        def spy(self, points, _kernel=cls.boundary_distance):
+            calls.append(type(self).__name__)
+            return _kernel(self, points)
+        monkeypatch.setattr(cls, "boundary_distance", spy)
+    fld = distance_field(shape, grid)
+    assert calls == []
+    monkeypatch.undo()
+    d = _node_distance(shape, grid)
+    assert not d.flags.writeable
+    assert np.array_equal(d, shape.boundary_distance(grid.points()))
+    assert np.array_equal(fld.values.reshape(-1), d)
+    assert np.array_equal(mask.excluded.reshape(-1),
+                          d <= mask.params["band_factor"] * h)
 
 
 def test_mask_distance_is_none_on_load_and_a_graph_raises(tmp_path):
+    """A mask holds flags and band only, fresh or loaded: the distance
+    lives in the node memo."""
     graph = GraphHypersurface(0.5, 4, 2, window=(0.5, 1.5))
     with pytest.raises(GeometryError):
         detect_multiproj(graph, grid_covering(graph, 1.0 / 16))
@@ -365,12 +387,10 @@ def test_mask_distance_is_none_on_load_and_a_graph_raises(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() \
         == OFFSET16_MASK_SHA256
     back = SingularMask.load(path)
-    assert back.distance is None
+    assert getattr(mask, "distance", None) is None
+    assert getattr(back, "distance", None) is None
     assert np.array_equal(back.flags, mask.flags)
-    with pytest.raises(DetectionError):
-        SingularMask(grid=mask.grid, flags=mask.flags,
-                     excluded=mask.excluded, detector="multiproj",
-                     distance=mask.distance[:-1])
+    assert np.array_equal(back.excluded, mask.excluded)
 
 
 def test_masks_on_different_grids_are_rejected(unit_square):
@@ -378,14 +398,3 @@ def test_masks_on_different_grids_are_rejected(unit_square):
     b = detect_multiproj(unit_square, grid_covering(unit_square, 1.0 / 16))
     with pytest.raises(DetectionError):
         mask_agreement(a, b, 0.05)
-
-
-def test_density_csv(tmp_path, unit_disk):
-    g = grid_covering(unit_disk, 1.0 / 32)
-    m = detect_multiproj(unit_disk, g)
-    reps = [coverage_density(m, unit_disk, r) for r in (0.1, 0.2)]
-    path = tmp_path / "density.csv"
-    write_density_csv(reps, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("region,")
-    assert len(lines) == 3
