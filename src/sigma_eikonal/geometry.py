@@ -24,15 +24,17 @@ circular arc (2D) or spherical patch (3D).
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection, cKDTree
 
 UNIT_VECTOR_TOL = 1e-12
 ON_SURFACE_TOL_FACTOR = 1e-9    # boundary membership tolerance, times diameter
 MIN_SPACING_FACTOR = 1e-6       # reject boundary samplings finer than this, times diameter
+OPEN_GAP_TOL = 1e-6             # 2D normals leaving a gap within this of pi are unbounded
+PARALLEL_SINE = 2.0 ** -52      # 2D lines at most this sine apart are parallel
 
 
 class GeometryError(ValueError):
@@ -102,6 +104,7 @@ class SampledSurface:
         # on a dense ordered chain, compacted node boxes make nearest
         # queries about 8x slower (143 vs 17 us on a 165k-sample rough graph)
         if self._tree is None:
+            from scipy.spatial import cKDTree   # see ConvexPolytope.hull
             self._tree = cKDTree(self.points, compact_nodes=False)
         return self._tree
 
@@ -125,12 +128,9 @@ class SampledSurface:
 # convex polytopes
 # ---------------------------------------------------------------------------
 
-def _direction_net(dim, n=720):
-    """Unit directions used for the boundedness certificate."""
-    if dim == 2:
-        t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        return np.column_stack([np.cos(t), np.sin(t)])
-    # Fibonacci sphere
+def _direction_net(n=720):
+    """n unit directions on a Fibonacci sphere: the 3D boundedness
+    certificate and the 3D ball and cap samplings."""
     k = np.arange(n, dtype=float) + 0.5
     phi = np.arccos(1.0 - 2.0 * k / n)
     theta = np.pi * (1.0 + 5.0 ** 0.5) * k
@@ -141,14 +141,88 @@ def _direction_net(dim, n=720):
     ])
 
 
+def _polygon_ring(normals, offsets):
+    """Vertices of the 2D polygon {x : n_i . x <= c_i}, counterclockwise,
+    by the sorted half-plane ring (de Berg et al., Computational Geometry,
+    ch. 4).
+
+    The normals, sorted by angle, bound the polygon exactly when every
+    cyclic gap between them is below pi, less OPEN_GAP_TOL: across a gap
+    of pi - g the lines meet about 2 / g inradii out, where the merge
+    below would swallow the real edges.  Of parallel lines the tighter is
+    kept, and one deque pass drops the rest that bound nothing.  Vertex k
+    is where lines k and k + 1 meet, from line k's foot along its tangent;
+    every dot product is a*b + c*d, so normals turned by 90 degrees give
+    vertices turned by 90 degrees bit for bit.  An edge within 1e-9 x
+    max(1, largest coordinate) drops its line, and the lines on either
+    side meet.  The ring starts at the vertex of least angle about the
+    vertex mean.  Fewer than three lines, or no positive area, is an empty
+    interior.
+    """
+    # + 0.0 turns a -0.0 y into +0.0, so (-1, -0) sorts at pi, not -pi
+    ang = np.arctan2(normals[:, 1] + 0.0, normals[:, 0])
+    order = np.lexsort((offsets, ang))
+    gaps = np.diff(ang[order], append=ang[order[0]] + 2.0 * np.pi)
+    if gaps.max() >= np.pi - OPEN_GAP_TOL:
+        raise GeometryError(
+            "polytope is unbounded: the facet normals leave an open "
+            "direction")
+
+    def meet(p, q):
+        (px, py, pc), (qx, qy, qc) = p, q
+        t = (qc - pc * (px * qx + py * qy)) / (px * qy - py * qx)
+        return pc * px - t * py, pc * py + t * px
+
+    def out(line, v):
+        return line[0] * v[0] + line[1] * v[1] > line[2]
+
+    ring = collections.deque()
+    for line in zip(*normals[order].T.tolist(), offsets[order].tolist()):
+        if ring and ring[-1][0] * line[1] - ring[-1][1] * line[0] \
+                <= PARALLEL_SINE:
+            if line[2] >= ring[-1][2]:
+                continue
+            ring.pop()
+        while len(ring) > 1 and out(line, meet(ring[-2], ring[-1])):
+            ring.pop()
+        while len(ring) > 1 and out(line, meet(ring[0], ring[1])):
+            ring.popleft()
+        ring.append(line)
+    while len(ring) > 2 and out(ring[0], meet(ring[-2], ring[-1])):
+        ring.pop()
+    while len(ring) > 2 and out(ring[-1], meet(ring[0], ring[1])):
+        ring.popleft()
+
+    def corners(lines):
+        if len(lines) < 3:
+            raise GeometryError("halfspaces have empty interior")
+        return np.array([meet(p, q)
+                         for p, q in zip(lines, lines[1:] + lines[:1])])
+
+    ring = [*ring]
+    verts = corners(ring)
+    tol = 1e-9 * max(1.0, float(np.abs(verts).max()))
+    # line k's edge runs from vertex k - 1 to vertex k
+    short = np.linalg.norm(verts - np.roll(verts, 1, axis=0), axis=1) <= tol
+    if short.any():
+        verts = corners([line for line, s in zip(ring, short) if not s])
+    x, y = verts[:, 0], verts[:, 1]
+    if not np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)) > 0.0:
+        raise GeometryError("halfspaces have empty interior")
+    ref = verts.mean(axis=0)
+    return np.roll(verts, -int(np.argmin(np.arctan2(y - ref[1], x - ref[0]))),
+                   axis=0)
+
+
 class ConvexPolytope(_Region):
     """Bounded intersection of halfspaces {x : n_i . x <= c_i} with unit n_i.
 
-    Vertices are derived once at construction (Qhull halfspace intersection
-    seeded by the Chebyshev center) and cached; 2D vertex rings are stored in
-    counterclockwise order.  Construction rejects unbounded or empty input:
-    the normals must pass a direction-net certificate, and the seed must lie
-    strictly inside the dual hull of the intersection.
+    Vertices are derived once at construction and cached: in 2D from the
+    half-plane ring (_polygon_ring), counterclockwise, with no interior
+    point; in 3D from Qhull seeded by the Chebyshev center, behind a
+    direction-net certificate and a dual-hull test.  The center and the
+    inradius are the given _inball, or else the LP's, solved when first
+    read (in 2D only by inradius() or chebyshev_center).
     """
 
     is_convex = True
@@ -172,25 +246,13 @@ class ConvexPolytope(_Region):
         if np.max(np.abs(lens - 1.0)) > UNIT_VECTOR_TOL:
             raise GeometryError("facet normals must be unit length within 1e-12")
 
-        # boundedness certificate: the normals must positively span R^dim
-        net = _direction_net(self.dim)
-        support_ok = (normals @ net.T).max(axis=0)
-        if support_ok.min() <= 1e-9:
-            raise GeometryError(
-                "halfspaces leave an unbounded direction; sampled facets do "
-                "not enclose a bounded body")
-
         self.normals = normals
         self.offsets = offsets
         self._spec = _spec
-
         # _inball: a known (center, radius) of the largest inscribed ball
-        center, radius = self._chebyshev() if _inball is None else _inball
-        if radius <= 0.0:
-            raise GeometryError("halfspaces have empty interior")
-        self.chebyshev_center = center
-        self._inradius = radius
-        self.vertices = self._enumerate_vertices()
+        self._inball = _inball
+        self.vertices = (_polygon_ring(normals, offsets) if self.dim == 2
+                         else self._enumerate_vertices())
         # every pairwise distance at once, summed in axis order as
         # np.linalg.norm(axis=1) sums them
         diff = self.vertices[:, None] - self.vertices[None]
@@ -203,6 +265,15 @@ class ConvexPolytope(_Region):
             self._cycle = _Cycle(*self.edges())
 
     # -- construction helpers ------------------------------------------------
+
+    @property
+    def chebyshev_center(self):
+        return self._ball()[0]
+
+    def _ball(self):
+        if self._inball is None:
+            self._inball = self._chebyshev()
+        return self._inball
 
     def _chebyshev(self):
         # imported on first use: scipy.optimize adds about 11 MiB of resident
@@ -226,6 +297,17 @@ class ConvexPolytope(_Region):
         return res.x[:d].copy(), float(res.x[-1])
 
     def _enumerate_vertices(self):
+        """3D vertices: Qhull's halfspace intersection, deduped."""
+        from scipy.spatial import HalfspaceIntersection   # see hull
+
+        # boundedness certificate: the normals must positively span R^3
+        support_ok = (self.normals @ _direction_net().T).max(axis=0)
+        if support_ok.min() <= 1e-9:
+            raise GeometryError(
+                "halfspaces leave an unbounded direction; sampled facets do "
+                "not enclose a bounded body")
+        if self.inradius() <= 0.0:
+            raise GeometryError("halfspaces have empty interior")
         halfspaces = np.hstack([self.normals, -self.offsets[:, None]])
         try:
             hsi = HalfspaceIntersection(halfspaces, self.chebyshev_center)
@@ -249,16 +331,14 @@ class ConvexPolytope(_Region):
         keep = np.ones(pts.shape[0], dtype=bool)
         for i in np.flatnonzero(near.any(axis=1)):
             keep[i] = not (near[i] & keep).any()
-        verts = pts[keep]
-        if self.dim == 2:
-            ref = verts.mean(axis=0)
-            ang = np.arctan2(verts[:, 1] - ref[1], verts[:, 0] - ref[0])
-            verts = verts[np.argsort(ang)]
-        return verts
+        return pts[keep]
 
     def hull(self):
         """Convex hull of the vertex set (3D facet source)."""
         if self._hull is None:
+            # imported on first use, as wherever a tree or 3D hull is built:
+            # scipy.spatial adds about 12 MiB of resident memory
+            from scipy.spatial import ConvexHull
             self._hull = ConvexHull(self.vertices)
         return self._hull
 
@@ -272,7 +352,7 @@ class ConvexPolytope(_Region):
     # -- geometry queries -----------------------------------------------------
 
     def inradius(self):
-        return self._inradius
+        return self._ball()[1]
 
     def diameter(self):
         return self._diameter
@@ -541,7 +621,7 @@ class Ball(_Region):
         else:
             area = 4.0 * np.pi * self.radius ** 2
             n = max(32, int(math.ceil(area / spacing ** 2)))
-            outward = _direction_net(3, n)
+            outward = _direction_net(n)
         surf = SampledSurface(self.center + self.radius * outward, -outward,
                               spacing, closed=self.dim == 2)
         _check_on_surface(self, surf)
@@ -714,7 +794,8 @@ class Box(_Region):
         return self._extents
 
     def as_polytope(self):
-        """The box as a ConvexPolytope, built once (an LP and Qhull)."""
+        """The box as a ConvexPolytope, built once (in 3D, an LP and
+        Qhull)."""
         if self._polytope is None:
             eye = np.eye(self.dim)
             normals = np.vstack([eye, -eye])
@@ -1026,7 +1107,7 @@ def _sample_offset_3d(body, spacing):
         for vi in simplex:
             vert_facets.setdefault(int(vi), []).append(fi)
     n_cap = max(64, int(math.ceil(4.0 * np.pi * eps * eps / spacing ** 2)))
-    sphere = _direction_net(3, n_cap)
+    sphere = _direction_net(n_cap)
     for vi, facets in vert_facets.items():
         v = verts[vi]
         sel = np.all(sphere @ (verts[list(set(

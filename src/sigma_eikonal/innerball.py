@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .distance import GridSpec, _node_distance
 from .geometry import SampledSurface, _require
@@ -285,6 +284,8 @@ def normal_map_injectivity(surface, t_values, rho_cap=None):
         raise InnerBallError("normal_map_injectivity needs a SampledSurface")
     if rho_cap is not None and not 0 <= rho_cap < np.inf:   # also NaN
         raise InnerBallError(f"rho_cap must be finite and >= 0: {rho_cap}")
+    from scipy.spatial import cKDTree   # see geometry.ConvexPolytope.hull
+
     collision_tol = COLLISION_TOL_FACTOR * surface.spacing
     min_sep = SOURCE_SEP_FACTOR * surface.spacing
     samples = []

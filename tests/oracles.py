@@ -329,6 +329,36 @@ def polytope_vertices(poly):
     return verts
 
 
+def assert_ring_matches_qhull(poly):
+    """The contract of a 2D polytope's ring vertices against
+    polytope_vertices: the same count and cyclic order; each vertex
+    within 1e-15 x scale of both lines it lies on, the lines of its two
+    edges; and within 1e-15 x scale / sin(theta) of Qhull's vertex, theta
+    the angle between those lines.  scale is max(1, largest coordinate).
+
+    Both rings start at the vertex of least angle about their vertex
+    mean, and a vertex at a half-turn from it (as on a regular polygon)
+    reads pi or -pi by rounding, so Qhull's ring is first turned to start
+    at the vertex nearest this one's first.  Returns that shift."""
+    verts, want = poly.vertices, polytope_vertices(poly)
+    assert verts.shape == want.shape
+    shift = int(np.argmin(np.linalg.norm(want - verts[0], axis=1)))
+    want = np.roll(want, -shift, axis=0)
+    scale = max(1.0, float(np.abs(want).max()))
+    resid = np.abs(verts @ poly.normals.T - poly.offsets)
+    # the line of edge k (vertex k to k + 1): the least residual over both
+    after = np.argmin(resid + np.roll(resid, -1, axis=0), axis=1)
+    before = np.roll(after, 1)
+    rows = np.arange(verts.shape[0])
+    assert (resid[rows, before] <= 1e-15 * scale).all()
+    assert (resid[rows, after] <= 1e-15 * scale).all()
+    n, m = poly.normals[before], poly.normals[after]
+    sin = np.abs(n[:, 0] * m[:, 1] - n[:, 1] * m[:, 0])
+    assert (np.linalg.norm(verts - want, axis=1) * sin
+            <= 1e-15 * scale).all()
+    return shift
+
+
 def polytope_boundary_distance_3d(poly, points):
     """Boundary distance of a 3D polytope, one point at a time."""
     hull = poly.hull()

@@ -146,13 +146,35 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
 """
 
 
-def test_experiment_paths_do_not_load_the_lp_solver():
+# the exact 2D paths through cli.main (the exact_convex benchmark ops):
+# 2D polygons come from the half-plane ring, so neither the LP solver nor
+# scipy.spatial (kd-trees, hulls) may load
+EXACT_2D_SCRIPT = """
+import json, sys
+from sigma_eikonal import cli
+
+common = ["--seed", "3", "--out", sys.argv[1], "--quiet"]
+for exp, grid in [("offset_identity", "1/20"), ("lemma_gradient", "1/32"),
+                  ("typical_density", "1/20")]:
+    cli.main(["verify", exp, "--grid", grid] + common)
+spec = {"kind": "offset", "epsilon": 0.3,
+        "base": {"kind": "random_polytope", "n_facets": 16, "seed": 3}}
+cli.main(["innerball", "--shape", json.dumps(spec), "--spacing", "0.4",
+          "--r-max", "0.5"] + common)
+print(sorted(m for m in sys.modules
+             if m.startswith(("scipy.optimize", "scipy.spatial"))))
+"""
+
+
+@pytest.mark.parametrize("script", [NO_LP_SCRIPT, EXACT_2D_SCRIPT],
+                         ids=["experiments", "exact_2d_cli"])
+def test_experiment_paths_do_not_load_the_lp_solver(script, tmp_path):
     src = Path(experiments.__file__).resolve().parent.parent
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", NO_LP_SCRIPT], env=env,
-                         capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]", out.stdout
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigma_eikonal.geometry import (
     Ball,
@@ -10,6 +11,7 @@ from sigma_eikonal.geometry import (
     Ellipse,
     GeometryError,
     GraphHypersurface,
+    OPEN_GAP_TOL,
     OffsetBody,
     SampledSurface,
     load_shape,
@@ -40,6 +42,7 @@ from sigma_eikonal.singular import (
     mask_agreement,
 )
 
+import oracles
 from conftest import dense_boundary_distance
 
 
@@ -327,15 +330,177 @@ def test_random_polytope_inball_is_the_unit_ball(n_facets, seed, dim):
 
 def test_open_cone_between_net_directions_is_rejected():
     """Normals spanning a half-turn less 0.002 leave an open cone of that
-    width between two directions of the certificate's net.  Without the LP
-    (a given inball, as for random polytopes) the dual-hull test of the
-    vertex enumeration rejects it; the LP rejects it too."""
+    width, narrower than the spacing of a 720-direction net.  The ring's
+    gap test rejects it: the cyclic gap of 0.002 more than a half-turn
+    between the first and last normal.  It runs before any LP, with an
+    inball given or not."""
     ang = np.linspace(0.0, np.pi - 0.002, 9) + np.pi / 720
     normals = np.column_stack([np.cos(ang), np.sin(ang)])
     with pytest.raises(GeometryError, match="unbounded"):
         ConvexPolytope(normals, np.ones(9), _inball=(np.zeros(2), 1.0))
     with pytest.raises(GeometryError, match="unbounded"):
         ConvexPolytope(normals, np.ones(9))
+
+
+# ---------------------------------------------------------------------------
+# 2D vertices from the sorted half-plane ring
+# ---------------------------------------------------------------------------
+
+RING_PROPERTY = settings(max_examples=30, deadline=None)
+
+
+def no_lp(monkeypatch):
+    """Make any Chebyshev LP fail the test."""
+    def boom(self):
+        raise AssertionError("the Chebyshev LP ran")
+    monkeypatch.setattr(ConvexPolytope, "_chebyshev", boom)
+
+
+def max_gap(normals):
+    """The largest cyclic gap between the sorted angles of 2D normals."""
+    ang = np.sort(np.arctan2(normals[:, 1] + 0.0, normals[:, 0]))
+    return float(np.diff(ang, append=ang[0] + 2.0 * np.pi).max())
+
+
+@st.composite
+def cluttered_polygons(draw):
+    """A polygon tangent to the unit circle at k jittered directions
+    (cyclic gaps below 0.7 pi), plus redundant lines: tangents at its vertices
+    pushed outward by 1e-6 or more, copies of its lines pushed outward by
+    0 or more, and lines that turn one of its normals by 1e-6 to 1e-3, a
+    nearly parallel neighbour that cuts a short edge.  Rows are shuffled.
+
+    A tangent through a vertex itself is left out: Qhull meets it with
+    each side of the corner and keeps one of two points, off by rounding
+    over the sine of the angle between the tangent and that side."""
+    k = draw(st.integers(3, 12))
+    jitter = draw(st.lists(st.floats(-0.2, 0.2), min_size=k, max_size=k))
+    ang = 2.0 * np.pi * (np.arange(k) + np.array(jitter)) / k
+    rows = [(np.cos(a), np.sin(a), 1.0) for a in ang]
+    for i in range(k):
+        a, b = ang[i], ang[(i + 1) % k]
+        if i == k - 1:
+            b += 2.0 * np.pi
+        vertex = np.array([np.cos(a) + np.cos(b), np.sin(a) + np.sin(b)]) \
+            / (1.0 + np.cos(b - a))
+        if draw(st.booleans()):
+            t = a + draw(st.floats(0.0, 1.0)) * (b - a)
+            push = draw(st.sampled_from([1e-6, 1e-3, 0.5]))
+            rows.append((np.cos(t), np.sin(t),
+                         np.cos(t) * vertex[0] + np.sin(t) * vertex[1]
+                         + push))
+        if draw(st.booleans()):
+            rows.append((np.cos(a), np.sin(a),
+                         1.0 + draw(st.sampled_from([0.0, 1e-9, 0.25]))))
+        if draw(st.booleans()):
+            t = a + draw(st.sampled_from([-1.0, 1.0])) * draw(
+                st.floats(1e-6, 1e-3))
+            rows.append((np.cos(t), np.sin(t), 1.0))
+    rows = np.array(rows)
+    rows = rows[draw(st.permutations(range(len(rows))))]
+    return rows[:, :2], rows[:, 2]
+
+
+@RING_PROPERTY
+@given(cluttered_polygons())
+def test_ring_vertices_meet_the_qhull_contract(polygon):
+    """Redundant tangents, duplicated normals and nearly parallel
+    neighbours: the ring's vertices are Qhull's within the contract of
+    oracles.assert_ring_matches_qhull."""
+    normals, offsets = polygon
+    poly = ConvexPolytope(normals, offsets, _inball=(np.zeros(2), 1.0))
+    oracles.assert_ring_matches_qhull(poly)
+
+
+@RING_PROPERTY
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_axis_aligned_box_vertices_are_exact(a, b):
+    poly = Box((a, b)).as_polytope()
+    assert np.array_equal(poly.vertices,
+                          [[-a, -b], [a, -b], [a, b], [-a, b]])
+
+
+@RING_PROPERTY
+@given(st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=12),
+       st.booleans())
+def test_polygon_is_unbounded_exactly_at_a_half_turn_gap(ang, inball):
+    """Tangent lines to the unit circle: bounded exactly when every
+    cyclic gap between their sorted normal angles is below pi, less
+    OPEN_GAP_TOL.  No LP runs either way."""
+    normals = np.column_stack([np.cos(ang), np.sin(ang)])
+    given_ball = (np.zeros(2), 1.0) if inball else None
+    with pytest.MonkeyPatch.context() as mp:
+        no_lp(mp)
+        if max_gap(normals) >= np.pi - OPEN_GAP_TOL:
+            with pytest.raises(GeometryError, match="unbounded"):
+                ConvexPolytope(normals, np.ones(len(ang)),
+                               _inball=given_ball)
+        else:
+            ConvexPolytope(normals, np.ones(len(ang)), _inball=given_ball)
+
+
+@pytest.mark.parametrize("offsets", [
+    pytest.param([-1.0, 1.0, -1.0, 1.0], id="x<=-1_and_x>=1"),
+    pytest.param([0.0, 1.0, 0.0, 1.0], id="zero_width_strip"),
+])
+def test_empty_polygon_is_rejected_without_the_lp(offsets, monkeypatch):
+    """x <= c0, y <= c1, -x <= c2, -y <= c3: an infeasible pair of
+    x-bounds, and a strip of zero width, are empty interiors, told by
+    the ring without solving an LP."""
+    no_lp(monkeypatch)
+    normals = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    with pytest.raises(GeometryError, match="empty interior"):
+        ConvexPolytope(normals, offsets)
+
+
+def test_2d_polytope_solves_its_lp_only_when_its_ball_is_read(monkeypatch):
+    no_lp(monkeypatch)
+    poly = Box((1.0, 0.5)).as_polytope()
+    assert poly.area() == 2.0
+    with pytest.raises(AssertionError, match="LP ran"):
+        poly.inradius()
+    with pytest.raises(AssertionError, match="LP ran"):
+        poly.chebyshev_center
+    monkeypatch.undo()
+    assert poly.inradius() == pytest.approx(0.5)
+
+
+RING_FACETS = (8, 12, 16, 24, 32, 48, 64, 96, 128)
+
+
+def rotated(poly):
+    """The polygon of poly's normals turned by 90 degrees, its inball
+    given, as make_random_polytope gives poly's."""
+    normals = np.column_stack([-poly.normals[:, 1], poly.normals[:, 0]])
+    return ConvexPolytope(normals, poly.offsets, _inball=(np.zeros(2), 1.0))
+
+
+@pytest.mark.parametrize("facets", RING_FACETS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_quarter_turn_rotates_ring_vertices_exactly(facets, seed):
+    """Each dot product of the ring is a*b + c*d, whose terms a quarter
+    turn only swaps and negates in pairs, so the turned normals give the
+    turned vertices bit for bit, the ring starting at another vertex."""
+    poly = make_random_polytope(facets, seed)
+    turned = np.column_stack([-poly.vertices[:, 1], poly.vertices[:, 0]])
+    got = rotated(poly).vertices
+    assert any(np.array_equal(np.roll(turned, k, axis=0), got)
+               for k in range(len(got)))
+
+
+@pytest.mark.parametrize("facets", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_quarter_turn_rotates_multiproj_flags_exactly(facets, seed):
+    """On a grid symmetric about the origin at h = 1/32, the turned
+    polygon's flags are np.rot90 of the polygon's."""
+    h = 1.0 / 32
+    poly = make_random_polytope(facets, seed)
+    k = int(np.ceil(np.abs(poly.vertices).max() / h)) + 3
+    grid = GridSpec((-k * h, -k * h), h, (2 * k + 1, 2 * k + 1))
+    flags = detect_multiproj(poly, grid).flags
+    assert flags.any()
+    assert np.array_equal(detect_multiproj(rotated(poly), grid).flags,
+                          np.rot90(flags))
 
 
 def test_shape_spec_round_trip(tmp_path, unit_square):
