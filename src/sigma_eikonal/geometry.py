@@ -34,7 +34,7 @@ UNIT_VECTOR_TOL = 1e-12
 ON_SURFACE_TOL_FACTOR = 1e-9    # boundary membership tolerance, times diameter
 MIN_SPACING_FACTOR = 1e-6       # reject boundary samplings finer than this, times diameter
 OPEN_GAP_TOL = 1e-6             # 2D normals leaving a gap within this of pi are unbounded
-PARALLEL_SINE = 2.0 ** -52      # 2D lines at most this sine apart are parallel
+PARALLEL_SINE = 2.0 ** -52      # lines (2D) or planes (3D) at most this sine apart are parallel
 
 
 class GeometryError(ValueError):
@@ -104,7 +104,7 @@ class SampledSurface:
         # on a dense ordered chain, compacted node boxes make nearest
         # queries about 8x slower (143 vs 17 us on a 165k-sample rough graph)
         if self._tree is None:
-            from scipy.spatial import cKDTree   # see ConvexPolytope.hull
+            from scipy.spatial import cKDTree   # about 12 MiB: only for a tree
             self._tree = cKDTree(self.points, compact_nodes=False)
         return self._tree
 
@@ -128,9 +128,8 @@ class SampledSurface:
 # convex polytopes
 # ---------------------------------------------------------------------------
 
-def _direction_net(n=720):
-    """n unit directions on a Fibonacci sphere: the 3D boundedness
-    certificate and the 3D ball and cap samplings."""
+def _direction_net(n):
+    """n unit directions on a Fibonacci sphere (3D ball and cap samples)."""
     k = np.arange(n, dtype=float) + 0.5
     phi = np.arccos(1.0 - 2.0 * k / n)
     theta = np.pi * (1.0 + 5.0 ** 0.5) * k
@@ -214,15 +213,85 @@ def _polygon_ring(normals, offsets):
                    axis=0)
 
 
+def _first_rows(mask):
+    """First index of each distinct row of a bool matrix, packed to bytes:
+    each row compares as one string."""
+    packed = np.ascontiguousarray(np.packbits(mask, axis=1))
+    return np.unique(packed.view(f"S{packed.shape[1]}"), return_index=True)[1]
+
+
+def _polytope_vertices(normals, offsets):
+    """Vertices of the 3D polytope {x : n_i . x <= c_i} and the (vertex,
+    plane) mask of the planes within tol of each, from the planes alone.
+
+    The other planes clip the line of each pair i < j of planes more than
+    PARALLEL_SINE apart (one within 1e-9 of parallel clips none of it, or
+    all if more than tol outside).  An end of a nonempty interval is the
+    meet of a triple, v = (c_i n_j x n_k + c_j n_k x n_i + c_k n_i x n_j)
+    / (n_i . n_j x n_k): a vertex if no plane has it more than tol = 1e-9
+    x max(1, largest |coordinate|) outside.  Meets with one tight set
+    merge into the first.  Pairs run through _row_blocks at m planes
+    each.  An open end, an edge leaving a vertex that meets no other
+    plane, or no two planes meeting is unbounded; no vertex, or a plane
+    tight at every vertex (a flat body), is an empty interior.
+    """
+    m = normals.shape[0]
+    first, second = np.triu_indices(m, 1)
+    line = np.cross(normals[first], normals[second])
+    size = np.linalg.norm(line, axis=1)
+    meet = size > PARALLEL_SINE
+    if not meet.any():
+        raise GeometryError(
+            "polytope is unbounded: no two facet planes meet in a line")
+    first, second, size = first[meet], second[meet], size[meet]
+    line, parts = line[meet] / size[:, None], []
+    for rows in _row_blocks(first.size, m):
+        i, j, u = first[rows], second[rows], line[rows]
+        # the line's point nearest the origin, and where each plane cuts it
+        foot = (offsets[i, None] * np.cross(normals[j], u) + offsets[j, None]
+                * np.cross(u, normals[i])) / size[rows, None]
+        rate, room = u @ normals.T, offsets - foot @ normals.T
+        tol = 1e-9 * np.maximum(1.0, np.abs(foot).max(axis=1))
+        along = np.abs(rate) <= 1e-9
+        pair = np.arange(i.size)
+        along[pair, i] = along[pair, j] = True
+        t = room / np.where(along, 1.0, rate)
+        t_hi = np.where(along | (rate < 0.0), np.inf, t)
+        t_lo = np.where(along | (rate > 0.0), -np.inf, t)
+        hi, lo = t_hi.argmin(axis=1), t_lo.argmax(axis=1)
+        span = t_hi[pair, hi] - t_lo[pair, lo]
+        live = ~(along & (room < -tol[:, None])).any(axis=1) & (span >= -tol)
+        if (live & np.isinf(span)).any():
+            raise GeometryError("polytope is unbounded: an edge leaving a "
+                                "vertex meets no other facet plane")
+        for k in (lo, hi):
+            triple = np.column_stack([i, j, k])[live]
+            n = normals[triple]
+            # n_j x n_k, n_k x n_i and n_i x n_j of each triple
+            cross = np.cross(np.roll(n, -1, axis=1), np.roll(n, -2, axis=1))
+            v = np.einsum("tp,tpd->td", offsets[triple], cross) \
+                / np.vecdot(n[:, 0], cross[:, 0])[:, None]
+            slack = v @ normals.T - offsets
+            v_tol = 1e-9 * np.maximum(1.0, np.abs(v).max(axis=1))[:, None]
+            ok = (slack <= v_tol).all(axis=1)
+            parts.append((v[ok], np.abs(slack[ok]) <= v_tol[ok]))
+    verts, tight = map(np.concatenate, zip(*parts))
+    keep = np.sort(_first_rows(tight))
+    verts, tight = verts[keep], tight[keep]
+    if not verts.shape[0] or tight.all(axis=0).any():
+        raise GeometryError("halfspaces have empty interior")
+    return verts, tight
+
+
 class ConvexPolytope(_Region):
     """Bounded intersection of halfspaces {x : n_i . x <= c_i} with unit n_i.
 
-    Vertices are derived once at construction and cached: in 2D from the
-    half-plane ring (_polygon_ring), counterclockwise, with no interior
-    point; in 3D from Qhull seeded by the Chebyshev center, behind a
-    direction-net certificate and a dual-hull test.  The center and the
-    inradius are the given _inball, or else the LP's, solved when first
-    read (in 2D only by inradius() or chebyshev_center).
+    Vertices come from the planes alone, once, with no interior point: in
+    2D from the half-plane ring (_polygon_ring), counterclockwise; in 3D
+    from the plane triples (_polytope_vertices), whose facets triangles()
+    fans (_Triangles).  The center and the inradius are the given
+    _inball, or else the LP's, solved only when inradius() or
+    chebyshev_center is read.
     """
 
     is_convex = True
@@ -251,13 +320,14 @@ class ConvexPolytope(_Region):
         self._spec = _spec
         # _inball: a known (center, radius) of the largest inscribed ball
         self._inball = _inball
-        self.vertices = (_polygon_ring(normals, offsets) if self.dim == 2
-                         else self._enumerate_vertices())
+        if self.dim == 2:
+            self.vertices = _polygon_ring(normals, offsets)
+        else:
+            self.vertices, self._tight = _polytope_vertices(normals, offsets)
         # every pairwise distance at once, summed in axis order as
         # np.linalg.norm(axis=1) sums them
         diff = self.vertices[:, None] - self.vertices[None]
         self._diameter = float(np.sqrt((diff ** 2).sum(-1)).max())
-        self._hull = None
         self._triangles = None
         for arr in (self.normals, self.offsets, self.vertices):
             arr.flags.writeable = False
@@ -289,64 +359,14 @@ class ConvexPolytope(_Region):
         res = linprog(obj, A_ub=A, b_ub=self.offsets,
                       bounds=[(None, None)] * d + [(0, None)], method="highs")
         if not res.success:
-            if res.status == 3:
-                raise GeometryError(
-                    "polytope is unbounded: the facet normals leave an "
-                    "open direction")
             raise GeometryError(f"Chebyshev center LP failed: {res.message}")
         return res.x[:d].copy(), float(res.x[-1])
 
-    def _enumerate_vertices(self):
-        """3D vertices: Qhull's halfspace intersection, deduped."""
-        from scipy.spatial import HalfspaceIntersection   # see hull
-
-        # boundedness certificate: the normals must positively span R^3
-        support_ok = (self.normals @ _direction_net().T).max(axis=0)
-        if support_ok.min() <= 1e-9:
-            raise GeometryError(
-                "halfspaces leave an unbounded direction; sampled facets do "
-                "not enclose a bounded body")
-        if self.inradius() <= 0.0:
-            raise GeometryError("halfspaces have empty interior")
-        halfspaces = np.hstack([self.normals, -self.offsets[:, None]])
-        try:
-            hsi = HalfspaceIntersection(halfspaces, self.chebyshev_center)
-        except Exception as exc:  # qhull failures surface as shape errors
-            raise GeometryError(f"vertex enumeration failed: {exc}") from exc
-        # the intersection is bounded exactly when the seed lies strictly
-        # inside the dual hull (facet offsets below 0, here relative to the
-        # dual points' size); an open cone narrower than the direction
-        # net's spacing passes the certificate but fails here
-        if (hsi.dual_equations[:, -1].max()
-                > -1e-9 * np.abs(hsi.dual_points).max()):
-            raise GeometryError(
-                "polytope is unbounded: the facet normals leave an open "
-                "direction")
-        pts = hsi.intersections
-        # dedupe near-identical intersection points, first come first kept;
-        # vecdot takes the same dot product as np.linalg.norm of one vector
-        scale = max(1.0, float(np.abs(pts).max()))
-        diff = pts[:, None, :] - pts[None, :, :]
-        near = np.tril(np.sqrt(np.vecdot(diff, diff)) <= 1e-9 * scale, k=-1)
-        keep = np.ones(pts.shape[0], dtype=bool)
-        for i in np.flatnonzero(near.any(axis=1)):
-            keep[i] = not (near[i] & keep).any()
-        return pts[keep]
-
-    def hull(self):
-        """Convex hull of the vertex set (3D facet source)."""
-        if self._hull is None:
-            # imported on first use, as wherever a tree or 3D hull is built:
-            # scipy.spatial adds about 12 MiB of resident memory
-            from scipy.spatial import ConvexHull
-            self._hull = ConvexHull(self.vertices)
-        return self._hull
-
     def triangles(self):
-        """The hull triangles as arrays (_Triangles: the 3D distance and
-        projection kernel input), built once."""
+        """The facet triangles as arrays (_Triangles: the 3D distance,
+        projection and sampling kernel input), built once."""
         if self._triangles is None:
-            self._triangles = _Triangles(self.hull())
+            self._triangles = _Triangles(self)
         return self._triangles
 
     # -- geometry queries -----------------------------------------------------
@@ -371,7 +391,7 @@ class ConvexPolytope(_Region):
     def edges(self):
         """(a, b) endpoint arrays of boundary edges (2D only)."""
         if self.dim != 2:
-            raise GeometryError("edges() is 2D; use hull() facets in 3D")
+            raise GeometryError("edges() is 2D; use triangles() in 3D")
         v = self.vertices
         return v, np.roll(v, -1, axis=0)
 
@@ -389,7 +409,7 @@ class ConvexPolytope(_Region):
 
     def area(self):
         if self.dim != 2:
-            raise GeometryError("area is 2D; use hull().volume in 3D")
+            raise GeometryError("area is 2D")
         v = self.vertices
         x, y = v[:, 0], v[:, 1]
         return float(0.5 * np.abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
@@ -401,7 +421,7 @@ class ConvexPolytope(_Region):
         if self.dim == 2:
             pts, nrm = _sample_polygon(self.vertices, spacing)
         else:
-            pts, nrm = _sample_hull_3d(self.hull(), spacing)
+            pts, nrm = map(np.vstack, _sample_triangles(self, spacing, 0.0))
         surf = SampledSurface(pts, nrm, spacing, closed=self.dim == 2)
         _check_on_surface(self, surf)
         return surf
@@ -794,8 +814,7 @@ class Box(_Region):
         return self._extents
 
     def as_polytope(self):
-        """The box as a ConvexPolytope, built once (in 3D, an LP and
-        Qhull)."""
+        """The box as a ConvexPolytope, built once."""
         if self._polytope is None:
             eye = np.eye(self.dim)
             normals = np.vstack([eye, -eye])
@@ -1027,93 +1046,54 @@ def _sample_offset_2d(body, spacing):
     return np.vstack(pts), np.vstack(nrm)
 
 
-def _sample_triangles(hull, spacing, push):
-    """Barycentric grids over hull triangles, pushed out along their
-    normals by push, at roughly the target spacing.  Returns the sample
-    lists (points, inner normals) and the triangles' unit normals."""
-    pts, nrm, normals = [], [], []
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        normal = eq[:3] / np.linalg.norm(eq[:3])
-        normals.append(normal)
-        a, b, c = hull.points[simplex] + push * normal
-        u, v = b - a, c - a
+def _sample_triangles(poly, spacing, push):
+    """Barycentric grids over a 3D polytope's facet triangles, pushed out
+    along their facet normals by push, at roughly the target spacing.
+    Returns the sample lists (points, inner normals)."""
+    tri = poly.triangles()
+    pts, nrm = [], []
+    for normal, a, u, v in zip(poly.normals[tri.facet], tri.a, tri.ab, tri.ac):
         n = max(1, int(math.ceil(max(np.linalg.norm(u), np.linalg.norm(v))
                                  / spacing)))
-        cell = []
-        for i in range(n):
-            for j in range(n - i):
-                # cell centroids of a regular barycentric refinement
-                cell.append(((i + 1.0 / 3.0) / n, (j + 1.0 / 3.0) / n))
-                if i + j < n - 1:
-                    cell.append(((i + 2.0 / 3.0) / n, (j + 2.0 / 3.0) / n))
-        cell = np.array(cell)
-        p = a + cell[:, :1] * u + cell[:, 1:] * v
-        pts.append(p)
-        nrm.append(np.tile(-normal, (p.shape[0], 1)))
-    return pts, nrm, normals
-
-
-def _sample_hull_3d(hull, spacing):
-    """Barycentric grids over hull triangles at roughly the target spacing."""
-    pts, nrm, _ = _sample_triangles(hull, spacing, 0.0)
-    return np.vstack(pts), np.vstack(nrm)
+        # cell centroids of a regular barycentric refinement: cell (i, j)
+        # has an upward triangle, and a downward one where i + j < n - 1
+        i, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
+        cell = np.column_stack([i, j])[:, None] + np.c_[1.0, 2.0].T / 3.0
+        cell = cell[np.column_stack([i + j < n, i + j < n - 1])] / n
+        pts.append(a + push * normal + cell[:, :1] * u + cell[:, 1:] * v)
+        nrm.append(np.tile(-normal, (len(cell), 1)))
+    return pts, nrm
 
 
 def _sample_offset_3d(body, spacing):
     """Offset surface sampling: pushed facets, edge strips, vertex caps."""
-    base = body.base
-    eps = body.epsilon
-    hull = base.hull()
-    verts = hull.points
-    pts, nrm, facet_normals = _sample_triangles(hull, spacing, eps)
-
-    # edge strips between adjacent facets; two hull triangles in one facet
-    # plane of the base meet at no angle, whatever acos reads from their
-    # rounded normals
-    plane = np.argmax(np.array(facet_normals) @ base.normals.T, axis=1)
-    edge_map = {}
-    for fi, simplex in enumerate(hull.simplices):
-        for e in ((0, 1), (1, 2), (2, 0)):
-            key = tuple(sorted((simplex[e[0]], simplex[e[1]])))
-            edge_map.setdefault(key, []).append(fi)
-    for (i0, i1), facets in edge_map.items():
-        if len(facets) != 2 or plane[facets[0]] == plane[facets[1]]:
-            continue
-        n_a = facet_normals[facets[0]]
-        n_b = facet_normals[facets[1]]
-        cosang = float(np.clip(np.dot(n_a, n_b), -1.0, 1.0))
-        ang = math.acos(cosang)
+    base, eps, verts = body.base, body.epsilon, body.base.vertices
+    pts, nrm = _sample_triangles(base, spacing, eps)
+    # edge strips: an edge joins two vertices of two common facets, whose
+    # normals the strip turns between
+    facets = np.unique(base.triangles().facet)
+    on = base._tight[:, facets]
+    for i0, i1 in zip(*np.nonzero(np.triu(on.astype(int) @ on.T >= 2, 1))):
+        n_a, n_b = base.normals[facets[on[i0] & on[i1]][:2]]
+        ang = math.acos(float(np.clip(np.dot(n_a, n_b), -1.0, 1.0)))
         if ang < 1e-9:
             continue
         a, b = verts[i0], verts[i1]
-        length = float(np.linalg.norm(b - a))
-        n_len = max(1, int(math.ceil(length / spacing)))
+        n_len = max(1, int(math.ceil(float(np.linalg.norm(b - a)) / spacing)))
         n_ang = max(1, int(math.ceil(eps * ang / spacing)))
         axis = np.cross(n_a, n_b)
-        axis /= np.linalg.norm(axis)
-        for it in range(n_len):
-            p = a + (it + 0.5) / n_len * (b - a)
-            for ia in range(n_ang):
-                t = (ia + 0.5) / n_ang * ang
-                rot = (n_a * math.cos(t)
-                       + np.cross(axis, n_a) * math.sin(t)
-                       + axis * np.dot(axis, n_a) * (1.0 - math.cos(t)))
-                pts.append((p + eps * rot)[None])
-                nrm.append((-rot)[None])
-
-    # vertex caps: sphere directions restricted to the vertex normal cone
-    vert_facets = {}
-    for fi, simplex in enumerate(hull.simplices):
-        for vi in simplex:
-            vert_facets.setdefault(int(vi), []).append(fi)
+        t = (np.arange(n_ang) + 0.5) / n_ang * ang
+        rot = np.outer(np.cos(t), n_a) + np.outer(
+            np.sin(t), np.cross(axis / np.linalg.norm(axis), n_a))
+        p = a + ((np.arange(n_len) + 0.5) / n_len)[:, None] * (b - a)
+        pts.append((p[:, None] + eps * rot).reshape(-1, 3))
+        nrm.append(np.tile(-rot, (n_len, 1)))
+    # vertex caps: sphere directions in the vertex normal cone, which no
+    # other vertex lies beyond
     n_cap = max(64, int(math.ceil(4.0 * np.pi * eps * eps / spacing ** 2)))
     sphere = _direction_net(n_cap)
-    for vi, facets in vert_facets.items():
-        v = verts[vi]
-        sel = np.all(sphere @ (verts[list(set(
-            int(j) for f in facets for j in hull.simplices[f]) - {vi})] - v).T
-            <= 1e-12, axis=1)
-        cap = sphere[sel]
+    for v in verts:
+        cap = sphere[np.all(sphere @ (verts - v).T <= 1e-12, axis=1)]
         pts.append(v + eps * cap)
         nrm.append(-cap)
     return np.vstack(pts), np.vstack(nrm)
@@ -1383,22 +1363,42 @@ def _boundary_distance_2d(shape, points):
 
 
 class _Triangles:
-    """The hull triangles of a 3D polytope as arrays, built once.
+    """The facet triangles of a 3D polytope as arrays, built once.
 
-    Triangle k has corners a[k], b[k], c[k] and edges ab = b - a,
-    ac = c - a, bc = c - b.  centroid[k] is its centroid and reach[k] the
-    largest distance from the centroid to a corner, so the triangle lies
-    in the ball of that radius about its centroid.  corners holds each
-    hull vertex once, and margin is 1e-9 x max(1, box diagonal of the
-    hull), the rounding allowance of the pruning bounds (see
-    _polytope_boundary_distance_3d).
+    A facet is the three or more vertices tight at a plane (the first of
+    the planes tight at just those), fanned counterclockwise seen from
+    outside in their order of angle about their mean.  Triangle k has
+    corners a[k], b[k], c[k], the vertices index[k], edges ab = b - a,
+    ac = c - a and bc = c - b, and the plane facet[k], whose normal is
+    its own.  centroid[k] is its centroid and reach[k] the largest
+    distance from the centroid to a corner, so the triangle lies in the
+    ball of that radius about its centroid.  corners holds each vertex
+    once, and margin is 1e-9 x max(1, box diagonal of the vertices), the
+    pruning bounds' rounding allowance (_polytope_boundary_distance_3d).
     """
 
-    __slots__ = ("a", "b", "c", "ab", "ac", "bc", "centroid", "reach",
-                 "corners", "margin")
+    __slots__ = ("a", "b", "c", "index", "facet", "ab", "ac", "bc",
+                 "centroid", "reach", "corners", "margin")
 
-    def __init__(self, hull):
-        pts, simp = hull.points, hull.simplices
+    def __init__(self, poly):
+        pts, tight = poly.vertices, poly._tight
+        plane = _first_rows(tight.T)
+        plane = plane[tight[:, plane].sum(axis=0) >= 3]
+        facet, vert = np.nonzero(tight.T[plane])
+        count = np.bincount(facet)
+        start = np.cumsum(count) - count
+        mean = np.add.reduceat(pts[vert], start) / count[:, None]
+        n = poly.normals[plane[facet]]
+        u = np.cross(np.eye(3)[np.argmin(np.abs(n), axis=1)], n)
+        rel = pts[vert] - mean[facet]
+        ang = np.arctan2(np.vecdot(rel, np.cross(n, u)), np.vecdot(rel, u))
+        vert = vert[np.lexsort((ang, facet))]
+        # fan positions: inside a facet's run, neither its first nor last
+        mid = 1 + np.flatnonzero((facet[:-2] == facet[1:-1])
+                                 & (facet[1:-1] == facet[2:]))
+        simp = np.column_stack([vert[start[facet[mid]]], vert[mid],
+                                vert[mid + 1]])
+        self.index, self.facet = simp, plane[facet[mid]]
         self.a, self.b, self.c = (pts[simp[:, k]] for k in range(3))
         self.ab = self.b - self.a
         self.ac = self.c - self.a
@@ -1407,7 +1407,7 @@ class _Triangles:
         self.reach = np.sqrt(np.max(
             [np.vecdot(v - self.centroid, v - self.centroid)
              for v in (self.a, self.b, self.c)], axis=0))
-        self.corners = pts[np.unique(simp)]
+        self.corners = pts
         diag = float(np.linalg.norm(np.ptp(self.corners, axis=0)))
         self.margin = 1e-9 * max(1.0, diag)
 
@@ -1436,7 +1436,7 @@ def _along(start, edge, num, den, i):
 
 
 def _triangle_feet(tri, k, p):
-    """Distances and closest points from p[i] (n, 3) to hull triangle
+    """Distances and closest points from p[i] (n, 3) to facet triangle
     k[i] of tri (_Triangles).
 
     Each pair runs Ericson's Voronoi-region tests in a fixed order: corner
@@ -1516,19 +1516,19 @@ def _triangle_pairs(tri, points):
 
 
 def _polytope_boundary_distance_3d(poly, points):
-    """Distance from points (n, 3) to the hull triangles of a 3D polytope.
+    """Distance from points (n, 3) to the facet triangles of a 3D polytope.
 
     Each point's distance is the minimum of Ericson's closest-point
     distances over the triangles, found on the pairs that two bounds do
     not rule out (_triangle_pairs):
 
-    - the upper bound U is the distance to the nearest hull corner, at
+    - the upper bound U is the distance to the nearest vertex, at
       least the distance to any triangle at that corner;
     - the lower bound of a triangle is |p - centroid| - reach, since its
       foot lies within reach of the centroid (_Triangles).
 
     A pair is kept when its lower bound is at most U + margin (1 + U),
-    with margin 1e-9 x max(1, box diagonal of the hull), far above the
+    with margin 1e-9 x max(1, box diagonal of the vertices), far above the
     rounding of the bounds and of the kernel's distances.  The pruning is
     exact: the triangle whose computed distance d is the row minimum has
     lower bound at most d, and d is at most U, so it is always kept, as

@@ -4,7 +4,10 @@ These are the per-node loops that ``geometry._polytope_boundary_distance_3d``,
 ``eikonal.fast_march``, the row resolution of ``projection._cycle_rows``
 and ``projection._sampled_rows`` (the rows functions that
 ``singular.detect_multiproj`` runs over its grid rows), the inner-ball
-bisection and the vertex dedupe of ``ConvexPolytope`` replaced, and the
+bisection and the Qhull vertex dedupe of ``ConvexPolytope`` replaced
+(``polytope_vertices``, the reference of the 2D ring and the 3D plane
+triples, which meet it within the contracts of ``assert_ring_matches_qhull``
+and ``assert_vertices_match_qhull``), and the
 per-element loops that ``geometry._element_blocks`` and
 ``geometry._element_feet`` replaced: the 2D boundary distance with one arc
 at a time, the element queries of the 2D detector, and the scalar element
@@ -359,13 +362,26 @@ def assert_ring_matches_qhull(poly):
     return shift
 
 
+def assert_vertices_match_qhull(poly, tol=1e-12):
+    """The contract of a 3D polytope's vertices, which come from its plane
+    triples, against polytope_vertices (Qhull's, deduped): the same
+    count; each vertex within tol x scale of a Qhull vertex; and each on
+    at least three facet planes within 1e-12 x scale, the rounding of its
+    triple's closed form.  scale is max(1, largest Qhull coordinate)."""
+    verts, want = poly.vertices, polytope_vertices(poly)
+    assert verts.shape == want.shape
+    scale = max(1.0, float(np.abs(want).max()))
+    gap = np.linalg.norm(verts[:, None] - want[None], axis=2).min(axis=1)
+    assert (gap <= tol * scale).all()
+    resid = np.abs(verts @ poly.normals.T - poly.offsets)
+    assert ((resid <= 1e-12 * scale).sum(axis=1) >= 3).all()
+
+
 def polytope_boundary_distance_3d(poly, points):
-    """Boundary distance of a 3D polytope, one point at a time."""
-    hull = poly.hull()
-    verts = hull.points
-    tri_a = verts[hull.simplices[:, 0]]
-    tri_b = verts[hull.simplices[:, 1]]
-    tri_c = verts[hull.simplices[:, 2]]
+    """Boundary distance of a 3D polytope, one point at a time, over the
+    corners of its facet triangles."""
+    tri = poly.triangles()
+    tri_a, tri_b, tri_c = (poly.vertices[tri.index[:, k]] for k in range(3))
     out = np.empty(points.shape[0])
     for i, p in enumerate(points):
         feet = closest_point_triangles_one(p, tri_a, tri_b, tri_c)

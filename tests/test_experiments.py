@@ -148,7 +148,7 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
 
 # the exact 2D paths through cli.main (the exact_convex benchmark ops):
 # 2D polygons come from the half-plane ring, so neither the LP solver nor
-# scipy.spatial (kd-trees, hulls) may load
+# scipy.spatial (loaded only to build a kd-tree) may load
 EXACT_2D_SCRIPT = """
 import json, sys
 from sigma_eikonal import cli
@@ -166,8 +166,29 @@ print(sorted(m for m in sys.modules
 """
 
 
-@pytest.mark.parametrize("script", [NO_LP_SCRIPT, EXACT_2D_SCRIPT],
-                         ids=["experiments", "exact_2d_cli"])
+# the march_3d benchmark ops on a 3D polytope and its offset: 3D vertices
+# and facets come from the planes, so neither may load here either
+MARCH_3D_SCRIPT = """
+import sys
+from sigma_eikonal.distance import distance_field, grid_covering
+from sigma_eikonal.eikonal import fast_march, problem_from_shape
+from sigma_eikonal.geometry import OffsetBody, make_random_polytope
+from sigma_eikonal.singular import detect_gradjump
+
+poly = make_random_polytope(32, 1, dim=3)
+body = OffsetBody(poly, 0.3)
+grid = grid_covering(body, 0.6)
+for shape in (poly, body):
+    distance_field(shape, grid)
+    detect_gradjump(fast_march(problem_from_shape(shape, grid)))
+print(sorted(m for m in sys.modules
+             if m.startswith(("scipy.optimize", "scipy.spatial"))))
+"""
+
+
+@pytest.mark.parametrize("script",
+                         [NO_LP_SCRIPT, EXACT_2D_SCRIPT, MARCH_3D_SCRIPT],
+                         ids=["experiments", "exact_2d_cli", "march_3d"])
 def test_experiment_paths_do_not_load_the_lp_solver(script, tmp_path):
     src = Path(experiments.__file__).resolve().parent.parent
     env = {**os.environ,

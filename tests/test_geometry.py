@@ -1,5 +1,8 @@
 """Shape constructors, membership, sampling, and serialization."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,10 +167,17 @@ def test_polytope_inradius_matches_dense_scan():
 
 
 def test_polytope_vertices_lie_on_boundary():
-    poly = make_random_polytope(9, seed=2)
-    verts = poly.hull().points[poly.hull().vertices]
-    assert np.all(poly.contains(verts))
-    assert np.all(poly.boundary_distance(verts) <= 1e-9)
+    """The vertices, and in 3D every corner of the facet triangles, which
+    are all of the vertices."""
+    for dim in (2, 3):
+        poly = make_random_polytope(9, seed=2, dim=dim)
+        verts = poly.vertices
+        if dim == 3:
+            corners = poly.triangles().index
+            assert np.array_equal(np.unique(corners), np.arange(len(verts)))
+            verts = verts[corners.ravel()]
+        assert np.all(poly.contains(verts))
+        assert np.all(poly.boundary_distance(verts) <= 1e-9)
 
 
 def test_offset_membership_matches_base_distance(unit_square):
@@ -463,6 +473,93 @@ def test_2d_polytope_solves_its_lp_only_when_its_ball_is_read(monkeypatch):
         poly.chebyshev_center
     monkeypatch.undo()
     assert poly.inradius() == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# 3D vertices from the plane triples
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make, inradius", [
+    pytest.param(lambda: Box((1.0, 0.5, 0.75)).as_polytope(), 0.5, id="box"),
+    pytest.param(lambda: ConvexPolytope(
+        make_random_polytope(32, 1, dim=3).normals, np.ones(32)), 1.0,
+        id="tangent32"),
+])
+def test_3d_polytope_solves_its_lp_only_when_its_ball_is_read(
+        make, inradius, monkeypatch):
+    """Vertices, facets, samplings and distances of a 3D polytope and its
+    offset need no LP; only inradius() and chebyshev_center solve it."""
+    no_lp(monkeypatch)
+    poly = make()
+    for shape in (poly, OffsetBody(poly, 0.3)):
+        shape.boundary_sample(0.25)
+        shape.boundary_distance(np.zeros((1, 3)))
+    with pytest.raises(AssertionError, match="LP ran"):
+        poly.inradius()
+    with pytest.raises(AssertionError, match="LP ran"):
+        poly.chebyshev_center
+    monkeypatch.undo()
+    assert poly.inradius() == pytest.approx(inradius)
+
+
+CUBE = np.vstack([np.eye(3), -np.eye(3)])
+
+
+@pytest.mark.parametrize("normals, offsets, message", [
+    pytest.param(CUBE, [-2.0, 1, 1, 1, 1, 1], "empty interior",
+                 id="x<=-2_and_x>=-1"),
+    pytest.param(CUBE, [0.0, 1, 1, 0, 1, 1], "empty interior",
+                 id="zero_width_slab"),
+    pytest.param(CUBE[:5], np.ones(5), "unbounded", id="open_box"),
+    pytest.param(CUBE[[0, 3, 0, 3]], [1.0, 1, 2, 2], "unbounded",
+                 id="parallel_normals"),
+])
+def test_3d_polytope_is_rejected_without_the_lp(normals, offsets, message,
+                                                monkeypatch):
+    """An infeasible pair of x-bounds and a slab of zero width are empty
+    interiors; a box open on one side, and normals that are all parallel,
+    are unbounded.  The planes tell, with no LP."""
+    no_lp(monkeypatch)
+    with pytest.raises(GeometryError, match=message):
+        ConvexPolytope(normals, offsets)
+
+
+@RING_PROPERTY
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_axis_aligned_3d_box_vertices_are_exact(a, b, c):
+    poly = Box((a, b, c)).as_polytope()
+    corners = list(itertools.product((a, -a), (b, -b), (c, -c)))
+    assert poly.vertices.shape == (8, 3)
+    assert np.array_equal(np.unique(poly.vertices, axis=0),
+                          np.unique(corners, axis=0))
+
+
+@pytest.mark.parametrize("h", [1.0 / 8, 1.0 / 16])
+@pytest.mark.parametrize("extents", [(1.0, 0.5, 0.75), (1.0, 2.0, 0.5)],
+                         ids=str)
+def test_mirror_flips_3d_box_multiproj_flags_exactly(extents, h):
+    """On a grid symmetric about the origin a box's flags equal their own
+    mirror image along each axis: its vertices are exact, so nothing
+    breaks the symmetry (Qhull's vertices broke it for (1, 2, 0.5))."""
+    k = int(np.ceil(max(extents) / h)) + 3
+    grid = GridSpec((-k * h,) * 3, h, (2 * k + 1,) * 3)
+    flags = detect_multiproj(Box(extents), grid).flags
+    assert flags.any()
+    for axis in range(3):
+        assert np.array_equal(np.flip(flags, axis=axis), flags)
+
+
+def test_3d_vertices_trace_a_bounded_peak():
+    """The pairs and triples of 96 facet planes run in row blocks: one
+    unblocked (triple, plane) slack matrix would be about 110 MB."""
+    make_random_polytope(12, 1, dim=3)          # imports and first calls
+    tracemalloc.start()
+    try:
+        make_random_polytope(96, 1, dim=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 RING_FACETS = (8, 12, 16, 24, 32, 48, 64, 96, 128)

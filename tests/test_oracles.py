@@ -4,8 +4,9 @@ vertex dedupe against their loop oracles.
 The oracles in ``oracles.py`` are the per-node loops the production code
 replaced.  Both forms make the same decisions on the same arithmetic, so
 the arrays must be equal bit for bit, not merely close.  The one
-exception is 2D polygon vertices: the half-plane ring replaced Qhull with
-other arithmetic, and is held to a stated contract against it.
+exception is polytope vertices: the 2D half-plane ring and the 3D plane
+triples replaced Qhull with other arithmetic, and are held to stated
+contracts against it.
 """
 
 import math
@@ -1153,7 +1154,7 @@ def test_single_radius_matches_scalar_bisection(unit_square):
 
 
 # ---------------------------------------------------------------------------
-# polytope vertex dedupe
+# polytope vertices against Qhull's
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("facets,seed,dim", [
@@ -1161,15 +1162,16 @@ def test_single_radius_matches_scalar_bisection(unit_square):
     (12, 3, 3), (32, 1, 3), (32, 7, 3),
 ])
 def test_random_polytope_vertices_match_loop(facets, seed, dim):
-    """3D vertices are Qhull's, deduped, bit for bit; 2D ones come from
-    the half-plane ring, whose arithmetic differs, and meet its contract
-    against Qhull's (oracles.assert_ring_matches_qhull), starting at the
-    same vertex."""
+    """Vertices come from the planes, in other arithmetic than Qhull's:
+    2D ones from the half-plane ring, which meet its contract against
+    Qhull's (oracles.assert_ring_matches_qhull), starting at the same
+    vertex; 3D ones from the plane triples, which meet theirs
+    (oracles.assert_vertices_match_qhull)."""
     poly = make_random_polytope(facets, seed, dim=dim)
     if dim == 2:
         assert oracles.assert_ring_matches_qhull(poly) == 0
     else:
-        assert np.array_equal(poly.vertices, oracles.polytope_vertices(poly))
+        oracles.assert_vertices_match_qhull(poly)
 
 
 def test_vertices_of_barely_cut_corners_match_loop():
@@ -1177,7 +1179,9 @@ def test_vertices_of_barely_cut_corners_match_loop():
     Qhull return intersection points about 1e-11 apart there, which the
     dedupe merges, keeping the first.  The 2D ring drops the cutting
     line, whose edge is as short: four vertices, the corner within 1e-9
-    of (1, 1)."""
+    of (1, 1).  In 3D the meets of the cut corner share one set of tight
+    planes and merge into the first triple's, the corner (1, 1, 1) of the
+    cube's own planes: eight vertices, within 1e-9 of Qhull's."""
     for dim in (2, 3):
         eye = np.eye(dim)
         normals = np.vstack([eye, -eye, np.full(dim, 1.0 / np.sqrt(dim))])
@@ -1187,5 +1191,4 @@ def test_vertices_of_barely_cut_corners_match_loop():
         if dim == 2:
             assert np.linalg.norm(poly.vertices - 1.0, axis=1).min() <= 1e-9
         else:
-            assert np.array_equal(poly.vertices,
-                                  oracles.polytope_vertices(poly))
+            oracles.assert_vertices_match_qhull(poly, tol=1e-9)

@@ -16,6 +16,7 @@ from sigma_eikonal.distance import distance_field, grid_covering
 from sigma_eikonal.eikonal import fast_march, problem_from_shape
 from sigma_eikonal.geometry import (
     Box,
+    ConvexPolytope,
     GeometryError,
     OffsetBody,
     SampledSurface,
@@ -36,9 +37,9 @@ seeds = st.integers(0, 2 ** 16)
 coord = st.floats(-1.0, 1.0, allow_nan=False)
 
 
-def polytope(seed):
+def polytope(seed, facets=FACETS):
     try:
-        return make_random_polytope(FACETS, seed, dim=3)
+        return make_random_polytope(facets, seed, dim=3)
     except GeometryError:
         reject()
 
@@ -192,9 +193,9 @@ def test_flags_are_exactly_the_non_singleton_projections(seed):
 
 
 def test_offset_samples_skip_edges_inside_one_facet_plane():
-    """Two hull triangles of one facet plane read an angle of about 1e-8
-    through acos but have a zero cross product; their edge gets no strip,
-    so no sample is NaN."""
+    """Only edges between two facets get a strip: the fan diagonals inside
+    one facet, whose normals meet at no angle, get none, so no sample is
+    NaN."""
     body = OffsetBody(make_random_polytope(FACETS, 2, dim=3), EPS)
     for spacing in (0.3, 0.1):
         surf = body.boundary_sample(spacing)
@@ -208,3 +209,62 @@ def test_sampled_surface_rejects_non_finite_points():
     with pytest.raises(GeometryError):
         SampledSurface(pts, nrm, spacing=0.1)
 
+
+
+# ---------------------------------------------------------------------------
+# vertices from the plane triples against Qhull's
+# ---------------------------------------------------------------------------
+
+def pyramid():
+    """A square pyramid: a base z >= -1 and four sides whose planes all
+    meet at the apex (0, 0, 1)."""
+    r = np.sqrt(0.5)
+    sides = [(r, 0.0, r), (-r, 0.0, r), (0.0, r, r), (0.0, -r, r)]
+    return np.array(sides + [(0.0, 0.0, -1.0)]), np.r_[np.full(4, r), 1.0]
+
+
+@st.composite
+def cluttered_polytopes(draw):
+    """A cube, the pyramid whose apex has four planes, or a tangent
+    polytope of 8 to 32 seeded random normals, plus redundant planes:
+    copies of its planes pushed out by 0 (a duplicated normal), 1e-6 or
+    0.25, and planes at its vertices, their normals drawn from the
+    vertex's normal cone, pushed out by 1e-6 or more.  Rows are
+    shuffled."""
+    base = draw(st.sampled_from(["cube", "pyramid", "random"]))
+    if base == "cube":
+        normals, offsets = np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)
+    elif base == "pyramid":
+        normals, offsets = pyramid()
+    else:
+        poly = polytope(draw(seeds), draw(st.integers(8, 32)))
+        normals, offsets = poly.normals, poly.offsets
+    verts = ConvexPolytope(normals, offsets).vertices
+    rng = np.random.default_rng(draw(seeds))
+    rows = [np.c_[normals, offsets]]
+    for _ in range(draw(st.integers(0, 4))):
+        k = rng.integers(len(offsets))
+        rows.append([*normals[k], offsets[k]
+                     + draw(st.sampled_from([0.0, 1e-6, 0.25]))])
+    for _ in range(draw(st.integers(0, 4))):
+        v = verts[rng.integers(len(verts))]
+        cone = normals[np.abs(normals @ v - offsets) <= 1e-9]
+        n = rng.uniform(0.1, 1.0, len(cone)) @ cone
+        n /= np.linalg.norm(n)
+        rows.append([*n, n @ v + draw(st.sampled_from([1e-6, 1e-3, 0.5]))])
+    rows = np.vstack(rows)
+    rows = rows[draw(st.permutations(range(len(rows))))]
+    return rows[:, :3], rows[:, 3]
+
+
+@PROPERTY
+@given(cluttered_polytopes())
+def test_plane_triple_vertices_meet_the_qhull_contract(planes):
+    """Random normals, duplicated normals, redundant planes and a vertex
+    of four planes: the vertices are Qhull's within the contract of
+    oracles.assert_vertices_match_qhull, and the facet triangles use
+    every vertex."""
+    poly = ConvexPolytope(*planes)
+    oracles.assert_vertices_match_qhull(poly)
+    assert np.array_equal(np.unique(poly.triangles().index),
+                          np.arange(len(poly.vertices)))
