@@ -113,6 +113,7 @@ class GridSpec:
                      for k in range(self.dim))
 
     def nearest_node(self, point):
+        _require(point, GridError, f"point {tuple(point)} must be finite")
         idx = tuple(int(round((point[k] - self.origin[k]) / self.spacing))
                     for k in range(self.dim))
         if any(i < 0 or i >= self.dims[k] for k, i in enumerate(idx)):

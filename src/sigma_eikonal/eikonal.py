@@ -264,12 +264,16 @@ def residuals(f, singular_mask=None, margin=None):
     """Residual statistics away from the surface, flags, and the grid rim.
 
     ``singular_mask`` is a SingularMask on the field's grid (another grid
-    raises GridError) or None; ``margin`` defaults to 10 grid cells.
+    raises GridError) or None; ``margin`` defaults to 10 grid cells and
+    must be finite and >= 0 (GridError otherwise).
     """
     if f.kind not in ("distance", "signed_distance", "eikonal_solution"):
         raise GridError("residuals need a distance-like field")
     if margin is None:
         margin = 10.0 * f.grid.spacing
+    if not 0 <= margin < math.inf:     # also rejects NaN
+        raise GridError(f"residual margin must be finite and >= 0, "
+                        f"got {margin}")
     res = upwind_residual(f)
 
     eligible = np.isfinite(f.values)

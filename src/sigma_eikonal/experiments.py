@@ -23,7 +23,7 @@ from .distance import (
     signed_distance_field,
 )
 from .eikonal import residuals
-from .geometry import Ball, ConvexPolytope, GraphHypersurface, OffsetBody, \
+from .geometry import Ball, Box, GraphHypersurface, OffsetBody, \
     make_random_polytope
 from .innerball import inner_ball_profile, theorem_equivalence_check
 from .projection import _resolver, project
@@ -166,14 +166,6 @@ class ExperimentConfig:
 _CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
-def _unit_square():
-    """The square [-1, 1]^2 as a polytope, with its known inner ball (the
-    unit ball about the origin) passed in, so no Chebyshev LP is solved."""
-    eye = np.eye(2)
-    return ConvexPolytope(np.vstack([eye, -eye]), np.ones(4),
-                          _inball=(np.zeros(2), 1.0))
-
-
 # ---------------------------------------------------------------------------
 # gradient characterization
 # ---------------------------------------------------------------------------
@@ -191,7 +183,7 @@ def run_lemma_gradient(config):
     with the spread of its row.
     """
     h = config.grid_h or GRAD_H
-    square = _unit_square()
+    square = Box((1.0, 1.0))
     shapes = [
         ("disk", Ball((0.0, 0.0), 1.0)),
         ("square", square),
@@ -214,8 +206,8 @@ def run_lemma_gradient(config):
         nodes = eligible.reshape(-1)
         x = pts[nodes]
         # the first foot of each row at tie window 0 is a nearest point
-        rows, body, _ = _resolver(shape, x, 0.0)
-        count, feet = rows(body, x, 0.0, True)[1:3]
+        rows, _ = _resolver(shape, x, 0.0)
+        count, feet = rows(shape, x, 0.0, True)[1:3]
         formula = (x - feet[np.cumsum(count) - count]) \
             / dK.reshape(-1)[nodes][:, None]
         fd = gradient_field(fld).reshape(-1, grid.dim)[nodes]
@@ -223,9 +215,9 @@ def run_lemma_gradient(config):
 
         flagged = pts[mask.flags.reshape(-1)]
         if flagged.shape[0]:
-            rows, body, tau = _resolver(shape, flagged,
-                                        float(mask.params["tau_multi"]))
-            spread = rows(body, flagged, tau, False)[3]
+            rows, tau = _resolver(shape, flagged,
+                                  float(mask.params["tau_multi"]))
+            spread = rows(shape, flagged, tau, False)[3]
             # project answers a node as its row of the same function
             if project(shape, flagged[0], tau).spread != spread[0]:
                 raise RuntimeError(f"{label}: project and the flagged rows "
@@ -252,7 +244,7 @@ def run_offset_identity(config):
     epsilon, to near machine precision, and base flags sit inside the
     (one grid step dilated) offset flags."""
     h = config.grid_h or OFFSET_H
-    bases = [("square", _unit_square())]
+    bases = [("square", Box((1.0, 1.0)))]
     for n, shift in ((8, 1), (12, 2), (20, 3)):
         bases.append((f"poly{n}", make_random_polytope(n, config.seed + shift)))
     report = {"experiment": "offset_identity", "h": h}
@@ -384,7 +376,7 @@ def run_equivalence(config):
     (0.9922, -0.7578), 0.038 from a branch whose feet lie about 0.004
     apart."""
     h = config.grid_h or OFFSET_H
-    square = _unit_square()
+    square = Box((1.0, 1.0))
     cases = [
         ("disk", Ball((0.0, 0.0), 1.0), True),
         ("square_offset", OffsetBody(square, 0.5), True),

@@ -332,7 +332,7 @@ class ConvexPolytope(_Region):
         for arr in (self.normals, self.offsets, self.vertices):
             arr.flags.writeable = False
         if self.dim == 2:
-            self._cycle = _Cycle(*self.edges())
+            self._cycle = _Cycle(self.vertices)
 
     # -- construction helpers ------------------------------------------------
 
@@ -388,13 +388,6 @@ class ConvexPolytope(_Region):
                                   <= self.offsets + tol, axis=1)
         return inside
 
-    def edges(self):
-        """(a, b) endpoint arrays of boundary edges (2D only)."""
-        if self.dim != 2:
-            raise GeometryError("edges() is 2D; use triangles() in 3D")
-        v = self.vertices
-        return v, np.roll(v, -1, axis=0)
-
     def boundary_distance(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.dim == 2:
@@ -404,8 +397,7 @@ class ConvexPolytope(_Region):
     def perimeter(self):
         if self.dim != 2:
             raise GeometryError("perimeter is 2D")
-        a, b = self.edges()
-        return float(np.linalg.norm(b - a, axis=1).sum())
+        return float(np.linalg.norm(self._cycle.seg_d, axis=1).sum())
 
     def area(self):
         if self.dim != 2:
@@ -419,7 +411,7 @@ class ConvexPolytope(_Region):
     def boundary_sample(self, spacing):
         _check_spacing(spacing, self.diameter())
         if self.dim == 2:
-            pts, nrm = _sample_polygon(self.vertices, spacing)
+            pts, nrm = _sample_cycle(self._cycle, spacing)
         else:
             pts, nrm = map(np.vstack, _sample_triangles(self, spacing, 0.0))
         surf = SampledSurface(pts, nrm, spacing, closed=self.dim == 2)
@@ -504,8 +496,7 @@ class OffsetBody(_Region):
         self.epsilon = epsilon
         self.dim = base.dim
         if self.dim == 2:
-            self._segments, self._arcs = _offset_elements_2d(base, epsilon)
-            self._cycle = _Cycle(*self._segments[:2], self._arcs, epsilon)
+            self._cycle = _Cycle(base.vertices, epsilon)
 
     def diameter(self):
         return self.base.diameter() + 2.0 * self.epsilon
@@ -530,12 +521,6 @@ class OffsetBody(_Region):
         near &= ~ok
         ok[near] = self.base.boundary_distance(pts[near]) <= self.epsilon + tol
         return ok
-
-    def elements(self):
-        """Offset boundary elements: (segments, arcs); 2D only."""
-        if self.dim != 2:
-            raise GeometryError("explicit offset elements are 2D")
-        return self._segments, self._arcs
 
     def boundary_distance(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -566,7 +551,7 @@ class OffsetBody(_Region):
     def boundary_sample(self, spacing):
         _check_spacing(spacing, self.diameter())
         if self.dim == 2:
-            pts, nrm = _sample_offset_2d(self, spacing)
+            pts, nrm = _sample_cycle(self._cycle, spacing)
         else:
             pts, nrm = _sample_offset_3d(self, spacing)
         surf = SampledSurface(pts, nrm, spacing, closed=self.dim == 2)
@@ -791,10 +776,11 @@ def _ellipse_feet(ellipse, pts, second=False):
     return feet[0], feet[1]
 
 
-class Box(_Region):
-    """Origin-centered axis-aligned box with given half-extents."""
+class Box(ConvexPolytope):
+    """Origin-centered axis-aligned box with given half-extents: the
+    polytope of its 2 x dim axis planes, whose inball (the origin, the
+    smallest half-extent) is known, so no Box path solves the LP."""
 
-    is_convex = True
     kind = "box"
 
     def __init__(self, extents):
@@ -805,53 +791,24 @@ class Box(_Region):
                  "half-extents must be finite and positive", positive=True)
         extents.flags.writeable = False
         self._extents = extents
-        self.dim = extents.shape[0]
-        self._polytope = None
+        eye, center = np.eye(extents.size), np.zeros(extents.size)
+        super().__init__(np.vstack([eye, -eye]), np.tile(extents, 2),
+                         _inball=(center, float(extents.min())))
 
     @property
     def extents(self):
-        """Half-extents, read-only so the cached polytope stays valid."""
+        """Half-extents, read-only like the planes built from them."""
         return self._extents
 
-    def as_polytope(self):
-        """The box as a ConvexPolytope, built once."""
-        if self._polytope is None:
-            eye = np.eye(self.dim)
-            normals = np.vstack([eye, -eye])
-            offsets = np.concatenate([self.extents, self.extents])
-            self._polytope = ConvexPolytope(normals, offsets)
-        return self._polytope
-
-    def diameter(self):
-        return 2.0 * float(np.linalg.norm(self.extents))
-
-    def inradius(self):
-        return float(self.extents.min())
-
-    def bbox(self):
-        return -self.extents.copy(), self.extents.copy()
-
-    def _inside(self, pts):
-        tol = 1e-12 * max(1.0, self.diameter())
-        return np.all(np.abs(pts) <= self.extents + tol, axis=1)
-
-    def boundary_distance(self, points):
-        """The distance of the cached polytope, so a Box and its polytope
-        give the same fields, masks and radii bit for bit."""
-        return self.as_polytope().boundary_distance(points)
-
-    def boundary_sample(self, spacing):
-        return self.as_polytope().boundary_sample(spacing)
+    # bound here too: perfbench/spans.py wraps them from Box.__dict__
+    boundary_distance = ConvexPolytope.boundary_distance
+    boundary_sample = ConvexPolytope.boundary_sample
 
     def describe(self):
         return f"box(extents={tuple(float(v) for v in self.extents)})"
 
     def to_spec(self):
         return {"kind": "box", "extents": self.extents.tolist()}
-
-    def summary(self):
-        return {"kind": self.describe(), "dim": self.dim,
-                "inradius": self.inradius(), "diameter": self.diameter()}
 
 
 # ---------------------------------------------------------------------------
@@ -981,68 +938,22 @@ def _check_on_surface(shape, surf):
             f"sampling left the boundary: worst offset {worst:.3e} > {tol:.3e}")
 
 
-def _sample_polygon(vertices, spacing):
-    """Uniform chain along polygon edges; vertices are always included."""
+def _sample_cycle(cyc, spacing):
+    """Uniform chain along the elements of a 2D _Cycle, in cycle order:
+    arc k (an offset's), then edge k.  Every element starts at its first
+    end, so a polygon's vertices are always included."""
     pts, nrm = [], []
-    m = vertices.shape[0]
-    for i in range(m):
-        a = vertices[i]
-        b = vertices[(i + 1) % m]
-        edge = b - a
-        length = float(np.linalg.norm(edge))
-        n = max(1, int(math.ceil(length / spacing)))
-        t = np.arange(n) / n
-        seg_pts = a + t[:, None] * edge
-        tangent = edge / length
-        outward = np.array([tangent[1], -tangent[0]])
-        pts.append(seg_pts)
-        nrm.append(np.tile(-outward, (n, 1)))
-    return np.vstack(pts), np.vstack(nrm)
-
-
-def _offset_elements_2d(base, epsilon):
-    """Offset boundary elements: pushed edges plus vertex arcs (CCW order)."""
-    v = base.vertices
-    m = v.shape[0]
-    edges = np.roll(v, -1, axis=0) - v
-    lengths = np.linalg.norm(edges, axis=1)
-    tangents = edges / lengths[:, None]
-    outward = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-    seg_a = v + epsilon * outward
-    seg_b = np.roll(v, -1, axis=0) + epsilon * outward
-    segments = (seg_a, seg_b, outward)
-    arcs = []
-    for i in range(m):
-        n_prev = outward[(i - 1) % m]
-        n_next = outward[i]
-        a0 = math.atan2(n_prev[1], n_prev[0])
-        a1 = math.atan2(n_next[1], n_next[0])
-        sweep = (a1 - a0) % (2.0 * np.pi)
-        arcs.append((v[i], a0, sweep))
-    return segments, arcs
-
-
-def _sample_offset_2d(body, spacing):
-    seg, arcs = body.elements()
-    seg_a, seg_b, outward = seg
-    eps = body.epsilon
-    pts, nrm = [], []
-    m = seg_a.shape[0]
-    for i in range(m):
-        # vertex arc before edge i
-        center, a0, sweep = arcs[i]
-        n = max(1, int(math.ceil(eps * sweep / spacing)))
-        t = a0 + sweep * np.arange(n) / n
-        out = np.column_stack([np.cos(t), np.sin(t)])
-        pts.append(center + eps * out)
-        nrm.append(-out)
-        # pushed edge i
-        a, b = seg_a[i], seg_b[i]
-        length = float(np.linalg.norm(b - a))
-        n = max(1, int(math.ceil(length / spacing)))
-        t = np.arange(n) / n
-        pts.append(a + t[:, None] * (b - a))
-        nrm.append(np.tile(-outward[i], (n, 1)))
+    for k in range(cyc.seg_a.shape[0]):
+        if cyc.radius:
+            n = max(1, int(math.ceil(cyc.radius * cyc.sweep[k] / spacing)))
+            t = cyc.a0[k] + cyc.sweep[k] * np.arange(n) / n
+            out = np.column_stack([np.cos(t), np.sin(t)])
+            pts.append(cyc.center[k] + cyc.radius * out)
+            nrm.append(-out)
+        a, d = cyc.seg_a[k], cyc.seg_d[k]
+        n = max(1, int(math.ceil(float(np.linalg.norm(d)) / spacing)))
+        pts.append(a + (np.arange(n) / n)[:, None] * d)
+        nrm.append(np.tile(-cyc.seg_n[k], (n, 1)))
     return np.vstack(pts), np.vstack(nrm)
 
 
@@ -1243,33 +1154,53 @@ def _arc_distances(px, py, cyc, dist, clamp, work):
 
 
 class _Cycle:
-    """The boundary elements of a 2D polytope or offset, as arrays.
+    """The boundary elements of a 2D polytope, or of its offset by radius,
+    as arrays: the one description of that boundary, which the distance,
+    projection and sampling kernels all read.
 
-    Built once per shape.  In cycle order a polytope's element k is edge
-    k, from seg_a[k] to seg_b[k] (direction seg_d[k], squared length
-    seg_l2[k], 1 for a point edge); an offset's element 2i is the CCW arc
-    of the given radius about base vertex center[i], from angle a0[i] (end
-    point e0[i]) through sweep[i] (to e1[i]), and element 2i + 1 is pushed
-    edge i.  A polytope has no arcs.
+    Built once per shape from the polygon's counterclockwise vertices.
+    Edge k runs from vertex k to vertex k + 1, with outward unit normal
+    seg_n[k] (its direction turned clockwise, over its norm(axis=1)
+    length).  In cycle order a polygon's element k is edge k, from
+    seg_a[k] to seg_b[k] (direction seg_d[k], squared length seg_l2[k],
+    1 for a point edge).  An offset's element 2k is the CCW arc of the
+    radius about vertex center[k], from angle a0[k] (end point e0[k],
+    edge k - 1's normal) through sweep[k] (to e1[k], edge k's), and
+    element 2k + 1 is edge k pushed out by the radius along seg_n[k].
+    A polygon has no arcs.
     """
 
-    __slots__ = ("seg_a", "seg_b", "seg_d", "seg_l2", "center", "a0",
-                 "sweep", "e0", "e1", "radius", "size")
+    __slots__ = ("seg_a", "seg_b", "seg_d", "seg_l2", "seg_n", "center",
+                 "a0", "sweep", "e0", "e1", "radius", "size")
 
-    def __init__(self, seg_a, seg_b, arcs=(), radius=0.0):
-        self.seg_a, self.seg_b, self.radius = seg_a, seg_b, radius
-        self.seg_d = seg_b - seg_a
+    def __init__(self, vertices, radius=0.0):
+        after = np.roll(vertices, -1, axis=0)
+        edge = after - vertices
+        tangent = edge / np.linalg.norm(edge, axis=1)[:, None]
+        self.seg_n = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+        self.radius = radius
+        # math.atan2, cos and sin on floats: NumPy's vector trig rounds
+        # otherwise.  Arc k turns from edge k - 1's normal to edge k's
+        n = self.seg_n.tolist() if radius else []
+        a0 = [math.atan2(y, x) for x, y in n[-1:] + n[:-1]]
+        sweep = [(math.atan2(y, x) - a) % (2.0 * np.pi)
+                 for (x, y), a in zip(n, a0)]
+        if radius:
+            self.seg_a = vertices + radius * self.seg_n
+            self.seg_b = after + radius * self.seg_n
+        else:
+            self.seg_a, self.seg_b = vertices, after
+        self.seg_d = self.seg_b - self.seg_a
         l2 = np.einsum("md,md->m", self.seg_d, self.seg_d)
         self.seg_l2 = np.where(l2 <= 0.0, 1.0, l2)
-        self.center = np.array([c for c, _, _ in arcs]).reshape(-1, 2)
-        self.a0 = np.array([a for _, a, _ in arcs])
-        self.sweep = np.array([w for _, _, w in arcs])
+        self.center = vertices[:len(n)]
+        self.a0, self.sweep = np.array(a0), np.array(sweep)
         self.e0 = self.center + radius * np.array(
-            [[math.cos(a), math.sin(a)] for _, a, _ in arcs]).reshape(-1, 2)
+            [[math.cos(a), math.sin(a)] for a in a0]).reshape(-1, 2)
         self.e1 = self.center + radius * np.array(
             [[math.cos(a + w), math.sin(a + w)]
-             for _, a, w in arcs]).reshape(-1, 2)
-        self.size = seg_a.shape[0] + self.center.shape[0]
+             for a, w in zip(a0, sweep)]).reshape(-1, 2)
+        self.size = self.seg_a.shape[0] + self.center.shape[0]
 
 
 def _element_blocks(shape, points):

@@ -9,15 +9,16 @@ the representatives' spread stays within tau_multi.  The default is
 for sampled surfaces; grid detectors pass a grid-scaled value.
 
 Each shape family has one rows function, which resolves many points at
-once, one row each: _cycle_rows (2D polytopes and offsets), _slack_rows
-(3D polytopes and offsets), _ball_rows, _ellipse_rows and _sampled_rows.
-One lookup, _resolver, picks it for every caller: it answers a Box as its
-cached polytope, raises on a graph or an unknown shape, and checks the
-points' dimension and the tie window.  project answers one point as row 0
-of its family's rows, resolved in full; singular.detect_multiproj runs the
-same function over its grid rows, resolving only the rows that can be
-ties, and flags the rows whose spread exceeds tau_multi.  So a node is
-flagged exactly when its projection is not a singleton.
+once, one row each: _cycle_rows (2D polytopes, boxes and offsets),
+_slack_rows (3D polytopes, boxes and offsets), _ball_rows, _ellipse_rows
+and _sampled_rows.  One lookup, _resolver, picks it for every caller from
+a (type, dim) table, in which a Box is one more polytope: it raises on a
+graph or an unknown shape, and checks the points' dimension and the tie
+window.  project answers one point as row 0 of its family's rows,
+resolved in full; singular.detect_multiproj runs the same function over
+its grid rows, resolving only the rows that can be ties, and flags the
+rows whose spread exceeds tau_multi.  So a node is flagged exactly when
+its projection is not a singleton.
 
 For exact 2D shapes the boundary is an ordered cycle of elements (polygon
 edges; offset bodies add vertex arcs), held as arrays by the shape.  Its
@@ -676,7 +677,9 @@ def _sampled_clusters(surface, x, count, idx, span, full):
 
 _ROWS = {
     (ConvexPolytope, 2): _cycle_rows, (OffsetBody, 2): _cycle_rows,
+    (Box, 2): _cycle_rows,
     (ConvexPolytope, 3): _slack_rows, (OffsetBody, 3): _slack_rows,
+    (Box, 3): _slack_rows,
     (Ball, 2): _ball_rows, (Ball, 3): _ball_rows,
     (Ellipse, 2): _ellipse_rows,
     (SampledSurface, 2): _sampled_rows, (SampledSurface, 3): _sampled_rows,
@@ -684,14 +687,14 @@ _ROWS = {
 
 
 def _resolver(shape, pts, tau_multi=None, error=ProjectionError):
-    """(rows, shape, tau_multi): the rows function of shape's family, the
-    shape it reads and the tie window, for the points pts.
+    """(rows, tau_multi): the rows function of shape's family and the tie
+    window, for the points pts.
 
-    A Box is read as its cached polytope.  A graph has no exact boundary
-    distance and raises GeometryError: resolve its boundary_sample
-    instead.  Another unknown shape, pts other than rows of shape.dim
-    finite coordinates, and a tie window that is not a finite number >= 0
-    raise error; tau_multi None is default_tau_multi(shape).
+    A Box is a polytope with keys of its own.  A graph has no exact
+    boundary distance and raises GeometryError: resolve its
+    boundary_sample instead.  Another unknown shape, pts other than rows
+    of shape.dim finite coordinates, and a tie window that is not a finite
+    number >= 0 raise error; tau_multi None is default_tau_multi(shape).
 
     A rows function is called as rows(shape, pts, tau_multi, full, d_opt)
     and returns (d_opt, count, feet, spread, stats) for the n rows of pts:
@@ -705,8 +708,6 @@ def _resolver(shape, pts, tau_multi=None, error=ProjectionError):
     spares a family the distance computation that its resolution does not
     make anyway.
     """
-    if isinstance(shape, Box):
-        shape = shape.as_polytope()
     rows = _ROWS.get((type(shape), getattr(shape, "dim", None)))
     if rows is None:
         if isinstance(shape, GraphHypersurface):
@@ -722,13 +723,13 @@ def _resolver(shape, pts, tau_multi=None, error=ProjectionError):
     if not (np.isfinite(tau_multi) and tau_multi >= 0):
         raise error(f"tau_multi must be finite and nonnegative, "
                     f"got {tau_multi}")
-    return rows, shape, tau_multi
+    return rows, tau_multi
 
 
 def project(shape, x, tau_multi=None):
     """Project x onto the boundary of any supported shape: row 0 of its
     family's rows function (_resolver), resolved in full."""
     x = np.asarray(x, dtype=float)[None]
-    rows, shape, tau_multi = _resolver(shape, x, tau_multi)
+    rows, tau_multi = _resolver(shape, x, tau_multi)
     d_opt, _, feet, spread, _ = rows(shape, x, tau_multi, True)
     return ProjectionResult(d_opt[0], feet, tau_multi, spread[0])

@@ -152,20 +152,20 @@ def detect_multiproj(shape, grid, tau_multi=None):
     singleton.  The boundary distance that sets the band is the (shape,
     grid) node memo's (distance._node_distance).  A 2D polytope, offset
     or ellipse computes it in the same pass over every node, and that
-    pass stores it as the memo of the shape passed in (a Box, not only
-    its polytope); every other shape reads the memo and leaves its band
-    nodes out of the resolution.  A graph has no boundary distance and
-    raises GeometryError: detect on its boundary_sample.
+    pass stores it as the shape's memo; every other shape reads the memo
+    and leaves its band nodes out of the resolution.  A graph has no
+    boundary distance and raises GeometryError: detect on its
+    boundary_sample.
     """
     if not isinstance(grid, GridSpec):
         raise DetectionError("grid must be a GridSpec")
     h = float(grid.spacing)
     pts = grid.points()
-    rows, body, tau_multi = _resolver(
+    rows, tau_multi = _resolver(
         shape, pts, h if tau_multi is None else tau_multi, DetectionError)
     band = BAND_FACTOR * h
     if rows in (_cycle_rows, _ellipse_rows):
-        dK, _, _, spread, stats = rows(body, pts, tau_multi, False)
+        dK, _, _, spread, stats = rows(shape, pts, tau_multi, False)
         dK = _remember_distance(shape, grid, dK)
         excluded = dK <= band
     else:
@@ -173,7 +173,7 @@ def detect_multiproj(shape, grid, tau_multi=None):
         excluded = dK <= band
         active = np.flatnonzero(~excluded)
         spread = np.zeros(pts.shape[0])
-        _, _, _, spread[active], stats = rows(body, pts[active], tau_multi,
+        _, _, _, spread[active], stats = rows(shape, pts[active], tau_multi,
                                               False, dK[active])
     params = {"tau_multi": float(tau_multi), "band_factor": float(BAND_FACTOR),
               **stats}

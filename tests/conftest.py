@@ -9,7 +9,7 @@ from sigma_eikonal.geometry import Ball, Box, OffsetBody, make_random_polytope
 @pytest.fixture
 def unit_square():
     """The square [-1, 1]^2 as an exact polytope."""
-    return Box((1.0, 1.0)).as_polytope()
+    return Box((1.0, 1.0))
 
 
 @pytest.fixture
@@ -19,7 +19,7 @@ def unit_disk():
 
 @pytest.fixture
 def offset_square():
-    return OffsetBody(Box((1.0, 1.0)).as_polytope(), 0.5)
+    return OffsetBody(Box((1.0, 1.0)), 0.5)
 
 
 @pytest.fixture

@@ -589,14 +589,11 @@ def point_arc_distance(points, center, a0, sweep, radius):
 def boundary_distance_2d(shape, points):
     """2D polytope or offset boundary distance: all segments in one matrix,
     then one arc at a time."""
-    if isinstance(shape, OffsetBody):
-        (seg_a, seg_b, _), arcs = shape.elements()
-    else:
-        (seg_a, seg_b), arcs = shape.edges(), []
-    best = point_segment_distance(points, seg_a, seg_b)[0].min(axis=1)
-    for center, a0, sweep in arcs:
+    cyc = shape._cycle
+    best = point_segment_distance(points, cyc.seg_a, cyc.seg_b)[0].min(axis=1)
+    for center, a0, sweep in zip(cyc.center, cyc.a0, cyc.sweep):
         best = np.minimum(best, point_arc_distance(points, center, a0, sweep,
-                                                   shape.epsilon))
+                                                   cyc.radius))
     return best
 
 
@@ -663,18 +660,17 @@ class Arc:
 
 def polytope_cycle(poly):
     """The edge cycle of a 2D polytope, one Segment per edge."""
-    a, b = poly.edges()
-    return [Segment(a[i], b[i]) for i in range(a.shape[0])]
+    cyc = poly._cycle
+    return [Segment(a, b) for a, b in zip(cyc.seg_a, cyc.seg_b)]
 
 
 def offset_cycle(body):
     """The element cycle of a 2D offset: arc i, then pushed edge i."""
-    (seg_a, seg_b, _), arcs = body.elements()
+    cyc = body._cycle
     cycle = []
-    for i in range(seg_a.shape[0]):
-        center, a0, sweep = arcs[i]
-        cycle.append(Arc(center, a0, sweep, body.epsilon))
-        cycle.append(Segment(seg_a[i], seg_b[i]))
+    for i in range(cyc.seg_a.shape[0]):
+        cycle.append(Arc(cyc.center[i], cyc.a0[i], cyc.sweep[i], cyc.radius))
+        cycle.append(Segment(cyc.seg_a[i], cyc.seg_b[i]))
     return cycle
 
 
@@ -757,8 +753,8 @@ def detect_cycle(cycle, diam, pts, dK, excluded, tau_multi, shape=None):
             if reps.shape[0] >= 2 and max_pairwise(reps) > tau_multi:
                 flags[lo + i] = True
         if shape is not None:
-            _, arcs = shape.elements()
-            for center, _, sweep in arcs:
+            cyc = shape._cycle
+            for center, sweep in zip(cyc.center, cyc.sweep):
                 onc = np.linalg.norm(sub - center, axis=1) <= eq_tol
                 chord = 2.0 * shape.epsilon * math.sin(
                     min(0.5 * sweep, 0.5 * math.pi))

@@ -154,7 +154,7 @@ def test_criterion_4_eikonal_convergence():
           + f"; rate={rate:.3f} (floor {RATE_MIN})")
     assert rate >= RATE_MIN, f"observed order {rate:.3f}"
 
-    square = Box((1.0, 1.0)).as_polytope()
+    square = Box((1.0, 1.0))
     body = OffsetBody(square, 0.5)
     h = steps[-1]
     grid = grid_covering(body, h)
@@ -187,7 +187,7 @@ def test_criterion_5_inner_ball_bisection():
     """Bisection radii match a dense radius sweep to within twice the
     fit slack, hit the exact values on the disk and the square edge, and
     never fall below eps minus the slack on an offset boundary."""
-    square = Box((1.0, 1.0)).as_polytope()
+    square = Box((1.0, 1.0))
     offset = OffsetBody(square, 0.5)
     tau_sq = 1e-6 * square.diameter()
     tau_off = 1e-6 * offset.diameter()

@@ -34,6 +34,25 @@ def test_shape_summary(capsys):
     assert "inradius=1" in out
 
 
+def test_offset_of_a_box_round_trips_through_the_shape_command(tmp_path,
+                                                               capsys):
+    """A box is a polytope, so it can be an offset base: the spec
+    round-trips through shape_from_spec and the shape command, and a
+    box's summary has the polytope's facet and vertex counts."""
+    box = {"kind": "box", "extents": [1.0, 0.5]}
+    spec = {"kind": "offset", "base": box, "epsilon": 0.3}
+    assert shape_from_spec(spec).to_spec() == spec
+    assert main(["shape", "--shape", json.dumps(spec),
+                 "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "kind=offset(box(extents=(1.0, 0.5)), eps=0.3)" in out
+    assert "facets=4" in out
+    assert json.loads((tmp_path / "shape.json").read_text()) == spec
+    assert main(["shape", "--shape", json.dumps(box)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "facets=4" in out and "vertices=4" in out
+
+
 def test_missing_shape_is_config_error(capsys):
     rc = main(["shape"])
     assert rc == 2

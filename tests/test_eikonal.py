@@ -18,6 +18,13 @@ from sigma_eikonal.eikonal import (
     upwind_residual,
     write_residual_report,
 )
+from sigma_eikonal.geometry import (
+    Ball,
+    Box,
+    Ellipse,
+    OffsetBody,
+    make_random_polytope,
+)
 from sigma_eikonal.singular import detect_multiproj
 
 
@@ -37,6 +44,28 @@ def test_point_source_cone_error_bound():
     err = np.abs(u.values - r)
     assert np.all(err <= 2.0 * g.spacing * (1.0 + r))
     assert u.meta["unreachable"] == 0
+
+
+def exact_2d_families():
+    poly = make_random_polytope(16, 1)
+    return [("disk", Ball((0.0, 0.0), 1.0)), ("poly16", poly),
+            ("poly16_e0.3", OffsetBody(poly, 0.3)),
+            ("ellipse", Ellipse((1.0, 0.5))), ("box", Box((1.0, 1.0)))]
+
+
+@pytest.mark.parametrize("h", [1.0 / 32, 1.0 / 64], ids=["1/32", "1/64"])
+@pytest.mark.parametrize("label,shape", exact_2d_families(),
+                         ids=[lbl for lbl, _ in exact_2d_families()])
+def test_march_is_within_two_steps_of_the_exact_distance(label, shape, h):
+    """On every exact 2D family the march from the shape's seeds stays
+    within 2h of the exact distance field at every node.  The bound was
+    fixed before measuring; the largest |u - d_K| / h read at h = 1/32
+    and 1/64: disk 0.88 / 1.04, poly16 0.72 / 0.80, its 0.3 offset
+    0.75 / 0.82, ellipse 0.35 / 0.40 and box 0.34 / 0.34."""
+    grid = grid_covering(shape, h)
+    u = fast_march(problem_from_shape(shape, grid))
+    err = np.abs(u.values - distance_field(shape, grid).values)
+    assert err.max() <= 2.0 * h
 
 
 def test_two_parallel_lines_meet_at_midline():

@@ -17,6 +17,8 @@ from sigma_eikonal.geometry import (
     OPEN_GAP_TOL,
     OffsetBody,
     SampledSurface,
+    _Cycle,
+    _Triangles,
     load_shape,
     make_random_polytope,
     save_shape,
@@ -35,6 +37,7 @@ from sigma_eikonal.innerball import (
     normal_map_injectivity,
     uniform_condition_report,
 )
+from sigma_eikonal.eikonal import residuals
 from sigma_eikonal.projection import project
 from sigma_eikonal.singular import (
     DetectionError,
@@ -144,12 +147,46 @@ def test_contains_reads_rows_or_one_point_with_a_fixed_tolerance(label,
         shape.contains(surf.points[0], tol=1e-9)
 
 
-def test_box_polytope_is_built_once_and_extents_are_read_only():
+def box_planes(extents):
+    """The ConvexPolytope of a box's axis planes, with no inball given."""
+    eye = np.eye(len(extents))
+    return ConvexPolytope(np.vstack([eye, -eye]), np.tile(extents, 2))
+
+
+BOX_EXTENTS = [(1.0, 1.0), (1.0, 0.5), (1.0, 0.5, 0.75)]
+
+
+@pytest.mark.parametrize("extents", BOX_EXTENTS, ids=str)
+def test_box_is_the_polytope_of_its_planes_bit_for_bit(extents):
+    """A Box is the ConvexPolytope of its axis planes: the same arrays,
+    bytes included, the same 2D cycle or 3D triangles, and the same
+    diameter.  Its inball, the origin and the smallest half-extent, has
+    the LP's radius; for the square the LP's centre too."""
+    box, poly = Box(extents), box_planes(extents)
+    pairs = [(box.vertices, poly.vertices), (box.normals, poly.normals),
+             (box.offsets, poly.offsets)]
+    if box.dim == 2:
+        pairs += [(getattr(box._cycle, k), getattr(poly._cycle, k))
+                  for k in _Cycle.__slots__]
+    else:
+        pairs += [(getattr(box.triangles(), k), getattr(poly.triangles(), k))
+                  for k in _Triangles.__slots__]
+    for got, want in pairs:
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert box.diameter() == poly.diameter()
+    assert box.inradius() == min(extents)
+    assert poly.inradius() == pytest.approx(min(extents), abs=1e-12)
+    assert np.array_equal(box.chebyshev_center, np.zeros(box.dim))
+    if extents == (1.0, 1.0):
+        assert np.array_equal(poly.chebyshev_center, np.zeros(2))
+
+
+def test_box_extents_are_read_only():
     given = np.array([2.0, 3.0])
     b = Box(given)
-    poly = b.as_polytope()
-    assert b.as_polytope() is poly
-    assert np.array_equal(poly.vertices[:, 0] ** 2, np.full(4, 4.0))
+    assert np.array_equal(b.vertices[:, 0] ** 2, np.full(4, 4.0))
     with pytest.raises(AttributeError):
         b.extents = np.array([1.0, 1.0])
     with pytest.raises(ValueError):
@@ -425,7 +462,7 @@ def test_ring_vertices_meet_the_qhull_contract(polygon):
 @RING_PROPERTY
 @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
 def test_axis_aligned_box_vertices_are_exact(a, b):
-    poly = Box((a, b)).as_polytope()
+    poly = Box((a, b))
     assert np.array_equal(poly.vertices,
                           [[-a, -b], [a, -b], [a, b], [-a, b]])
 
@@ -465,7 +502,7 @@ def test_empty_polygon_is_rejected_without_the_lp(offsets, monkeypatch):
 
 def test_2d_polytope_solves_its_lp_only_when_its_ball_is_read(monkeypatch):
     no_lp(monkeypatch)
-    poly = Box((1.0, 0.5)).as_polytope()
+    poly = box_planes((1.0, 0.5))
     assert poly.area() == 2.0
     with pytest.raises(AssertionError, match="LP ran"):
         poly.inradius()
@@ -480,7 +517,7 @@ def test_2d_polytope_solves_its_lp_only_when_its_ball_is_read(monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("make, inradius", [
-    pytest.param(lambda: Box((1.0, 0.5, 0.75)).as_polytope(), 0.5, id="box"),
+    pytest.param(lambda: box_planes((1.0, 0.5, 0.75)), 0.5, id="box"),
     pytest.param(lambda: ConvexPolytope(
         make_random_polytope(32, 1, dim=3).normals, np.ones(32)), 1.0,
         id="tangent32"),
@@ -500,6 +537,42 @@ def test_3d_polytope_solves_its_lp_only_when_its_ball_is_read(
         poly.chebyshev_center
     monkeypatch.undo()
     assert poly.inradius() == pytest.approx(inradius)
+
+
+@pytest.mark.parametrize("extents", [(1.0, 0.5), (1.0, 0.5, 0.75)],
+                         ids=str)
+def test_box_paths_never_solve_the_lp(extents, monkeypatch):
+    """A Box's inball is known: inradius() and chebyshev_center, its
+    sampling and distance, and its offset's, answer with no LP."""
+    no_lp(monkeypatch)
+    box = Box(extents)
+    assert box.inradius() == min(extents)
+    assert np.array_equal(box.chebyshev_center, np.zeros(len(extents)))
+    body = OffsetBody(box, 0.3)
+    assert body.inradius() == min(extents) + 0.3
+    for shape in (box, body):
+        shape.boundary_sample(0.25)
+        shape.boundary_distance(np.zeros((1, len(extents))))
+
+
+@pytest.mark.parametrize("extents, h", [((1.0, 0.5), 1.0 / 16),
+                                        ((1.0, 0.5, 0.75), 0.25)], ids=str)
+def test_offset_of_a_box_is_the_offset_of_its_planes_bit_for_bit(extents, h):
+    """A box can be an offset base.  Its offset gives the distances, the
+    multiproj flags at one grid step and the sampling of the offset of
+    the ConvexPolytope of the same planes, bit for bit."""
+    body, ref = OffsetBody(Box(extents), 0.3), OffsetBody(box_planes(extents),
+                                                          0.3)
+    grid = grid_covering(ref, h)
+    pts = grid.points()
+    assert np.array_equal(body.boundary_distance(pts),
+                          ref.boundary_distance(pts))
+    flags = detect_multiproj(body, grid).flags
+    assert flags.any()
+    assert np.array_equal(flags, detect_multiproj(ref, grid).flags)
+    got, want = body.boundary_sample(h), ref.boundary_sample(h)
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.normals, want.normals)
 
 
 CUBE = np.vstack([np.eye(3), -np.eye(3)])
@@ -527,7 +600,7 @@ def test_3d_polytope_is_rejected_without_the_lp(normals, offsets, message,
 @RING_PROPERTY
 @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
 def test_axis_aligned_3d_box_vertices_are_exact(a, b, c):
-    poly = Box((a, b, c)).as_polytope()
+    poly = Box((a, b, c))
     corners = list(itertools.product((a, -a), (b, -b), (c, -c)))
     assert poly.vertices.shape == (8, 3)
     assert np.array_equal(np.unique(poly.vertices, axis=0),
@@ -696,6 +769,12 @@ BAD_PARAMETERS = {
     ("grid_covering", "spacing"): (
         GridError, lambda v: grid_covering(Ball((0.0, 0.0), 1.0), v),
         (NAN, INF, -0.1, 0.0)),
+    ("residuals", "margin"): (
+        GridError, lambda v: residuals(disk_field(), margin=v),
+        (NAN, INF, -1.0)),
+    ("nearest_node", "point"): (
+        GridError, lambda v: disk_field().grid.nearest_node((v, 0.0)),
+        (NAN, INF, -INF)),
     ("grid_covering", "margin"): (
         GridError,
         lambda v: grid_covering(Ball((0.0, 0.0), 1.0), 0.1, margin=v),

@@ -38,8 +38,7 @@ from sigma_eikonal.geometry import (
     make_random_polytope,
 )
 from sigma_eikonal.innerball import inner_ball_profile, inner_ball_radius
-from sigma_eikonal.experiments import ExperimentConfig, _unit_square, \
-    run_lemma_gradient
+from sigma_eikonal.experiments import ExperimentConfig, run_lemma_gradient
 from sigma_eikonal.projection import _cycle_rows, _resolver, project
 from sigma_eikonal.singular import BAND_FACTOR, detect_multiproj
 
@@ -144,7 +143,7 @@ BOXES = ((1.0, 1.0, 1.0), (1.0, 2.0, 0.5))
 def test_box_polytope_kernel_matches_loop(extents):
     """Box polytopes: few large triangles, two per face, and grid nodes,
     corners, edge midpoints and centroids where their feet tie."""
-    poly = Box(extents).as_polytope()
+    poly = Box(extents)
     grid = grid_covering(OffsetBody(poly, EPS), 0.25)
     pts = np.vstack([grid.points(), feature_points(poly, 0.25)])
     assert np.array_equal(poly.boundary_distance(pts),
@@ -270,7 +269,7 @@ def test_disk_march_gradjump_matches_einsum(h):
 
 @pytest.mark.parametrize("label,shape", [
     ("square", Box((1.0, 1.0))),
-    ("offset_square", OffsetBody(Box((1.0, 1.0)).as_polytope(), 0.5)),
+    ("offset_square", OffsetBody(Box((1.0, 1.0)), 0.5)),
     ("poly16", make_random_polytope(16, 1)),
 ], ids=["square", "offset_square", "poly16"])
 def test_2d_field_gradjump_matches_einsum(label, shape):
@@ -307,8 +306,6 @@ def oracle_cycle(shape):
 
 def oracle_flags(shape, grid, tau_multi):
     """detect_multiproj's flags with the rows resolved one by one."""
-    if isinstance(shape, Box):
-        shape = shape.as_polytope()
     h = grid.spacing
     pts = grid.points()
     dK = shape.boundary_distance(pts)
@@ -337,7 +334,7 @@ def test_polytope_and_offset_masks_match_row_loop(facets):
 
 def test_box_masks_match_row_loop_with_a_node_on_a_base_vertex():
     box = Box((1.0, 1.0))
-    body = OffsetBody(box.as_polytope(), 0.5)
+    body = OffsetBody(box, 0.5)
     for h in MASK_STEPS:
         assert_same_flags(box, h)
         mask = assert_same_flags(body, h)
@@ -404,7 +401,7 @@ def test_threads_own_their_block_scratch(monkeypatch):
 def projection_shapes_2d():
     """The MASK_SEEDS polytopes with their 0.1 offsets, the square and the
     offset square."""
-    square = Box((1.0, 1.0)).as_polytope()
+    square = Box((1.0, 1.0))
     out = [("square", square), ("square_e0.5", OffsetBody(square, 0.5))]
     for facets, seed in sorted(MASK_SEEDS.items()):
         poly = make_random_polytope(facets, seed)
@@ -444,7 +441,8 @@ def test_2d_projection_matches_scalar_cycle(label, shape):
             assert np.array_equal(res.nearest, feet)
             assert res.spread == oracles.max_pairwise(feet)
     if isinstance(shape, OffsetBody):
-        for center, _, sweep in shape.elements()[1]:
+        cyc = shape._cycle
+        for center, sweep in zip(cyc.center, cyc.sweep):
             chord = 2.0 * shape.epsilon * np.sin(0.5 * sweep)
             for tau in (h, 1e-9 * diam):
                 res = project(shape, center, tau_multi=tau)
@@ -470,7 +468,7 @@ def test_2d_flags_are_exactly_the_non_singleton_projections(label, shape):
 
 def resolver_shapes():
     """The square, the offset square and a 16-facet polytope's 0.3 offset."""
-    square = Box((1.0, 1.0)).as_polytope()
+    square = Box((1.0, 1.0))
     return [("square", square), ("square_e0.5", OffsetBody(square, 0.5)),
             ("poly16_e0.3", OffsetBody(make_random_polytope(16, 1), 0.3))]
 
@@ -509,8 +507,8 @@ def test_cycle_rows_match_scalar_cycle_on_every_flag(label, shape,
 def first_feet(shape, pts):
     """The first foot of each row of the shape family's rows function,
     resolved in full at tie window 0: the feet of the gradient lemma."""
-    rows, body, tau = _resolver(shape, pts, 0.0)
-    count, feet = rows(body, pts, tau, True)[1:3]
+    rows, tau = _resolver(shape, pts, 0.0)
+    count, feet = rows(shape, pts, tau, True)[1:3]
     return feet[np.cumsum(count) - count]
 
 
@@ -522,7 +520,7 @@ def oracle_nearest_feet(shape, pts):
 
 def lemma_shapes():
     """The disk, the square and the offset square of the gradient lemma."""
-    square = _unit_square()
+    square = Box((1.0, 1.0))
     return [("disk", Ball((0.0, 0.0), 1.0)), ("square", square),
             ("offset_square", OffsetBody(square, 0.5))]
 
@@ -597,7 +595,7 @@ def test_first_feet_of_the_rows_are_the_first_nearest_elements(label,
 def shapes_2d():
     """The MASK_SEEDS polytopes with their 0.1 and 0.3 offsets, and the
     square with its 0.5 offset."""
-    square = Box((1.0, 1.0)).as_polytope()
+    square = Box((1.0, 1.0))
     out = [("square", square), ("square_e0.5", OffsetBody(square, 0.5))]
     for facets, seed in sorted(MASK_SEEDS.items()):
         poly = make_random_polytope(facets, seed)
@@ -618,7 +616,7 @@ def test_2d_boundary_distance_matches_arc_loop(label, shape):
                            (2000, 2)))
     pts.append(base.vertices)
     if isinstance(shape, OffsetBody):
-        pts.append(np.array([c for c, _, _ in shape.elements()[1]]))
+        pts.append(shape._cycle.center)
     pts = np.vstack(pts)
     assert np.array_equal(shape.boundary_distance(pts),
                           oracles.boundary_distance_2d(shape, pts))
@@ -783,7 +781,7 @@ def test_offset_square_differs_from_slack_closed_form_only_at_exact_ties():
     """On the grid-aligned offset square the element cycle and the closed
     form settle window-edge ties differently: every node where they differ
     has two slacks exactly one tie window apart."""
-    body = OffsetBody(Box((1.0, 1.0)).as_polytope(), 0.5)
+    body = OffsetBody(Box((1.0, 1.0)), 0.5)
     for h in MASK_STEPS:
         mask, flags = slack_mask(body, h)
         differ = (mask.flags != flags).reshape(-1)

@@ -263,11 +263,20 @@ def test_projection_distance_is_the_field_value(label, shape):
 
 
 def agreement_shapes():
-    """The exact shapes and a closed sampling of the 16-facet polytope's
-    0.3 offset."""
+    """The exact shapes, a closed sampling of the 16-facet polytope's 0.3
+    offset, and a sampling of the 3D ball."""
     offset = OffsetBody(make_random_polytope(16, 1), 0.3)
-    return exact_shapes() + [("offset_sampled",
-                              offset.boundary_sample(0.5 / 20))]
+    return exact_shapes() + [
+        ("offset_sampled", offset.boundary_sample(0.5 / 20)),
+        ("ball_3d_sampled",
+         Ball((0.1, -0.2, 0.3), 1.0).boundary_sample(0.25))]
+
+
+def test_every_rows_table_key_has_an_agreement_case():
+    """The agreement cases cover each (type, dim) key of the one lookup,
+    so every rows function meets the properties below."""
+    assert {(type(shape), shape.dim) for _, shape in agreement_shapes()} \
+        == set(projection._ROWS)
 
 
 @pytest.mark.parametrize("label,shape", agreement_shapes(),
@@ -276,9 +285,9 @@ def test_rows_functions_accept_zero_rows(label, shape):
     """Each family's rows function answers no points with empty rows, in
     full and without it."""
     pts = np.empty((0, shape.dim))
-    rows, body, tau = projection._resolver(shape, pts)
+    rows, tau = projection._resolver(shape, pts)
     for full in (True, False):
-        d_opt, count, feet, spread, _ = rows(body, pts, tau, full)
+        d_opt, count, feet, spread, _ = rows(shape, pts, tau, full)
         assert d_opt.shape == spread.shape == (0,)
         if full:
             assert count.shape == (0,) and feet.shape == (0, shape.dim)

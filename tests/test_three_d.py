@@ -105,7 +105,7 @@ def test_march_reaches_every_node(seed):
 def test_cube_polytope_matches_box_formula(pts):
     box = Box((1.0, 1.0, 1.0))
     pts = np.array(pts)
-    d = box.as_polytope().boundary_distance(pts)
+    d = box.boundary_distance(pts)
     assert np.abs(d - oracles.box_boundary_distance(box, pts)).max() <= 1e-12
 
 
@@ -113,7 +113,7 @@ def test_cube_field_matches_box_formula():
     """A grid field spans several kernel blocks; every node still agrees."""
     box = Box((1.0, 1.0, 1.0))
     grid = grid_covering(box, 0.1)
-    fld = distance_field(box.as_polytope(), grid)
+    fld = distance_field(box, grid)
     ref = oracles.box_boundary_distance(box, grid.points()).reshape(grid.dims)
     assert grid.n_nodes > 10_000
     assert np.abs(fld.values - ref).max() <= 1e-12
